@@ -6,8 +6,7 @@ algebra via Kostant's cascade of strongly orthogonal roots."""
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CountShortfall, TruncationInsufficient, WrongWord
 from .poisson_core import (
@@ -16,7 +15,7 @@ from .poisson_core import (
     IntegrableSystemReport,
     LinearPoissonStructure,
     PoissonStructure,
-    involutivity_certificate,
+    certify,
 )
 from .polyring import (
     Jet,
@@ -24,14 +23,15 @@ from .polyring import (
     PolyMatrix,
     RatFun,
     VarSet,
+    _rational_rank,
+    _sign_canonical,
     det,
-    jacobian,
+    inverse,
     jet_lowest_term,
-    lowest_term,
-    numeric_rank,
     truncated_exp,
 )
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, QQ0, QQ1, _sign
+from .schubert import build_cell
 from .typea import (
     ReducedWord,
     WeylElt,
@@ -92,10 +92,6 @@ def sl_u_matrix(n: int, vars: VarSet = None) -> PolyMatrix:
     return PolyMatrix(
         [[sl_u_entry(vars, i, j, m) for j in range(1, m + 1)] for i in range(1, m + 1)]
     )
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def sl_dual_linear_structure(n: int, check: bool = True) -> LinearPoissonStructure:
@@ -312,13 +308,6 @@ def gexp_formulas(n: int) -> dict:
     }
 
 
-def _sign_canonical(p: Poly) -> Poly:
-    if p.is_zero():
-        return p
-    _, lc = p.leading()
-    return -p if lc < 0 else p
-
-
 def _up_to_sign(a: Poly, b: Poly) -> bool:
     return a == b or a == -b
 
@@ -449,31 +438,12 @@ def choose_integrable_system_bfz(
         selected.append(cluster.gprimes[i])
         labels.append(f"diff{i}")
 
-    expected = l0 + n
-    if len(selected) != expected:
-        raise CountShortfall(
-            f"selected {len(selected)} functions, expected {expected}"
-        )
-
     lows = [cluster.low(f)[0] for f in selected]
     if pi0 is None:
         pi0 = sl_dual_linear_structure(n, check=False)
-    involutive = involutivity_certificate(pi0, lows)
-    rng = random.Random(seed)
-    rank = numeric_rank(jacobian(lows, cluster.vars), rng, retries=samples)
-    if rank != expected:
-        raise CountShortfall(f"independent count {rank} below {expected}")
-    word_str = ",".join(map(str, cluster.dword.neg.letters))
-    return IntegrableSystemReport(
-        variables=list(cluster.vars.names),
-        functions=[str(f) for f in lows],
-        involutive=involutive,
-        independent_count=rank,
-        magic_number=expected,
-        seed=seed,
-        construction=f"bfz n={n} word={word_str} labels={';'.join(labels)}",
-        selected_indices=labels,
-    )
+    word = ",".join(map(str, cluster.dword.neg.letters))
+    return certify(lows, pi0, cluster.vars, l0 + n, seed, samples,
+                   f"bfz n={n} word={word} labels={';'.join(labels)}", labels)
 
 
 # -- modified log-volume degree via jets ---------------------------------------
@@ -635,8 +605,6 @@ def stabilizer_dimension(n: int) -> int:
 
     nrows = len(columns[0])
     matrix = [[columns[c][r] for c in range(len(columns))] for r in range(nrows)]
-    from .polyring import _rational_rank
-
     rank = _rational_rank(matrix)
     dim = len(unknowns) - rank
     return dim
@@ -687,28 +655,6 @@ class BFZChart:
         return funcs
 
 
-def _unimodular_inverse(mat: PolyMatrix) -> PolyMatrix:
-    """Inverse of a square polynomial matrix with constant determinant."""
-    m = mat.rows
-    d = det(mat)
-    if not d.is_constant():
-        raise ValueError("matrix determinant is not constant")
-    dc = d.constant_value()
-    cof = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            sub = mat.submatrix(
-                [a for a in range(m) if a != j], [b for b in range(m) if b != i]
-            )
-            x = det(sub) * (QQ1 / dc)
-            if (i + j) % 2:
-                x = -x
-            row.append(x)
-        cof.append(row)
-    return PolyMatrix(cof)
-
-
 def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
     """Realize the extended cluster on the chart given by the two unipotent
     parts and the torus, with all structure entries rational."""
@@ -733,8 +679,9 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
     bs_b = bs_b.map(lambda p: chart_poly(p, "b"))
     bs_a = bs_a.map(lambda p: chart_poly(p, "a"))
     w0mat = weyl_matrix(longest_word(m), m, vars)
-    w0inv = _unimodular_inverse(w0mat)
-    lower = _unimodular_inverse(bs_b) * w0mat
+    # both inverses are polynomial (unit determinants)
+    w0inv = inverse(w0mat.map(RatFun.from_poly)).map(RatFun.as_poly)
+    lower = inverse(bs_b.map(RatFun.from_poly)).map(RatFun.as_poly) * w0mat
     upper = bs_a * w0inv
 
     eta = [RatFun.from_poly(Poly.const(vars, 1) + Poly.var(vars, f"e{j}")) for j in range(1, n + 1)]
@@ -770,8 +717,6 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
         g_index[dword.pos.letters[k - 1]] = k
 
     # Poisson structure: Bott-Samelson block for b (word pos) and a (word neg)
-    from .schubert import build_cell
-
     cell_b = build_cell(m, dword.pos, check=False)
     cell_a = build_cell(m, dword.neg, check=False)
 
@@ -822,6 +767,6 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
                 etaj = Poly.const(vars, 1) + Poly.var(vars, f"e{j + 1}")
                 set_entry(l0 + k, 2 * l0 + j, ak * etaj * c)
 
-    pi = PoissonStructure.from_polys(vars, P)
+    pi = PoissonStructure(vars, P)
     I0, I1, I2 = _istar_sets(n)
     return BFZChart(n, vars, pi, fs, phis, psis, g_index, I0, I1, I2)

@@ -5,13 +5,12 @@ Casimir-times-monomial replacements."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DependentSystem, NotCasimir
-from .poisson_core import PoissonStructure, is_log_canonical, log_volume
-from .polyring import Poly, RatFun, VarSet, jacobian, numeric_rank
-from .rationals import QQ, QQ0, QQ1
+from .poisson_core import PoissonStructure, log_volume
+from .polyring import RatFun, VarSet, jacobian, numeric_rank
 
 SYMMETRIZER_BOUND = 12
 
@@ -58,15 +57,6 @@ class Seed:
             raise DependentSystem("cluster is not algebraically independent")
         if self.ex and skew_symmetrizer(self.principal_part()) is None:
             raise ValueError("principal part is not skew-symmetrizable")
-
-    def copy(self) -> "Seed":
-        return Seed(
-            self.vars,
-            list(self.cluster),
-            list(self.ex),
-            [list(row) for row in self.M],
-            list(self.labels),
-        )
 
 
 def skew_symmetrizer(B, bound: int = SYMMETRIZER_BOUND):

@@ -7,17 +7,16 @@ matrix coalgebra, and the birational Krylov map."""
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
-from .errors import CountShortfall, SingularLocus, TruncationInsufficient
+from .errors import SingularLocus, TruncationInsufficient
 from .poisson_core import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     IntegrableSystemReport,
     LinearPoissonStructure,
     PoissonStructure,
-    involutivity_certificate,
+    certify,
 )
 from .polyring import (
     Jet,
@@ -26,35 +25,38 @@ from .polyring import (
     RatFun,
     VarSet,
     det,
+    inverse,
     jacobian,
     jet_lowest_term,
-    lowest_term,
-    numeric_rank,
-    ratfun_reduced_by_factors,
     truncated_exp,
 )
-from .rationals import QQ, QQ0, QQ1
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+from .rationals import QQ, QQ0, QQ1, _sign
 
 
 # -- variable sets -------------------------------------------------------------
 
 
+def entry_index(n: int) -> dict:
+    """Name -> (kind, i, j) of the upper entries of X and the lower entries
+    of Y, diagonals included.  The names run the indices together, so they
+    are read through this map, never parsed (x110 is x_{1,10} at n >= 10)."""
+    index = {f"x{i}{j}": ("x", i, j) for i in range(1, n + 1) for j in range(i, n + 1)}
+    index.update(
+        {f"y{i}{j}": ("y", i, j) for i in range(1, n + 1) for j in range(1, i + 1)}
+    )
+    return index
+
+
 def bb_varset(n: int) -> VarSet:
     """Upper entries of X and lower entries of Y, diagonal included on both."""
-    names = [f"x{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
-    names += [f"y{i}{j}" for i in range(1, n + 1) for j in range(1, i + 1)]
-    return VarSet(names)
+    return VarSet(entry_index(n))
 
 
 def chart_varset(n: int) -> VarSet:
     """Free coordinates of the dual group: y_ii is eliminated by x_ii*y_ii = 1."""
-    names = [f"x{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
-    names += [f"y{i}{j}" for i in range(2, n + 1) for j in range(1, i)]
-    return VarSet(names)
+    return VarSet(
+        nm for nm, (kind, i, j) in entry_index(n).items() if kind == "x" or i != j
+    )
 
 
 def u_varset(n: int) -> VarSet:
@@ -131,11 +133,8 @@ def build_dual_chart(n: int) -> DualGroupChart:
         # {x, y} = -{y, x}
         return -brk("y", p, q, "x", i, j)
 
-    coords = []
-    for nm in vars.names:
-        kind = nm[0]
-        i, j = int(nm[1]), int(nm[2])
-        coords.append((kind, i, j))
+    entries = entry_index(n)
+    coords = [entries[nm] for nm in vars.names]
     size = len(coords)
     mat = [[None] * size for _ in range(size)]
     for a in range(size):
@@ -166,24 +165,6 @@ def kks_gl(n: int, check: bool = True) -> LinearPoissonStructure:
                 term = term - Poly.var(vars, f"u{p}{s}")
             mat[a][b] = term
     return LinearPoissonStructure(vars, mat, check_jacobi=check and size <= 24)
-
-
-def kks_bracket(f: Poly, g: Poly, n: int) -> Poly:
-    """{f, g} = tr((grad_f grad_g - grad_g grad_f) u) with (grad_f)_qp = df/du_pq;
-    a fast path equivalent to the structure matrix of kks_gl."""
-    vars = f.vars
-    u = [[Poly.var(vars, f"u{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
-    gf = [[f.derivative(f"u{p}{q}") for p in range(1, n + 1)] for q in range(1, n + 1)]
-    gg = [[g.derivative(f"u{p}{q}") for p in range(1, n + 1)] for q in range(1, n + 1)]
-    total = Poly.zero(vars)
-    for a in range(n):
-        for b in range(n):
-            ab = Poly.zero(vars)
-            for k in range(n):
-                ab = ab + gf[a][k] * gg[k][b] - gg[a][k] * gf[k][b]
-            if not ab.is_zero():
-                total = total + ab * u[b][a]
-    return total
 
 
 # -- staircase system ------------------------------------------------------------
@@ -230,9 +211,9 @@ class StaircaseSystem:
 
 def restrict_to_chart(p: Poly, chart: DualGroupChart) -> RatFun:
     mapping = {}
-    n = chart.n
+    entries = entry_index(chart.n)
     for nm in p.vars.names:
-        kind, i, j = nm[0], int(nm[1]), int(nm[2])
+        kind, i, j = entries[nm]
         if kind == "y" and i == j:
             mapping[nm] = chart.y_entry(i, i)
         else:
@@ -521,7 +502,7 @@ def minor_product_expansion(n: int, p: int, i: int) -> Poly:
             u.submatrix([r - 1 for r in rows], [c - 1 for c in cols])
         )
 
-    def expand(rows, depth):
+    def expand(rows):
         size = len(rows)
         if size == 1:
             return minor_poly(rows, [1])
@@ -530,10 +511,10 @@ def minor_product_expansion(n: int, p: int, i: int) -> Poly:
             factor = minor_poly(rows, sorted((1,) + nxt))
             if factor.is_zero():
                 continue
-            total = total + factor * expand(list(nxt), depth + 1)
+            total = total + factor * expand(list(nxt))
         return total
 
-    return expand(I1, 1)
+    return expand(I1)
 
 
 # -- the Krylov map -------------------------------------------------------------------
@@ -559,34 +540,14 @@ def F_inverse(f):
     ftilde = [
         [QQ1 if i == 0 else QQ0] + [f[i][j] for j in range(n - 1)] for i in range(n)
     ]
-    inv = _rational_inverse(ftilde)
-    if inv is None:
-        raise SingularLocus("the leading Krylov minor vanishes")
+    try:
+        inv = inverse(PolyMatrix(ftilde)).entries
+    except SingularLocus:
+        raise SingularLocus("the leading Krylov minor vanishes") from None
     return [
         [sum((f[i][k] * inv[k][j] for k in range(n)), QQ0) for j in range(n)]
         for i in range(n)
     ]
-
-
-def _rational_inverse(m):
-    n = len(m)
-    a = [[QQ(x) for x in row] + [QQ1 if i == j else QQ0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # -- checks and selection ----------------------------------------------------------------
@@ -633,26 +594,10 @@ def choose_integrable_system_dualgl(
     for i in range(0, n):
         selected.append(jets.cbar_lows[i][0])
         labels.append(f"cbar{i}")
-    expected = (n * n + n) // 2
-    if len(selected) != expected:
-        raise CountShortfall(f"selected {len(selected)}, expected {expected}")
     if pi0 is None:
         pi0 = kks_gl(n, check=False)
-    involutive = involutivity_certificate(pi0, selected)
-    rng = random.Random(seed)
-    rank = numeric_rank(jacobian(selected, jets.u_vars), rng, retries=samples)
-    if rank != expected:
-        raise CountShortfall(f"independent count {rank} below {expected}")
-    return IntegrableSystemReport(
-        variables=list(jets.u_vars.names),
-        functions=[str(f) for f in selected],
-        involutive=involutive,
-        independent_count=rank,
-        magic_number=expected,
-        seed=seed,
-        construction=f"dualgl n={n}",
-        selected_indices=labels,
-    )
+    return certify(selected, pi0, jets.u_vars, (n * n + n) // 2, seed, samples,
+                   f"dualgl n={n}", labels)
 
 
 def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:
@@ -663,9 +608,7 @@ def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:
         s = build_staircase(n)
     chart = build_dual_chart(n)
     funcs = s.restricted_system(chart)
-    from .polyring import jacobian as jac
-
-    d = det(jac(funcs, chart.vars))
+    d = det(jacobian(funcs, chart.vars))
     if d.is_zero():
         return False
     # mu = det(J) / prod(funcs); compare with the closed form by
@@ -686,8 +629,10 @@ def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:
 
     # degree of the lowest term at the identity (x_ii = 1), presentation by
     # presentation so no reduction of the big quotient is ever needed
+    entries = entry_index(n)
     point = [
-        QQ1 if nm[0] == "x" and nm[1] == nm[2] else QQ0 for nm in chart.vars.names
+        QQ1 if kind == "x" and i == j else QQ0
+        for kind, i, j in (entries[nm] for nm in chart.vars.names)
     ]
 
     def shifted_low_degree(r: RatFun) -> int:
@@ -699,22 +644,6 @@ def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:
     return deg + len(chart.vars) == (n * n - n) // 2
 
 
-def _lower_triangular_inverse(Y: PolyMatrix) -> PolyMatrix:
-    """Inverse of a lower triangular polynomial matrix, as rational entries."""
-    n = Y.rows
-    vars = Y.entries[0][0].vars
-    inv = [[RatFun.const(vars, 0) for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = RatFun(Poly.const(vars, 1), Y.entries[j][j])
-        for i in range(j + 1, n):
-            acc = RatFun.const(vars, 0)
-            for k in range(j, i):
-                if not Y.entries[i][k].is_zero():
-                    acc = acc + RatFun.from_poly(Y.entries[i][k]) * inv[k][j]
-            inv[i][j] = -acc / RatFun.from_poly(Y.entries[i][i])
-    return PolyMatrix(inv)
-
-
 def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     """Every trailing staircase minor factors, up to sign, as a power of
     det(Y) times a principal block of Y times a determinant of columns drawn
@@ -724,7 +653,7 @@ def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     vars = s.bb_vars
     X = x_matrix(n, vars)
     Y = y_matrix(n, vars)
-    Yinv = _lower_triangular_inverse(Y)
+    Yinv = inverse(Y.map(RatFun.from_poly))
     U = PolyMatrix([[RatFun.from_poly(x) for x in row] for row in X.entries]) * Yinv
     upow = [PolyMatrix.identity(vars, n).map(lambda p: RatFun.from_poly(p))]
     for _ in range(n):

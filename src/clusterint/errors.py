@@ -53,6 +53,10 @@ class CountShortfall(ClusterIntError):
     """Fewer independent functions were found than the magic number."""
 
 
+class NotInvolutive(ClusterIntError):
+    """A pair of selected lowest terms has a nonzero bracket under pi0."""
+
+
 # -- type-A / family layers -------------------------------------------------
 
 class DimensionMismatch(ClusterIntError):
@@ -80,7 +84,7 @@ class TruncationInsufficient(ClusterIntError):
 
 
 class SingularLocus(ClusterIntError):
-    """Input lies outside the domain of a birational inverse."""
+    """A matrix, or a birational map at the input, has no inverse."""
 
 
 class NotCasimir(ClusterIntError):

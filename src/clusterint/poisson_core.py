@@ -1,18 +1,25 @@
 """Poisson structures in coordinates: brackets, log-canonicity,
 linearization at a vanishing point, log-volume forms, the degree
 criterion that certifies polynomial integrable systems, and torus
-Pfaffian coefficients."""
+Pfaffian coefficients.
+
+``certify`` is the single certification path: every family (Schubert
+cells, the BFZ cluster, the dual group of GL(n)) and the generic
+``extract_integrable_system`` hand it their selected lowest terms, and it
+checks the count, involutivity under pi0 and independence, and builds the
+report."""
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
+    CountShortfall,
     DependentSystem,
-    EvaluationSingular,
     InequalityViolated,
+    NotInvolutive,
     NotLogCanonical,
     NotRegular,
     NotVanishing,
@@ -27,9 +34,9 @@ from .polyring import (
     jacobian,
     lowest_term,
     numeric_rank,
-    numeric_rank_at,
+    ratfun_reduced_by_factors,
 )
-from .rationals import QQ, QQ0, QQ1, random_rational
+from .rationals import QQ, QQ0, QQ1
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 8
@@ -59,10 +66,6 @@ class PoissonStructure:
         self.bracket_matrix = m
 
     @staticmethod
-    def from_polys(vars: VarSet, mat) -> "PoissonStructure":
-        return PoissonStructure(vars, mat)
-
-    @staticmethod
     def zero(vars: VarSet) -> "PoissonStructure":
         z = RatFun.const(vars, 0)
         n = len(vars)
@@ -73,9 +76,6 @@ class PoissonStructure:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.bracket_matrix for x in row)
-
-    def entries_polynomial(self) -> bool:
-        return all(x.is_polynomial() for row in self.bracket_matrix for x in row)
 
     def matrix(self) -> PolyMatrix:
         return PolyMatrix(self.bracket_matrix)
@@ -163,10 +163,6 @@ class LinearPoissonStructure(PoissonStructure):
             self.check_jacobi()
 
 
-def bracket(pi: PoissonStructure, f, g) -> RatFun:
-    return pi.bracket(f, g)
-
-
 def is_log_canonical(pi: PoissonStructure, f, g):
     """Return lambda with {f, g} = lambda*f*g (exactly, possibly 0), else None."""
     f = _as_ratfun(f, pi.vars)
@@ -207,8 +203,6 @@ def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
                 raise NotVanishing(f"entry ({a},{b}) nonzero at the base point")
             num = entry.num.shift(at)
             lin = num.homogeneous_component(1)
-            den_shifted = entry.den.shift(at)
-            den1 = den_shifted.homogeneous_component(1)
             # (num/den)^(1) = num^(1)/den(0) since num(0) = 0
             row.append(RatFun.from_poly(lin * (QQ1 / den0)))
         out.append(row)
@@ -254,12 +248,6 @@ class LogCanonicalSystem:
                 lam[j][i] = -val
         return LogCanonicalSystem(pi.vars, fs, lam)
 
-    @staticmethod
-    def unchecked(vars: VarSet, functions) -> "LogCanonicalSystem":
-        fs = [_as_ratfun(f, vars) for f in functions]
-        n = len(fs)
-        return LogCanonicalSystem(vars, fs, [[QQ0] * n for _ in range(n)])
-
 
 @dataclass
 class LogVolumeForm:
@@ -295,8 +283,6 @@ def log_volume(functions, vars: VarSet, known_factors=None) -> LogVolumeForm:
         for p in (f.num, f.den):
             if not p.is_constant() and p not in factors:
                 factors.append(p)
-    from .polyring import ratfun_reduced_by_factors
-
     return LogVolumeForm(ratfun_reduced_by_factors(num, den, factors))
 
 
@@ -375,19 +361,7 @@ class IntegrableSystemReport:
     selected_indices: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variables": list(self.variables),
-                "functions": list(self.functions),
-                "involutive": self.involutive,
-                "independent_count": self.independent_count,
-                "magic_number": self.magic_number,
-                "seed": self.seed,
-                "construction": self.construction,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
@@ -398,6 +372,42 @@ def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
             if not pi0.bracket(fs[i], fs[j]).is_zero():
                 return False
     return True
+
+
+def certify(
+    lows,
+    pi0: PoissonStructure,
+    vars: VarSet,
+    expected: int,
+    seed: int = DEFAULT_SEED,
+    samples: int = DEFAULT_SAMPLES,
+    construction: str = "lowest-terms",
+    labels=(),
+    commuting=None,
+) -> IntegrableSystemReport:
+    """Certify the selected lowest terms as a polynomial integrable system
+    of ``expected`` functions: exactly that many are selected, they are in
+    involution under pi0 (checked over ``commuting``, a larger pool that
+    contains them, when given), and their Jacobian reaches rank
+    ``expected`` at seeded random points.  Raises CountShortfall or
+    NotInvolutive instead of reporting a failure."""
+    if len(lows) != expected:
+        raise CountShortfall(f"selected {len(lows)} functions, expected {expected}")
+    if not involutivity_certificate(pi0, lows if commuting is None else commuting):
+        raise NotInvolutive("lowest terms are not in involution under pi0")
+    rank = numeric_rank(jacobian(lows, vars), random.Random(seed), retries=samples)
+    if rank != expected:
+        raise CountShortfall(f"independent count {rank} below {expected}")
+    return IntegrableSystemReport(
+        variables=list(vars.names),
+        functions=[str(f) for f in lows],
+        involutive=True,
+        independent_count=rank,
+        magic_number=expected,
+        seed=seed,
+        construction=construction,
+        selected_indices=list(labels),
+    )
 
 
 def greedy_independent_subset(functions, vars: VarSet, rng, samples=DEFAULT_SAMPLES):
@@ -414,7 +424,7 @@ def greedy_independent_subset(functions, vars: VarSet, rng, samples=DEFAULT_SAMP
             kept = trial
             kept_idx.append(idx)
             rank = r
-    return kept, kept_idx, rank
+    return kept, kept_idx
 
 
 def extract_integrable_system(
@@ -423,25 +433,14 @@ def extract_integrable_system(
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
     construction: str = "lowest-terms",
-    require_property_I: bool = True,
-    pi: PoissonStructure = None,
 ) -> IntegrableSystemReport:
     """Lowest terms of a log-canonical system, certified involutive under
     pi0, with a greedy maximal independent subset of the magic-number size."""
     n = len(sys.vars)
     lows = [lowest_term(f)[0] for f in sys.functions]
-    involutive = involutivity_certificate(pi0, lows)
     magic = n - generic_rank(pi0, seed=seed, samples=samples) // 2
-    rng = random.Random(seed)
-    kept, kept_idx, rank = greedy_independent_subset(lows, sys.vars, rng, samples)
-    report = IntegrableSystemReport(
-        variables=list(sys.vars.names),
-        functions=[str(f) for f in kept],
-        involutive=involutive,
-        independent_count=rank,
-        magic_number=magic,
-        seed=seed,
-        construction=construction,
-        selected_indices=kept_idx,
+    kept, kept_idx = greedy_independent_subset(
+        lows, sys.vars, random.Random(seed), samples
     )
-    return report
+    return certify(kept, pi0, sys.vars, magic, seed, samples, construction,
+                   kept_idx, commuting=lows)

@@ -2,8 +2,9 @@
 
 Everything is over arbitrary-precision rationals; there is no floating
 point anywhere.  Polynomials are dicts mapping exponent tuples to nonzero
-coefficients.  The canonical text format (used in JSON reports and parsed
-by the CLI) lists terms in descending graded-lex order, e.g. ``z1*z4 - z2``.
+coefficients.  The canonical text format (used in JSON reports and read
+back by ``parse_poly``) lists terms in descending graded-lex order, e.g.
+``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from .errors import (
     EvaluationSingular,
     NonSquare,
     NotDivisible,
+    SingularLocus,
     ZeroInput,
 )
-from .rationals import QQ, QQ0, QQ1, qq, qq_str, random_rational
+from .rationals import QQ0, QQ1, qq, qq_str, random_rational
 
 # determinant strategy: cofactor expansion up to this size, fraction-free
 # elimination (Bareiss) or division-free expansion above
@@ -94,10 +96,6 @@ class Poly:
     @staticmethod
     def var(vars: VarSet, name) -> "Poly":
         return Poly(vars, {vars.unit_exp(name): QQ1})
-
-    @staticmethod
-    def gens(vars: VarSet):
-        return [Poly.var(vars, nm) for nm in vars.names]
 
     # -- predicates ---------------------------------------------------------
 
@@ -500,8 +498,8 @@ def _uni_degree(coeffs):
     return max(coeffs)
 
 
-def _uni_pseudo_rem(f, g, vars, i):
-    """Pseudo-remainder of univariate-in-i polynomials given as dicts
+def _uni_pseudo_rem(f, g, vars):
+    """Pseudo-remainder of univariate polynomials given as dicts
     {degree: Poly coefficient}."""
     f = dict(f)
     dg = _uni_degree(g)
@@ -565,7 +563,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if _uni_degree(a) < _uni_degree(b):
         a, b = b, a
     while True:
-        r = _uni_pseudo_rem(a, b, vars, main)
+        r = _uni_pseudo_rem(a, b, vars)
         if not r:
             break
         rpoly = _from_univariate(vars, main, r)
@@ -797,12 +795,12 @@ def lowest_term(f):
     raise TypeError(f"lowest_term expects Poly or RatFun, got {type(f)!r}")
 
 
-def low_of(f):
-    return lowest_term(f)[0]
-
-
-def low_degree(f) -> int:
-    return lowest_term(f)[1]
+def _sign_canonical(p: Poly) -> Poly:
+    """Representative of {p, -p} with positive graded-lex leading coefficient."""
+    if p.is_zero():
+        return p
+    _, lc = p.leading()
+    return -p if lc < 0 else p
 
 
 # -- jets --------------------------------------------------------------------------
@@ -971,11 +969,6 @@ class PolyMatrix:
 
     def is_square(self):
         return self.rows == self.cols
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def map(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(x) for x in row] for row in self.entries])
@@ -1166,6 +1159,30 @@ def det(m: PolyMatrix):
             return _det_subset_dp(m)
         return _det_bareiss(m)
     return _det_subset_dp(m)
+
+
+def inverse(m: PolyMatrix) -> PolyMatrix:
+    """Inverse of a square matrix over a field (rational or RatFun entries)
+    by Gauss-Jordan elimination; raises SingularLocus when it has none."""
+    if not m.is_square():
+        raise NonSquare(f"{m.rows}x{m.cols} matrix")
+    n = m.rows
+    zero = m.entries[0][0] - m.entries[0][0]
+    one = zero + 1
+    a = [list(row) + [one if i == j else zero for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise SingularLocus("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            factor = a[r][col]
+            if r != col and factor:
+                a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
+    return PolyMatrix([row[n:] for row in a])
 
 
 def jacobian(fs, vars: VarSet) -> PolyMatrix:

@@ -41,3 +41,7 @@ def random_rational(rng, bound: int = 1000) -> "QQ":
     num = rng.randint(-bound, bound)
     den = rng.randint(1, bound)
     return QQ(num, den)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)

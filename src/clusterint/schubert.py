@@ -6,11 +6,9 @@ structure checks."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import (
-    CountShortfall,
     NonPolynomialStructure,
     NotDivisible,
     StructureViolated,
@@ -23,19 +21,24 @@ from .poisson_core import (
     LinearPoissonStructure,
     LogCanonicalSystem,
     PoissonStructure,
+    certify,
     generic_rank,
-    involutivity_certificate,
     is_log_canonical,
     linearize,
-    log_volume_of_system,
     pfaffian_coefficient,
 )
-from .polyring import Poly, PolyMatrix, RatFun, VarSet, det, lowest_term
-from .rationals import QQ, QQ0, QQ1
+from .polyring import (
+    Poly,
+    PolyMatrix,
+    RatFun,
+    VarSet,
+    _sign_canonical,
+    det,
+    lowest_term,
+)
+from .rationals import QQ0, QQ1
 from .typea import (
     ReducedWord,
-    WeylElt,
-    bott_samelson,
     fundamental_weight,
     kplus_kminus,
     longest_word,
@@ -64,9 +67,6 @@ class SchubertCell:
 
     def frozen_indices(self):
         return [k for k in range(1, len(self.word) + 1) if self.kplus[k] is None]
-
-    def exchange_indices(self):
-        return [k for k in range(1, len(self.word) + 1) if self.kplus[k] is not None]
 
 
 def _phi_polys(word: ReducedWord, m: int, vars: VarSet):
@@ -198,7 +198,7 @@ def build_cell(m: int, word, check: bool = True) -> SchubertCell:
         for k in range(1, l + 1)
     ]
     P = _pullback_structure(phis, lam, vars, diag)
-    pi_z = PoissonStructure.from_polys(vars, P)
+    pi_z = PoissonStructure(vars, P)
     if check:
         for j in range(l):
             for k in range(j + 1, l):
@@ -224,31 +224,11 @@ def choose_integrable_system(
         pred = degs[cell.kminus[k] - 1] if cell.kminus[k] else 0
         if degs[k - 1] == 1 + pred:
             selected.append(k)
-    d_w = magic_number(cell)
-    if len(selected) != d_w:
-        raise CountShortfall(
-            f"selected {len(selected)} functions, magic number is {d_w}"
-        )
-    chosen = [lows[k - 1] for k in selected]
-    involutive = involutivity_certificate(cell.pi0, lows)
-    rng = random.Random(seed)
-    from .polyring import jacobian, numeric_rank
-
-    rank = numeric_rank(jacobian(chosen, cell.vars), rng, retries=samples)
-    if rank != d_w:
-        raise CountShortfall(f"independent count {rank} below magic number {d_w}")
-    return IntegrableSystemReport(
-        variables=list(cell.vars.names),
-        functions=[str(f) for f in chosen],
-        involutive=involutive,
-        independent_count=rank,
-        magic_number=d_w,
-        seed=seed,
-        construction=(
-            f"schubert m={cell.m} word={','.join(map(str, cell.word.letters))}"
-        ),
-        selected_indices=selected,
-    )
+    word = ",".join(map(str, cell.word.letters))
+    # involution is certified over all lowest terms, not only the chosen ones
+    return certify([lows[k - 1] for k in selected], cell.pi0, cell.vars,
+                   magic_number(cell), seed, samples,
+                   f"schubert m={cell.m} word={word}", selected, commuting=lows)
 
 
 def magic_number(cell: SchubertCell) -> int:
@@ -322,14 +302,6 @@ def solid_minor_check(m: int, cell: SchubertCell = None) -> bool:
         minors.add(_sign_canonical(d))
     lows = {_sign_canonical(p) for p in cell.lows()}
     return lows == minors
-
-
-def _sign_canonical(p: Poly) -> Poly:
-    """Representative of {p, -p} with positive graded-lex leading coefficient."""
-    if p.is_zero():
-        return p
-    _, lc = p.leading()
-    return -p if lc < 0 else p
 
 
 def flow_structure_check(cell: SchubertCell, j: int) -> dict:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, NotReduced
 from .polyring import Poly, PolyMatrix, VarSet, det
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, QQ0
 
 
 class Weight:

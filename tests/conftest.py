@@ -58,7 +58,7 @@ def structure_from_table(table, vars=Z6):
         p = parse_poly(s, vars)
         mat[i - 1][j - 1] = p
         mat[j - 1][i - 1] = -p
-    return PoissonStructure.from_polys(vars, mat)
+    return PoissonStructure(vars, mat)
 
 
 @pytest.fixture(scope="session")

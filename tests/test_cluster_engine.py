@@ -144,7 +144,7 @@ class TestModifiedLogVolume:
             [Poly.zero(vs), Poly.var(vs, "z1") * Poly.var(vs, "z2")],
             [-(Poly.var(vs, "z1") * Poly.var(vs, "z2")), Poly.zero(vs)],
         ]
-        pi = PoissonStructure.from_polys(vs, mat)
+        pi = PoissonStructure(vs, mat)
         s = Seed(vs, [Poly.var(vs, "z1"), Poly.var(vs, "z2")], [1], [[0], [1]])
         bad = FrozenModification(
             {2: RatFun.var(vs, "z1")}, {2: {2: 1}}

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from clusterint.dualgl import (
+    DualGroupChart,
     F_inverse,
     F_map,
+    bb_varset,
     build_dual_chart,
     build_staircase,
     casimir_binomial_check,
@@ -16,6 +18,7 @@ from clusterint.dualgl import (
     lows_minor_sum,
     lows_via_jets,
     minor_product_expansion,
+    restrict_to_chart,
     trailing_minor_closed_form_check,
     u_poly_matrix,
     u_varset,
@@ -63,6 +66,12 @@ class TestChart:
         b = chart2.vars.index["y21"]
         expect = parse_poly("1/2*x11*y21", chart2.vars)
         assert chart2.pi_dual.bracket_matrix[a][b] == RatFun.from_poly(expect)
+
+    def test_two_digit_indices(self):
+        # y1010 is y_{10,10}, which the chart eliminates as 1/x_{10,10}
+        chart = DualGroupChart(10, chart_varset(10), None)
+        got = restrict_to_chart(Poly.var(bb_varset(10), "y1010"), chart)
+        assert got == 1 / RatFun.var(chart.vars, "x1010")
 
     def test_self_bracket(self, chart2):
         a = chart2.vars.index["x11"]

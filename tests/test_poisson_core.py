@@ -1,13 +1,22 @@
+import json
 import random
+from dataclasses import fields
 
 import pytest
 
-from clusterint.errors import InequalityViolated, NotVanishing, ZeroInput
+from clusterint.errors import (
+    CountShortfall,
+    InequalityViolated,
+    NotInvolutive,
+    NotVanishing,
+    ZeroInput,
+)
 from clusterint.poisson_core import (
+    IntegrableSystemReport,
     LinearPoissonStructure,
     LogCanonicalSystem,
     PoissonStructure,
-    bracket,
+    certify,
     extract_integrable_system,
     generic_rank,
     involutivity_certificate,
@@ -42,7 +51,7 @@ def gl_standard(n):
             if c:
                 term = Poly.var(vs, f"x{i}{q}") * Poly.var(vs, f"x{p}{j}") * c
                 mat[a][b] = term
-    return PoissonStructure.from_polys(vs, mat)
+    return PoissonStructure(vs, mat)
 
 
 def kks_gl(n):
@@ -61,24 +70,24 @@ def kks_gl(n):
             if r == q:
                 term = term - Poly.var(vs, f"u{p}{s}")
             mat[a][b] = term
-    return PoissonStructure.from_polys(vs, mat)
+    return PoissonStructure(vs, mat)
 
 
 class TestBracket:
     def test_sl4_z1_z4(self, sl4_pi):
-        assert bracket(sl4_pi, p6("z1"), p6("z4")) == RatFun.from_poly(
+        assert sl4_pi.bracket(p6("z1"), p6("z4")) == RatFun.from_poly(
             p6("z1*z4 - 2*z2")
         )
 
     def test_skew_self(self, sl4_pi):
         f = p6("z1*z4 - z2")
-        assert bracket(sl4_pi, f, f).is_zero()
+        assert sl4_pi.bracket(f, f).is_zero()
 
     def test_gl2_corner(self):
         pi = gl_standard(2)
         f = Poly.var(pi.vars, "x11")
         g = Poly.var(pi.vars, "x22")
-        assert bracket(pi, f, g) == RatFun.from_poly(
+        assert pi.bracket(f, g) == RatFun.from_poly(
             Poly.var(pi.vars, "x12") * Poly.var(pi.vars, "x21")
         )
 
@@ -86,15 +95,15 @@ class TestBracket:
         for _ in range(5):
             f = random_poly(rng, Z6, 2, 3)
             g = random_poly(rng, Z6, 2, 3)
-            assert bracket(sl4_pi, f, g) == -bracket(sl4_pi, g, f)
+            assert sl4_pi.bracket(f, g) == -sl4_pi.bracket(g, f)
 
     def test_leibniz_random(self, sl4_pi, rng):
         for _ in range(5):
             f = random_poly(rng, Z6, 2, 2)
             g = random_poly(rng, Z6, 2, 2)
             h = random_poly(rng, Z6, 2, 2)
-            lhs = bracket(sl4_pi, f * g, h)
-            rhs = f * bracket(sl4_pi, g, h) + g * bracket(sl4_pi, f, h)
+            lhs = sl4_pi.bracket(f * g, h)
+            rhs = f * sl4_pi.bracket(g, h) + g * sl4_pi.bracket(f, h)
             assert lhs == rhs
 
 
@@ -214,6 +223,9 @@ class TestExtract:
         assert rep.magic_number == 4
         got = set(rep.functions)
         assert got == {"z1", "z2", "z3", "z2*z5 - z3*z4"}
+        loaded = json.loads(rep.to_json())
+        assert set(loaded) == {f.name for f in fields(IntegrableSystemReport)}
+        assert loaded["selected_indices"] == rep.selected_indices
 
     def test_zero_structure(self):
         vs = VarSet(["z1", "z2"])
@@ -221,6 +233,21 @@ class TestExtract:
         sys = LogCanonicalSystem.build(pi, [Poly.var(vs, "z1"), Poly.var(vs, "z2")])
         rep = extract_integrable_system(sys, LinearPoissonStructure(vs, PoissonStructure.zero(vs).bracket_matrix))
         assert rep.independent_count == rep.magic_number == 2
+
+
+class TestCertify:
+    def test_non_commuting_lows_raise(self, sl4_pi0):
+        # {z1, z4} = -2*z2 under the SL(4) cell's pi0
+        with pytest.raises(NotInvolutive):
+            certify([p6("z1"), p6("z4")], sl4_pi0, Z6, 2)
+
+    def test_wrong_selected_count_raises(self, sl4_pi0):
+        with pytest.raises(CountShortfall, match="selected 1 functions"):
+            certify([p6("z1")], sl4_pi0, Z6, 2)
+
+    def test_rank_below_expected_raises(self, sl4_pi0):
+        with pytest.raises(CountShortfall, match="independent count 1"):
+            certify([p6("z1"), p6("z1")], sl4_pi0, Z6, 2)
 
 
 class TestPfaffian:
@@ -260,6 +287,6 @@ class TestInvolutivityOfLows:
                     continue
                 li, _ = lowest_term(pool[i])
                 lj, _ = lowest_term(pool[j])
-                assert bracket(pi0, li, lj).is_zero()
+                assert pi0.bracket(li, lj).is_zero()
                 checked += 1
         assert checked >= 15

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from clusterint.errors import BadTruncation, NonSquare, NotDivisible, ZeroInput
+from clusterint.errors import (
+    BadTruncation,
+    NonSquare,
+    NotDivisible,
+    SingularLocus,
+    ZeroInput,
+)
 from clusterint.polyring import (
     Jet,
     Poly,
@@ -10,6 +16,7 @@ from clusterint.polyring import (
     RatFun,
     VarSet,
     det,
+    inverse,
     jacobian,
     lowest_term,
     numeric_rank,
@@ -111,6 +118,25 @@ class TestDet:
             ]
         )
         assert det(m) == RatFun.const(Z6, 0)
+
+
+class TestInverse:
+    def test_ratfun_round_trip(self):
+        # the first pivot is zero, so a row swap is needed
+        m = PolyMatrix(
+            [
+                [RatFun.const(Z6, 0), RatFun(p6("z1"), p6("z2"))],
+                [RatFun.var(Z6, "z3"), RatFun.from_poly(p6("z1 + 1"))],
+            ]
+        )
+        one, zero = RatFun.const(Z6, 1), RatFun.const(Z6, 0)
+        assert (m * inverse(m)).entries == [[one, zero], [zero, one]]
+
+    def test_rejects_singular_and_non_square(self):
+        with pytest.raises(SingularLocus):
+            inverse(PolyMatrix([[QQ(1), QQ(2)], [QQ(2), QQ(4)]]))
+        with pytest.raises(NonSquare):
+            inverse(PolyMatrix([[QQ(1), QQ(2)]]))
 
 
 class TestJacobian:

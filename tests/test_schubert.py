@@ -3,7 +3,7 @@ import random
 import pytest
 
 from clusterint.errors import NotReduced, WrongWord
-from clusterint.poisson_core import bracket, generic_rank, is_log_canonical
+from clusterint.poisson_core import generic_rank, is_log_canonical
 from clusterint.polyring import Poly, RatFun, lowest_term, parse_poly
 from clusterint.rationals import QQ
 from clusterint.schubert import (
