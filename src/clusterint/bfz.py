@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CountShortfall, TruncationInsufficient, WrongWord
+from .errors import CountShortfall, SizeOutOfRange, TruncationInsufficient, WrongWord
 from .poisson_core import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -26,6 +26,7 @@ from .polyring import (
     _rational_rank,
     _sign_canonical,
     det,
+    escalate,
     inverse,
     jet_lowest_term,
     truncated_exp,
@@ -67,7 +68,10 @@ def standard_double_word(n: int) -> DoubleWord:
 
 def sl_varset(n: int) -> VarSet:
     """Free coordinates of a traceless (n+1)x(n+1) matrix: all entries except
-    the last diagonal one."""
+    the last diagonal one.  The names run the indices together, so they
+    collide from n = 10 on (u1_11 and u11_1 are both u111)."""
+    if n >= 10:
+        raise SizeOutOfRange(f"SL({n + 1}) entry names collide; the largest supported n is 9")
     m = n + 1
     names = [
         f"u{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)
@@ -144,10 +148,6 @@ class BFZCluster:
     I2: list
 
     @property
-    def r(self) -> int:
-        return self.n
-
-    @property
     def l0(self) -> int:
         return len(self.phis)
 
@@ -190,46 +190,33 @@ def _istar_sets(n: int):
     return I0, I1, I2
 
 
-def build_bfz(n: int, dword: DoubleWord = None, order: int = None, cap_factor: int = 4) -> BFZCluster:
+def build_bfz(n: int, dword: DoubleWord = None, order: int = None) -> BFZCluster:
     """Evaluate the extended cluster at a truncated exponential of a traceless
     matrix, doubling the jet order until every lowest term is certified exact."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise SizeOutOfRange(f"the BFZ cluster needs n >= 1, got {n}")
     if dword is None:
         dword = standard_double_word(n)
     m = n + 1
     if dword.neg.m != m:
         raise WrongWord(f"double word is for SL({dword.neg.m}), expected SL({m})")
     D = order if order is not None else max(n, 2)
-    cap = max(cap_factor * n, D)
-    while True:
-        cluster = _build_at_order(n, dword, D)
-        if cluster is not None:
-            return cluster
-        if D >= cap:
-            raise TruncationInsufficient(f"jet order cap {cap} reached")
-        D = min(2 * D, cap)
+    return escalate(lambda d: _build_at_order(n, dword, d), D, max(4 * n, D))
 
 
-def _build_at_order(n, dword, D):
+def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
+    """The extended cluster as minors of the (n+1)x(n+1) matrix ``g``: the
+    frozen f's, the phi's of the negative word, the psi's of the positive
+    word, and the map letter i -> k with psi_k the letter's last occurrence."""
     m = n + 1
-    vars = sl_varset(n)
-    u = sl_u_matrix(n, vars)
-    X = truncated_exp(u, D)
     w0 = WeylElt.longest(m)
-    I0, I1, I2 = _istar_sets(n)
-
-    fs = []
-    for i in range(1, n + 1):
-        fs.append(minor(X, interval(1, i), w0.act_set(interval(1, i))))
+    fs = [minor(g, interval(1, i), w0.act_set(interval(1, i))) for i in range(1, n + 1)]
 
     neg = dword.neg
     phis = []
     for k in range(1, len(neg) + 1):
         ik = neg.letters[k - 1]
-        rows = neg.prefix(k).act_set(interval(1, ik))
-        cols = w0.act_set(interval(1, ik))
-        phis.append(minor(X, rows, cols))
+        phis.append(minor(g, neg.prefix(k).act_set(interval(1, ik)), w0.act_set(interval(1, ik))))
 
     pos = dword.pos
     l0 = len(pos)
@@ -239,26 +226,27 @@ def _build_at_order(n, dword, D):
         suffix = WeylElt.identity(m)
         for t in range(l0, k, -1):
             suffix = suffix * WeylElt.simple(pos.letters[t - 1], m)
-        rows = w0.act_set(interval(1, jk))
-        cols = suffix.act_set(interval(1, jk))
-        psis.append(minor(X, rows, cols))
+        psis.append(minor(g, w0.act_set(interval(1, jk)), suffix.act_set(interval(1, jk))))
 
-    g_index = {}
-    for k in range(1, l0 + 1):
-        g_index[pos.letters[k - 1]] = k
+    g_index = {letter: k for k, letter in enumerate(pos.letters, 1)}
+    return fs, phis, psis, g_index
 
+
+def _build_at_order(n, dword, D):
+    vars = sl_varset(n)
+    X = truncated_exp(sl_u_matrix(n, vars), D)
+    fs, phis, psis, g_index = cluster_minors(X, n, dword)
+    I0, I1, I2 = _istar_sets(n)
     gprimes = {}
     for i in I2:
-        istar = m - i
-        gp = fs[i - 1] * psis[g_index[i] - 1] - fs[istar - 1] * psis[g_index[istar] - 1]
-        gprimes[i] = gp
+        istar = n + 1 - i
+        gprimes[i] = fs[i - 1] * psis[g_index[i] - 1] - fs[istar - 1] * psis[g_index[istar] - 1]
 
     cluster = BFZCluster(
         n, dword, vars, D, fs, phis, psis, g_index, gprimes, I0, I1, I2
     )
-    for f in cluster.modified_functions():
-        if jet_lowest_term(f) is None:
-            return None
+    if any(jet_lowest_term(f) is None for f in cluster.modified_functions()):
+        return None
     return cluster
 
 
@@ -449,12 +437,11 @@ def choose_integrable_system_bfz(
 # -- modified log-volume degree via jets ---------------------------------------
 
 
-def modified_mu_low_degree(n: int, dword: DoubleWord = None, cap_factor: int = 4) -> int:
+def modified_mu_low_degree(n: int, dword: DoubleWord = None) -> int:
     """deg of the lowest term of the log-volume form of the modified extended
     cluster, computed from the jet Jacobian in the exponential chart."""
-    D = max(2 * n, 4)
-    cap = max(cap_factor * n, D, 8)
-    while True:
+
+    def attempt(D):
         cluster = build_bfz(n, dword, order=D)
         funcs = cluster.modified_functions()
         if len(funcs) != len(cluster.vars):
@@ -465,16 +452,13 @@ def modified_mu_low_degree(n: int, dword: DoubleWord = None, cap_factor: int = 4
         jmat = PolyMatrix(
             [[Jet(p, D - 1) for p in row] for row in grads]
         )
-        d = det(jmat)
-        got = jet_lowest_term(d)
-        if got is not None:
-            total = 0
-            for f in funcs:
-                total += cluster.low(f)[1]
-            return got[1] + len(cluster.vars) - total
-        if D >= cap:
-            raise TruncationInsufficient(f"jet order cap {cap} reached")
-        D = min(2 * D, cap)
+        got = jet_lowest_term(det(jmat))
+        if got is None:
+            return None
+        return got[1] + len(cluster.vars) - sum(cluster.low(f)[1] for f in funcs)
+
+    start = max(2 * n, 4)
+    return escalate(attempt, start, max(4 * n, start, 8))
 
 
 # -- Kostant cascade and the index ----------------------------------------------
@@ -509,7 +493,7 @@ def kostant_cascade(n: int) -> CascadeData:
     """Greedy construction on type-A intervals: take the highest root of each
     orthogonal subsystem recursively."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise SizeOutOfRange(f"the Kostant cascade needs n >= 1, got {n}")
     m = n + 1
     roots = []
     a, b = 1, m
@@ -626,9 +610,6 @@ class BFZChart:
     phis: list
     psis: list
     g_index: dict
-    I0: list
-    I1: list
-    I2: list
 
     def g(self, i: int) -> RatFun:
         return self.psis[self.g_index[i] - 1]
@@ -639,20 +620,6 @@ class BFZChart:
 
     def all_functions(self):
         return list(self.fs) + list(self.phis) + list(self.psis)
-
-    def modified_functions(self):
-        funcs = list(self.fs) + list(self.phis)
-        replaced = {self.g_index[i]: i for i in self.I2}
-        for k in range(1, len(self.psis) + 1):
-            if k in replaced:
-                i = replaced[k]
-                istar = self.n + 1 - i
-                funcs.append(
-                    self.fs[i - 1] * self.g(i) - self.fs[istar - 1] * self.g(istar)
-                )
-            else:
-                funcs.append(self.psis[k - 1])
-        return funcs
 
 
 def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
@@ -695,26 +662,7 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
         [[g.entries[i][j] * tdiag[j] for j in range(m)] for i in range(m)]
     )
 
-    w0 = WeylElt.longest(m)
-    fs = [minor(g, interval(1, i), w0.act_set(interval(1, i))) for i in range(1, n + 1)]
-    phis = []
-    for k in range(1, l0 + 1):
-        ik = dword.neg.letters[k - 1]
-        phis.append(
-            minor(g, dword.neg.prefix(k).act_set(interval(1, ik)), w0.act_set(interval(1, ik)))
-        )
-    psis = []
-    for k in range(1, l0 + 1):
-        jk = dword.pos.letters[k - 1]
-        suffix = WeylElt.identity(m)
-        for t in range(l0, k, -1):
-            suffix = suffix * WeylElt.simple(dword.pos.letters[t - 1], m)
-        psis.append(
-            minor(g, w0.act_set(interval(1, jk)), suffix.act_set(interval(1, jk)))
-        )
-    g_index = {}
-    for k in range(1, l0 + 1):
-        g_index[dword.pos.letters[k - 1]] = k
+    fs, phis, psis, g_index = cluster_minors(g, n, dword)
 
     # Poisson structure: Bott-Samelson block for b (word pos) and a (word neg)
     cell_b = build_cell(m, dword.pos, check=False)
@@ -747,6 +695,7 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
     betas_a = [root_of(dword.neg, k) for k in range(1, l0 + 1)]
     omegas = [fundamental_weight(j, m) for j in range(1, n + 1)]
 
+    w0 = WeylElt.longest(m)
     for k in range(l0):
         wbeta = w0.act(betas_b[k])
         bk = Poly.var(vars, f"b{k + 1}")
@@ -767,6 +716,4 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
                 etaj = Poly.const(vars, 1) + Poly.var(vars, f"e{j + 1}")
                 set_entry(l0 + k, 2 * l0 + j, ak * etaj * c)
 
-    pi = PoissonStructure(vars, P)
-    I0, I1, I2 = _istar_sets(n)
-    return BFZChart(n, vars, pi, fs, phis, psis, g_index, I0, I1, I2)
+    return BFZChart(n, vars, PoissonStructure(vars, P), fs, phis, psis, g_index)

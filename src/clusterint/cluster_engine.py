@@ -208,12 +208,10 @@ def modified_cluster(s: Seed, mod: FrozenModification):
     return out
 
 
-def modified_log_volume(
-    s: Seed, mod: FrozenModification, pi: PoissonStructure, spot_check: bool = True
-):
+def modified_log_volume(s: Seed, mod: FrozenModification, pi: PoissonStructure):
     """Log-volume of the modified cluster; certifies the Casimir property of
-    every designated factor and, when possible, spot-checks invariance under
-    one mutation."""
+    every designated factor and, when the seed has an exchangeable index,
+    spot-checks invariance under one mutation."""
     for j, c in mod.casimirs.items():
         if c.is_constant():
             continue
@@ -222,7 +220,7 @@ def modified_log_volume(
             if not br.is_zero():
                 raise NotCasimir(f"factor at index {j} moves coordinate {nm}")
     mu = log_volume(modified_cluster(s, mod), s.vars)
-    if spot_check and s.ex:
+    if s.ex:
         s2 = mutate(s, s.ex[0])
         mu2 = log_volume(modified_cluster(s2, mod), s.vars)
         if not (mu2.coefficient == mu.coefficient or mu2.coefficient == -mu.coefficient):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularLocus, TruncationInsufficient
+from .errors import SingularLocus, SizeOutOfRange
 from .poisson_core import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -25,6 +25,7 @@ from .polyring import (
     RatFun,
     VarSet,
     det,
+    escalate,
     inverse,
     jacobian,
     jet_lowest_term,
@@ -60,6 +61,10 @@ def chart_varset(n: int) -> VarSet:
 
 
 def u_varset(n: int) -> VarSet:
+    """Entries of an n x n matrix.  The names run the indices together, so
+    they collide from n = 11 on (u1_11 and u11_1 are both u111)."""
+    if n >= 11:
+        raise SizeOutOfRange(f"gl({n}) entry names collide; the largest supported n is 10")
     return VarSet([f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
 
 
@@ -113,7 +118,7 @@ def build_dual_chart(n: int) -> DualGroupChart:
     """Bracket matrix of the free coordinates: the double-group bracket with
     the overall sign flipped and the diagonal of Y eliminated."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise SizeOutOfRange(f"the dual group chart needs n >= 2, got {n}")
     vars = chart_varset(n)
     chart = DualGroupChart(n, vars, None)
 
@@ -174,20 +179,13 @@ def kks_gl(n: int, check: bool = True) -> LinearPoissonStructure:
 class StaircaseSystem:
     n: int
     bb_vars: VarSet
-    psi_matrix: PolyMatrix
     phis: list  # Poly over bb_vars, index 1..(n-1)^2
-    cs: list  # c_i, i in 0..n (coefficients of det(lam*Y + X))
     Cs: list  # C_i, i in 0..n (coefficients of det(lam + X*Y^{-1})), RatFun
     cbar_nums: list  # polynomial numerators of cbar_i over detY, i in 0..n
     lam_matrix: PolyMatrix  # the uncut staircase, size n(n-1)
 
     def lambdas(self):
-        out = []
-        size = self.lam_matrix.rows
-        for i in range(1, size + 1):
-            idx = list(range(i - 1, size))
-            out.append(det(self.lam_matrix.submatrix(idx, idx)))
-        return out
+        return trailing_minors(self.lam_matrix)
 
     def cbar(self, i: int, chart: DualGroupChart) -> RatFun:
         """cbar_i restricted to the chart (y_ii = 1/x_ii)."""
@@ -221,37 +219,10 @@ def restrict_to_chart(p: Poly, chart: DualGroupChart) -> RatFun:
     return p.substitute(mapping, RatFun.const(chart.vars, 1))
 
 
-def staircase_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    """(n-1)^2 grid: Y-blocks on the diagonal, X-blocks below, the last block
-    column cut to the first column of Y."""
-    X = x_matrix(n, vars)
-    Y = y_matrix(n, vars)
-    size = (n - 1) ** 2
-    zero = Poly.zero(vars)
-    ent = [[zero for _ in range(size)] for _ in range(size)]
-
-    def put(block, row0, col0, cols=None):
-        for a in range(n - 1):
-            for b in range(n if cols is None else cols):
-                ent[row0 + a][col0 + b] = block.entries[a + 1][b]
-
-    for p in range(n - 1):
-        row0 = p * (n - 1)
-        # diagonal block: Y rows [2, n]
-        col0 = p * n
-        if p < n - 2:
-            put(Y, row0, col0)
-        elif p == n - 2:
-            put(Y, row0, col0, cols=1)
-        # subdiagonal block: X rows [2, n]
-        if p >= 1:
-            put(X, row0, (p - 1) * n)
-    return PolyMatrix(ent)
-
-
 def full_staircase_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    """The uncut n(n-1) staircase whose trailing minors interleave the phi's
-    with the trailing diagonal products of X."""
+    """The uncut n(n-1) staircase: Y-blocks on the diagonal, X-blocks below.
+    Its trailing minors interleave the phi's, the trailing minors of its
+    leading (n-1)^2 block, with the trailing diagonal products of X."""
     X = x_matrix(n, vars)
     Y = y_matrix(n, vars)
     size = n * (n - 1)
@@ -269,16 +240,19 @@ def full_staircase_matrix(n: int, vars: VarSet) -> PolyMatrix:
     return PolyMatrix(ent)
 
 
+def trailing_minors(mat: PolyMatrix) -> list:
+    """The principal minors on rows and columns [i, size], i = 1..size."""
+    size = mat.rows
+    return [det(mat.submatrix(range(i, size), range(i, size))) for i in range(size)]
+
+
 def build_staircase(n: int) -> StaircaseSystem:
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise SizeOutOfRange(f"the staircase needs n >= 2, got {n}")
     vars = bb_varset(n)
-    psi = staircase_matrix(n, vars)
-    size = (n - 1) ** 2
-    phis = []
-    for i in range(1, size + 1):
-        idx = list(range(i - 1, size))
-        phis.append(det(psi.submatrix(idx, idx)))
+    lam_matrix = full_staircase_matrix(n, vars)
+    lead = range((n - 1) ** 2)
+    phis = trailing_minors(lam_matrix.submatrix(lead, lead))
 
     # coefficients in the spectral parameter
     lam_vars = VarSet(list(vars.names) + ["lam"])
@@ -292,11 +266,6 @@ def build_staircase(n: int) -> StaircaseSystem:
         ]
     )
     dp = det(pencil)
-    cs = []
-    for i in range(0, n + 1):
-        coeff = dp.coeff_of("lam", n - i)
-        sign = -1 if (i * (n - 1)) % 2 else 1
-        cs.append(_drop_var(coeff * sign, vars))
 
     # det((lam-1) Y + X) = sum over i of cbar_num_i(x, y) lam^i, so that
     # cbar_i = cbar_num_i / det(Y)
@@ -313,10 +282,8 @@ def build_staircase(n: int) -> StaircaseSystem:
     ]
 
     detY = det(y_matrix(n, vars))
-    Cs = [RatFun(cs[i] * (QQ(-1) ** ((i * (n - 1)) % 2)), detY) for i in range(n + 1)]
-
-    lam_matrix = full_staircase_matrix(n, vars)
-    return StaircaseSystem(n, vars, psi, phis, cs, Cs, cbar_nums, lam_matrix)
+    Cs = [RatFun(_drop_var(dp.coeff_of("lam", n - i), vars), detY) for i in range(n + 1)]
+    return StaircaseSystem(n, vars, phis, Cs, cbar_nums, lam_matrix)
 
 
 def _drop_var(p: Poly, vars: VarSet) -> Poly:
@@ -377,41 +344,26 @@ class JetLows:
     cbar_lows: list  # (Poly, degree) for i in 0..n-1
 
 
-def lows_via_jets(s: StaircaseSystem, order: int = None, cap: int = None) -> JetLows:
+def lows_via_jets(s: StaircaseSystem, order: int = None) -> JetLows:
     """Exact lowest terms of the restricted system in the difference-of-
     logarithms coordinates, with adaptive truncation order."""
     n = s.n
     D = order if order is not None else max(n, 2)
-    if cap is None:
-        cap = max(4 * n, n * (n - 1) // 2 + 2, D)
-    while True:
-        got = _jet_lows_at(s, D)
-        if got is not None:
-            return got
-        if D >= cap:
-            raise TruncationInsufficient(f"jet order cap {cap} reached")
-        D = min(2 * D, cap)
+    return escalate(lambda d: _jet_lows_at(s, d), D, max(4 * n, n * (n - 1) // 2 + 2, D))
 
 
 def _jet_lows_at(s: StaircaseSystem, D: int):
     n = s.n
     uv, mapping = exp_substitution(n, D)
     one = Jet.const(uv, 1, D)
-    phi_lows = []
-    for p in s.phis:
-        j = p.substitute(mapping, one)
-        low = jet_lowest_term(j)
+    lows = []
+    for p in s.phis + s.cbar_nums[:n]:
+        low = jet_lowest_term(p.substitute(mapping, one))
         if low is None:
             return None
-        phi_lows.append(low)
-    cbar_lows = []
-    for i in range(0, n):
-        j = s.cbar_nums[i].substitute(mapping, one)
-        low = jet_lowest_term(j)
-        if low is None:
-            return None
-        cbar_lows.append(low)
-    return JetLows(n, D, uv, phi_lows, cbar_lows)
+        lows.append(low)
+    k = len(s.phis)
+    return JetLows(n, D, uv, lows[:k], lows[k:])
 
 
 # -- closed-form lowest terms -------------------------------------------------------

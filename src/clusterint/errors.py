@@ -80,7 +80,11 @@ class StructureViolated(ClusterIntError):
 
 
 class TruncationInsufficient(ClusterIntError):
-    """Jet order hit the configured cap before the lowest term stabilized."""
+    """Jet order hit the family's cap before the lowest term stabilized."""
+
+
+class SizeOutOfRange(ClusterIntError):
+    """A family was asked for a size it does not support."""
 
 
 class SingularLocus(ClusterIntError):

@@ -71,9 +71,6 @@ class PoissonStructure:
         n = len(vars)
         return PoissonStructure(vars, [[z] * n for _ in range(n)])
 
-    def entry(self, a: int, b: int) -> RatFun:
-        return self.bracket_matrix[a][b]
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.bracket_matrix for x in row)
 
@@ -267,15 +264,15 @@ def _system_jacobian_det(functions, vars) -> RatFun:
     return det(j)
 
 
-def log_volume(functions, vars: VarSet, known_factors=None) -> LogVolumeForm:
+def log_volume(functions, vars: VarSet) -> LogVolumeForm:
     """mu = det(Jacobian)/prod(f_i).  The numerators and denominators of the
-    functions (plus any ``known_factors``) are cancelled by exact trial
-    division before the generic gcd reduction runs."""
+    functions are cancelled by exact trial division before the generic gcd
+    reduction runs."""
     d = _system_jacobian_det(functions, vars)
     if d.is_zero():
         raise DependentSystem("Jacobian determinant vanishes identically")
     num, den = d.num, d.den
-    factors = list(known_factors) if known_factors else []
+    factors = []
     for f in functions:
         f = _as_ratfun(f, vars)
         num = num * f.den

@@ -18,6 +18,7 @@ from .errors import (
     NonSquare,
     NotDivisible,
     SingularLocus,
+    TruncationInsufficient,
     ZeroInput,
 )
 from .rationals import QQ0, QQ1, qq, qq_str, random_rational
@@ -923,17 +924,30 @@ class Jet:
         return f"Jet({self.poly}, order={self.order})"
 
 
-def jet_lowest_term(j: Jet, strict: bool = True):
+def jet_lowest_term(j: Jet):
     """Exact lowest term of the function a jet truncates, provided the jet is
-    nonzero (and, when ``strict``, the degree is below the jet order so one
-    more doubling could not reveal anything lower)."""
+    nonzero and its degree is below the jet order, so that one more doubling
+    could not reveal anything lower."""
     if j.is_zero():
         return None
     low = j.poly.lowest()
     d = low.min_degree()
-    if strict and d >= j.order:
+    if d >= j.order:
         return None
     return low, d
+
+
+def escalate(attempt, order: int, cap: int):
+    """``attempt(order)`` at doubling jet orders, the last step capped at
+    ``cap``, until it returns something other than None; raises
+    TruncationInsufficient when it still returns None at the cap."""
+    while True:
+        got = attempt(order)
+        if got is not None:
+            return got
+        if order >= cap:
+            raise TruncationInsufficient(f"jet order cap {cap} reached")
+        order = min(2 * order, cap)
 
 
 # -- matrices -------------------------------------------------------------------

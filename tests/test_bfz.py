@@ -18,7 +18,7 @@ from clusterint.bfz import (
     stabilizer_dimension,
     standard_double_word,
 )
-from clusterint.errors import WrongWord
+from clusterint.errors import SizeOutOfRange, WrongWord
 from clusterint.poisson_core import generic_rank, is_log_canonical
 from clusterint.polyring import Poly, jet_lowest_term, parse_poly
 from clusterint.rationals import QQ
@@ -203,3 +203,13 @@ class TestValidation:
     def test_build_rejects_wrong_size(self):
         with pytest.raises(WrongWord):
             build_bfz(3, standard_double_word(2))
+
+    def test_sizes_out_of_range(self):
+        with pytest.raises(SizeOutOfRange):
+            build_bfz(0)
+        with pytest.raises(SizeOutOfRange):
+            kostant_cascade(0)
+        assert len(sl_varset(9)) == 99
+        # u1_11 and u11_1 would both be named u111
+        with pytest.raises(SizeOutOfRange, match="largest supported n is 9"):
+            sl_varset(10)

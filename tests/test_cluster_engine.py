@@ -13,7 +13,7 @@ from clusterint.cluster_engine import (
     seed_log_volume,
     skew_symmetrizer,
 )
-from clusterint.errors import NotCasimir
+from clusterint.errors import DependentSystem, NotCasimir
 from clusterint.poisson_core import PoissonStructure
 from clusterint.polyring import Poly, RatFun, VarSet, parse_poly
 from clusterint.rationals import QQ
@@ -73,6 +73,12 @@ class TestMutate:
         vs = s.vars
         recovered = (s.cluster[1] + s.cluster[2]) / s2.cluster[0]
         assert recovered == s.cluster[0]
+
+    def test_check(self):
+        s = coordinate_seed(2, [1], [[0], [1]])
+        s.check()
+        with pytest.raises(DependentSystem):
+            Seed(s.vars, [s.cluster[0]] * 2, s.ex, s.M).check()
 
     def test_diagonal_must_vanish(self):
         assert skew_symmetrizer([[1]]) is None

@@ -25,7 +25,7 @@ from clusterint.dualgl import (
     x_matrix,
     y_matrix,
 )
-from clusterint.errors import SingularLocus
+from clusterint.errors import SingularLocus, SizeOutOfRange
 from clusterint.poisson_core import generic_rank, is_log_canonical
 from clusterint.polyring import Poly, PolyMatrix, RatFun, det, parse_poly
 from clusterint.rationals import QQ, QQ0, QQ1
@@ -329,3 +329,15 @@ class TestLogVolume:
     @pytest.mark.slow
     def test_identity_n3(self, s3):
         assert log_volume_identity_check(3, s3)
+
+
+class TestValidation:
+    def test_sizes_out_of_range(self):
+        with pytest.raises(SizeOutOfRange):
+            build_staircase(1)
+        with pytest.raises(SizeOutOfRange):
+            build_dual_chart(1)
+        assert len(u_varset(10)) == 100
+        # u1_11 and u11_1 would both be named u111
+        with pytest.raises(SizeOutOfRange, match="largest supported n is 10"):
+            u_varset(11)

@@ -1,12 +1,13 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
-module imports a name it never uses, and no top-level function is defined
-in two modules."""
+module imports a name it never uses, no top-level function is defined in
+two modules, and every method of a package class is used somewhere."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "clusterint"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "clusterint"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -46,3 +47,20 @@ def test_no_function_defined_in_two_modules():
             if isinstance(node, ast.FunctionDef):
                 defined[node.name].append(path.name)
     assert {name: mods for name, mods in defined.items() if len(mods) > 1} == {}
+
+
+def test_every_method_is_used():
+    """Each non-dunder method of a package class is read as an attribute
+    somewhere in the package, the tests or the benchmark."""
+    used = set()
+    for path in [*MODULES, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+        used |= {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute)}
+    unused = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(cls, ast.ClassDef):
+                unused += [f"{path.name}:{cls.name}.{node.name}" for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.startswith("__") and node.name not in used]
+    assert unused == []

@@ -8,6 +8,8 @@ from clusterint.errors import (
     CountShortfall,
     InequalityViolated,
     NotInvolutive,
+    NotLogCanonical,
+    NotRegular,
     NotVanishing,
     ZeroInput,
 )
@@ -118,6 +120,11 @@ class TestLogCanonical:
     def test_not_log_canonical(self, sl4_pi):
         assert is_log_canonical(sl4_pi, p6("z1"), p6("z4")) is None
 
+    def test_system_rejects_a_pair(self, sl4_pi):
+        coords = [p6(f"z{i}") for i in range(1, 7)]
+        with pytest.raises(NotLogCanonical, match=r"pair \(1, 4\)"):
+            LogCanonicalSystem.build(sl4_pi, coords)
+
 
 class TestLinearize:
     def test_sl4(self, sl4_pi, sl4_pi0):
@@ -145,6 +152,13 @@ class TestLinearize:
         pi = gl_standard(2)
         with pytest.raises(NotVanishing):
             linearize(pi, at=[1, 1, 1, 1])
+
+    def test_pole_at_the_base_point(self):
+        vs = VarSet(["x", "y"])
+        entry = RatFun(parse_poly("x^2", vs), parse_poly("y", vs))
+        pi = PoissonStructure(vs, [[RatFun.const(vs, 0), entry], [-entry, RatFun.const(vs, 0)]])
+        with pytest.raises(NotRegular):
+            linearize(pi)
 
     def test_jacobi_checked(self, sl4_pi):
         linearize(sl4_pi).check_jacobi()

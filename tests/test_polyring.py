@@ -4,9 +4,11 @@ import pytest
 
 from clusterint.errors import (
     BadTruncation,
+    EvaluationSingular,
     NonSquare,
     NotDivisible,
     SingularLocus,
+    TruncationInsufficient,
     ZeroInput,
 )
 from clusterint.polyring import (
@@ -16,6 +18,7 @@ from clusterint.polyring import (
     RatFun,
     VarSet,
     det,
+    escalate,
     inverse,
     jacobian,
     lowest_term,
@@ -278,6 +281,10 @@ class TestGcdDivision:
         assert f.den == p6("z1")
         assert f.num == p6("1/2*z2")
 
+    def test_evaluate_at_a_pole(self):
+        with pytest.raises(EvaluationSingular):
+            RatFun(p6("z2"), p6("z1")).evaluate([0, 1, 0, 0, 0, 0])
+
 
 class TestJet:
     def test_truncating_product(self):
@@ -292,3 +299,32 @@ class TestJet:
         inv = j.inverse()
         assert (j * inv).poly == Poly.const(Z6, 1)
         assert inv.poly == p6("z1^4 - z1^3 + z1^2 - z1 + 1")
+
+
+class TestEscalate:
+    def test_raises_at_the_cap(self):
+        seen = []
+
+        def attempt(order):
+            seen.append(order)
+
+        with pytest.raises(TruncationInsufficient, match="cap 12"):
+            escalate(attempt, 4, 12)
+        # two doublings, the same count as the benchmark's escalations(4, 12)
+        assert seen == [4, 8, 12]
+
+    def test_returns_the_first_result(self):
+        seen = []
+
+        def attempt(order):
+            seen.append(order)
+            return f"order {order}" if order >= 8 else None
+
+        assert escalate(attempt, 4, 12) == "order 8"
+        assert seen == [4, 8]
+
+    def test_last_step_is_capped(self):
+        seen = []
+        with pytest.raises(TruncationInsufficient):
+            escalate(seen.append, 3, 10)
+        assert seen == [3, 6, 10]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clusterint.errors import NotReduced
+from clusterint.errors import DimensionMismatch, NotReduced
 from clusterint.polyring import Poly, PolyMatrix, VarSet, parse_poly
 from clusterint.rationals import QQ
 from clusterint.typea import (
@@ -29,6 +29,10 @@ class TestPairing:
 
     def test_adjacent(self):
         assert pairing(simple_root(1, 4), simple_root(2, 4)) == QQ(-1)
+
+    def test_sizes_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            pairing(simple_root(1, 3), simple_root(1, 4))
 
     def test_duality_with_fundamentals(self):
         for m in (3, 4, 5):
