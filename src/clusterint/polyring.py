@@ -2,13 +2,22 @@
 
 Everything is over arbitrary-precision rationals; there is no floating
 point anywhere.  Polynomials are dicts mapping exponent tuples to nonzero
-coefficients.  The canonical text format (used in JSON reports and read
-back by ``parse_poly``) lists terms in descending graded-lex order, e.g.
-``z1*z4 - z2``.
+coefficients.  The public constructor ``Poly(vars, terms)`` drops zero
+coefficients; ``Poly._trusted`` skips that filter and is used only for
+results whose every coefficient is already known to be nonzero (sums,
+negations and products, which delete cancelled terms as they go, and
+quotients of exact division).  Exact division keeps its remainder as one
+dict updated in place and takes each next leading term from a heap of
+graded-lex keys (Johnson 1974; Monagan and Pearce, "Sparse polynomial
+division using a heap", JSC 2011).  The canonical text format (used in
+JSON reports and read back by ``parse_poly``) lists terms in descending
+graded-lex order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import re
 from functools import reduce
 
@@ -83,6 +92,15 @@ class Poly:
 
     # -- constructors -------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, vars: VarSet, terms: dict) -> "Poly":
+        """A Poly over ``terms`` as given, which it takes over: the caller
+        guarantees every coefficient is nonzero."""
+        p = cls.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
+
     @staticmethod
     def zero(vars: VarSet) -> "Poly":
         return Poly(vars)
@@ -136,12 +154,12 @@ class Poly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return Poly(self.vars, terms)
+        return Poly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (RatFun, Jet)):
@@ -158,16 +176,17 @@ class Poly:
             c = qq(other)
             if c == 0:
                 return Poly(self.vars)
-            return Poly(self.vars, {e: c * v for e, v in self.terms.items()})
+            return Poly._trusted(self.vars, {e: c * v for e, v in self.terms.items()})
         if other.vars != self.vars:
             raise ValueError("mixed variable sets")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        add = operator.add
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 s = out.get(key)
                 if s is None:
                     out[key] = c1 * c2
@@ -177,7 +196,7 @@ class Poly:
                         del out[key]
                     else:
                         out[key] = s
-        return Poly(self.vars, out)
+        return Poly._trusted(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -353,24 +372,65 @@ class Poly:
         return e, self.terms[e]
 
     def exact_div(self, g: "Poly") -> "Poly":
-        """Exact division; raises NotDivisible when the remainder is nonzero."""
+        """Exact division; raises NotDivisible when the remainder is nonzero.
+
+        Sparse division with a heap: the remainder is one dict, keyed by
+        negated exponents and updated in place.  Each step takes the
+        remainder's graded-lex leading term from a min-heap of keys
+        ``(-degree, negated exponent)``, skipping keys of monomials that
+        have cancelled, and subtracts ``q_term * (g - lt(g))`` term by
+        term, so a step costs O(|g| log) rather than O(|remainder|).  It
+        raises NotDivisible as soon as the leading term is not divisible
+        by g's leading term.  Every monomial a step adds lies below the
+        one it removes, so the heap's keys come out in decreasing order and
+        each quotient term is new and nonzero."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        if g.vars != self.vars:
+            raise ValueError("mixed variable sets")
         if g.is_constant():
             c = g.constant_value()
             return Poly(self.vars, {e: v / c for e, v in self.terms.items()})
-        rem = Poly(self.vars, dict(self.terms))
         ge, gc = g.leading()
+        neg, add, sub = operator.neg, operator.add, operator.sub
+        # a negated exponent sums to the negated degree
+        nge = tuple(map(neg, ge))
+        ndge = sum(nge)
+        # g below its leading term: negated exponent and degree, -coefficient
+        tail = []
+        for e, c in g.terms.items():
+            if e != ge:
+                ne = tuple(map(neg, e))
+                tail.append((ne, sum(ne), -c))
+        rem = {tuple(map(neg, e)): c for e, c in self.terms.items()}
+        heap = [(sum(ne), ne) for ne in rem]
+        heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         qterms = {}
-        while rem.terms:
-            re_, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re_, ge))
-            if any(k < 0 for k in qe):
+        while heap:
+            nd, ne = heappop(heap)
+            rc = rem.pop(ne, None)
+            if rc is None:
+                continue
+            nqe = tuple(map(sub, ne, nge))
+            if max(nqe) > 0:
                 raise NotDivisible("leading term not divisible")
             qc = rc / gc
-            qterms[qe] = qterms.get(qe, QQ0) + qc
-            rem = rem - g * Poly(self.vars, {qe: qc})
-        return Poly(self.vars, qterms)
+            qterms[tuple(map(neg, nqe))] = qc
+            ndq = nd - ndge
+            for nte, ndte, tc in tail:
+                nm = tuple(map(add, nqe, nte))
+                c = rem.get(nm)
+                if c is None:
+                    rem[nm] = qc * tc
+                    heappush(heap, (ndq + ndte, nm))
+                else:
+                    c = c + qc * tc
+                    if c:
+                        rem[nm] = c
+                    else:
+                        del rem[nm]
+        return Poly._trusted(self.vars, qterms)
 
     def divides(self, f: "Poly") -> bool:
         try:
@@ -453,8 +513,12 @@ def parse_poly(text: str, vars: VarSet) -> Poly:
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
-            m = _NAME_RE.fullmatch(factor.split("^")[0])
-            if m and factor.split("^")[0] in vars.index:
+            base = factor.split("^")[0]
+            if _NAME_RE.fullmatch(base):
+                if base not in vars.index:
+                    raise ValueError(
+                        f"unknown variable {base!r} in {text!r}; "
+                        f"the variables are {', '.join(vars.names)}")
                 if "^" in factor:
                     nm, k = factor.split("^")
                     exp[vars.index[nm]] += int(k)

@@ -1,12 +1,19 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from clusterint.polyring import Poly, VarSet, parse_poly
 from clusterint.poisson_core import PoissonStructure
 from clusterint.rationals import QQ
 
 Z6 = VarSet([f"z{i}" for i in range(1, 7)])
+
+# Property tests draw the same examples on every run (seeded from each
+# test's source, no example database) and stay within a fixed budget.
+settings.register_profile(
+    "clusterint", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("clusterint")
 
 
 def p6(s: str) -> Poly:

@@ -250,6 +250,10 @@ class TestCanonicalText:
         p = p6("z2 + z1 + z1*z2")
         assert str(p) == "z1*z2 + z1 + z2"
 
+    def test_unknown_variable_is_named(self):
+        with pytest.raises(ValueError, match=r"unknown variable 'z3'.*x1, x2"):
+            parse_poly("x1*z3", VarSet(["x1", "x2"]))
+
 
 class TestGcdDivision:
     def test_exact_div(self):
@@ -259,6 +263,17 @@ class TestGcdDivision:
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
             p6("z1 + z2").exact_div(p6("z1"))
+
+    def test_cancelled_remainder_term_that_reappears(self):
+        # a remainder monomial cancels and is created again by a later
+        # step, so its first heap key is stale and must be skipped
+        q, g = p6("z1^2*z2 + z1*z2 + z2^2"), p6("z1^2 - z1*z2 - 2*z2")
+        assert (q * g).exact_div(g) == q
+
+    def test_mixed_variable_sets(self):
+        other = VarSet(["z1", "z2"])
+        with pytest.raises(ValueError, match="mixed variable sets"):
+            p6("z1*z2 + z1").exact_div(parse_poly("z1", other))
 
     def test_gcd_random_products(self, rng):
         for _ in range(15):

@@ -1,12 +1,24 @@
+import dataclasses
 import random
 
 import pytest
 
-from clusterint.errors import NotReduced, WrongWord
-from clusterint.poisson_core import generic_rank, is_log_canonical
+from clusterint.errors import (
+    NonPolynomialStructure,
+    NotDivisible,
+    NotReduced,
+    StructureViolated,
+    WrongWord,
+)
+from clusterint.poisson_core import (
+    LinearPoissonStructure,
+    generic_rank,
+    is_log_canonical,
+)
 from clusterint.polyring import Poly, RatFun, lowest_term, parse_poly
 from clusterint.rationals import QQ
 from clusterint.schubert import (
+    _divide_by_factors,
     build_cell,
     choose_integrable_system,
     flow_structure_check,
@@ -82,6 +94,11 @@ class TestBuildCellSL4:
     def test_not_reduced_rejected(self):
         with pytest.raises(NotReduced):
             build_cell(4, [1, 1])
+
+    def test_non_polynomial_pullback_rejected(self):
+        with pytest.raises(NonPolynomialStructure) as info:
+            _divide_by_factors(p6("z1 + z2"), [p6("z1")])
+        assert isinstance(info.value.__cause__, NotDivisible)
 
 
 class TestChoose:
@@ -170,6 +187,19 @@ class TestFlowStructure:
             cell = build_cell(4, word)
             for j in range(1, len(word) + 1):
                 flow_structure_check(cell, j)
+
+    def test_moved_earlier_coordinate_rejected(self, sl4_cell):
+        # {z1, z2} = z2: z1 no longer commutes with low_2 = z2.  (low_1 is
+        # z1 itself, whose bracket with z1 vanishes under any structure.)
+        zero = Poly.zero(sl4_cell.vars)
+        mat = [[zero] * 6 for _ in range(6)]
+        mat[0][1] = Poly.var(sl4_cell.vars, "z2")
+        mat[1][0] = -mat[0][1]
+        cell = dataclasses.replace(
+            sl4_cell, pi0=LinearPoissonStructure(sl4_cell.vars, mat))
+        with pytest.raises(StructureViolated) as info:
+            flow_structure_check(cell, 2)
+        assert info.value.args[0] == (1, "z2")
 
 
 class TestStructuralInvariants:
