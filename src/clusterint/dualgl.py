@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import SingularLocus, SizeOutOfRange
 from .poisson_core import (
@@ -121,23 +122,6 @@ def build_dual_chart(n: int) -> DualGroupChart:
         raise SizeOutOfRange(f"the dual group chart needs n >= 2, got {n}")
     vars = chart_varset(n)
     chart = DualGroupChart(n, vars, None)
-
-    def brk(a_kind, i, j, b_kind, p, q) -> RatFun:
-        # the three bracket families on the double group
-        if a_kind == "x" and b_kind == "x":
-            c = QQ(_sign(p - i) + _sign(q - j), 2)
-            return chart.x_entry(i, q) * chart.x_entry(p, j) * c
-        if a_kind == "y" and b_kind == "y":
-            c = QQ(_sign(p - i) + _sign(q - j), 2)
-            return chart.y_entry(i, q) * chart.y_entry(p, j) * c
-        if a_kind == "y" and b_kind == "x":
-            return (
-                chart.y_entry(i, q) * chart.x_entry(p, j) * QQ(1 + _sign(q - j), 2)
-                - chart.x_entry(i, q) * chart.y_entry(p, j) * QQ(1 + _sign(i - p), 2)
-            )
-        # {x, y} = -{y, x}
-        return -brk("y", p, q, "x", i, j)
-
     entries = entry_index(n)
     coords = [entries[nm] for nm in vars.names]
     size = len(coords)
@@ -147,11 +131,29 @@ def build_dual_chart(n: int) -> DualGroupChart:
         for b in range(a + 1, size):
             ka, ia, ja = coords[a]
             kb, ib, jb = coords[b]
-            val = -brk(ka, ia, ja, kb, ib, jb)
+            val = -_double_bracket(chart, ka, ia, ja, kb, ib, jb)
             mat[a][b] = val
             mat[b][a] = -val
     chart.pi_dual = PoissonStructure(vars, mat)
     return chart
+
+
+def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> RatFun:
+    """The three bracket families on the double group, between the entries
+    (i, j) of a_kind and (p, q) of b_kind, in the chart's coordinates."""
+    if a_kind == "x" and b_kind == "x":
+        c = QQ(_sign(p - i) + _sign(q - j), 2)
+        return chart.x_entry(i, q) * chart.x_entry(p, j) * c
+    if a_kind == "y" and b_kind == "y":
+        c = QQ(_sign(p - i) + _sign(q - j), 2)
+        return chart.y_entry(i, q) * chart.y_entry(p, j) * c
+    if a_kind == "y" and b_kind == "x":
+        return (
+            chart.y_entry(i, q) * chart.x_entry(p, j) * QQ(1 + _sign(q - j), 2)
+            - chart.x_entry(i, q) * chart.y_entry(p, j) * QQ(1 + _sign(i - p), 2)
+        )
+    # {x, y} = -{y, x}
+    return -_double_bracket(chart, "y", p, q, "x", i, j)
 
 
 def kks_gl(n: int, check: bool = True) -> LinearPoissonStructure:
@@ -399,7 +401,7 @@ def lows_closed_form(n: int, p: int, i: int) -> Poly:
     k = p(n-1)+i, as a determinant mixing standard basis columns and Krylov
     columns of u."""
     if not (1 <= i <= n - 1 and 0 <= p <= n - 2):
-        raise ValueError("index out of range")
+        raise SizeOutOfRange(f"index (p, i) = ({p}, {i}) out of range for n={n}")
     uv = u_varset(n)
 
     def e_col(t):
@@ -423,7 +425,7 @@ def lows_minor_sum(n: int, p: int, i: int) -> Poly:
     """The same lowest term written as the Krylov-matrix minor of part two of
     the selection theorem (valid for i <= p+1)."""
     if not i <= p + 1:
-        raise ValueError("the Krylov-minor form requires i <= p+1")
+        raise SizeOutOfRange(f"the Krylov-minor form requires i <= p+1, got p={p}, i={i}")
     count = n - p - 1
     if count == 0:
         return Poly.const(u_varset(n), 1)
@@ -441,32 +443,25 @@ def minor_product_expansion(n: int, p: int, i: int) -> Poly:
         I1 = list(range(i + 1, n - p + i))
     else:
         I1 = list(range(2, i - p)) + list(range(i + 1, n + 1))
-    k = len(I1)
-    uv = u_varset(n)
-    u = u_poly_matrix(n)
-    if k == 0:
-        return Poly.const(uv, 1)
+    if not I1:
+        return Poly.const(u_varset(n), 1)
+    return _nested_minor_sum(u_poly_matrix(n), I1)
 
-    from itertools import combinations
 
-    def minor_poly(rows, cols):
-        return det(
-            u.submatrix([r - 1 for r in rows], [c - 1 for c in cols])
-        )
-
-    def expand(rows):
-        size = len(rows)
-        if size == 1:
-            return minor_poly(rows, [1])
-        total = Poly.zero(uv)
-        for nxt in combinations(range(2, n + 1), size - 1):
-            factor = minor_poly(rows, sorted((1,) + nxt))
-            if factor.is_zero():
-                continue
-            total = total + factor * expand(list(nxt))
-        return total
-
-    return expand(I1)
+def _nested_minor_sum(u: PolyMatrix, rows) -> Poly:
+    """Sum over the column sets C in 2..n with one column fewer than
+    ``rows`` of the minor of u on rows and columns {1} + C, times the same
+    sum on the rows C; the minor on rows and column 1 for a single row."""
+    rows0 = [r - 1 for r in rows]
+    if len(rows) == 1:
+        return det(u.submatrix(rows0, [0]))
+    total = Poly.zero(u[0, 0].vars)
+    for nxt in combinations(range(2, u.rows + 1), len(rows) - 1):
+        factor = det(u.submatrix(rows0, [0] + [c - 1 for c in nxt]))
+        if factor.is_zero():
+            continue
+        total = total + factor * _nested_minor_sum(u, nxt)
+    return total
 
 
 # -- the Krylov map -------------------------------------------------------------------

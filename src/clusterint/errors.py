@@ -84,7 +84,7 @@ class TruncationInsufficient(ClusterIntError):
 
 
 class SizeOutOfRange(ClusterIntError):
-    """A family was asked for a size it does not support."""
+    """A family was asked for a size or index it does not support."""
 
 
 class SingularLocus(ClusterIntError):

@@ -6,12 +6,17 @@ coefficients.  The public constructor ``Poly(vars, terms)`` drops zero
 coefficients; ``Poly._trusted`` skips that filter and is used only for
 results whose every coefficient is already known to be nonzero (sums,
 negations and products, which delete cancelled terms as they go, and
-quotients of exact division).  Exact division keeps its remainder as one
-dict updated in place and takes each next leading term from a heap of
-graded-lex keys (Johnson 1974; Monagan and Pearce, "Sparse polynomial
-division using a heap", JSC 2011).  The canonical text format (used in
-JSON reports and read back by ``parse_poly``) lists terms in descending
-graded-lex order, e.g. ``z1*z4 - z2``.
+quotients of exact division).  One product kernel, ``_mul_terms``, serves
+Poly and Jet alike: a Jet is a Poly whose products pass a degree cap to the
+kernel, which then pairs each term only with the terms of the other factor
+that keep the product within the cap.  There is one determinant, a Laplace
+expansion over row prefixes that computes each minor once.  Exact division
+keeps its remainder as one dict updated in place and takes each next
+leading term from a heap of graded-lex keys (Johnson 1974; Monagan and
+Pearce, "Sparse polynomial division using a heap", JSC 2011).  The
+canonical text format (used in JSON reports and read back by
+``parse_poly``) lists terms in descending graded-lex order, e.g.
+``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import heapq
 import operator
 import re
+from bisect import bisect_right
 from functools import reduce
 
 from .errors import (
@@ -31,10 +37,6 @@ from .errors import (
     ZeroInput,
 )
 from .rationals import QQ0, QQ1, qq, qq_str, random_rational
-
-# determinant strategy: cofactor expansion up to this size, fraction-free
-# elimination (Bareiss) or division-free expansion above
-COFACTOR_THRESHOLD = 4
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -77,6 +79,34 @@ class VarSet:
 
 def _grlex_key(exp):
     return (sum(exp), exp)
+
+
+def _mul_terms(a: dict, b: dict, cap=None) -> dict:
+    """Product of two term dicts, deleting terms that cancel; with ``cap``,
+    only its terms of total degree <= cap.  With a cap, the larger factor's
+    terms are sorted by degree once, and each term of the smaller factor
+    runs only over the prefix that keeps the product within the cap."""
+    if len(a) > len(b):
+        a, b = b, a
+    row = list(b.items())
+    if cap is not None:
+        row.sort(key=lambda t: sum(t[0]))
+        degs = [sum(e) for e, _ in row]
+    add = operator.add
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in (row if cap is None else row[:bisect_right(degs, cap - sum(e1))]):
+            key = tuple(map(add, e1, e2))
+            s = out.get(key)
+            if s is None:
+                out[key] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s == 0:
+                    del out[key]
+                else:
+                    out[key] = s
+    return out
 
 
 class Poly:
@@ -179,24 +209,7 @@ class Poly:
             return Poly._trusted(self.vars, {e: c * v for e, v in self.terms.items()})
         if other.vars != self.vars:
             raise ValueError("mixed variable sets")
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        add = operator.add
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(add, e1, e2))
-                s = out.get(key)
-                if s is None:
-                    out[key] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s == 0:
-                        del out[key]
-                    else:
-                        out[key] = s
-        return Poly._trusted(self.vars, out)
+        return Poly._trusted(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -536,7 +549,10 @@ def parse_poly(text: str, vars: VarSet) -> Poly:
 
 def _poly_content_and_primitive(f: Poly, i: int):
     """View f as univariate in vars.names[i]; return (content, primitive)
-    where content = gcd of the Poly coefficients (over the other variables)."""
+    where content = gcd of the Poly coefficients (over the other variables)
+    times the rational scale that makes the primitive part's leading
+    coefficient monic in lex order, so that the coefficients of a remainder
+    sequence of primitive parts cannot grow in scale."""
     coeffs = {}
     for e, c in f.terms.items():
         k = e[i]
@@ -545,6 +561,11 @@ def _poly_content_and_primitive(f: Poly, i: int):
         coeffs.setdefault(k, {})[tuple(e2)] = c
     polys = [Poly(f.vars, t) for t in coeffs.values()]
     cont = reduce(poly_gcd, polys)
+    # lex order needs no key function, unlike graded lex
+    top, ct = coeffs[max(coeffs)], cont.terms
+    lc, clc = top[max(top)], ct[max(ct)]
+    if lc != clc:
+        cont = cont * (lc / clc)
     prim_coeffs = {k: Poly(f.vars, t).exact_div(cont) for k, t in coeffs.items()}
     return cont, prim_coeffs
 
@@ -881,17 +902,13 @@ class Jet:
         if order < 0:
             raise BadTruncation("jet order must be >= 0")
         self.order = order
-        self.poly = Poly(
+        self.poly = Poly._trusted(
             poly.vars, {e: c for e, c in poly.terms.items() if sum(e) <= order}
         )
 
     @staticmethod
     def const(vars: VarSet, c, order: int) -> "Jet":
         return Jet(Poly.const(vars, c), order)
-
-    @staticmethod
-    def var(vars: VarSet, name, order: int) -> "Jet":
-        return Jet(Poly.var(vars, name), order)
 
     @property
     def vars(self):
@@ -927,62 +944,18 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, (Jet, Poly)):
             return Jet(self.poly * other, self.order)
-        other = self._coerce(other)
-        D = self.order
-        a, b = self.poly.terms, other.poly.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            d1 = sum(e1)
-            for e2, c2 in b.items():
-                if d1 + sum(e2) > D:
-                    continue
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key)
-                if s is None:
-                    out[key] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s == 0:
-                        del out[key]
-                    else:
-                        out[key] = s
-        return Jet(Poly(self.vars, out), D)
+        other = self._coerce(other).poly
+        if other.vars != self.vars:
+            raise ValueError("mixed variable sets")
+        terms = _mul_terms(self.poly.terms, other.terms, self.order)
+        return Jet(Poly._trusted(self.vars, terms), self.order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        result = Jet.const(self.vars, 1, self.order)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def inverse(self) -> "Jet":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c = self.poly.constant_value()
-        if c == 0:
-            raise ZeroDivisionError("jet has no constant term")
-        # Newton iteration x -> x(2 - a x) doubles correct order each step
-        inv = Jet.const(self.vars, QQ1 / c, self.order)
-        two = Jet.const(self.vars, 2, self.order)
-        correct = 1
-        while correct <= self.order:
-            inv = inv * (two - self * inv)
-            correct *= 2
-        return inv
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
 
     def __eq__(self, other):
         if isinstance(other, Jet):
             return self.order == other.order and self.poly == other.poly
         return NotImplemented
-
-    def __str__(self):
-        return f"{self.poly} + O({self.order + 1})"
 
     def __repr__(self):
         return f"Jet({self.poly}, order={self.order})"
@@ -1032,11 +1005,8 @@ class PolyMatrix:
                 raise ValueError("ragged matrix")
 
     @staticmethod
-    def identity(vars: VarSet, n: int, order=None) -> "PolyMatrix":
-        if order is None:
-            one, zero = Poly.const(vars, 1), Poly.zero(vars)
-        else:
-            one, zero = Jet.const(vars, 1, order), Jet.const(vars, 0, order)
+    def identity(vars: VarSet, n: int) -> "PolyMatrix":
+        one, zero = Poly.const(vars, 1), Poly.zero(vars)
         return PolyMatrix(
             [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
@@ -1092,114 +1062,41 @@ def _entry_is_zero(x):
     return x == 0
 
 
-def _det_cofactor(m: PolyMatrix):
-    n = m.rows
-    if n == 1:
-        return m.entries[0][0]
-    # expand along the row with the most zeros
-    best, zeros = 0, -1
-    for i in range(n):
-        z = sum(1 for x in m.entries[i] if _entry_is_zero(x))
-        if z > zeros:
-            best, zeros = i, z
+def _minor(rows, r, mask, memo):
+    """Determinant of the rows from ``r`` on, restricted to the columns in
+    the bit set ``mask`` (one per row), by Laplace expansion along row r;
+    None when no term survives.  ``memo`` holds each minor by its mask, so
+    the expansions of all larger minors share it."""
+    if mask in memo:
+        return memo[mask]
+    last = r + 1 == len(rows)
     total = None
-    cols = list(range(n))
-    for j in range(n):
-        a = m.entries[best][j]
-        if _entry_is_zero(a):
-            continue
-        sub = m.submatrix(
-            [i for i in range(n) if i != best], [c for c in cols if c != j]
-        )
-        term = a * _det_cofactor(sub)
-        if (best + j) % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        x = m.entries[0][0]
-        return x * 0 if not isinstance(x, (Poly, RatFun, Jet)) else x - x
+    negate = False
+    rest_mask = mask
+    while rest_mask:
+        bit = rest_mask & -rest_mask
+        rest_mask ^= bit
+        a = rows[r][bit.bit_length() - 1]
+        if not _entry_is_zero(a):
+            if last:
+                term = a
+            else:
+                rest = _minor(rows, r + 1, mask ^ bit, memo)
+                term = None if rest is None else a * rest
+            if term is not None:
+                if negate:
+                    term = -term
+                total = term if total is None else total + term
+        negate = not negate
+    memo[mask] = total
     return total
 
 
-def _det_bareiss(m: PolyMatrix) -> Poly:
-    """Fraction-free elimination for Poly entries (exact divisions only)."""
-    n = m.rows
-    a = [[x for x in row] for row in m.entries]
-    vars = None
-    for row in m.entries:
-        for x in row:
-            vars = x.vars
-            break
-        break
-    sign = 1
-    prev = Poly.const(vars, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Poly.zero(vars)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def _det_subset_dp(m: PolyMatrix):
-    """Division-free determinant by expansion over column subsets; suited to
-    Jet entries and sparse matrices."""
-    n = m.rows
-    full = (1 << n) - 1
-    memo = {}
-
-    def minor(r, mask):
-        # determinant of rows r..n-1, columns in mask
-        if r == n:
-            return None  # represents 1 * (empty product); handled by caller
-        key = (r, mask)
-        if key in memo:
-            return memo[key]
-        total = None
-        sign = 1
-        mm = mask
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            a = m.entries[r][j]
-            if not _entry_is_zero(a):
-                rest = minor(r + 1, mask & ~(1 << j))
-                if r + 1 == n:
-                    term = a
-                elif rest is None:
-                    term = None
-                else:
-                    term = a * rest
-                if term is not None:
-                    if sign < 0:
-                        term = -term
-                    total = term if total is None else total + term
-            sign = -sign
-        memo[key] = total
-        return total
-
-    out = minor(0, full)
-    if out is None:
-        x = m.entries[0][0]
-        return x - x
-    return out
-
-
 def det(m: PolyMatrix):
-    """Exact determinant; cofactor expansion for size <= COFACTOR_THRESHOLD,
-    fraction-free (Poly) or division-free (Jet) elimination above, and
-    denominator clearing for RatFun entries."""
+    """Exact determinant.  RatFun entries are first cleared of their
+    denominators row by row; every other matrix is expanded by Laplace along
+    its rows in order, computing each minor on a set of trailing rows once
+    (no division, so Jet entries work as well as Poly ones)."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
     if m.rows == 0:
@@ -1229,14 +1126,11 @@ def det(m: PolyMatrix):
             scale = den if scale is None else scale * den
         d = det(PolyMatrix(cleared))
         return ratfun_reduced_by_factors(d, scale, factors)
-    if m.rows <= COFACTOR_THRESHOLD:
-        return _det_cofactor(m)
-    if kinds == {Poly}:
-        zeros = sum(1 for row in m.entries for x in row if x.is_zero())
-        if zeros * 5 >= m.rows * m.cols * 2:
-            return _det_subset_dp(m)
-        return _det_bareiss(m)
-    return _det_subset_dp(m)
+    out = _minor(m.entries, 0, (1 << m.rows) - 1, {})
+    if out is None:
+        x = m.entries[0][0]
+        return x - x
+    return out
 
 
 def inverse(m: PolyMatrix) -> PolyMatrix:
@@ -1351,8 +1245,7 @@ def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:
                 raise ValueError("entries must have zero constant term")
             vars = entry.vars
     xj = x.map(lambda p: Jet(p, order))
-    result = PolyMatrix.identity(vars, x.rows, order=order)
-    power = PolyMatrix.identity(vars, x.rows, order=order)
+    result = power = PolyMatrix.identity(vars, x.rows).map(lambda p: Jet(p, order))
     fact = QQ1
     for k in range(1, order + 1):
         power = power * xj

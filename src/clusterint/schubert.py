@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .errors import (
     NonPolynomialStructure,
     NotDivisible,
+    SizeOutOfRange,
     StructureViolated,
     WrongWord,
 )
@@ -311,7 +312,7 @@ def flow_structure_check(cell: SchubertCell, j: int) -> dict:
     the earlier coordinates."""
     l = len(cell.word)
     if not 1 <= j <= l:
-        raise ValueError(f"j={j} out of range")
+        raise SizeOutOfRange(f"j={j} out of range for a word of length {l}")
     low_j = cell.lows()[j - 1]
     report = {"j": j, "constant_coordinates": [], "linear_coordinates": []}
     for k in range(1, l + 1):

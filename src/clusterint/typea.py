@@ -5,7 +5,7 @@ ordinary matrix minors (sorted index sets, so defined up to sign)."""
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NotReduced
+from .errors import DimensionMismatch, NotReduced, SizeOutOfRange
 from .polyring import Poly, PolyMatrix, VarSet, det
 from .rationals import QQ, QQ0
 
@@ -50,14 +50,14 @@ class Weight:
 def fundamental_weight(i: int, m: int) -> Weight:
     """omega_i = eps_1 + ... + eps_i."""
     if not 1 <= i <= m - 1:
-        raise ValueError(f"fundamental index {i} out of range for m={m}")
+        raise SizeOutOfRange(f"fundamental index {i} out of range for m={m}")
     return Weight([1] * i + [0] * (m - i))
 
 
 def simple_root(i: int, m: int) -> Weight:
     """alpha_i = eps_i - eps_{i+1}."""
     if not 1 <= i <= m - 1:
-        raise ValueError(f"simple index {i} out of range for m={m}")
+        raise SizeOutOfRange(f"simple index {i} out of range for m={m}")
     c = [0] * m
     c[i - 1], c[i] = 1, -1
     return Weight(c)

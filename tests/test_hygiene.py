@@ -1,6 +1,7 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
 module imports a name it never uses, no top-level function is defined in
-two modules, and every method of a package class is used somewhere."""
+two modules, every method of a package class is used somewhere, and no
+nested function calls itself."""
 
 import ast
 from collections import defaultdict
@@ -64,3 +65,20 @@ def test_every_method_is_used():
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("__") and node.name not in used]
     assert unused == []
+
+
+def test_no_nested_function_calls_itself():
+    """A nested function that calls itself reaches itself through its own
+    closure, a reference cycle that keeps it and everything it captures (a
+    memo table, say) alive until the next full garbage collection."""
+    found = set()
+    for path in MODULES:
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, ast.FunctionDef) and any(
+                        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == inner.name for node in ast.walk(inner)):
+                    found.add(f"{path.name}:{outer.name}.{inner.name}")
+    assert sorted(found) == []

@@ -1,19 +1,25 @@
-"""The polynomial kernel against sympy, on polynomials drawn by hypothesis.
+"""The polynomial kernel against sympy, on polynomials drawn by hypothesis
+and on matrices from a seeded generator.
 
 sympy's sparse polynomials over QQ are an implementation independent of
 ``polyring``; its graded-lex order on (x, y, z) is the one ``polyring``
 uses on exponent tuples.
 """
 
+import random
+
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from clusterint.errors import NotDivisible
 from clusterint.polyring import (
+    Jet,
     Poly,
+    PolyMatrix,
     RatFun,
     VarSet,
+    det,
     parse_poly,
     ratfun_reduced_by_factors,
 )
@@ -60,9 +66,48 @@ def test_exact_div_agrees_with_sympy_div(a, g, b):
             f.exact_div(g)
 
 
+def random_matrix(rng, n):
+    """An n x n matrix of Polys over X3, about a third of its entries zero,
+    the others of one to three terms with exponents up to 2."""
+    def entry():
+        if rng.random() < 0.3:
+            return Poly(X3)
+        return Poly(X3, {tuple(rng.randint(0, 2) for _ in range(3)):
+                         QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3))})
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_det_agrees_with_sympy(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        rows = random_matrix(rng, n)
+        # Gaussian elimination over sympy's QQ[x, y, z]; its determinants of
+        # expression matrices take minutes on a dense 5x5
+        expected = sympy.Matrix(
+            [[to_sympy(p).as_expr() for p in row] for row in rows]).det(method="domain-ge")
+        assert to_sympy(det(PolyMatrix(rows))) == sympy.Poly(expected, *GENS, domain="QQ")
+
+
+@given(nonzero, nonzero, st.data())
+def test_jet_product_is_the_truncated_product(f, g, data):
+    product = (to_sympy(f) * to_sympy(g)).as_dict()
+    # a cap at a degree of the product (so the cut keeps terms of exactly that
+    # degree) below the top degree of g (so g has terms above the cap)
+    degrees = sorted({sum(e) for e in product if sum(e) < g.total_degree()})
+    assume(degrees)
+    D = data.draw(st.sampled_from(degrees))
+    cut = sympy.Poly.from_dict(
+        {e: c for e, c in product.items() if sum(e) <= D}, *GENS, domain="QQ")
+    assert to_sympy((Jet(f, D) * Jet(g, D)).poly) == cut
+    assert to_sympy((Jet(f, D) * g).poly) == cut
+    assert to_sympy((g * Jet(f, D)).poly) == cut
+
+
 # poly_gcd, which RatFun(num, den) runs on the unreduced pair, slows down
-# sharply with degree (the rational coefficients of its remainder sequence
-# grow exponentially), so the cofactors and factors here are multilinear
+# sharply with degree (its primitive remainder sequence finds every content
+# by nested gcds), so the cofactors and factors here are multilinear
 @given(polys(3, 1).filter(bool), polys(3, 1).filter(bool), st.lists(
     st.tuples(polys(3, 1).filter(lambda p: not p.is_constant()),
               st.integers(0, 2), st.integers(0, 2)),

@@ -7,6 +7,7 @@ from clusterint.errors import (
     NonPolynomialStructure,
     NotDivisible,
     NotReduced,
+    SizeOutOfRange,
     StructureViolated,
     WrongWord,
 )
@@ -27,7 +28,14 @@ from clusterint.schubert import (
     pfaffian_check,
     solid_minor_check,
 )
-from clusterint.typea import ReducedWord, WeylElt, longest_word
+from clusterint.dualgl import lows_closed_form, lows_minor_sum
+from clusterint.typea import (
+    ReducedWord,
+    WeylElt,
+    fundamental_weight,
+    longest_word,
+    simple_root,
+)
 
 from conftest import SL4_PI0_TABLE, SL4_PI_TABLE, SL4_PHIS, Z6, p6
 
@@ -200,6 +208,22 @@ class TestFlowStructure:
         with pytest.raises(StructureViolated) as info:
             flow_structure_check(cell, 2)
         assert info.value.args[0] == (1, "z2")
+
+
+@pytest.mark.parametrize("call", [
+    lambda cell: fundamental_weight(0, 4),
+    lambda cell: fundamental_weight(4, 4),
+    lambda cell: simple_root(4, 4),
+    lambda cell: flow_structure_check(cell, 0),
+    lambda cell: flow_structure_check(cell, 7),
+    lambda cell: lows_closed_form(3, 0, 3),
+    lambda cell: lows_closed_form(3, 2, 1),
+    lambda cell: lows_minor_sum(3, 0, 2),
+], ids=["omega_0", "omega_m", "alpha_m", "flow_j0", "flow_j_past_word",
+        "closed_form_i", "closed_form_p", "minor_sum_i_past_p"])
+def test_index_out_of_range(sl4_cell, call):
+    with pytest.raises(SizeOutOfRange):
+        call(sl4_cell)
 
 
 class TestStructuralInvariants:
