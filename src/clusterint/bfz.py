@@ -360,7 +360,6 @@ def choose_integrable_system_bfz(
     cluster: BFZCluster,
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
-    pi0: LinearPoissonStructure = None,
 ) -> IntegrableSystemReport:
     """Degree-jump selection over the combined word on the row side, the
     admissible last-occurrence rule on the column side, plus the modified
@@ -379,21 +378,13 @@ def choose_integrable_system_bfz(
         _, d = cluster.low(fn_at(k))
         degs[k] = d
 
-    kplus = {}
-    for pos_idx, k in enumerate(index_of):
-        letter = letters_combined[pos_idx]
-        nxt = None
-        for later in index_of[pos_idx + 1:]:
-            if later > 0 and cluster.dword.neg.letters[later - 1] == letter:
-                nxt = later
-                break
-        kplus[k] = nxt
-
+    # successors by position in the combined word; its first n letters are
+    # distinct, so every successor is a phi
+    _, kplus = kplus_kminus(letters_combined)
     selected = []
     labels = []
-    for k in index_of:
-        succ = kplus[k]
-        succ_deg = degs[succ] if succ is not None else 0
+    for p, k in enumerate(index_of, start=1):
+        succ_deg = degs[index_of[kplus[p] - 1]] if kplus[p] else 0
         if degs[k] == succ_deg + 1:
             selected.append(fn_at(k))
             labels.append(f"row{k}")
@@ -427,10 +418,9 @@ def choose_integrable_system_bfz(
         labels.append(f"diff{i}")
 
     lows = [cluster.low(f)[0] for f in selected]
-    if pi0 is None:
-        pi0 = sl_dual_linear_structure(n, check=False)
     word = ",".join(map(str, cluster.dword.neg.letters))
-    return certify(lows, pi0, cluster.vars, l0 + n, seed, samples,
+    return certify(lows, sl_dual_linear_structure(n, check=False), cluster.vars,
+                   l0 + n, seed, samples,
                    f"bfz n={n} word={word} labels={';'.join(labels)}", labels)
 
 

@@ -4,11 +4,12 @@ Casimir-times-monomial replacements."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DependentSystem, NotCasimir
+from .errors import BadSeed, DependentSystem, NotCasimir
 from .poisson_core import PoissonStructure, log_volume
 from .polyring import RatFun, VarSet, jacobian, numeric_rank
 
@@ -37,9 +38,9 @@ class Seed:
         if sorted(set(self.ex)) != sorted(self.ex) or any(
             not 1 <= k <= n for k in self.ex
         ):
-            raise ValueError("bad exchange set")
+            raise BadSeed("bad exchange set")
         if len(self.M) != n or any(len(row) != len(self.ex) for row in self.M):
-            raise ValueError("matrix shape must be |cluster| x |ex|")
+            raise BadSeed("matrix shape must be |cluster| x |ex|")
 
     def col_of(self, k: int) -> int:
         return self.ex.index(k)
@@ -47,21 +48,19 @@ class Seed:
     def principal_part(self):
         return [[self.M[i - 1][self.col_of(j)] for j in self.ex] for i in self.ex]
 
-    def check(self, rng=None, samples: int = 8) -> None:
-        """Algebraic independence (numeric Jacobian rank) and
-        skew-symmetrizability of the principal part."""
-        if rng is None:
-            rng = random.Random(0)
-        r = numeric_rank(jacobian(self.cluster, self.vars), rng, retries=samples)
+    def check(self) -> None:
+        """Algebraic independence (numeric Jacobian rank at seeded points)
+        and skew-symmetrizability of the principal part."""
+        r = numeric_rank(jacobian(self.cluster, self.vars), random.Random(0))
         if r != len(self.cluster):
             raise DependentSystem("cluster is not algebraically independent")
         if self.ex and skew_symmetrizer(self.principal_part()) is None:
-            raise ValueError("principal part is not skew-symmetrizable")
+            raise BadSeed("principal part is not skew-symmetrizable")
 
 
-def skew_symmetrizer(B, bound: int = SYMMETRIZER_BOUND):
+def skew_symmetrizer(B):
     """A positive integer diagonal d with d_i B_ij = -d_j B_ji, entries at
-    most ``bound``; None when no such diagonal exists."""
+    most SYMMETRIZER_BOUND; None when no such diagonal exists."""
     n = len(B)
     for i in range(n):
         if B[i][i] != 0:
@@ -89,15 +88,11 @@ def skew_symmetrizer(B, bound: int = SYMMETRIZER_BOUND):
                 elif d[j] != val:
                     return None
     # scale each value to a positive integer
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in d))
     out = [int(x * denom) for x in d]
-    g = 0
-    for x in out:
-        g = _gcd(g, x)
+    g = math.gcd(*out)
     out = [x // g for x in out]
-    if any(x <= 0 or x > bound for x in out):
+    if any(x <= 0 or x > SYMMETRIZER_BOUND for x in out):
         return None
     # verify
     for i in range(n):
@@ -107,16 +102,10 @@ def skew_symmetrizer(B, bound: int = SYMMETRIZER_BOUND):
     return out
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
-
-
 def mutate(s: Seed, k: int) -> Seed:
     """Exchange the k-th cluster variable and mutate the matrix."""
     if k not in s.ex:
-        raise ValueError(f"direction {k} is not exchangeable")
+        raise BadSeed(f"direction {k} is not exchangeable")
     c = s.col_of(k)
     n = len(s.cluster)
     pos = RatFun.const(s.vars, 1)
@@ -150,7 +139,7 @@ def generalized_mutate(s: Seed, k: int, exchange_sum: RatFun) -> Seed:
     (caller-supplied sum of monomials in the other variables) / phi_k; the
     matrix is carried along unchanged."""
     if k not in s.ex:
-        raise ValueError(f"direction {k} is not exchangeable")
+        raise BadSeed(f"direction {k} is not exchangeable")
     cluster = list(s.cluster)
     cluster[k - 1] = exchange_sum / s.cluster[k - 1]
     return Seed(s.vars, cluster, list(s.ex), [list(r) for r in s.M], list(s.labels))
@@ -198,7 +187,7 @@ class FrozenModification:
 def modified_cluster(s: Seed, mod: FrozenModification):
     frozen = [j for j in range(1, len(s.cluster) + 1) if j not in s.ex]
     if sorted(mod.casimirs) != frozen or sorted(mod.monomials) != frozen:
-        raise ValueError("modification must cover exactly the frozen indices")
+        raise BadSeed("modification must cover exactly the frozen indices")
     out = []
     for j in range(1, len(s.cluster) + 1):
         if j in s.ex:

@@ -346,12 +346,13 @@ class JetLows:
     cbar_lows: list  # (Poly, degree) for i in 0..n-1
 
 
-def lows_via_jets(s: StaircaseSystem, order: int = None) -> JetLows:
+def lows_via_jets(s: StaircaseSystem) -> JetLows:
     """Exact lowest terms of the restricted system in the difference-of-
-    logarithms coordinates, with adaptive truncation order."""
+    logarithms coordinates, with adaptive truncation order (from max(n, 2),
+    doubling up to max(4n, n(n-1)/2 + 2))."""
     n = s.n
-    D = order if order is not None else max(n, 2)
-    return escalate(lambda d: _jet_lows_at(s, d), D, max(4 * n, n * (n - 1) // 2 + 2, D))
+    return escalate(lambda d: _jet_lows_at(s, d), max(n, 2),
+                    max(4 * n, n * (n - 1) // 2 + 2))
 
 
 def _jet_lows_at(s: StaircaseSystem, D: int):
@@ -521,7 +522,6 @@ def choose_integrable_system_dualgl(
     jets: JetLows = None,
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
-    pi0: LinearPoissonStructure = None,
 ) -> IntegrableSystemReport:
     """The lowest terms of the staircase minors with row index at most p+1,
     together with all deformed Casimir lowest terms; certified involutive
@@ -541,10 +541,8 @@ def choose_integrable_system_dualgl(
     for i in range(0, n):
         selected.append(jets.cbar_lows[i][0])
         labels.append(f"cbar{i}")
-    if pi0 is None:
-        pi0 = kks_gl(n, check=False)
-    return certify(selected, pi0, jets.u_vars, (n * n + n) // 2, seed, samples,
-                   f"dualgl n={n}", labels)
+    return certify(selected, kks_gl(n, check=False), jets.u_vars, (n * n + n) // 2,
+                   seed, samples, f"dualgl n={n}", labels)
 
 
 def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:

@@ -91,5 +91,9 @@ class SingularLocus(ClusterIntError):
     """A matrix, or a birational map at the input, has no inverse."""
 
 
+class BadSeed(ClusterIntError):
+    """A seed, mutation direction or frozen modification is malformed."""
+
+
 class NotCasimir(ClusterIntError):
     """A claimed Casimir has a nonzero bracket with some coordinate."""

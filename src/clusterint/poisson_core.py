@@ -3,6 +3,12 @@ linearization at a vanishing point, log-volume forms, the degree
 criterion that certifies polynomial integrable systems, and torus
 Pfaffian coefficients.
 
+``PoissonStructure.bracket`` is the one bracket loop, over Polys or
+RatFuns; ``bracket_poly`` is its checked Poly form, kept as a method of its
+own because the benchmark's layer tracer (``bench/layertrace.py``) wraps it
+by name.  ``_system_jacobian_det`` is the one Jacobian determinant and
+raises DependentSystem when it vanishes.
+
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
 ``extract_integrable_system`` hand it their selected lowest terms, and it
@@ -79,15 +85,11 @@ class PoissonStructure:
 
     # -- brackets -----------------------------------------------------------
 
-    def _gradient(self, f: RatFun):
-        return [f.derivative(nm) for nm in self.vars.names]
-
     def bracket(self, f, g) -> RatFun:
-        """{f, g} = sum_{a<b} P_ab (df/dv_a dg/dv_b - df/dv_b dg/dv_a)."""
-        f = _as_ratfun(f, self.vars)
-        g = _as_ratfun(g, self.vars)
-        df = self._gradient(f)
-        dg = self._gradient(g)
+        """{f, g} = sum_{a<b} P_ab (df/dv_a dg/dv_b - df/dv_b dg/dv_a) for
+        Polys or RatFuns f, g."""
+        df = [f.derivative(nm) for nm in self.vars.names]
+        dg = [g.derivative(nm) for nm in self.vars.names]
         total = RatFun.const(self.vars, 0)
         n = len(self.vars)
         for a in range(n):
@@ -102,23 +104,10 @@ class PoissonStructure:
                     total = total + p * cross
         return total
 
-    def bracket_poly(self, f: Poly, g: Poly) -> Poly:
-        """Polynomial fast path; valid when all structure entries are Polys."""
-        df = [f.derivative(nm) for nm in self.vars.names]
-        dg = [g.derivative(nm) for nm in self.vars.names]
-        total = Poly.zero(self.vars)
-        n = len(self.vars)
-        for a in range(n):
-            if df[a].is_zero() and dg[a].is_zero():
-                continue
-            for b in range(a + 1, n):
-                p = self.bracket_matrix[a][b]
-                if p.is_zero():
-                    continue
-                cross = df[a] * dg[b] - df[b] * dg[a]
-                if not cross.is_zero():
-                    total = total + p.num * cross * (QQ1 / p.den.constant_value())
-        return total
+    def bracket_poly(self, f, g) -> Poly:
+        """The bracket as a Poly; raises NotDivisible when it is not
+        polynomial."""
+        return self.bracket(f, g).as_poly()
 
     # -- verification --------------------------------------------------------
 
@@ -260,8 +249,12 @@ class LogVolumeForm:
 
 
 def _system_jacobian_det(functions, vars) -> RatFun:
-    j = jacobian([_as_ratfun(f, vars) for f in functions], vars)
-    return det(j)
+    """det of the Jacobian of the functions; raises DependentSystem when it
+    vanishes identically."""
+    d = det(jacobian([_as_ratfun(f, vars) for f in functions], vars))
+    if d.is_zero():
+        raise DependentSystem("Jacobian determinant vanishes identically")
+    return d
 
 
 def log_volume(functions, vars: VarSet) -> LogVolumeForm:
@@ -269,8 +262,6 @@ def log_volume(functions, vars: VarSet) -> LogVolumeForm:
     functions are cancelled by exact trial division before the generic gcd
     reduction runs."""
     d = _system_jacobian_det(functions, vars)
-    if d.is_zero():
-        raise DependentSystem("Jacobian determinant vanishes identically")
     num, den = d.num, d.den
     factors = []
     for f in functions:
@@ -283,29 +274,11 @@ def log_volume(functions, vars: VarSet) -> LogVolumeForm:
     return LogVolumeForm(ratfun_reduced_by_factors(num, den, factors))
 
 
-def log_volume_of_system(sys: LogCanonicalSystem) -> LogVolumeForm:
-    return log_volume(sys.functions, sys.vars)
-
-
 def pfaffian_coefficient(sys: LogCanonicalSystem) -> RatFun:
     """prod(f_i)/det(Jacobian): the coefficient of the torus Pfaffian with
-    respect to d/dv_1 ^ ... ^ d/dv_n, up to a nonzero constant.  Asserts the
-    degree duality deg(low) = -deg(mu^low as a form)."""
-    d = _system_jacobian_det(sys.functions, sys.vars)
-    if d.is_zero():
-        raise DependentSystem("Jacobian determinant vanishes identically")
-    prod = RatFun.const(sys.vars, 1)
-    for f in sys.functions:
-        prod = prod * f
-    coeff = prod / d
-    mu = log_volume_of_system(sys)
-    _, dcoeff = lowest_term(coeff)
-    # an n-vector field of coefficient degree e has degree e - n
-    if dcoeff - len(sys.vars) != -mu.low_degree():
-        raise InequalityViolated(
-            "Pfaffian degree does not match the log-volume degree"
-        )
-    return coeff
+    respect to d/dv_1 ^ ... ^ d/dv_n, up to a nonzero constant; the
+    reciprocal of the log-volume coefficient."""
+    return 1 / log_volume(sys.functions, sys.vars).coefficient
 
 
 @dataclass
@@ -325,10 +298,7 @@ def property_I_check(
     """deg(mu^low) versus rk(pi0)/2; the inequality deg >= rk/2 must hold for
     every log-canonical system, so its failure raises."""
     n = len(sys.vars)
-    d = _system_jacobian_det(sys.functions, sys.vars)
-    if d.is_zero():
-        raise DependentSystem("Jacobian determinant vanishes identically")
-    _, ddet = lowest_term(d)
+    _, ddet = lowest_term(_system_jacobian_det(sys.functions, sys.vars))
     total = 0
     for f in sys.functions:
         _, df = lowest_term(f)
@@ -363,10 +333,9 @@ class IntegrableSystemReport:
 
 def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
     """Fully symbolic: every pairwise bracket must reduce to zero."""
-    fs = [_as_ratfun(f, pi0.vars) for f in functions]
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if not pi0.bracket(fs[i], fs[j]).is_zero():
+    for i in range(len(functions)):
+        for j in range(i + 1, len(functions)):
+            if not pi0.bracket(functions[i], functions[j]).is_zero():
                 return False
     return True
 
@@ -414,7 +383,7 @@ def greedy_independent_subset(functions, vars: VarSet, rng, samples=DEFAULT_SAMP
     kept_idx = []
     rank = 0
     for idx, f in enumerate(functions):
-        trial = kept + [_as_ratfun(f, vars)]
+        trial = kept + [f]
         j = jacobian(trial, vars)
         r = numeric_rank(j, random.Random(rng.randrange(1 << 30)), retries=samples)
         if r > rank:

@@ -363,18 +363,6 @@ class Poly:
             return one * QQ0
         return total
 
-    def extend(self, vars2: VarSet) -> "Poly":
-        """Reinterpret over a larger VarSet containing all current names."""
-        pos = [vars2.index[nm] for nm in self.vars.names]
-        n2 = len(vars2)
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * n2
-            for p, k in zip(pos, e):
-                e2[p] = k
-            out[tuple(e2)] = c
-        return Poly(vars2, out)
-
     # -- division and gcd -----------------------------------------------------
 
     def leading(self):
@@ -815,17 +803,6 @@ class RatFun:
             raise EvaluationSingular("denominator vanishes at evaluation point")
         return self.num.evaluate(point) / d
 
-    def shift(self, point) -> "RatFun":
-        return RatFun(self.num.shift(point), self.den.shift(point), reduce=False)
-
-    def substitute(self, mapping, one):
-        num = self.num.substitute(mapping, one)
-        den = self.den.substitute(mapping, one)
-        return num / den
-
-    def extend(self, vars2: VarSet) -> "RatFun":
-        return RatFun(self.num.extend(vars2), self.den.extend(vars2), reduce=False)
-
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
             return str(self.num)
@@ -1205,7 +1182,7 @@ def numeric_rank_at(m: PolyMatrix, point) -> int:
     return _rational_rank(rows)
 
 
-def numeric_rank(m: PolyMatrix, rng, retries: int = 8, bound: int = 1000) -> int:
+def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
     """Max rank over ``retries`` seeded-random rational points; raises
     EvaluationSingular when some denominator vanished at every sample."""
     nvars = None
@@ -1220,7 +1197,7 @@ def numeric_rank(m: PolyMatrix, rng, retries: int = 8, bound: int = 1000) -> int
         return _rational_rank([[qq(x) for x in row] for row in m.entries])
     best = None
     for _ in range(retries):
-        point = [random_rational(rng, bound) for _ in range(nvars)]
+        point = [random_rational(rng) for _ in range(nvars)]
         try:
             r = numeric_rank_at(m, point)
         except EvaluationSingular:

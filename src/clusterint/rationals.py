@@ -36,10 +36,10 @@ def qq_str(x) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def random_rational(rng, bound: int = 1000) -> "QQ":
-    """Random rational with |numerator|, denominator <= bound, nonzero denominator."""
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
+def random_rational(rng) -> "QQ":
+    """Random rational with |numerator| <= 1000 and 1 <= denominator <= 1000."""
+    num = rng.randint(-1000, 1000)
+    den = rng.randint(1, 1000)
     return QQ(num, den)
 
 

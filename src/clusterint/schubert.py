@@ -40,11 +40,13 @@ from .polyring import (
 from .rationals import QQ0, QQ1
 from .typea import (
     ReducedWord,
+    elementary,
     fundamental_weight,
     kplus_kminus,
     longest_word,
     pairing,
     principal_minor,
+    weyl_rep,
 )
 
 
@@ -75,8 +77,6 @@ def _phi_polys(word: ReducedWord, m: int, vars: VarSet):
     Bott-Samelson prefix."""
     phis = []
     prefix = PolyMatrix.identity(vars, m)
-    from .typea import elementary, weyl_rep
-
     for k, i in enumerate(word.letters, start=1):
         prefix = prefix * elementary(i, m, Poly.var(vars, f"z{k}"))
         prefix = prefix * weyl_rep(i, m, vars)

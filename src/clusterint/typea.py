@@ -160,10 +160,7 @@ class ReducedWord:
         return len(self.letters)
 
     def element(self) -> WeylElt:
-        w = WeylElt.identity(self.m)
-        for i in self.letters:
-            w = w * WeylElt.simple(i, self.m)
-        return w
+        return self.prefix(len(self.letters))
 
     def prefix(self, k: int) -> WeylElt:
         """s_{i_1} ... s_{i_k} as a permutation."""
@@ -205,10 +202,7 @@ def kplus_kminus(word) -> tuple:
 def weyl_rep(i: int, m: int, vars: VarSet) -> PolyMatrix:
     """Representative of s_i: identity with the block [[0,-1],[1,0]] at
     rows/columns (i, i+1)."""
-    ent = [
-        [Poly.const(vars, 1) if a == b else Poly.zero(vars) for b in range(m)]
-        for a in range(m)
-    ]
+    ent = PolyMatrix.identity(vars, m).entries
     ent[i - 1][i - 1] = Poly.zero(vars)
     ent[i][i] = Poly.zero(vars)
     ent[i - 1][i] = Poly.const(vars, -1)
@@ -218,23 +212,15 @@ def weyl_rep(i: int, m: int, vars: VarSet) -> PolyMatrix:
 
 def elementary(i: int, m: int, z: Poly) -> PolyMatrix:
     """Unipotent e_i(z): identity plus z in entry (i, i+1)."""
-    vars = z.vars
-    ent = [
-        [Poly.const(vars, 1) if a == b else Poly.zero(vars) for b in range(m)]
-        for a in range(m)
-    ]
+    ent = PolyMatrix.identity(z.vars, m).entries
     ent[i - 1][i] = z
     return PolyMatrix(ent)
 
 
 def weyl_matrix(w, m: int, vars: VarSet) -> PolyMatrix:
     """Representative of a Weyl element from any reduced word of it."""
-    if isinstance(w, ReducedWord):
-        letters = w.letters
-    else:
-        letters = w
     out = PolyMatrix.identity(vars, m)
-    for i in letters:
+    for i in getattr(w, "letters", w):
         out = out * weyl_rep(i, m, vars)
     return out
 

@@ -8,12 +8,13 @@ from clusterint.cluster_engine import (
     Seed,
     generalized_mutate,
     log_volume_invariance,
+    modified_cluster,
     modified_log_volume,
     mutate,
     seed_log_volume,
     skew_symmetrizer,
 )
-from clusterint.errors import DependentSystem, NotCasimir
+from clusterint.errors import BadSeed, DependentSystem, NotCasimir
 from clusterint.poisson_core import PoissonStructure
 from clusterint.polyring import Poly, RatFun, VarSet, parse_poly
 from clusterint.rationals import QQ
@@ -86,6 +87,25 @@ class TestMutate:
     def test_symmetrizable_non_symmetric(self):
         # B-type 2x2: d = (1, 2) works
         assert skew_symmetrizer([[0, -1], [2, 0]]) == [2, 1]
+
+
+def _exchange_seed():
+    return coordinate_seed(2, [1], [[0], [1]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coordinate_seed(2, [1, 1], [[0, 0], [0, 0]]),
+    lambda: coordinate_seed(2, [3], [[0], [0]]),
+    lambda: coordinate_seed(2, [1], [[0]]),
+    lambda: coordinate_seed(2, [1, 2], [[0, 1], [1, 0]]).check(),
+    lambda: mutate(_exchange_seed(), 2),
+    lambda: generalized_mutate(_exchange_seed(), 2, _exchange_seed().cluster[0]),
+    lambda: modified_cluster(_exchange_seed(), FrozenModification({}, {})),
+], ids=["repeated-index", "index-out-of-range", "matrix-shape", "not-symmetrizable",
+        "mutate-frozen", "generalized-mutate-frozen", "modification-coverage"])
+def test_malformed_seed_raises_bad_seed(call):
+    with pytest.raises(BadSeed):
+        call()
 
 
 def _random_skew(rng, n):

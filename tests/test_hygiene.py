@@ -1,7 +1,7 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
 module imports a name it never uses, no top-level function is defined in
-two modules, every method of a package class is used somewhere, and no
-nested function calls itself."""
+two modules, every method of a package class is used somewhere, no
+nested function calls itself, and no function imports."""
 
 import ast
 from collections import defaultdict
@@ -81,4 +81,16 @@ def test_no_nested_function_calls_itself():
                         isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == inner.name for node in ast.walk(inner)):
                     found.add(f"{path.name}:{outer.name}.{inner.name}")
+    assert sorted(found) == []
+
+
+def test_no_import_inside_a_function():
+    """Every import is at module level, where the module's dependencies
+    are read in one place."""
+    found = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(found) == []

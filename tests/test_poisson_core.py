@@ -6,7 +6,9 @@ import pytest
 
 from clusterint.errors import (
     CountShortfall,
+    DependentSystem,
     InequalityViolated,
+    NotDivisible,
     NotInvolutive,
     NotLogCanonical,
     NotRegular,
@@ -25,7 +27,6 @@ from clusterint.poisson_core import (
     is_log_canonical,
     linearize,
     log_volume,
-    log_volume_of_system,
     pfaffian_coefficient,
     property_I_check,
 )
@@ -108,6 +109,17 @@ class TestBracket:
             rhs = f * sl4_pi.bracket(g, h) + g * sl4_pi.bracket(f, h)
             assert lhs == rhs
 
+    def test_bracket_poly_refuses_a_rational_bracket(self):
+        # {z1, z2} = z1/(1 + z2): the denominator's constant term is 1, so
+        # dividing the numerator by it alone would give z1
+        vs = VarSet(["z1", "z2"])
+        z1, z2 = Poly.var(vs, "z1"), Poly.var(vs, "z2")
+        entry = RatFun(z1, z2 + 1)
+        pi = PoissonStructure(vs, [[0, entry], [-entry, 0]])
+        assert pi.bracket(z1, z2) == entry
+        with pytest.raises(NotDivisible):
+            pi.bracket_poly(z1, z2)
+
 
 class TestLogCanonical:
     def test_sl4_z1_z2(self, sl4_pi):
@@ -179,7 +191,7 @@ class TestGenericRank:
 class TestLogVolume:
     def test_sl4(self, sl4_pi, sl4_phis):
         sys = LogCanonicalSystem.build(sl4_pi, sl4_phis)
-        mu = log_volume_of_system(sys)
+        mu = log_volume(sys.functions, sys.vars)
         expected = RatFun(
             Poly.const(Z6, 1), sl4_phis[2] * sl4_phis[4] * sl4_phis[5]
         )
@@ -201,6 +213,12 @@ class TestLogVolume:
             parse_poly("z1", vs) * parse_poly("1 + z2^2", vs),
         )
         assert mu.coefficient == expected
+
+    def test_dependent_functions_raise(self):
+        vs = VarSet(["z1", "z2"])
+        z1 = Poly.var(vs, "z1")
+        with pytest.raises(DependentSystem):
+            log_volume([z1, z1 * z1], vs)
 
 
 class TestPropertyI:
@@ -225,6 +243,14 @@ class TestPropertyI:
         )
         rep = property_I_check(sys, pi)
         assert (rep.deg_mu_low, rep.half_rank, rep.holds) == (2, 0, False)
+
+    def test_rank_above_degree_raises(self, sl4_pi, sl4_phis):
+        # three copies of {x, y} = y have rank 6, above twice deg(mu^low) = 2
+        sys = LogCanonicalSystem.build(sl4_pi, sl4_phis)
+        pi0 = LinearPoissonStructure(Z6, structure_from_table(
+            {(1, 2): "z2", (3, 4): "z4", (5, 6): "z6"}).bracket_matrix)
+        with pytest.raises(InequalityViolated, match=r"deg\(mu\^low\) = 2 < rk\(pi0\)/2 = 3"):
+            property_I_check(sys, sl4_pi, pi0=pi0)
 
 
 class TestExtract:
