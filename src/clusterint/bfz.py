@@ -70,6 +70,8 @@ def sl_varset(n: int) -> VarSet:
     """Free coordinates of a traceless (n+1)x(n+1) matrix: all entries except
     the last diagonal one.  The names run the indices together, so they
     collide from n = 10 on (u1_11 and u11_1 are both u111)."""
+    if n < 1:
+        raise SizeOutOfRange(f"the SL(n+1) chart needs n >= 1, got {n}")
     if n >= 10:
         raise SizeOutOfRange(f"SL({n + 1}) entry names collide; the largest supported n is 9")
     m = n + 1
@@ -98,7 +100,7 @@ def sl_u_matrix(n: int, vars: VarSet = None) -> PolyMatrix:
     )
 
 
-def sl_dual_linear_structure(n: int, check: bool = True) -> LinearPoissonStructure:
+def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
     """Linearization at the identity of the multiplicative structure on
     SL(n+1): the degree-1 part of (sign(p-i)+sign(q-j))/2 * x_iq * x_pj in
     exponential coordinates, restricted to traceless matrices."""
@@ -118,7 +120,7 @@ def sl_dual_linear_structure(n: int, check: bool = True) -> LinearPoissonStructu
             if p == j:
                 term = term + sl_u_entry(vars, i, q, m)
             mat[a][b] = term * c
-    return LinearPoissonStructure(vars, mat, check_jacobi=check)
+    return LinearPoissonStructure(vars, mat)
 
 
 def minor(mat: PolyMatrix, rows, cols):
@@ -190,18 +192,15 @@ def _istar_sets(n: int):
     return I0, I1, I2
 
 
-def build_bfz(n: int, dword: DoubleWord = None, order: int = None) -> BFZCluster:
+def build_bfz(n: int, dword: DoubleWord = None) -> BFZCluster:
     """Evaluate the extended cluster at a truncated exponential of a traceless
     matrix, doubling the jet order until every lowest term is certified exact."""
-    if n < 1:
-        raise SizeOutOfRange(f"the BFZ cluster needs n >= 1, got {n}")
     if dword is None:
         dword = standard_double_word(n)
     m = n + 1
     if dword.neg.m != m:
         raise WrongWord(f"double word is for SL({dword.neg.m}), expected SL({m})")
-    D = order if order is not None else max(n, 2)
-    return escalate(lambda d: _build_at_order(n, dword, d), D, max(4 * n, D))
+    return escalate(lambda d: _build_at_order(n, dword, d), max(n, 2), 4 * n)
 
 
 def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
@@ -419,7 +418,7 @@ def choose_integrable_system_bfz(
 
     lows = [cluster.low(f)[0] for f in selected]
     word = ",".join(map(str, cluster.dword.neg.letters))
-    return certify(lows, sl_dual_linear_structure(n, check=False), cluster.vars,
+    return certify(lows, sl_dual_linear_structure(n), cluster.vars,
                    l0 + n, seed, samples,
                    f"bfz n={n} word={word} labels={';'.join(labels)}", labels)
 
@@ -427,12 +426,15 @@ def choose_integrable_system_bfz(
 # -- modified log-volume degree via jets ---------------------------------------
 
 
-def modified_mu_low_degree(n: int, dword: DoubleWord = None) -> int:
+def modified_mu_low_degree(n: int) -> int:
     """deg of the lowest term of the log-volume form of the modified extended
     cluster, computed from the jet Jacobian in the exponential chart."""
+    dword = standard_double_word(n)
 
     def attempt(D):
-        cluster = build_bfz(n, dword, order=D)
+        cluster = _build_at_order(n, dword, D)
+        if cluster is None:
+            return None
         funcs = cluster.modified_functions()
         if len(funcs) != len(cluster.vars):
             raise CountShortfall("modified cluster does not match the chart size")
@@ -447,8 +449,7 @@ def modified_mu_low_degree(n: int, dword: DoubleWord = None) -> int:
             return None
         return got[1] + len(cluster.vars) - sum(cluster.low(f)[1] for f in funcs)
 
-    start = max(2 * n, 4)
-    return escalate(attempt, start, max(4 * n, start, 8))
+    return escalate(attempt, max(2 * n, 4), max(4 * n, 8))
 
 
 # -- Kostant cascade and the index ----------------------------------------------
@@ -612,11 +613,10 @@ class BFZChart:
         return list(self.fs) + list(self.phis) + list(self.psis)
 
 
-def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
+def bfz_chart(n: int) -> BFZChart:
     """Realize the extended cluster on the chart given by the two unipotent
     parts and the torus, with all structure entries rational."""
-    if dword is None:
-        dword = standard_double_word(n)
+    dword = standard_double_word(n)
     m = n + 1
     l0 = len(dword.neg)
     bnames = [f"b{k}" for k in range(1, l0 + 1)]
@@ -655,8 +655,8 @@ def bfz_chart(n: int, dword: DoubleWord = None) -> BFZChart:
     fs, phis, psis, g_index = cluster_minors(g, n, dword)
 
     # Poisson structure: Bott-Samelson block for b (word pos) and a (word neg)
-    cell_b = build_cell(m, dword.pos, check=False)
-    cell_a = build_cell(m, dword.neg, check=False)
+    cell_b = build_cell(m, dword.pos)
+    cell_a = build_cell(m, dword.neg)
 
     size = len(vars)
     zero = Poly.zero(vars)

@@ -204,9 +204,8 @@ def modified_log_volume(s: Seed, mod: FrozenModification, pi: PoissonStructure):
     for j, c in mod.casimirs.items():
         if c.is_constant():
             continue
-        for nm in pi.vars.names:
-            br = pi.bracket(c, RatFun.var(pi.vars, nm))
-            if not br.is_zero():
+        for nm, x in zip(pi.vars.names, pi.hamiltonian_field(c)):
+            if not x.is_zero():
                 raise NotCasimir(f"factor at index {j} moves coordinate {nm}")
     mu = log_volume(modified_cluster(s, mod), s.vars)
     if s.ex:

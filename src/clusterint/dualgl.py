@@ -156,7 +156,7 @@ def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> RatFun
     return -_double_bracket(chart, "y", p, q, "x", i, j)
 
 
-def kks_gl(n: int, check: bool = True) -> LinearPoissonStructure:
+def kks_gl(n: int) -> LinearPoissonStructure:
     """Linear structure of the matrix coalgebra on entry coordinates:
     {u_pq, u_rs} = delta_ps u_rq - delta_rq u_ps."""
     vars = u_varset(n)
@@ -171,7 +171,7 @@ def kks_gl(n: int, check: bool = True) -> LinearPoissonStructure:
             if r == q:
                 term = term - Poly.var(vars, f"u{p}{s}")
             mat[a][b] = term
-    return LinearPoissonStructure(vars, mat, check_jacobi=check and size <= 24)
+    return LinearPoissonStructure(vars, mat)
 
 
 # -- staircase system ------------------------------------------------------------
@@ -541,7 +541,7 @@ def choose_integrable_system_dualgl(
     for i in range(0, n):
         selected.append(jets.cbar_lows[i][0])
         labels.append(f"cbar{i}")
-    return certify(selected, kks_gl(n, check=False), jets.u_vars, (n * n + n) // 2,
+    return certify(selected, kks_gl(n), jets.u_vars, (n * n + n) // 2,
                    seed, samples, f"dualgl n={n}", labels)
 
 

@@ -29,6 +29,10 @@ class NotDivisible(ClusterIntError):
 
 # -- Poisson layer ----------------------------------------------------------
 
+class NotPoisson(ClusterIntError):
+    """A bracket matrix is not square and skew, not linear, or not Jacobi."""
+
+
 class NotVanishing(ClusterIntError):
     """The structure does not vanish at the requested base point."""
 
@@ -58,6 +62,10 @@ class NotInvolutive(ClusterIntError):
 
 
 # -- type-A / family layers -------------------------------------------------
+
+class NotPermutation(ClusterIntError):
+    """A Weyl group element was given a tuple that is not a permutation."""
+
 
 class DimensionMismatch(ClusterIntError):
     """Weights of different sizes were paired."""

@@ -3,11 +3,13 @@ linearization at a vanishing point, log-volume forms, the degree
 criterion that certifies polynomial integrable systems, and torus
 Pfaffian coefficients.
 
-``PoissonStructure.bracket`` is the one bracket loop, over Polys or
-RatFuns; ``bracket_poly`` is its checked Poly form, kept as a method of its
-own because the benchmark's layer tracer (``bench/layertrace.py``) wraps it
-by name.  ``_system_jacobian_det`` is the one Jacobian determinant and
-raises DependentSystem when it vanishes.
+``_field_entry`` is the one loop over a bracket matrix: row a applied to
+the gradient of h is {v_a, h}.  The bracket, ``hamiltonian_field``, the
+Jacobi check and the Casimir check of ``cluster_engine`` are built on it.
+``bracket_poly`` is the checked Poly form of the bracket, kept as a method
+of its own because the benchmark's layer tracer (``bench/layertrace.py``)
+wraps it by name.  ``_system_jacobian_det`` is the one Jacobian determinant
+and raises DependentSystem when it vanishes.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 from .errors import (
     CountShortfall,
@@ -27,6 +30,7 @@ from .errors import (
     InequalityViolated,
     NotInvolutive,
     NotLogCanonical,
+    NotPoisson,
     NotRegular,
     NotVanishing,
     ZeroInput,
@@ -56,6 +60,16 @@ def _as_ratfun(f, vars):
     return RatFun.const(vars, f)
 
 
+def _field_entry(row, dh) -> RatFun:
+    """sum_b row[b] * dh[b]: row a of a bracket matrix applied to the
+    gradient of h, which is {v_a, h}."""
+    total = RatFun.const(row[0].vars, 0)
+    for p, d in zip(row, dh):
+        if not p.is_zero() and not d.is_zero():
+            total = total + p * d
+    return total
+
+
 class PoissonStructure:
     """A variable list plus the skew matrix of brackets {v_a, v_b}."""
 
@@ -64,11 +78,11 @@ class PoissonStructure:
         n = len(vars)
         m = [[_as_ratfun(x, vars) for x in row] for row in bracket_matrix]
         if len(m) != n or any(len(row) != n for row in m):
-            raise ValueError("bracket matrix must be square of size |vars|")
+            raise NotPoisson("bracket matrix must be square of size |vars|")
         for a in range(n):
             for b in range(n):
                 if m[a][b] != -m[b][a]:
-                    raise ValueError("bracket matrix must be skew-symmetric")
+                    raise NotPoisson("bracket matrix must be skew-symmetric")
         self.bracket_matrix = m
 
     @staticmethod
@@ -85,23 +99,22 @@ class PoissonStructure:
 
     # -- brackets -----------------------------------------------------------
 
+    def hamiltonian_field(self, h) -> list:
+        """[{v_a, h} for each variable v_a], for a Poly or RatFun h."""
+        dh = [h.derivative(nm) for nm in self.vars.names]
+        return [_field_entry(row, dh) for row in self.bracket_matrix]
+
     def bracket(self, f, g) -> RatFun:
-        """{f, g} = sum_{a<b} P_ab (df/dv_a dg/dv_b - df/dv_b dg/dv_a) for
-        Polys or RatFuns f, g."""
-        df = [f.derivative(nm) for nm in self.vars.names]
+        """{f, g} = sum_a df/dv_a {v_a, g} for Polys or RatFuns f, g, over the
+        a with df/dv_a != 0."""
         dg = [g.derivative(nm) for nm in self.vars.names]
         total = RatFun.const(self.vars, 0)
-        n = len(self.vars)
-        for a in range(n):
-            if df[a].is_zero() and dg[a].is_zero():
-                continue
-            for b in range(a + 1, n):
-                p = self.bracket_matrix[a][b]
-                if p.is_zero():
-                    continue
-                cross = df[a] * dg[b] - df[b] * dg[a]
-                if not cross.is_zero():
-                    total = total + p * cross
+        for nm, row in zip(self.vars.names, self.bracket_matrix):
+            dfa = f.derivative(nm)
+            if not dfa.is_zero():
+                entry = _field_entry(row, dg)
+                if not entry.is_zero():
+                    total = total + entry * dfa
         return total
 
     def bracket_poly(self, f, g) -> Poly:
@@ -111,42 +124,37 @@ class PoissonStructure:
 
     # -- verification --------------------------------------------------------
 
-    def jacobi_defect(self, a: int, b: int, c: int) -> RatFun:
-        va, vb, vc = (RatFun.var(self.vars, self.vars.names[i]) for i in (a, b, c))
-        return (
-            self.bracket(va, self.bracket(vb, vc))
-            + self.bracket(vb, self.bracket(vc, va))
-            + self.bracket(vc, self.bracket(va, vb))
-        )
-
     def check_jacobi(self) -> None:
+        """The Jacobi identity in Schouten form: with F[b, c] the Hamiltonian
+        field of the entry P_bc, {v_a, {v_b, v_c}} + cyclic =
+        F[b, c][a] - F[a, c][b] + F[a, b][c] must vanish for every a < b < c.
+        Raises NotPoisson naming the first triple where it does not."""
         n = len(self.vars)
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    if not self.jacobi_defect(a, b, c).is_zero():
-                        raise ValueError(
-                            f"Jacobi identity fails on ({a}, {b}, {c})"
-                        )
+        P = self.bracket_matrix
+        F = {(b, c): self.hamiltonian_field(P[b][c])
+             for b in range(n) for c in range(b + 1, n)}
+        for a, b, c in combinations(range(n), 3):
+            if not (F[b, c][a] - F[a, c][b] + F[a, b][c]).is_zero():
+                raise NotPoisson(f"Jacobi identity fails on ({a}, {b}, {c})")
 
 
 class LinearPoissonStructure(PoissonStructure):
     """Poisson structure whose bracket matrix has homogeneous degree-1
     polynomial entries (equivalently, the structure constants of a Lie
-    algebra on the dual space)."""
+    algebra on the dual space).  The constructor checks only that the
+    entries are linear: ``linearize`` checks the Jacobi identity of the
+    structure it derives, and tests check the closed-form structures."""
 
-    def __init__(self, vars: VarSet, bracket_matrix, check_jacobi: bool = True):
+    def __init__(self, vars: VarSet, bracket_matrix):
         super().__init__(vars, bracket_matrix)
         for row in self.bracket_matrix:
             for x in row:
                 if not x.is_polynomial():
-                    raise ValueError("linear structure entries must be polynomial")
+                    raise NotPoisson("linear structure entries must be polynomial")
                 if not x.is_zero() and (
                     x.num.total_degree() != 1 or x.num.min_degree() != 1
                 ):
-                    raise ValueError("linear structure entries must be linear")
-        if check_jacobi and len(vars) <= 24:
-            self.check_jacobi()
+                    raise NotPoisson("linear structure entries must be linear")
 
 
 def is_log_canonical(pi: PoissonStructure, f, g):
@@ -172,7 +180,8 @@ def is_log_canonical(pi: PoissonStructure, f, g):
 
 def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
     """Linearization at a point where every bracket vanishes: translate the
-    point to the origin and keep the degree-1 part of each entry."""
+    point to the origin and keep the degree-1 part of each entry.  Raises
+    NotPoisson when the result fails the Jacobi identity."""
     n = len(pi.vars)
     if at is None:
         at = [QQ0] * n
@@ -192,19 +201,18 @@ def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
             # (num/den)^(1) = num^(1)/den(0) since num(0) = 0
             row.append(RatFun.from_poly(lin * (QQ1 / den0)))
         out.append(row)
-    return LinearPoissonStructure(pi.vars, out)
+    pi0 = LinearPoissonStructure(pi.vars, out)
+    pi0.check_jacobi()
+    return pi0
 
 
-def generic_rank(
-    pi: PoissonStructure, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
-) -> int:
+def generic_rank(pi: PoissonStructure) -> int:
     """Max rank of the bracket matrix over seeded random rational points; a
     probabilistic lower bound that equals the true rank with overwhelming
     probability (acceptance tests cross-check closed forms)."""
     if pi.is_zero():
         return 0
-    rng = random.Random(seed)
-    r = numeric_rank(pi.matrix(), rng, retries=samples)
+    r = numeric_rank(pi.matrix(), random.Random(DEFAULT_SEED), retries=DEFAULT_SAMPLES)
     if r % 2:
         raise ValueError("skew matrix evaluated to odd rank")
     return r
@@ -292,8 +300,6 @@ def property_I_check(
     sys: LogCanonicalSystem,
     pi: PoissonStructure,
     pi0: LinearPoissonStructure = None,
-    seed: int = DEFAULT_SEED,
-    samples: int = DEFAULT_SAMPLES,
 ) -> PropertyIReport:
     """deg(mu^low) versus rk(pi0)/2; the inequality deg >= rk/2 must hold for
     every log-canonical system, so its failure raises."""
@@ -306,7 +312,7 @@ def property_I_check(
     deg_mu_low = ddet + n - total
     if pi0 is None:
         pi0 = linearize(pi)
-    half = generic_rank(pi0, seed=seed, samples=samples) // 2
+    half = generic_rank(pi0) // 2
     if deg_mu_low < half:
         raise InequalityViolated(
             f"deg(mu^low) = {deg_mu_low} < rk(pi0)/2 = {half}"
@@ -376,7 +382,7 @@ def certify(
     )
 
 
-def greedy_independent_subset(functions, vars: VarSet, rng, samples=DEFAULT_SAMPLES):
+def greedy_independent_subset(functions, vars: VarSet, rng):
     """Scan in order, keeping functions that increase the numeric Jacobian
     rank at seeded random points."""
     kept = []
@@ -385,7 +391,7 @@ def greedy_independent_subset(functions, vars: VarSet, rng, samples=DEFAULT_SAMP
     for idx, f in enumerate(functions):
         trial = kept + [f]
         j = jacobian(trial, vars)
-        r = numeric_rank(j, random.Random(rng.randrange(1 << 30)), retries=samples)
+        r = numeric_rank(j, random.Random(rng.randrange(1 << 30)), retries=DEFAULT_SAMPLES)
         if r > rank:
             kept = trial
             kept_idx.append(idx)
@@ -394,19 +400,14 @@ def greedy_independent_subset(functions, vars: VarSet, rng, samples=DEFAULT_SAMP
 
 
 def extract_integrable_system(
-    sys: LogCanonicalSystem,
-    pi0: LinearPoissonStructure,
-    seed: int = DEFAULT_SEED,
-    samples: int = DEFAULT_SAMPLES,
-    construction: str = "lowest-terms",
+    sys: LogCanonicalSystem, pi0: LinearPoissonStructure
 ) -> IntegrableSystemReport:
     """Lowest terms of a log-canonical system, certified involutive under
     pi0, with a greedy maximal independent subset of the magic-number size."""
     n = len(sys.vars)
     lows = [lowest_term(f)[0] for f in sys.functions]
-    magic = n - generic_rank(pi0, seed=seed, samples=samples) // 2
+    magic = n - generic_rank(pi0) // 2
     kept, kept_idx = greedy_independent_subset(
-        lows, sys.vars, random.Random(seed), samples
+        lows, sys.vars, random.Random(DEFAULT_SEED)
     )
-    return certify(kept, pi0, sys.vars, magic, seed, samples, construction,
-                   kept_idx, commuting=lows)
+    return certify(kept, pi0, sys.vars, magic, labels=kept_idx, commuting=lows)

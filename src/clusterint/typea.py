@@ -5,7 +5,7 @@ ordinary matrix minors (sorted index sets, so defined up to sign)."""
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NotReduced, SizeOutOfRange
+from .errors import DimensionMismatch, NotPermutation, NotReduced, SizeOutOfRange
 from .polyring import Poly, PolyMatrix, VarSet, det
 from .rationals import QQ, QQ0
 
@@ -81,7 +81,7 @@ class WeylElt:
     def __init__(self, perm):
         perm = tuple(perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
-            raise ValueError("not a permutation of [1, m]")
+            raise NotPermutation(f"{perm} is not a permutation of [1, m]")
         self.perm = perm
 
     @staticmethod

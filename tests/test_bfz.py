@@ -20,7 +20,7 @@ from clusterint.bfz import (
 )
 from clusterint.errors import SizeOutOfRange, WrongWord
 from clusterint.poisson_core import generic_rank, is_log_canonical
-from clusterint.polyring import Poly, jet_lowest_term, parse_poly
+from clusterint.polyring import Poly, RatFun, jet_lowest_term, parse_poly
 from clusterint.rationals import QQ
 from clusterint.typea import ReducedWord, longest_word
 
@@ -123,11 +123,11 @@ class TestStabilizer:
 class TestDualStructure:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rank(self, n):
-        pi0 = sl_dual_linear_structure(n, check=(n <= 2))
-        assert generic_rank(pi0) == n * (n + 1)
+        assert generic_rank(sl_dual_linear_structure(n)) == n * (n + 1)
 
-    def test_jacobi_n2(self):
-        sl_dual_linear_structure(2, check=True)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_jacobi(self, n):
+        sl_dual_linear_structure(n).check_jacobi()
 
 
 class TestDegreeIdentities:
@@ -187,6 +187,18 @@ class TestChart:
     def test_jacobi(self, chart2):
         chart2.pi.check_jacobi()
 
+    def test_hamiltonian_field_is_the_bracket_with_each_coordinate(self, chart2):
+        h = chart2.phis[1]
+        field = chart2.pi.hamiltonian_field(h)
+        for nm, entry in zip(chart2.vars.names, field):
+            assert entry == chart2.pi.bracket(RatFun.var(chart2.vars, nm), h)
+        assert any(not entry.is_zero() for entry in field)
+
+    def test_casimir_field_vanishes(self, chart2):
+        c = chart2.casimir(2) - chart2.casimir(1)
+        assert not c.is_constant()
+        assert all(x.is_zero() for x in chart2.pi.hamiltonian_field(c))
+
     def test_structure_vanishes_at_base_point(self, chart2):
         zero = [QQ(0)] * len(chart2.vars)
         for row in chart2.pi.bracket_matrix:
@@ -207,6 +219,8 @@ class TestValidation:
     def test_sizes_out_of_range(self):
         with pytest.raises(SizeOutOfRange):
             build_bfz(0)
+        with pytest.raises(SizeOutOfRange):
+            modified_mu_low_degree(0)
         with pytest.raises(SizeOutOfRange):
             kostant_cascade(0)
         assert len(sl_varset(9)) == 99

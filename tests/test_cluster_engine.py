@@ -175,7 +175,7 @@ class TestModifiedLogVolume:
         bad = FrozenModification(
             {2: RatFun.var(vs, "z1")}, {2: {2: 1}}
         )
-        with pytest.raises(NotCasimir):
+        with pytest.raises(NotCasimir, match="index 2 moves coordinate z2"):
             modified_log_volume(s, bad, pi)
 
     def test_bfz_n2_modification(self):

@@ -249,10 +249,14 @@ class TestKKS:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rank(self, n):
-        assert generic_rank(kks_gl(n, check=False)) == n * n - n
+        assert generic_rank(kks_gl(n)) == n * n - n
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_jacobi(self, n):
+        kks_gl(n).check_jacobi()
 
     def test_differs_from_gelfand_zeitlin(self, jets3):
-        pi0 = kks_gl(3, check=False)
+        pi0 = kks_gl(3)
         uv = jets3.u_vars
         phi4low = jets3.phi_lows[3][0]
         for other in ("u11 + u22", "u22 + u33"):

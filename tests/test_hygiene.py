@@ -94,3 +94,41 @@ def test_no_import_inside_a_function():
                 found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(found) == []
+
+
+def _passes(call, position, name):
+    """Whether a call passes the parameter ``name`` (at ``position`` among
+    the positional parameters, None if keyword-only); a call that unpacks
+    ``*args`` or ``**kwargs`` may pass anything."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_passed_somewhere():
+    """Each defaulted parameter of a package function other than
+    ``__init__`` is passed, by keyword or by position, in some call of that
+    name in the package, the tests or the benchmark: a default that no call
+    overrides is an option nobody sets."""
+    calls = defaultdict(list)
+    for path in [*MODULES, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", None) or getattr(func, "attr", None)].append(node)
+    unset = []
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            params = fn.args.posonlyargs + fn.args.args
+            bound = 1 if params and params[0].arg in ("self", "cls") else 0
+            first_default = len(params) - len(fn.args.defaults)
+            defaulted = [(i - bound, p.arg) for i, p in enumerate(params) if i >= first_default]
+            defaulted += [(None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            unset += [f"{path.name}:{fn.name}({name})" for position, name in defaulted
+                      if not any(_passes(call, position, name) for call in calls[fn.name])]
+    assert unset == []

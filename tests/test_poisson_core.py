@@ -11,6 +11,8 @@ from clusterint.errors import (
     NotDivisible,
     NotInvolutive,
     NotLogCanonical,
+    NotPermutation,
+    NotPoisson,
     NotRegular,
     NotVanishing,
     ZeroInput,
@@ -32,6 +34,7 @@ from clusterint.poisson_core import (
 )
 from clusterint.polyring import Poly, RatFun, VarSet, lowest_term, parse_poly
 from clusterint.rationals import QQ
+from clusterint.typea import WeylElt
 
 from conftest import Z6, p6, random_poly, structure_from_table
 
@@ -174,6 +177,27 @@ class TestLinearize:
 
     def test_jacobi_checked(self, sl4_pi):
         linearize(sl4_pi).check_jacobi()
+
+
+XY = VarSet(["x", "y"])
+XYZ = VarSet(["x", "y", "z"])
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: PoissonStructure(XY, [[0, parse_poly("x", XY)]]), NotPoisson, "square"),
+    (lambda: PoissonStructure(XY, [[0, parse_poly("x", XY)], [parse_poly("x", XY), 0]]),
+     NotPoisson, "skew-symmetric"),
+    (lambda: LinearPoissonStructure(
+        XY, structure_from_table({(1, 2): "x*y"}, XY).bracket_matrix),
+     NotPoisson, "linear"),
+    # {x, y} = y, {y, z} = x, {x, z} = 0: {z, {x, y}} = -x
+    (lambda: structure_from_table({(1, 2): "y", (2, 3): "x"}, XYZ).check_jacobi(),
+     NotPoisson, r"Jacobi identity fails on \(0, 1, 2\)"),
+    (lambda: WeylElt((1, 1)), NotPermutation, "not a permutation"),
+], ids=["non-square", "non-skew", "degree-2-entry", "jacobi", "weyl-non-permutation"])
+def test_malformed_input_raises_a_package_error(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestGenericRank:
