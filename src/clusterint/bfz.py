@@ -502,20 +502,10 @@ def kostant_cascade(n: int) -> CascadeData:
     return data
 
 
-def _mat_mul(a, b):
-    m = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), QQ0) for j in range(m)]
-        for i in range(m)
-    ]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+    a, b = PolyMatrix(a), PolyMatrix(b)
+    return [[x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip((a * b).entries, (b * a).entries)]
 
 
 def stabilizer_dimension(n: int) -> int:

@@ -379,19 +379,17 @@ def u_poly_matrix(n: int) -> PolyMatrix:
     )
 
 
-def krylov_columns(n: int, count: int):
-    """Columns u e_1, u^2 e_1, ..., u^count e_1."""
-    u = u_poly_matrix(n)
-    uv = u.entries[0][0].vars
-    col = [Poly.var(uv, f"u{i}1") for i in range(1, n + 1)]
+def krylov_columns(u_rows, count: int):
+    """Columns u e_1, u^2 e_1, ..., u^count e_1 of a square matrix given by
+    its rows, over any ring."""
+    if count == 0:
+        return []
+    col = [row[0] for row in u_rows]
     cols = [col]
     for _ in range(count - 1):
         col = [
-            sum(
-                (u.entries[i][k] * col[k] for k in range(n)),
-                Poly.zero(uv),
-            )
-            for i in range(n)
+            sum((row[k] * col[k] for k in range(1, len(col))), row[0] * col[0])
+            for row in u_rows
         ]
         cols.append(col)
     return cols
@@ -404,18 +402,19 @@ def lows_closed_form(n: int, p: int, i: int) -> Poly:
     if not (1 <= i <= n - 1 and 0 <= p <= n - 2):
         raise SizeOutOfRange(f"index (p, i) = ({p}, {i}) out of range for n={n}")
     uv = u_varset(n)
+    u = u_poly_matrix(n).entries
 
     def e_col(t):
         return [Poly.const(uv, 1) if r == t else Poly.zero(uv) for r in range(1, n + 1)]
 
     if i <= p + 1:
-        kry = krylov_columns(n, max(n - p - 1, 0)) if n - p - 1 > 0 else []
+        kry = krylov_columns(u, n - p - 1)
         cols = [e_col(t) for t in range(n - p + i, n + 1)]
         cols += [e_col(t) for t in range(i, 1, -1)]
         cols += [kry[t] for t in range(n - p - 2, -1, -1)]
         cols += [e_col(1)]
     else:
-        kry = krylov_columns(n, max(n - p - 2, 0)) if n - p - 2 > 0 else []
+        kry = krylov_columns(u, n - p - 2)
         cols = [e_col(t) for t in range(i - p, i + 1)]
         cols += [kry[t] for t in range(n - p - 3, -1, -1)]
         cols += [e_col(1)]
@@ -430,7 +429,7 @@ def lows_minor_sum(n: int, p: int, i: int) -> Poly:
     count = n - p - 1
     if count == 0:
         return Poly.const(u_varset(n), 1)
-    cols = krylov_columns(n, count)
+    cols = krylov_columns(u_poly_matrix(n).entries, count)
     rows = list(range(i + 1, n - p + i))
     return det(
         PolyMatrix([[cols[c][r - 1] for c in range(count)] for r in rows])
@@ -470,14 +469,8 @@ def _nested_minor_sum(u: PolyMatrix, rows) -> Poly:
 
 def F_map(u):
     """Columns u e_1, ..., u^n e_1 of a rational square matrix."""
-    n = len(u)
-    u = [[QQ(x) for x in row] for row in u]
-    col = [u[i][0] for i in range(n)]
-    cols = [col]
-    for _ in range(n - 1):
-        col = [sum((u[i][k] * col[k] for k in range(n)), QQ0) for i in range(n)]
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    cols = krylov_columns([[QQ(x) for x in row] for row in u], len(u))
+    return [list(row) for row in zip(*cols)]
 
 
 def F_inverse(f):
@@ -489,13 +482,10 @@ def F_inverse(f):
         [QQ1 if i == 0 else QQ0] + [f[i][j] for j in range(n - 1)] for i in range(n)
     ]
     try:
-        inv = inverse(PolyMatrix(ftilde)).entries
+        inv = inverse(PolyMatrix(ftilde))
     except SingularLocus:
         raise SingularLocus("the leading Krylov minor vanishes") from None
-    return [
-        [sum((f[i][k] * inv[k][j] for k in range(n)), QQ0) for j in range(n)]
-        for i in range(n)
-    ]
+    return (PolyMatrix(f) * inv).entries
 
 
 # -- checks and selection ----------------------------------------------------------------

@@ -68,7 +68,9 @@ class NotPermutation(ClusterIntError):
 
 
 class DimensionMismatch(ClusterIntError):
-    """Weights of different sizes were paired."""
+    """Objects of different sizes were paired: weights of different
+    ranks, or a system whose function count differs from its variable
+    count."""
 
 
 class NotReduced(ClusterIntError):

@@ -27,6 +27,7 @@ from itertools import combinations
 from .errors import (
     CountShortfall,
     DependentSystem,
+    DimensionMismatch,
     InequalityViolated,
     NotInvolutive,
     NotLogCanonical,
@@ -230,7 +231,8 @@ class LogCanonicalSystem:
     def build(pi: PoissonStructure, functions) -> "LogCanonicalSystem":
         fs = [_as_ratfun(f, pi.vars) for f in functions]
         if len(fs) != len(pi.vars):
-            raise ValueError("need as many functions as variables")
+            raise DimensionMismatch(
+                f"{len(fs)} functions for {len(pi.vars)} variables")
         n = len(fs)
         lam = [[QQ0] * n for _ in range(n)]
         for i in range(n):

@@ -37,7 +37,7 @@ from .polyring import (
     det,
     lowest_term,
 )
-from .rationals import QQ0, QQ1
+from .rationals import QQ0
 from .typea import (
     ReducedWord,
     elementary,
@@ -102,26 +102,33 @@ def _lambda_matrix(word: ReducedWord, m: int):
     return lam
 
 
-def _divide_by_factors(num: Poly, factors) -> Poly:
-    for f in factors:
-        if f.is_constant():
-            c = f.constant_value()
-            if c != 1:
-                num = num * (QQ1 / c)
-            continue
-        try:
-            num = num.exact_div(f)
-        except NotDivisible as exc:
-            raise NonPolynomialStructure(
-                "pulled-back bracket is not polynomial"
-            ) from exc
-    return num
+def _solve_lower(J, B) -> list:
+    """X with J X = B for a lower-triangular J, by forward substitution with
+    an exact division by J[j][j] at each row; raises NonPolynomialStructure
+    when a division leaves a remainder."""
+    X = []
+    for j, row in enumerate(B):
+        terms = [(J[j][i], X[i]) for i in range(j) if not J[j][i].is_zero()]
+        xrow = []
+        for k, acc in enumerate(row):
+            for c, xi in terms:
+                acc = acc - c * xi[k]
+            try:
+                xrow.append(acc.exact_div(J[j][j]))
+            except NotDivisible as exc:
+                raise NonPolynomialStructure(
+                    "pulled-back bracket is not polynomial"
+                ) from exc
+        X.append(xrow)
+    return X
 
 
 def _pullback_structure(phis, lam, vars: VarSet, diag) -> list:
     """Solve J P J^T = (lam_jk phi_j phi_k) for P, where J[j][a] = d phi_j/d z_a
     is lower triangular with J[k][k] = diag[k] (the predecessor polynomial).
-    Exact divisions only; P is returned as a dense list of Polys."""
+    Q = J^{-1} B = P J^T holds Q[j][k] = {z_j, phi_k}, polynomial whenever P
+    is, so both forward substitutions (J Q = B, then J P^T = Q^T) divide
+    exactly.  P is returned as a dense list of Polys."""
     l = len(phis)
     J = [[phis[j].derivative(vars.names[a]) for a in range(l)] for j in range(l)]
     for j in range(l):
@@ -132,40 +139,8 @@ def _pullback_structure(phis, lam, vars: VarSet, diag) -> list:
             raise NonPolynomialStructure("diagonal is not the predecessor")
 
     B = [[phis[j] * phis[k] * lam[j][k] for k in range(l)] for j in range(l)]
-
-    # Q = J^{-1} B, stored as q[j][k]/D_j with D_j = diag[0]*...*diag[j]
-    q = [[None] * l for _ in range(l)]
-    for j in range(l):
-        for k in range(l):
-            acc = B[j][k]
-            for t in range(j):
-                acc = acc * diag[t]  # B[j][k] * D_{j-1}
-            for i in range(j):
-                coef = J[j][i] * q[i][k]
-                for t in range(i + 1, j):
-                    coef = coef * diag[t]  # * D_{j-1}/D_i
-                acc = acc - coef
-            q[j][k] = acc
-
-    # P^T columns: J y = Q^T column c, i.e. y_j = P[c][j]
-    P = [[None] * l for _ in range(l)]
-    for c in range(l):
-        Dc_factors = diag[: c + 1]
-        y = [None] * l
-        for j in range(l):
-            acc = q[c][j]
-            if j:
-                s = Poly.zero(vars)
-                for i in range(j):
-                    if not J[j][i].is_zero() and not y[i].is_zero():
-                        s = s + J[j][i] * y[i]
-                if not s.is_zero():
-                    for f in Dc_factors:
-                        s = s * f
-                    acc = acc - s
-            y[j] = _divide_by_factors(acc, list(Dc_factors) + [diag[j]])
-        for j in range(l):
-            P[c][j] = y[j]
+    Q = _solve_lower(J, B)
+    P = [list(c) for c in zip(*_solve_lower(J, list(zip(*Q))))]
 
     for row in P:
         for x in row:

@@ -7,6 +7,7 @@ import pytest
 from clusterint.errors import (
     CountShortfall,
     DependentSystem,
+    DimensionMismatch,
     InequalityViolated,
     NotDivisible,
     NotInvolutive,
@@ -139,6 +140,10 @@ class TestLogCanonical:
         coords = [p6(f"z{i}") for i in range(1, 7)]
         with pytest.raises(NotLogCanonical, match=r"pair \(1, 4\)"):
             LogCanonicalSystem.build(sl4_pi, coords)
+
+    def test_system_rejects_a_function_count(self, sl4_pi, sl4_phis):
+        with pytest.raises(DimensionMismatch, match="5 functions for 6 variables"):
+            LogCanonicalSystem.build(sl4_pi, sl4_phis[:5])
 
 
 class TestLinearize:

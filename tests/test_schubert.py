@@ -19,7 +19,7 @@ from clusterint.poisson_core import (
 from clusterint.polyring import Poly, RatFun, lowest_term, parse_poly
 from clusterint.rationals import QQ
 from clusterint.schubert import (
-    _divide_by_factors,
+    _solve_lower,
     build_cell,
     choose_integrable_system,
     flow_structure_check,
@@ -105,7 +105,7 @@ class TestBuildCellSL4:
 
     def test_non_polynomial_pullback_rejected(self):
         with pytest.raises(NonPolynomialStructure) as info:
-            _divide_by_factors(p6("z1 + z2"), [p6("z1")])
+            _solve_lower([[p6("z1")]], [[p6("z1 + z2")]])
         assert isinstance(info.value.__cause__, NotDivisible)
 
 
@@ -167,7 +167,7 @@ class TestPfaffian:
 
 
 class TestSolidMinors:
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_standard_word(self, m):
         assert solid_minor_check(m)
 
@@ -175,6 +175,27 @@ class TestSolidMinors:
         cell = build_cell(3, [2, 1, 2])
         with pytest.raises(WrongWord):
             solid_minor_check(3, cell)
+
+
+class TestLongWord:
+    def test_m6(self):
+        cell = build_cell(6, longest_word(6))
+        assert index_and_magic(cell) == {
+            "d_w": 9,
+            "ind": 3,
+            "mag": 9,
+            "rank_check": True,
+        }
+        rep = choose_integrable_system(cell)
+        assert rep.involutive and rep.independent_count == rep.magic_number == 9
+
+    @pytest.mark.slow
+    def test_m7(self):
+        cell = build_cell(7, longest_word(7))
+        assert solid_minor_check(7, cell)
+        assert index_and_magic(cell)["ind"] == 3
+        rep = choose_integrable_system(cell)
+        assert rep.involutive and rep.independent_count == rep.magic_number == 12
 
 
 class TestFlowStructure:
