@@ -45,7 +45,6 @@ from .polyring import (
     jacobian,
     lowest_term,
     numeric_rank,
-    ratfun_reduced_by_factors,
 )
 from .rationals import QQ, QQ0, QQ1
 
@@ -268,20 +267,13 @@ def _system_jacobian_det(functions, vars) -> RatFun:
 
 
 def log_volume(functions, vars: VarSet) -> LogVolumeForm:
-    """mu = det(Jacobian)/prod(f_i).  The numerators and denominators of the
-    functions are cancelled by exact trial division before the generic gcd
-    reduction runs."""
-    d = _system_jacobian_det(functions, vars)
-    num, den = d.num, d.den
-    factors = []
+    """mu = det(Jacobian)/prod(f_i), divided by one function at a time:
+    each RatFun division cancels only the gcds of its operands' parts, so
+    the unreduced product of all the functions is never formed."""
+    mu = _system_jacobian_det(functions, vars)
     for f in functions:
-        f = _as_ratfun(f, vars)
-        num = num * f.den
-        den = den * f.num
-        for p in (f.num, f.den):
-            if not p.is_constant() and p not in factors:
-                factors.append(p)
-    return LogVolumeForm(ratfun_reduced_by_factors(num, den, factors))
+        mu = mu / f
+    return LogVolumeForm(mu)
 
 
 def pfaffian_coefficient(sys: LogCanonicalSystem) -> RatFun:

@@ -660,7 +660,25 @@ def _normalize_gcd(p: Poly) -> Poly:
 
 
 class RatFun:
-    """Reduced quotient of Polys; denominator is monic under graded-lex."""
+    """Quotient num/den of Polys in canonical form: num and den are coprime
+    and den has graded-lex leading coefficient 1 (den is 1 when num is 0).
+    The form is unique, so equal functions have equal pairs and strings.
+
+    ``RatFun(num, den)`` reduces any pair by one gcd; ``reduce=False``
+    takes a pair that is already canonical.  The field operations keep the
+    form by Henrici's rules (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1),
+    which take gcds of operand parts only, never of the unreduced result:
+
+    - a/b + c/d: with g = gcd(b, d), the sum is (a*d + c*b)/(b*d) when g is
+      1 (in particular when b or d is 1); otherwise t = a*(d/g) + c*(b/g),
+      g2 = gcd(t, g) and the sum is (t/g2) / ((b/g)*(d/g2));
+    - (a/b) * (c/d): only gcd(a, d) and gcd(c, b) cancel, and the quotient
+      is the product with the reciprocal d/c;
+    - d/dv (n/d): with g = gcd(d, d'), t = n'*(d/g) - n*(d'/g) and
+      g2 = gcd(t, d), it is (t/g2) / ((d/g2)*(d/g)); g2 collects the
+      factors of d free of v, which t may share;
+    - (a/b)**k = a**k / b**k, as powers of coprime polynomials are coprime.
+    """
 
     __slots__ = ("num", "den")
 
@@ -674,20 +692,16 @@ class RatFun:
         if num.is_zero():
             den = Poly.const(num.vars, 1)
         elif reduce:
-            if den.is_constant():
-                c = den.constant_value()
-                num = num * (QQ1 / c)
-                den = Poly.const(num.vars, 1)
-            else:
+            if not den.is_constant():
                 g = poly_gcd(num, den)
                 if not g.is_constant():
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-                _, lc = den.leading()
-                if lc != 1:
-                    inv = QQ1 / lc
-                    num = num * inv
-                    den = den * inv
+            _, lc = den.leading()
+            if lc != 1:
+                inv = QQ1 / lc
+                num = num * inv
+                den = den * inv
         self.num = num
         self.den = den
 
@@ -740,9 +754,20 @@ class RatFun:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_constant():
+            return RatFun(a * d + c, d, reduce=False)
+        if d.is_constant():
+            return RatFun(a + c * b, b, reduce=False)
+        g = b if b == d else poly_gcd(b, d)
+        if g.is_constant():
+            return RatFun(a * d + c * b, b * d, reduce=False)
+        b, d = b.exact_div(g), d.exact_div(g)
+        t = a * d + c * b
+        g2 = poly_gcd(t, g)
+        if not g2.is_constant():
+            t, g = t.exact_div(g2), g.exact_div(g2)
+        return RatFun(t, b * d * g, reduce=False)
 
     __radd__ = __add__
 
@@ -755,9 +780,28 @@ class RatFun:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
+    @staticmethod
+    def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFun":
+        """(a*c)/(b*d) in canonical form for coprime pairs (a, b) and
+        (c, d), with b and d nonzero: only gcd(a, d) and gcd(c, b) cancel."""
+        if not (a.is_constant() or d.is_constant()):
+            g = poly_gcd(a, d)
+            if not g.is_constant():
+                a, d = a.exact_div(g), d.exact_div(g)
+        if not (c.is_constant() or b.is_constant()):
+            g = poly_gcd(c, b)
+            if not g.is_constant():
+                c, b = c.exact_div(g), b.exact_div(g)
+        num, den = a * c, b * d
+        _, lc = den.leading()
+        if lc != 1:
+            inv = QQ1 / lc
+            num, den = num * inv, den * inv
+        return RatFun(num, den, reduce=False)
+
     def __mul__(self, other):
         other = self._coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        return RatFun._product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -765,15 +809,15 @@ class RatFun:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return RatFun._product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
-            return RatFun(self.den, self.num) ** (-k)
-        return RatFun(self.num**k, self.den**k)
+            return (1 / self) ** (-k)
+        return RatFun(self.num**k, self.den**k, reduce=False)
 
     def __eq__(self, other):
         if isinstance(other, (Poly, int)) or type(other) is type(QQ0):
@@ -791,11 +835,19 @@ class RatFun:
     # -- calculus / evaluation ----------------------------------------------------
 
     def derivative(self, name) -> "RatFun":
-        dn = self.num.derivative(name)
-        dd = self.den.derivative(name)
-        if dd.is_zero():
-            return RatFun(dn, self.den)
-        return RatFun(dn * self.den - self.num * dd, self.den * self.den)
+        n, d = self.num, self.den
+        dn = n.derivative(name)
+        if d.is_constant():
+            return RatFun(dn, d, reduce=False)
+        dd = d.derivative(name)
+        # gcd(d, 0) is d itself
+        g = d if dd.is_zero() else poly_gcd(d, dd)
+        dg = d.exact_div(g)
+        t = dn * dg - n * dd.exact_div(g)
+        g2 = poly_gcd(t, d)
+        if not g2.is_constant():
+            t, d = t.exact_div(g2), d.exact_div(g2)
+        return RatFun(t, d * dg, reduce=False)
 
     def evaluate(self, point):
         d = self.den.evaluate(point)

@@ -146,6 +146,24 @@ class TestLogVolumeInvariance:
         assert mu1 == mu0 or mu1 == -mu0
 
 
+# The modified log-volume of test_bfz_n2_modification, in canonical form;
+# sha256(json.dumps(BFZ_N2_MODIFIED_MU)) is the chart-modvol-n2 digest in
+# bench/golden.json.
+BFZ_N2_MODIFIED_MU = (
+    "(e2 + 1) / (b1*b2*b3*a1*a2*a3*e1*e2^2 - b2^2*a1^2*a3^2*e1^3 + "
+    "2*b1*b2*b3*a1*a2*a3*e1*e2 + b1*b2*b3*a1*a2*a3*e2^2 - "
+    "b1*b2*b3*a2^2*e1*e2^2 - 3*b2^2*a1^2*a3^2*e1^2 + "
+    "2*b2^2*a1*a2*a3*e1^3 - b2^2*a1*a2*a3*e1*e2^2 + "
+    "b1*b2*b3*a1*a2*a3*e1 + 2*b1*b2*b3*a1*a2*a3*e2 - "
+    "2*b1*b2*b3*a2^2*e1*e2 - b1*b2*b3*a2^2*e2^2 - 3*b2^2*a1^2*a3^2*e1 + "
+    "6*b2^2*a1*a2*a3*e1^2 - 2*b2^2*a1*a2*a3*e1*e2 - b2^2*a1*a2*a3*e2^2 "
+    "- b2^2*a2^2*e1^3 + b2^2*a2^2*e1*e2^2 + b1*b2*b3*a1*a2*a3 - "
+    "b1*b2*b3*a2^2*e1 - 2*b1*b2*b3*a2^2*e2 - b2^2*a1^2*a3^2 + "
+    "5*b2^2*a1*a2*a3*e1 - 2*b2^2*a1*a2*a3*e2 - 3*b2^2*a2^2*e1^2 + "
+    "2*b2^2*a2^2*e1*e2 + b2^2*a2^2*e2^2 - b1*b2*b3*a2^2 + b2^2*a1*a2*a3 "
+    "- 2*b2^2*a2^2*e1 + 2*b2^2*a2^2*e2)")
+
+
 class TestModifiedLogVolume:
     def test_identity_modification(self):
         s = coordinate_seed(3, [1], [[0], [1], [-1]])
@@ -194,6 +212,8 @@ class TestModifiedLogVolume:
         mod.monomials[g2_idx] = {g1_idx: 1, g2_idx: 1}
         mu = modified_log_volume(s, mod, chart.pi)
         assert mu.low_degree() == 3
+        # exact arithmetic: any change of algorithm keeps the canonical string
+        assert str(mu.coefficient) == BFZ_N2_MODIFIED_MU
 
     def test_bfz_n2_unmodified_degree_differs(self):
         # without the modification the volume degree overshoots l0

@@ -21,6 +21,7 @@ from clusterint.polyring import (
     VarSet,
     det,
     parse_poly,
+    poly_gcd,
     ratfun_reduced_by_factors,
 )
 from clusterint.rationals import QQ
@@ -105,12 +106,26 @@ def test_jet_product_is_the_truncated_product(f, g, data):
     assert to_sympy((g * Jet(f, D)).poly) == cut
 
 
+def assert_canonical(r: RatFun, num: Poly, den: Poly):
+    """r has exactly the pair of RatFun(num, den), which is sympy's reduced
+    form of num/den scaled to a denominator with leading coefficient 1."""
+    canonical = RatFun(num, den)
+    assert (r.num, r.den) == (canonical.num, canonical.den)
+    p, q = to_sympy(num).cancel(to_sympy(den), include=True)
+    lc = q.LC(order="grlex")
+    assert to_sympy(r.num) == p.quo_ground(lc)
+    assert to_sympy(r.den) == q.quo_ground(lc)
+
+
 # poly_gcd, which RatFun(num, den) runs on the unreduced pair, slows down
 # sharply with degree (its primitive remainder sequence finds every content
 # by nested gcds), so the cofactors and factors here are multilinear
-@given(polys(3, 1).filter(bool), polys(3, 1).filter(bool), st.lists(
-    st.tuples(polys(3, 1).filter(lambda p: not p.is_constant()),
-              st.integers(0, 2), st.integers(0, 2)),
+multilinear = polys(3, 1)
+nonconstant = multilinear.filter(lambda p: not p.is_constant())
+
+
+@given(multilinear.filter(bool), multilinear.filter(bool), st.lists(
+    st.tuples(nonconstant, st.integers(0, 2), st.integers(0, 2)),
     min_size=1, max_size=2))
 def test_trial_division_gives_the_canonical_ratfun(a, b, factors):
     num, den = a, b
@@ -118,14 +133,68 @@ def test_trial_division_gives_the_canonical_ratfun(a, b, factors):
         num = num * f**i
         den = den * f**j
     fs = [f for f, _, _ in factors]
-    reduced = ratfun_reduced_by_factors(num, den, fs)
-    canonical = RatFun(num, den)
-    assert (reduced.num, reduced.den) == (canonical.num, canonical.den)
-    # sympy's reduced form, scaled to a denominator with leading coefficient 1
-    p, q = to_sympy(num).cancel(to_sympy(den), include=True)
-    lc = q.LC(order="grlex")
-    assert to_sympy(canonical.num) == p.quo_ground(lc)
-    assert to_sympy(canonical.den) == q.quo_ground(lc)
+    assert_canonical(ratfun_reduced_by_factors(num, den, fs), num, den)
+
+
+@st.composite
+def ratfun_pairs(draw, max_factors=2):
+    """Two reduced RatFuns whose parts are multilinear cofactors times
+    powers of shared factors, so that sums, products and quotients cancel."""
+    fs = draw(st.lists(nonconstant, min_size=1, max_size=max_factors))
+
+    def operand():
+        num, den = draw(multilinear), draw(multilinear.filter(bool))
+        for f in fs:
+            num = num * f ** draw(st.integers(0, 1))
+            den = den * f ** draw(st.integers(0, 1))
+        return RatFun(num, den)
+
+    return operand(), operand()
+
+
+@given(ratfun_pairs(), st.integers(-2, 2))
+def test_ratfun_field_operations_are_canonical(pair, k):
+    r, s = pair
+    a, b, c, d = r.num, r.den, s.num, s.den
+    assert_canonical(r + s, a * d + c * b, b * d)
+    assert_canonical(r - s, a * d - c * b, b * d)
+    assert_canonical(r * s, a * c, b * d)
+    if c:
+        assert_canonical(r / s, a * d, b * c)
+    if k >= 0:
+        assert_canonical(r**k, a**k, b**k)
+    elif a:
+        assert_canonical(r**k, b ** -k, a ** -k)
+
+
+# one shared factor: the unreduced d*d doubles every exponent of d
+@given(ratfun_pairs(max_factors=1))
+def test_ratfun_derivative_is_canonical(pair):
+    for r in pair:
+        n, d = r.num, r.den
+        for v in X3.names:
+            assert_canonical(r.derivative(v),
+                             n.derivative(v) * d - n * d.derivative(v), d * d)
+
+
+def random_multilinear(rng):
+    """One to three terms with exponents 0 or 1 in each of x, y, z."""
+    return Poly(X3, {tuple(rng.randint(0, 1) for _ in range(3)):
+                     QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gcd_agrees_with_sympy(seed):
+    rng = random.Random(seed)
+    common = random_multilinear(rng) * random_multilinear(rng)
+    f = random_multilinear(rng) * common
+    g = random_multilinear(rng) * random_multilinear(rng) * common
+    got = poly_gcd(f, g)
+    assert got.leading()[1] == 1
+    # equal up to a nonzero constant
+    q, r = sympy.div(to_sympy(got), sympy.gcd(to_sympy(f), to_sympy(g)))
+    assert r.is_zero and q.is_ground and not q.is_zero
 
 
 @given(polys(8))

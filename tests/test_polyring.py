@@ -308,6 +308,36 @@ class TestGcdDivision:
             RatFun(p6("z2"), p6("z1")).evaluate([0, 1, 0, 0, 0, 0])
 
 
+class TestRatFunArithmetic:
+    X2 = VarSet(["x", "y"])
+
+    def r(self, num, den):
+        return RatFun(parse_poly(num, self.X2), parse_poly(den, self.X2))
+
+    def pair(self, f):
+        return str(f.num), str(f.den)
+
+    def test_derivative_cancels_a_factor_free_of_the_variable(self):
+        # gcd(y, d/dx y) is y, so t = d/dx (x*y + 1) = y; only the second
+        # gcd, gcd(t, y), finds that y cancels
+        assert self.pair(self.r("x*y + 1", "y").derivative("x")) == ("1", "1")
+
+    def test_sum_cancels_a_factor_of_the_denominators_gcd(self):
+        # g = gcd(b, d) = x, and t = (x - 1) + (x + 1) = 2*x shares it
+        s = self.r("1", "x^2 + x") + self.r("1", "x^2 - x")
+        assert self.pair(s) == ("2", "x^2 - 1")
+
+    def test_quotient_by_a_numerator_with_leading_coefficient_2(self):
+        assert self.pair(self.r("x", "1") / self.r("2*y", "x")) == ("1/2*x^2", "y")
+
+    def test_negative_power(self):
+        assert self.pair(self.r("2*x", "y") ** -2) == ("1/4*y^2", "x^2")
+
+    def test_sum_over_a_constant_denominator(self):
+        assert self.pair(self.r("x", "2") + self.r("1", "y")) == (
+            "1/2*x*y + 1", "y")
+
+
 class TestJet:
     def test_truncating_product(self):
         j = Jet(p6("z1 + z2"), 2)
