@@ -20,7 +20,8 @@ class EvaluationSingular(ClusterIntError):
 
 
 class BadTruncation(ClusterIntError):
-    """Truncation order below the minimum."""
+    """Truncation order below the minimum, or jets of different orders
+    combined."""
 
 
 class NotDivisible(ClusterIntError):
@@ -34,7 +35,8 @@ class NotPoisson(ClusterIntError):
 
 
 class NotVanishing(ClusterIntError):
-    """The structure does not vanish at the requested base point."""
+    """The structure does not vanish at the requested base point, or an
+    entry of a matrix exponentiated as a jet has a constant term."""
 
 
 class NotRegular(ClusterIntError):
@@ -69,8 +71,9 @@ class NotPermutation(ClusterIntError):
 
 class DimensionMismatch(ClusterIntError):
     """Objects of different sizes were paired: weights of different
-    ranks, or a system whose function count differs from its variable
-    count."""
+    ranks, a system whose function count differs from its variable
+    count, matrices of incompatible shapes, or rows of different
+    lengths."""
 
 
 class NotReduced(ClusterIntError):

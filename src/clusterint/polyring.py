@@ -7,9 +7,11 @@ coefficients; ``Poly._trusted`` skips that filter and is used only for
 results whose every coefficient is already known to be nonzero (sums,
 negations and products, which delete cancelled terms as they go, and
 quotients of exact division).  One product kernel, ``_mul_terms``, serves
-Poly and Jet alike: a Jet is a Poly whose products pass a degree cap to the
-kernel, which then pairs each term only with the terms of the other factor
-that keep the product within the cap.  There is one determinant, a Laplace
+Poly and Jet alike; it runs on integer numerators over one common
+denominator per factor (Monagan and Pearce, "Sparse polynomial
+multiplication and division in Maple 14", 2010).  A Jet is a Poly whose
+products pass a degree cap to the kernel, which then pairs each term only
+with the terms of the other factor that keep the product within the cap.  There is one determinant, a Laplace
 expansion over row prefixes that computes each minor once.  Exact division
 keeps its remainder as one dict updated in place and takes each next
 leading term from a heap of graded-lex keys (Johnson 1974; Monagan and
@@ -26,17 +28,20 @@ import operator
 import re
 from bisect import bisect_right
 from functools import reduce
+from math import lcm
 
 from .errors import (
     BadTruncation,
+    DimensionMismatch,
     EvaluationSingular,
     NonSquare,
     NotDivisible,
+    NotVanishing,
     SingularLocus,
     TruncationInsufficient,
     ZeroInput,
 )
-from .rationals import QQ0, QQ1, qq, qq_str, random_rational
+from .rationals import QQ, QQ0, QQ1, qq, qq_str, random_rational
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -81,20 +86,35 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
+def _int_row(terms: dict):
+    """The terms of a factor as (exponent, integer numerator) pairs over the
+    lcm of its denominators, and that lcm."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+
+
 def _mul_terms(a: dict, b: dict, cap=None) -> dict:
     """Product of two term dicts, deleting terms that cancel; with ``cap``,
-    only its terms of total degree <= cap.  With a cap, the larger factor's
-    terms are sorted by degree once, and each term of the smaller factor
-    runs only over the prefix that keeps the product within the cap."""
+    only its terms of total degree <= cap.  Each factor is first brought to
+    integer numerators over one common denominator, so the pair loop adds
+    Python ints and each output coefficient is built once, as a rational
+    over the product of the two denominators; scaling by that positive
+    constant leaves the same sums zero, so the keys and their order are
+    those of the loop on rationals.  With a cap, the larger factor's terms
+    are sorted by degree once, and each term of the smaller factor runs
+    only over the prefix that keeps the product within the cap."""
     if len(a) > len(b):
         a, b = b, a
-    row = list(b.items())
+    col, da = _int_row(a)
+    row, db = _int_row(b)
     if cap is not None:
         row.sort(key=lambda t: sum(t[0]))
         degs = [sum(e) for e, _ in row]
     add = operator.add
     out = {}
-    for e1, c1 in a.items():
+    for e1, c1 in col:
         for e2, c2 in (row if cap is None else row[:bisect_right(degs, cap - sum(e1))]):
             key = tuple(map(add, e1, e2))
             s = out.get(key)
@@ -106,7 +126,10 @@ def _mul_terms(a: dict, b: dict, cap=None) -> dict:
                     del out[key]
                 else:
                     out[key] = s
-    return out
+    den = da * db
+    if den == 1:
+        return {e: QQ(s) for e, s in out.items()}
+    return {e: QQ(s, den) for e, s in out.items()}
 
 
 class Poly:
@@ -923,7 +946,9 @@ def _sign_canonical(p: Poly) -> Poly:
 
 class Jet:
     """A polynomial truncated at total degree ``order``; products drop
-    everything above the order."""
+    everything above the order.  The constructor drops the terms of its Poly
+    above the order; sums, negations, scalar multiples and capped products
+    of Jets already lie within it and are wrapped by ``Jet._trusted``."""
 
     __slots__ = ("poly", "order")
 
@@ -934,6 +959,15 @@ class Jet:
         self.poly = Poly._trusted(
             poly.vars, {e: c for e, c in poly.terms.items() if sum(e) <= order}
         )
+
+    @classmethod
+    def _trusted(cls, poly: Poly, order: int) -> "Jet":
+        """A Jet over ``poly`` as given: the caller guarantees that no term
+        of ``poly`` lies above the order."""
+        j = cls.__new__(cls)
+        j.order = order
+        j.poly = poly
+        return j
 
     @staticmethod
     def const(vars: VarSet, c, order: int) -> "Jet":
@@ -949,7 +983,7 @@ class Jet:
     def _coerce(self, other):
         if isinstance(other, Jet):
             if other.order != self.order:
-                raise ValueError("jet orders differ")
+                raise BadTruncation("jet orders differ")
             return other
         if isinstance(other, Poly):
             return Jet(other, self.order)
@@ -957,12 +991,12 @@ class Jet:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Jet(self.poly + other.poly, self.order)
+        return Jet._trusted(self.poly + other.poly, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.poly, self.order)
+        return Jet._trusted(-self.poly, self.order)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -972,12 +1006,12 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, (Jet, Poly)):
-            return Jet(self.poly * other, self.order)
+            return Jet._trusted(self.poly * other, self.order)
         other = self._coerce(other).poly
         if other.vars != self.vars:
             raise ValueError("mixed variable sets")
         terms = _mul_terms(self.poly.terms, other.terms, self.order)
-        return Jet(Poly._trusted(self.vars, terms), self.order)
+        return Jet._trusted(Poly._trusted(self.vars, terms), self.order)
 
     __rmul__ = __mul__
 
@@ -1031,7 +1065,7 @@ class PolyMatrix:
         self.cols = len(self.entries[0]) if self.rows else 0
         for row in self.entries:
             if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+                raise DimensionMismatch("ragged matrix")
 
     @staticmethod
     def identity(vars: VarSet, n: int) -> "PolyMatrix":
@@ -1052,7 +1086,7 @@ class PolyMatrix:
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
-            raise ValueError("shape mismatch")
+            raise DimensionMismatch("shape mismatch")
         out = []
         for i in range(self.rows):
             row = []
@@ -1067,7 +1101,7 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+            raise DimensionMismatch("shape mismatch")
         return PolyMatrix(
             [
                 [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
@@ -1271,7 +1305,7 @@ def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:
     for row in x.entries:
         for entry in row:
             if not entry.is_zero() and entry.constant_value() != 0:
-                raise ValueError("entries must have zero constant term")
+                raise NotVanishing("entries must have zero constant term")
             vars = entry.vars
     xj = x.map(lambda p: Jet(p, order))
     result = power = PolyMatrix.identity(vars, x.rows).map(lambda p: Jet(p, order))

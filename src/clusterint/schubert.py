@@ -24,7 +24,6 @@ from .poisson_core import (
     PoissonStructure,
     certify,
     generic_rank,
-    is_log_canonical,
     linearize,
     pfaffian_coefficient,
 )
@@ -123,14 +122,13 @@ def _solve_lower(J, B) -> list:
     return X
 
 
-def _pullback_structure(phis, lam, vars: VarSet, diag) -> list:
+def _pullback_structure(J, phis, lam, diag) -> list:
     """Solve J P J^T = (lam_jk phi_j phi_k) for P, where J[j][a] = d phi_j/d z_a
-    is lower triangular with J[k][k] = diag[k] (the predecessor polynomial).
+    must be lower triangular with J[k][k] = diag[k] (the predecessor polynomial).
     Q = J^{-1} B = P J^T holds Q[j][k] = {z_j, phi_k}, polynomial whenever P
     is, so both forward substitutions (J Q = B, then J P^T = Q^T) divide
     exactly.  P is returned as a dense list of Polys."""
     l = len(phis)
-    J = [[phis[j].derivative(vars.names[a]) for a in range(l)] for j in range(l)]
     for j in range(l):
         for a in range(j + 1, l):
             if not J[j][a].is_zero():
@@ -169,11 +167,19 @@ def build_cell(m: int, word) -> SchubertCell:
         phis[kminus[k] - 1] if kminus[k] else Poly.const(vars, 1)
         for k in range(1, l + 1)
     ]
-    P = _pullback_structure(phis, lam, vars, diag)
+    J = [[phi.derivative(nm) for nm in vars.names] for phi in phis]
+    P = _pullback_structure(J, phis, lam, diag)
     pi_z = PoissonStructure(vars, P)
-    for j in range(l):
-        for k in range(j + 1, l):
-            if is_log_canonical(pi_z, phis[j], phis[k]) != lam[j][k]:
+    # {phi_j, phi_k} = sum_a J[j][a] {z_a, phi_k}: one Hamiltonian field of
+    # the returned P per k serves every pair j < k
+    for k in range(1, l):
+        field = [x.as_poly() for x in pi_z.hamiltonian_field(phis[k])]
+        for j in range(k):
+            br = Poly.zero(vars)
+            for d, x in zip(J[j], field):
+                if not d.is_zero() and not x.is_zero():
+                    br = br + d * x
+            if br != phis[j] * phis[k] * lam[j][k]:
                 raise NonPolynomialStructure(
                     f"bracket of pair ({j + 1},{k + 1}) is not the expected multiple"
                 )

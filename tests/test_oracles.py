@@ -6,7 +6,10 @@ sympy's sparse polynomials over QQ are an implementation independent of
 uses on exponent tuples.
 """
 
+import operator
 import random
+from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -19,6 +22,7 @@ from clusterint.polyring import (
     PolyMatrix,
     RatFun,
     VarSet,
+    _mul_terms,
     det,
     parse_poly,
     poly_gcd,
@@ -104,6 +108,61 @@ def test_jet_product_is_the_truncated_product(f, g, data):
     assert to_sympy((Jet(f, D) * Jet(g, D)).poly) == cut
     assert to_sympy((Jet(f, D) * g).poly) == cut
     assert to_sympy((g * Jet(f, D)).poly) == cut
+
+
+def rational_mul_terms(a: dict, b: dict, cap=None) -> dict:
+    """The product loop with every sum taken on Fractions: the same pairs in
+    the same order as ``_mul_terms``, without its integer numerators."""
+    if len(a) > len(b):
+        a, b = b, a
+    row = list(b.items())
+    if cap is not None:
+        row.sort(key=lambda t: sum(t[0]))
+        degs = [sum(e) for e, _ in row]
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in (row if cap is None else row[:bisect_right(degs, cap - sum(e1))]):
+            key = tuple(map(operator.add, e1, e2))
+            s = out.get(key)
+            if s is None:
+                out[key] = Fraction(c1) * Fraction(c2)
+            else:
+                s = s + Fraction(c1) * Fraction(c2)
+                if s == 0:
+                    del out[key]
+                else:
+                    out[key] = s
+    return out
+
+
+X, Y = Poly.var(X3, "x"), Poly.var(X3, "y")
+
+
+@given(polys(), polys(), coefficients, st.sampled_from([None, 0, 1, 2, 3, 5]))
+def test_mul_terms_is_the_rational_loop(f, g, c, cap):
+    # (x + y)(x - y) cancels its cross terms, and so does each product with
+    # a common factor; coefficients have denominators 1 to 4
+    pairs = [(f, g), ((X + Y) * c, X - Y), ((X + Y) * f * c, (X - Y) * f),
+             ((X - Y) * g, (X + Y) * g * c)]
+    for a, b in pairs:
+        out = _mul_terms(a.terms, b.terms, cap)
+        assert list(out.items()) == list(rational_mul_terms(a.terms, b.terms, cap).items())
+        assert all(type(v) is QQ for v in out.values())
+
+
+@given(polys(), polys(), st.integers(0, 6))
+def test_jet_results_stay_within_the_order(f, g, order):
+    a, b = Jet(f, order), Jet(g, order)
+    results = {
+        "sum": (a + b, f + g), "difference": (a - b, f - g), "negation": (-a, -f),
+        "product": (a * b, f * g), "jet times poly": (a * g, f * g),
+        "poly times jet": (g * a, f * g), "scalar multiple": (a * QQ(3, 2), f * QQ(3, 2)),
+        "poly plus jet": (g + a, f + g),
+    }
+    for name, (jet, poly) in results.items():
+        assert jet.order == order, name
+        assert all(sum(e) <= order for e in jet.poly.terms), name
+        assert jet == Jet(poly, order), name
 
 
 def assert_canonical(r: RatFun, num: Poly, den: Poly):

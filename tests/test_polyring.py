@@ -4,9 +4,11 @@ import pytest
 
 from clusterint.errors import (
     BadTruncation,
+    DimensionMismatch,
     EvaluationSingular,
     NonSquare,
     NotDivisible,
+    NotVanishing,
     SingularLocus,
     TruncationInsufficient,
     ZeroInput,
@@ -230,6 +232,11 @@ class TestTruncatedExp:
         with pytest.raises(BadTruncation):
             truncated_exp(x, 0)
 
+    def test_constant_term_raises(self):
+        x = PolyMatrix([[p6("z1 + 1")]])
+        with pytest.raises(NotVanishing, match="zero constant term"):
+            truncated_exp(x, 2)
+
 
 class TestCanonicalText:
     def test_example_format(self):
@@ -350,6 +357,26 @@ class TestJet:
         j = Jet(p6("z1 + z2"), 2)
         with pytest.raises(ValueError, match="mixed variable sets"):
             j * Jet(parse_poly("z1", VarSet(["z1", "z2"])), 2)
+
+    def test_orders_differ(self):
+        with pytest.raises(BadTruncation, match="jet orders differ"):
+            Jet(p6("z1"), 2) + Jet(p6("z2"), 3)
+
+
+class TestPolyMatrixShape:
+    def test_ragged(self):
+        with pytest.raises(DimensionMismatch, match="ragged matrix"):
+            PolyMatrix([[p6("z1"), p6("z2")], [p6("z3")]])
+
+    def test_product_shape_mismatch(self):
+        a = PolyMatrix([[p6("z1"), p6("z2")]])
+        with pytest.raises(DimensionMismatch, match="shape mismatch"):
+            a * a
+
+    def test_sum_shape_mismatch(self):
+        a = PolyMatrix([[p6("z1"), p6("z2")]])
+        with pytest.raises(DimensionMismatch, match="shape mismatch"):
+            a + PolyMatrix([[p6("z1")], [p6("z2")]])
 
 
 class TestEscalate:

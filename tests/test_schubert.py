@@ -17,6 +17,7 @@ from clusterint.poisson_core import (
     is_log_canonical,
 )
 from clusterint.polyring import Poly, RatFun, lowest_term, parse_poly
+from clusterint import schubert
 from clusterint.rationals import QQ
 from clusterint.schubert import (
     _solve_lower,
@@ -107,6 +108,22 @@ class TestBuildCellSL4:
         with pytest.raises(NonPolynomialStructure) as info:
             _solve_lower([[p6("z1")]], [[p6("z1 + z2")]])
         assert isinstance(info.value.__cause__, NotDivisible)
+
+    def test_wrong_structure_rejected(self, monkeypatch):
+        # a skew term added to one pair of entries after the solves: the pair
+        # check runs on the returned P, so it must refuse it
+        solve = schubert._pullback_structure
+
+        def skewed(J, phis, lam, diag):
+            P = solve(J, phis, lam, diag)
+            z1z2 = parse_poly("z1*z2", phis[0].vars)
+            P[0][1] = P[0][1] + z1z2
+            P[1][0] = P[1][0] - z1z2
+            return P
+
+        monkeypatch.setattr(schubert, "_pullback_structure", skewed)
+        with pytest.raises(NonPolynomialStructure, match=r"pair \(\d,\d\)"):
+            build_cell(3, longest_word(3))
 
 
 class TestChoose:
