@@ -28,6 +28,22 @@ class NotDivisible(ClusterIntError):
     """Exact polynomial division left a remainder."""
 
 
+class BadVariableNames(ClusterIntError):
+    """A variable list is empty, repeats a name or has a non-identifier."""
+
+
+class MixedVariables(ClusterIntError):
+    """Two objects over different variable sets were combined."""
+
+
+class NegativePower(ClusterIntError):
+    """A polynomial was raised to a negative power."""
+
+
+class PolySyntaxError(ClusterIntError):
+    """Text is not a polynomial in the canonical format over the variables."""
+
+
 # -- Poisson layer ----------------------------------------------------------
 
 class NotPoisson(ClusterIntError):

@@ -32,11 +32,15 @@ from math import lcm
 
 from .errors import (
     BadTruncation,
+    BadVariableNames,
     DimensionMismatch,
     EvaluationSingular,
+    MixedVariables,
+    NegativePower,
     NonSquare,
     NotDivisible,
     NotVanishing,
+    PolySyntaxError,
     SingularLocus,
     TruncationInsufficient,
     ZeroInput,
@@ -44,6 +48,9 @@ from .errors import (
 from .rationals import QQ, QQ0, QQ1, qq, qq_str, random_rational
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a factor of a term: a variable with an optional power, or a rational number
+_FACTOR_RE = re.compile(
+    rf"({_NAME_RE.pattern})(?:\^([0-9]+))?|([0-9]+(?:/[0-9]*[1-9][0-9]*)?)")
 
 
 class VarSet:
@@ -55,12 +62,12 @@ class VarSet:
     def __init__(self, names):
         names = tuple(names)
         if not names:
-            raise ValueError("variable list must be nonempty")
+            raise BadVariableNames("variable list must be nonempty")
         if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
+            raise BadVariableNames("duplicate variable names")
         for nm in names:
             if not _NAME_RE.fullmatch(nm):
-                raise ValueError(f"bad variable name {nm!r}")
+                raise BadVariableNames(f"bad variable name {nm!r}")
         self.names = names
         self.index = {nm: i for i, nm in enumerate(names)}
 
@@ -192,7 +199,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.vars != self.vars:
-                raise ValueError("mixed variable sets")
+                raise MixedVariables("mixed variable sets")
             return other
         return Poly.const(self.vars, other)
 
@@ -231,7 +238,7 @@ class Poly:
                 return Poly(self.vars)
             return Poly._trusted(self.vars, {e: c * v for e, v in self.terms.items()})
         if other.vars != self.vars:
-            raise ValueError("mixed variable sets")
+            raise MixedVariables("mixed variable sets")
         return Poly._trusted(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -248,7 +255,7 @@ class Poly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of a Poly")
+            raise NegativePower("negative power of a Poly")
         result = Poly.const(self.vars, 1)
         base = self
         while k:
@@ -411,7 +418,7 @@ class Poly:
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if g.vars != self.vars:
-            raise ValueError("mixed variable sets")
+            raise MixedVariables("mixed variable sets")
         if g.is_constant():
             c = g.constant_value()
             return Poly(self.vars, {e: v / c for e, v in self.terms.items()})
@@ -530,26 +537,23 @@ def parse_poly(text: str, vars: VarSet) -> Poly:
             sign = -QQ1
             chunk = chunk[1:].strip()
         if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
+            raise PolySyntaxError(f"dangling sign in {text!r}")
         coeff = QQ1
         exp = [0] * len(vars)
         for factor in chunk.split("*"):
             factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {text!r}")
-            base = factor.split("^")[0]
-            if _NAME_RE.fullmatch(base):
-                if base not in vars.index:
-                    raise ValueError(
-                        f"unknown variable {base!r} in {text!r}; "
-                        f"the variables are {', '.join(vars.names)}")
-                if "^" in factor:
-                    nm, k = factor.split("^")
-                    exp[vars.index[nm]] += int(k)
-                else:
-                    exp[vars.index[factor]] += 1
+            m = _FACTOR_RE.fullmatch(factor)
+            if not m:
+                raise PolySyntaxError(f"bad factor {factor!r} in {text!r}")
+            name, k, number = m.groups()
+            if number:
+                coeff = coeff * qq(number)
+            elif name not in vars.index:
+                raise PolySyntaxError(
+                    f"unknown variable {name!r} in {text!r}; "
+                    f"the variables are {', '.join(vars.names)}")
             else:
-                coeff = coeff * qq(factor)
+                exp[vars.index[name]] += int(k or 1)
         term = Poly(vars, {tuple(exp): sign * coeff})
         result = result + term
     return result
@@ -623,7 +627,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """gcd over Q[vars], normalized with graded-lex-positive leading
     coefficient 1 on its primitive scale (constant gcds are 1)."""
     if f.vars != g.vars:
-        raise ValueError("mixed variable sets")
+        raise MixedVariables("mixed variable sets")
     vars = f.vars
     if f.is_zero():
         return _normalize_gcd(g)
@@ -711,7 +715,7 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.vars != den.vars:
-            raise ValueError("mixed variable sets")
+            raise MixedVariables("mixed variable sets")
         if num.is_zero():
             den = Poly.const(num.vars, 1)
         elif reduce:
@@ -1009,7 +1013,7 @@ class Jet:
             return Jet._trusted(self.poly * other, self.order)
         other = self._coerce(other).poly
         if other.vars != self.vars:
-            raise ValueError("mixed variable sets")
+            raise MixedVariables("mixed variable sets")
         terms = _mul_terms(self.poly.terms, other.terms, self.order)
         return Jet._trusted(Poly._trusted(self.vars, terms), self.order)
 
@@ -1025,16 +1029,18 @@ class Jet:
 
 
 def jet_lowest_term(j: Jet):
-    """Exact lowest term of the function a jet truncates, provided the jet is
-    nonzero and its degree is below the jet order, so that one more doubling
-    could not reveal anything lower."""
+    """(lowest term, its degree) of the function a jet truncates, or None
+    for a zero jet.  A jet is exact through total degree ``order``:
+    ``truncated_exp`` drops only the powers X^k with k > order, whose terms
+    have degree > order, and capped products, sums and scalar multiples of
+    jets exact through the order stay exact through it.  A Jet holds no
+    term above its order, so the lowest term of a nonzero jet, of degree
+    d <= order, is the function's own; a zero jet leaves it above the
+    order."""
     if j.is_zero():
         return None
     low = j.poly.lowest()
-    d = low.min_degree()
-    if d >= j.order:
-        return None
-    return low, d
+    return low, low.min_degree()
 
 
 def escalate(attempt, order: int, cap: int):

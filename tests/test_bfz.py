@@ -3,6 +3,7 @@ import pytest
 from clusterint.bfz import (
     BFZCluster,
     DoubleWord,
+    _build_at_order,
     bfz_chart,
     build_bfz,
     choose_integrable_system_bfz,
@@ -33,6 +34,11 @@ def c2():
 @pytest.fixture(scope="module")
 def c3():
     return build_bfz(3)
+
+
+@pytest.fixture(scope="module")
+def c4():
+    return build_bfz(4)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +80,10 @@ class TestGexp:
     def test_n3(self, c3):
         assert gexp_check(3, c3)
 
+    def test_n4(self, c4):
+        assert c4.order == 5
+        assert gexp_check(4, c4)
+
     def test_wrong_word(self):
         # a different reduced word of the longest element is rejected
         other = ReducedWord([2, 1, 2], 3)
@@ -96,6 +106,11 @@ class TestChoose:
     def test_n3(self, c3):
         rep = choose_integrable_system_bfz(c3)
         assert rep.independent_count == rep.magic_number == 9
+        assert rep.involutive
+
+    def test_n4(self, c4):
+        rep = choose_integrable_system_bfz(c4)
+        assert rep.independent_count == rep.magic_number == 14
         assert rep.involutive
 
 
@@ -131,9 +146,12 @@ class TestDualStructure:
 
 
 class TestDegreeIdentities:
+    # a product f_i g_i has degree deg f_i + deg g_i, and a difference of
+    # two products one more; the largest, f_2 g_2 at n=3 (two 2x2 minors),
+    # has degree 4, above the cluster's own order 3
     @pytest.mark.parametrize("n", [2, 3])
-    def test_product_lows_match_and_jump(self, n, c2, c3):
-        c = {2: c2, 3: c3}[n]
+    def test_product_lows_match_and_jump(self, n):
+        c = _build_at_order(n, standard_double_word(n), {2: 3, 3: 4}[n])
         for i in range(1, n + 1):
             istar = n + 1 - i
             fg = c.fs[i - 1] * c.g(i)

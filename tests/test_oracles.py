@@ -1,5 +1,6 @@
 """The polynomial kernel against sympy, on polynomials drawn by hypothesis
-and on matrices from a seeded generator.
+and on matrices from a seeded generator; the jet orders of the BFZ and
+dual GL families against the degrees of their closed-form lowest terms.
 
 sympy's sparse polynomials over QQ are an implementation independent of
 ``polyring``; its graded-lex order on (x, y, z) is the one ``polyring``
@@ -15,6 +16,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
 
+from clusterint.bfz import _build_at_order, gexp_formulas, gexp_order, standard_double_word
+from clusterint.dualgl import _jet_lows_at, build_staircase, lows_closed_form, lows_order
 from clusterint.errors import NotDivisible
 from clusterint.polyring import (
     Jet,
@@ -24,6 +27,7 @@ from clusterint.polyring import (
     VarSet,
     _mul_terms,
     det,
+    jet_lowest_term,
     parse_poly,
     poly_gcd,
     ratfun_reduced_by_factors,
@@ -163,6 +167,51 @@ def test_jet_results_stay_within_the_order(f, g, order):
         assert jet.order == order, name
         assert all(sum(e) <= order for e in jet.poly.terms), name
         assert jet == Jet(poly, order), name
+
+
+@given(polys())
+def test_jet_lowest_term_is_exact_through_the_order(f):
+    # the lowest homogeneous part of f, from sympy's terms
+    terms = to_sympy(f).as_dict()
+    d = min(map(sum, terms), default=None)
+    for order in range(10):
+        got = jet_lowest_term(Jet(f, order))
+        if d is None or d > order:
+            assert got is None
+        else:
+            low = {e: c for e, c in terms.items() if sum(e) == d}
+            assert (to_sympy(got[0]).as_dict(), got[1]) == (low, d)
+            assert got == (f.lowest(), f.min_degree())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bfz_jet_order_is_the_closed_form_degree(n):
+    forms = gexp_formulas(n)
+    lows = [*forms["cluster"], *forms["f"].values(), *forms["g"].values(),
+            *forms["gprime"].values()]
+    D = gexp_order(n)
+    assert D == max(p.total_degree() for p in lows)
+    assert _build_at_order(n, standard_double_word(n), D - 1) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dualgl_jet_order_is_the_closed_form_degree(n):
+    phis = [lows_closed_form(n, p, i) for p in range(n - 1) for i in range(1, n)]
+    D = lows_order(n)
+    # cbar_0, the determinant of u, has degree n
+    assert D == max([n] + [p.total_degree() for p in phis])
+    assert _jet_lows_at(build_staircase(n), D - 1) is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lows_at_the_closed_form_order_are_final(n):
+    std = standard_double_word(n)
+    bfz = [[jet_lowest_term(f) for f in _build_at_order(n, std, d).modified_functions()]
+           for d in (gexp_order(n), gexp_order(n) + 1)]
+    assert bfz[0] == bfz[1]
+    s = build_staircase(n)
+    dualgl = [_jet_lows_at(s, d) for d in (lows_order(n), lows_order(n) + 1)]
+    assert (dualgl[0].phi_lows, dualgl[0].cbar_lows) == (dualgl[1].phi_lows, dualgl[1].cbar_lows)
 
 
 def assert_canonical(r: RatFun, num: Poly, den: Poly):

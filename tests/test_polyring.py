@@ -4,11 +4,15 @@ import pytest
 
 from clusterint.errors import (
     BadTruncation,
+    BadVariableNames,
     DimensionMismatch,
     EvaluationSingular,
+    MixedVariables,
+    NegativePower,
     NonSquare,
     NotDivisible,
     NotVanishing,
+    PolySyntaxError,
     SingularLocus,
     TruncationInsufficient,
     ZeroInput,
@@ -255,8 +259,38 @@ class TestCanonicalText:
         assert str(p) == "z1*z2 + z1 + z2"
 
     def test_unknown_variable_is_named(self):
-        with pytest.raises(ValueError, match=r"unknown variable 'z3'.*x1, x2"):
+        with pytest.raises(PolySyntaxError, match=r"unknown variable 'z3'.*x1, x2"):
             parse_poly("x1*z3", VarSet(["x1", "x2"]))
+
+    @pytest.mark.parametrize("text", [
+        "x1 + -", "x1**x2", "x1*", "2x1", "x1^a", "x1^2^3", "1/0*x1", "1.5*x1"])
+    def test_syntax_errors(self, text):
+        with pytest.raises(PolySyntaxError):
+            parse_poly(text, VarSet(["x1", "x2"]))
+
+    def test_coefficient_after_a_variable(self):
+        assert parse_poly("z1*3/2*z2^2", Z6) == p6("3/2*z1*z2^2")
+
+
+class TestVariableSets:
+    @pytest.mark.parametrize("names", [[], ["x", "y", "x"], ["x", "1y"], ["x y"]])
+    def test_bad_names(self, names):
+        with pytest.raises(BadVariableNames):
+            VarSet(names)
+
+    @pytest.mark.parametrize("combine", [
+        lambda a, b: a + b,
+        lambda a, b: a * b,
+        poly_gcd,
+        RatFun,
+    ])
+    def test_mixed_variable_sets(self, combine):
+        with pytest.raises(MixedVariables, match="mixed variable sets"):
+            combine(p6("z1 + 1"), parse_poly("z1 + 2", VarSet(["z1", "z2"])))
+
+    def test_negative_power(self):
+        with pytest.raises(NegativePower):
+            p6("z1 + z2") ** -1
 
 
 class TestGcdDivision:
@@ -276,7 +310,7 @@ class TestGcdDivision:
 
     def test_mixed_variable_sets(self):
         other = VarSet(["z1", "z2"])
-        with pytest.raises(ValueError, match="mixed variable sets"):
+        with pytest.raises(MixedVariables, match="mixed variable sets"):
             p6("z1*z2 + z1").exact_div(parse_poly("z1", other))
 
     def test_gcd_random_products(self, rng):
@@ -355,7 +389,7 @@ class TestJet:
 
     def test_mixed_variable_sets(self):
         j = Jet(p6("z1 + z2"), 2)
-        with pytest.raises(ValueError, match="mixed variable sets"):
+        with pytest.raises(MixedVariables, match="mixed variable sets"):
             j * Jet(parse_poly("z1", VarSet(["z1", "z2"])), 2)
 
     def test_orders_differ(self):
