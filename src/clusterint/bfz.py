@@ -192,11 +192,6 @@ def _istar_sets(n: int):
     return I0, I1, I2
 
 
-def _is_standard(dword: DoubleWord, n: int) -> bool:
-    std = longest_word(n + 1).letters
-    return dword.neg.letters == std and dword.pos.letters == std
-
-
 def gexp_order(n: int) -> int:
     """The largest degree among the closed-form lowest terms of
     ``gexp_formulas(n)``, from their minor sizes: every form is one minor of
@@ -207,18 +202,14 @@ def gexp_order(n: int) -> int:
 
 def build_bfz(n: int, dword: DoubleWord = None) -> BFZCluster:
     """Evaluate the extended cluster at a truncated exponential of a traceless
-    matrix.  At the standard double word the jets run once, at
-    ``gexp_order(n)``, and TruncationInsufficient is raised if a lowest term
-    does not show there; any other word starts at that order and doubles
-    it, up to 4n, until every lowest term shows."""
+    matrix, doubling the jet order from ``gexp_order(n)``, up to 4n, until
+    every lowest term shows."""
     if dword is None:
         dword = standard_double_word(n)
     m = n + 1
     if dword.neg.m != m:
         raise WrongWord(f"double word is for SL({dword.neg.m}), expected SL({m})")
-    order = gexp_order(n)
-    return escalate(lambda d: _build_at_order(n, dword, d), order,
-                    order if _is_standard(dword, n) else 4 * n)
+    return escalate(lambda d: _build_at_order(n, dword, d), gexp_order(n), 4 * n)
 
 
 def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
@@ -321,7 +312,11 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     """Verify the closed-form lowest terms at the standard double word."""
     if cluster is None:
         cluster = build_bfz(n)
-    if not _is_standard(cluster.dword, n):
+    std = standard_double_word(n)
+    if (
+        tuple(cluster.dword.neg.letters) != tuple(std.neg.letters)
+        or tuple(cluster.dword.pos.letters) != tuple(std.pos.letters)
+    ):
         raise WrongWord("closed forms hold for the standard double word only")
     forms = gexp_formulas(n)
     m = n + 1

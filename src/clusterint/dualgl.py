@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SingularLocus, SizeOutOfRange, TruncationInsufficient
+from .errors import SingularLocus, SizeOutOfRange
 from .poisson_core import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -26,6 +26,7 @@ from .polyring import (
     RatFun,
     VarSet,
     det,
+    escalate,
     inverse,
     jacobian,
     jet_lowest_term,
@@ -68,19 +69,28 @@ def u_varset(n: int) -> VarSet:
     return VarSet([f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
 
 
-def _triangle(n: int, vars: VarSet, upper: bool, entry) -> PolyMatrix:
-    """The n x n matrix with ``entry(i, j)`` (1-based) on and above the
-    diagonal if ``upper``, else on and below it, and zeros elsewhere."""
-    return PolyMatrix([[entry(i, j) if (i <= j if upper else i >= j) else Poly.zero(vars)
-                        for j in range(1, n + 1)] for i in range(1, n + 1)])
-
-
 def x_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    return _triangle(n, vars, True, lambda i, j: Poly.var(vars, f"x{i}{j}"))
+    return PolyMatrix(
+        [
+            [
+                Poly.var(vars, f"x{i}{j}") if i <= j else Poly.zero(vars)
+                for j in range(1, n + 1)
+            ]
+            for i in range(1, n + 1)
+        ]
+    )
 
 
 def y_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    return _triangle(n, vars, False, lambda i, j: Poly.var(vars, f"y{i}{j}"))
+    return PolyMatrix(
+        [
+            [
+                Poly.var(vars, f"y{i}{j}") if i >= j else Poly.zero(vars)
+                for j in range(1, n + 1)
+            ]
+            for i in range(1, n + 1)
+        ]
+    )
 
 
 # -- the Poisson structure on the free chart ------------------------------------
@@ -251,16 +261,27 @@ def build_staircase(n: int) -> StaircaseSystem:
     lam = Poly.var(lam_vars, "lam")
     Xl = x_matrix(n, lam_vars)
     Yl = y_matrix(n, lam_vars)
+    pencil = PolyMatrix(
+        [
+            [lam * Yl.entries[i][j] + Xl.entries[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    dp = det(pencil)
 
-    def pencil_det(c):
-        return det(PolyMatrix([[c * Yl.entries[i][j] + Xl.entries[i][j] for j in range(n)]
-                               for i in range(n)]))
-
-    dp = pencil_det(lam)
     # det((lam-1) Y + X) = sum over i of cbar_num_i(x, y) lam^i, so that
     # cbar_i = cbar_num_i / det(Y)
-    dp2 = pencil_det(lam - Poly.const(lam_vars, 1))
-    cbar_nums = [_drop_var(dp2.coeff_of("lam", i), vars) for i in range(0, n + 1)]
+    lm1 = lam - Poly.const(lam_vars, 1)
+    pencil2 = PolyMatrix(
+        [
+            [lm1 * Yl.entries[i][j] + Xl.entries[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    dp2 = det(pencil2)
+    cbar_nums = [
+        _drop_var(dp2.coeff_of("lam", i), vars) for i in range(0, n + 1)
+    ]
 
     detY = det(y_matrix(n, vars))
     Cs = [RatFun(_drop_var(dp.coeff_of("lam", n - i), vars), detY) for i in range(n + 1)]
@@ -281,12 +302,31 @@ def exp_substitution(n: int, order: int):
     diagonal of u, the lower one minus the other half, so their difference of
     logarithms is u."""
     uv = u_varset(n)
-
-    def u(i, j):
-        return Poly.var(uv, f"u{i}{j}") * (QQ(1, 2) if i == j else QQ1)
-
-    X = truncated_exp(_triangle(n, uv, True, u), order)
-    Y = truncated_exp(_triangle(n, uv, False, lambda i, j: -u(i, j)), order)
+    half = QQ(1, 2)
+    xm = PolyMatrix(
+        [
+            [
+                Poly.var(uv, f"u{i}{j}") * (half if i == j else QQ1)
+                if i <= j
+                else Poly.zero(uv)
+                for j in range(1, n + 1)
+            ]
+            for i in range(1, n + 1)
+        ]
+    )
+    ym = PolyMatrix(
+        [
+            [
+                -Poly.var(uv, f"u{i}{j}") * (half if i == j else QQ1)
+                if i >= j
+                else Poly.zero(uv)
+                for j in range(1, n + 1)
+            ]
+            for i in range(1, n + 1)
+        ]
+    )
+    X = truncated_exp(xm, order)
+    Y = truncated_exp(ym, order)
     mapping = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -300,7 +340,7 @@ def exp_substitution(n: int, order: int):
 @dataclass
 class JetLows:
     n: int
-    order: int  # the jet order of the lows: lows_order(n)
+    order: int  # the jet order the lows were read at
     u_vars: VarSet
     phi_lows: list  # (Poly, degree) for i in 1..(n-1)^2
     cbar_lows: list  # (Poly, degree) for i in 0..n-1
@@ -315,14 +355,11 @@ def lows_order(n: int) -> int:
 
 def lows_via_jets(s: StaircaseSystem) -> JetLows:
     """Exact lowest terms of the restricted system in the difference-of-
-    logarithms coordinates, from jets of order ``lows_order(n)``, which are
-    exact through that order; TruncationInsufficient if a lowest term does
-    not show there."""
-    D = lows_order(s.n)
-    lows = _jet_lows_at(s, D)
-    if lows is None:
-        raise TruncationInsufficient(f"a lowest term lies above jet order {D}")
-    return lows
+    logarithms coordinates, with adaptive truncation order (from
+    ``lows_order(n)``, doubling up to max(4n, n(n-1)/2 + 2))."""
+    n = s.n
+    return escalate(lambda d: _jet_lows_at(s, d), lows_order(n),
+                    max(4 * n, n * (n - 1) // 2 + 2))
 
 
 def _jet_lows_at(s: StaircaseSystem, D: int):
@@ -559,8 +596,8 @@ def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     X = x_matrix(n, vars)
     Y = y_matrix(n, vars)
     Yinv = inverse(Y.map(RatFun.from_poly))
-    U = X.map(RatFun.from_poly) * Yinv
-    upow = [PolyMatrix.identity(vars, n).map(RatFun.from_poly)]
+    U = PolyMatrix([[RatFun.from_poly(x) for x in row] for row in X.entries]) * Yinv
+    upow = [PolyMatrix.identity(vars, n).map(lambda p: RatFun.from_poly(p))]
     for _ in range(n):
         upow.append(upow[-1] * U)
     detY = det(Y)
@@ -573,19 +610,29 @@ def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     def columns(mat, lo, hi):
         return [[mat.entries[r][c - 1] for r in range(n)] for c in range(lo, hi + 1)]
 
+    ok = True
     for p in range(0, n - 1):
         for i in range(1, n):
             k = p * (n - 1) + i
+            cols = []
             if i <= p:
-                cols = columns(upow[n - p], n - p + i, n) + columns(upow[n - p - 1], 1, i)
-                block, power = n - p + i, n - p - 1
+                cols += columns(upow[n - p], n - p + i, n)
+                cols += columns(upow[n - p - 1], 1, i)
+                for t in range(n - p - 2, -1, -1):
+                    cols.append([upow[t].entries[r][0] for r in range(n)])
+                scale = RatFun.from_poly(y_principal(n - p + i)) * RatFun.from_poly(
+                    detY
+                ) ** (n - p - 1)
             else:
-                cols = columns(upow[n - p - 1], i - p, i)
-                block, power = i - p, n - p - 2
-            cols += [[upow[t].entries[r][0] for r in range(n)] for t in range(n - p - 2, -1, -1)]
-            scale = RatFun.from_poly(y_principal(block)) * RatFun.from_poly(detY) ** power
-            rhs = scale * det(PolyMatrix([[c[r] for c in cols] for r in range(n)]))
+                cols += columns(upow[n - p - 1], i - p, i)
+                for t in range(n - p - 2, -1, -1):
+                    cols.append([upow[t].entries[r][0] for r in range(n)])
+                scale = RatFun.from_poly(y_principal(i - p)) * RatFun.from_poly(
+                    detY
+                ) ** (n - p - 2)
+            m = PolyMatrix([[c[r] for c in cols] for r in range(n)])
+            rhs = scale * det(m)
             lhs = RatFun.from_poly(lams[k - 1])
             if not (lhs == rhs or lhs == -rhs):
-                return False
-    return True
+                ok = False
+    return ok
