@@ -15,7 +15,10 @@ with the terms of the other factor that keep the product within the cap.  There 
 expansion over row prefixes that computes each minor once.  Exact division
 keeps its remainder as one dict updated in place and takes each next
 leading term from a heap of graded-lex keys (Johnson 1974; Monagan and
-Pearce, "Sparse polynomial division using a heap", JSC 2011).  The
+Pearce, "Sparse polynomial division using a heap", JSC 2011); the same
+loop divides integer term dicts for the gcd.  A gcd tries the smaller
+operand as a divisor, then the heuristic integer gcd GCDHEU, and runs a
+primitive remainder sequence only when GCDHEU fails.  The
 canonical text format (used in JSON reports and read back by
 ``parse_poly``) lists terms in descending graded-lex order, e.g.
 ``z1*z4 - z2``.
@@ -28,7 +31,7 @@ import operator
 import re
 from bisect import bisect_right
 from functools import reduce
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BadTruncation,
@@ -137,6 +140,65 @@ def _mul_terms(a: dict, b: dict, cap=None) -> dict:
     if den == 1:
         return {e: QQ(s) for e, s in out.items()}
     return {e: QQ(s, den) for e, s in out.items()}
+
+
+def _div_terms(f: dict, g: dict, quo) -> dict:
+    """The quotient of term dicts f / g, g nonzero; raises NotDivisible
+    when the remainder is nonzero.  ``quo(r, c)`` gives each quotient
+    coefficient, r over g's leading coefficient c: true division over Q, or
+    a division of ints that raises NotDivisible when it leaves a remainder.
+
+    Sparse division with a heap: the remainder is one dict, keyed by
+    negated exponents and updated in place.  Each step takes the
+    remainder's graded-lex leading term from a min-heap of keys
+    ``(-degree, negated exponent)``, skipping keys of monomials that
+    have cancelled, and subtracts ``q_term * (g - lt(g))`` term by
+    term, so a step costs O(|g| log) rather than O(|remainder|).  It
+    raises NotDivisible as soon as the leading term is not divisible
+    by g's leading term.  Every monomial a step adds lies below the
+    one it removes, so the heap's keys come out in decreasing order and
+    each quotient term is new and nonzero."""
+    ge = max(g, key=_grlex_key)
+    gc = g[ge]
+    neg, add, sub = operator.neg, operator.add, operator.sub
+    # a negated exponent sums to the negated degree
+    nge = tuple(map(neg, ge))
+    ndge = sum(nge)
+    # g below its leading term: negated exponent and degree, -coefficient
+    tail = []
+    for e, c in g.items():
+        if e != ge:
+            ne = tuple(map(neg, e))
+            tail.append((ne, sum(ne), -c))
+    rem = {tuple(map(neg, e)): c for e, c in f.items()}
+    heap = [(sum(ne), ne) for ne in rem]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    qterms = {}
+    while heap:
+        nd, ne = heappop(heap)
+        rc = rem.pop(ne, None)
+        if rc is None:
+            continue
+        nqe = tuple(map(sub, ne, nge))
+        if max(nqe) > 0:
+            raise NotDivisible("leading term not divisible")
+        qc = quo(rc, gc)
+        qterms[tuple(map(neg, nqe))] = qc
+        ndq = nd - ndge
+        for nte, ndte, tc in tail:
+            nm = tuple(map(add, nqe, nte))
+            c = rem.get(nm)
+            if c is None:
+                rem[nm] = qc * tc
+                heappush(heap, (ndq + ndte, nm))
+            else:
+                c = c + qc * tc
+                if c:
+                    rem[nm] = c
+                else:
+                    del rem[nm]
+    return qterms
 
 
 class Poly:
@@ -403,18 +465,8 @@ class Poly:
         return e, self.terms[e]
 
     def exact_div(self, g: "Poly") -> "Poly":
-        """Exact division; raises NotDivisible when the remainder is nonzero.
-
-        Sparse division with a heap: the remainder is one dict, keyed by
-        negated exponents and updated in place.  Each step takes the
-        remainder's graded-lex leading term from a min-heap of keys
-        ``(-degree, negated exponent)``, skipping keys of monomials that
-        have cancelled, and subtracts ``q_term * (g - lt(g))`` term by
-        term, so a step costs O(|g| log) rather than O(|remainder|).  It
-        raises NotDivisible as soon as the leading term is not divisible
-        by g's leading term.  Every monomial a step adds lies below the
-        one it removes, so the heap's keys come out in decreasing order and
-        each quotient term is new and nonzero."""
+        """Exact division; raises NotDivisible when the remainder is nonzero
+        (see ``_div_terms``)."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if g.vars != self.vars:
@@ -422,46 +474,7 @@ class Poly:
         if g.is_constant():
             c = g.constant_value()
             return Poly(self.vars, {e: v / c for e, v in self.terms.items()})
-        ge, gc = g.leading()
-        neg, add, sub = operator.neg, operator.add, operator.sub
-        # a negated exponent sums to the negated degree
-        nge = tuple(map(neg, ge))
-        ndge = sum(nge)
-        # g below its leading term: negated exponent and degree, -coefficient
-        tail = []
-        for e, c in g.terms.items():
-            if e != ge:
-                ne = tuple(map(neg, e))
-                tail.append((ne, sum(ne), -c))
-        rem = {tuple(map(neg, e)): c for e, c in self.terms.items()}
-        heap = [(sum(ne), ne) for ne in rem]
-        heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        qterms = {}
-        while heap:
-            nd, ne = heappop(heap)
-            rc = rem.pop(ne, None)
-            if rc is None:
-                continue
-            nqe = tuple(map(sub, ne, nge))
-            if max(nqe) > 0:
-                raise NotDivisible("leading term not divisible")
-            qc = rc / gc
-            qterms[tuple(map(neg, nqe))] = qc
-            ndq = nd - ndge
-            for nte, ndte, tc in tail:
-                nm = tuple(map(add, nqe, nte))
-                c = rem.get(nm)
-                if c is None:
-                    rem[nm] = qc * tc
-                    heappush(heap, (ndq + ndte, nm))
-                else:
-                    c = c + qc * tc
-                    if c:
-                        rem[nm] = c
-                    else:
-                        del rem[nm]
-        return Poly._trusted(self.vars, qterms)
+        return Poly._trusted(self.vars, _div_terms(self.terms, g.terms, operator.truediv))
 
     def divides(self, f: "Poly") -> bool:
         try:
@@ -623,9 +636,128 @@ def _uni_pseudo_rem(f, g, vars):
     return f
 
 
+def _prs_gcd(f: Poly, g: Poly, main: int) -> Poly:
+    """gcd of f and g, up to a constant, by the primitive remainder sequence
+    in the variable ``main``, which occurs in both."""
+    cf, fprim = _poly_content_and_primitive(f, main)
+    cg, gprim = _poly_content_and_primitive(g, main)
+    cont = poly_gcd(cf, cg)
+    a, b = fprim, gprim
+    if _uni_degree(a) < _uni_degree(b):
+        a, b = b, a
+    while True:
+        r = _uni_pseudo_rem(a, b, f.vars)
+        if not r:
+            return cont * _from_univariate(f.vars, main, b)
+        _, rprim = _poly_content_and_primitive(_from_univariate(f.vars, main, r), main)
+        a, b = b, rprim
+        if _uni_degree(b) == 0:
+            return cont
+
+
+# GCDHEU gives up after this many evaluation points per level
+_HEU_TRIES = 6
+
+
+class _HeuristicGcdFailed(Exception):
+    """GCDHEU verified no candidate at any of its evaluation points."""
+
+
+def _int_quo(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisible("integer quotient not exact")
+    return q
+
+
+def _int_primitive(f: dict) -> dict:
+    c = gcd(*f.values())
+    return f if c == 1 else {e: v // c for e, v in f.items()}
+
+
+def _eval_at(f: dict, i: int, xi: int) -> dict:
+    """The integer term dict f with variable i set to xi."""
+    out = {}
+    for e, c in f.items():
+        k = e[i]
+        if k:
+            e = (*e[:i], 0, *e[i + 1:])
+            c = c * xi**k
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: dict, i: int, xi: int) -> dict:
+    """The integer term dict whose coefficients of variable i are the
+    symmetric xi-adic digits, in (-xi/2, xi/2], of those of h."""
+    out = {}
+    half = xi // 2
+    for e, c in h.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(*e[:i], k, *e[i + 1:])] = d
+            c = (c - d) // xi
+            k += 1
+    return out
+
+
+def _heu_gcd(f: dict, g: dict) -> dict:
+    """gcd in Z[vars] of nonzero integer term dicts, by GCDHEU (Char,
+    Geddes and Gonnet 1989); raises _HeuristicGcdFailed.
+
+    The common integer content c of f and g comes out first and goes back
+    into the result.  The last variable that occurs in f or g is set to an
+    integer xi, the gcd of the two images is found by the same method one
+    variable down (an integer gcd when none is left), and the candidate is
+    the primitive part of the polynomial whose coefficients are the
+    symmetric xi-adic digits of that gcd.  It is returned only if it
+    divides f and g exactly.  With xi >= 2*min(|f|, |g|) + 2 in the max
+    norm, a candidate that divides both is the gcd; otherwise xi grows by
+    a factor of about 2.73*xi**(1/4) and the method tries again."""
+    c = gcd(*f.values(), *g.values())
+    occurs = [k for k, col in enumerate(zip(*f, *g)) if any(col)]
+    if not occurs:
+        return {next(iter(f)): c}
+    i = occurs[-1]
+    if c != 1:
+        f = {e: v // c for e, v in f.items()}
+        g = {e: v // c for e, v in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        ff, gg = _eval_at(f, i, xi), _eval_at(g, i, xi)
+        if ff and gg:
+            h = _int_primitive(_interpolate(_heu_gcd(ff, gg), i, xi))
+            try:
+                _div_terms(f, h, _int_quo)
+                _div_terms(g, h, _int_quo)
+                return {e: c * v for e, v in h.items()}
+            except NotDivisible:
+                pass
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    raise _HeuristicGcdFailed(f"no gcd verified in {_HEU_TRIES} evaluation points")
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """gcd over Q[vars], normalized with graded-lex-positive leading
-    coefficient 1 on its primitive scale (constant gcds are 1)."""
+    coefficient 1 on its primitive scale (constant gcds are 1).
+
+    After the monomial content comes out, three routes are tried in turn:
+
+    - the divisor short-cut: the operand of lower degree (ties: fewer
+      terms), if it divides the other exactly, is the gcd;
+    - GCDHEU (``_heu_gcd``; Char, Geddes and Gonnet, "GCDHEU: Heuristic
+      polynomial GCD algorithm based on integer GCD computation", JSC 7,
+      1989; analysed by Liao and Fateman, "Evaluation of the heuristic
+      polynomial GCD", ISSAC 1995) on the primitive integer multiples of
+      the operands, with every evaluation point xi >= 2*min(|f|, |g|) + 2
+      in the max norm of that level's operands, so that a candidate that
+      divides both exactly is the gcd;
+    - if no candidate passes at some level, the primitive remainder
+      sequence (``_prs_gcd``)."""
     if f.vars != g.vars:
         raise MixedVariables("mixed variable sets")
     vars = f.vars
@@ -656,24 +788,15 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if main is None:
         return _normalize_gcd(mono)
 
-    cf, fprim = _poly_content_and_primitive(f, main)
-    cg, gprim = _poly_content_and_primitive(g, main)
-    cont = poly_gcd(cf, cg)
-
-    a, b = fprim, gprim
-    if _uni_degree(a) < _uni_degree(b):
-        a, b = b, a
-    while True:
-        r = _uni_pseudo_rem(a, b, vars)
-        if not r:
-            break
-        rpoly = _from_univariate(vars, main, r)
-        _, rprim = _poly_content_and_primitive(rpoly, main)
-        a, b = b, rprim
-        if _uni_degree(b) == 0:
-            return _normalize_gcd(cont * mono)
-    gpoly = _from_univariate(vars, main, b)
-    return _normalize_gcd(cont * mono * gpoly)
+    a, b = sorted((f, g), key=lambda p: (p.total_degree(), len(p.terms)))
+    if a.divides(b):
+        return _normalize_gcd(a * mono)
+    try:
+        h = _heu_gcd(_int_primitive(dict(_int_row(f.terms)[0])),
+                     _int_primitive(dict(_int_row(g.terms)[0])))
+    except _HeuristicGcdFailed:
+        return _normalize_gcd(_prs_gcd(f, g, main) * mono)
+    return _normalize_gcd(Poly._trusted(vars, {e: QQ(c) for e, c in h.items()}) * mono)
 
 
 def _normalize_gcd(p: Poly) -> Poly:

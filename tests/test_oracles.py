@@ -16,6 +16,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
 
+from clusterint import polyring
 from clusterint.bfz import _build_at_order, gexp_formulas, gexp_order, standard_double_word
 from clusterint.dualgl import _jet_lows_at, build_staircase, lows_closed_form, lows_order
 from clusterint.errors import NotDivisible
@@ -225,14 +226,13 @@ def assert_canonical(r: RatFun, num: Poly, den: Poly):
     assert to_sympy(r.den) == q.quo_ground(lc)
 
 
-# poly_gcd, which RatFun(num, den) runs on the unreduced pair, slows down
-# sharply with degree (its primitive remainder sequence finds every content
-# by nested gcds), so the cofactors and factors here are multilinear
-multilinear = polys(3, 1)
-nonconstant = multilinear.filter(lambda p: not p.is_constant())
+# RatFun(num, den) runs poly_gcd on the unreduced pair, whose factors
+# here have exponents up to 2 and repeat up to twice
+factors = polys(3, 2)
+nonconstant = factors.filter(lambda p: not p.is_constant())
 
 
-@given(multilinear.filter(bool), multilinear.filter(bool), st.lists(
+@given(factors.filter(bool), factors.filter(bool), st.lists(
     st.tuples(nonconstant, st.integers(0, 2), st.integers(0, 2)),
     min_size=1, max_size=2))
 def test_trial_division_gives_the_canonical_ratfun(a, b, factors):
@@ -246,12 +246,12 @@ def test_trial_division_gives_the_canonical_ratfun(a, b, factors):
 
 @st.composite
 def ratfun_pairs(draw, max_factors=2):
-    """Two reduced RatFuns whose parts are multilinear cofactors times
-    powers of shared factors, so that sums, products and quotients cancel."""
+    """Two reduced RatFuns whose parts are cofactors times powers of shared
+    factors, so that sums, products and quotients cancel."""
     fs = draw(st.lists(nonconstant, min_size=1, max_size=max_factors))
 
     def operand():
-        num, den = draw(multilinear), draw(multilinear.filter(bool))
+        num, den = draw(factors), draw(factors.filter(bool))
         for f in fs:
             num = num * f ** draw(st.integers(0, 1))
             den = den * f ** draw(st.integers(0, 1))
@@ -292,17 +292,77 @@ def random_multilinear(rng):
                      for _ in range(rng.randint(1, 3))})
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_gcd_agrees_with_sympy(seed):
+def random_factor(rng):
+    """Three terms with exponents up to 2 in each of x, y, z, numerators
+    in +-5 and denominators up to 3."""
+    terms = {}
+    while len(terms) < 3:
+        terms[tuple(rng.randint(0, 2) for _ in range(3))] = QQ(
+            rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.randint(1, 3))
+    return Poly(X3, terms)
+
+
+def assert_gcd_agrees(f, g):
+    """poly_gcd(f, g) has leading coefficient 1 and is sympy's gcd up to a
+    nonzero constant."""
+    got = poly_gcd(f, g)
+    assert got.leading()[1] == 1
+    q, r = sympy.div(to_sympy(got), sympy.gcd(to_sympy(f), to_sympy(g)))
+    assert r.is_zero and q.is_ground and not q.is_zero
+
+
+def heuristic_fails(f, g):
+    raise polyring._HeuristicGcdFailed("no candidate verified")
+
+
+def by_route(seeds):
+    """(seed, fallback) cases: each seed by the heuristic route, with the
+    seed as its id, and by the remainder-sequence fallback."""
+    return [pytest.param(s, False, id=str(s)) for s in seeds] + [
+        pytest.param(s, True, id=f"{s}-fallback") for s in seeds]
+
+
+def use_route(monkeypatch, fallback):
+    """With ``fallback``, GCDHEU fails at once, so every gcd that passes the
+    divisor short-cut is found by the primitive remainder sequence."""
+    if fallback:
+        monkeypatch.setattr(polyring, "_heu_gcd", heuristic_fails)
+
+
+@pytest.mark.parametrize("seed, fallback", by_route(range(20)))
+def test_gcd_agrees_with_sympy(seed, fallback, monkeypatch):
+    use_route(monkeypatch, fallback)
     rng = random.Random(seed)
     common = random_multilinear(rng) * random_multilinear(rng)
     f = random_multilinear(rng) * common
     g = random_multilinear(rng) * random_multilinear(rng) * common
-    got = poly_gcd(f, g)
-    assert got.leading()[1] == 1
-    # equal up to a nonzero constant
-    q, r = sympy.div(to_sympy(got), sympy.gcd(to_sympy(f), to_sympy(g)))
-    assert r.is_zero and q.is_ground and not q.is_zero
+    assert_gcd_agrees(f, g)
+
+
+X, Y, Z = (Poly.var(X3, v) for v in X3.names)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda f, g: (f * g, g),
+    lambda f, g: (g, f * g),
+    lambda f, g: (f * QQ(-3, 2), f),
+    lambda f, g: (X**2 * Y * f * g, X * Z * g),
+], ids=["product-first", "product-second", "constant-multiple", "monomial-content"])
+@pytest.mark.parametrize("seed, fallback", by_route(range(5)))
+def test_gcd_short_cut_cases_agree_with_sympy(pair, seed, fallback, monkeypatch):
+    use_route(monkeypatch, fallback)
+    rng = random.Random(seed)
+    f = random_multilinear(rng) * random_multilinear(rng)
+    assert_gcd_agrees(*pair(f, random_multilinear(rng)))
+
+
+# pairs of 40-54 terms; the primitive remainder sequence took over 5 s on
+# most of these seeds
+@pytest.mark.parametrize("seed", range(12))
+def test_gcd_of_squared_trivariate_factors(seed):
+    rng = random.Random(seed)
+    a, b, f, g = (random_factor(rng) for _ in range(4))
+    assert_gcd_agrees(a * f**2 * g, b * f * g**2)
 
 
 @given(polys(8))

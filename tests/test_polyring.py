@@ -23,6 +23,7 @@ from clusterint.polyring import (
     PolyMatrix,
     RatFun,
     VarSet,
+    _heu_gcd,
     det,
     escalate,
     inverse,
@@ -321,9 +322,10 @@ class TestGcdDivision:
             if f.is_zero() or g.is_zero() or h.is_zero():
                 continue
             d = poly_gcd(f * h, g * h)
-            # h divides the gcd
             assert d.divides(f * h) and d.divides(g * h)
-            assert h.divides(d) or poly_gcd(f, g).total_degree() > 0
+            # gcd(f*h, g*h) = gcd(f, g)*h up to a constant
+            e = poly_gcd(f, g) * h
+            assert d == e * (1 / e.leading()[1])
 
     def test_gcd_of_trivariate_products(self):
         # c1*f1*f2 and c2*f1*f3 share f1; with the primitive parts kept at
@@ -334,6 +336,16 @@ class TestGcdDivision:
             "-x*y - y*z + 3", "2*x^2 + 3*x + 2*z", "-3*z^2 - y - 3*z",
             "-3*x*y - x*z + 3", "2*z^2 + 2*x + 3"))
         assert poly_gcd(c1 * f1 * f2, c2 * f1 * f3) == f1 * QQ(-1, 3)
+
+    def test_heuristic_gcd_keeps_the_integer_content_of_each_level(self):
+        # run directly, as the divisor short-cut ends poly_gcd on this pair;
+        # once e1 is set to xi, both images have the integer content
+        # (xi + 1)^2, which the gcd one level down must keep
+        V = VarSet(["b2", "e1", "e2"])
+        f = parse_poly("b2*e1^2 + 2*b2*e1 + b2", V)
+        g = f * parse_poly("b2*e2 - 3*e1 + 7", V)
+        h = _heu_gcd(*({e: int(c) for e, c in p.terms.items()} for p in (f, g)))
+        assert Poly(V, h) == f
 
     def test_ratfun_reduction(self):
         f = RatFun(p6("z1^2 - z2^2"), p6("z1 + z2"))
