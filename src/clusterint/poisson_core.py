@@ -40,13 +40,14 @@ from .polyring import (
     Poly,
     PolyMatrix,
     RatFun,
+    RationalPoint,
     VarSet,
     det,
     jacobian,
     lowest_term,
     numeric_rank,
 )
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ0, QQ1
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 8
@@ -183,20 +184,18 @@ def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
     point to the origin and keep the degree-1 part of each entry.  Raises
     NotPoisson when the result fails the Jacobi identity."""
     n = len(pi.vars)
-    if at is None:
-        at = [QQ0] * n
-    at = [QQ(x) for x in (at[nm] for nm in pi.vars.names)] if isinstance(at, dict) else [QQ(x) for x in at]
+    point = RationalPoint([0] * n if at is None else at, pi.vars)
     out = []
     for a in range(n):
         row = []
         for b in range(n):
             entry = pi.bracket_matrix[a][b]
-            den0 = entry.den.evaluate(at)
+            den0 = entry.den.evaluate(point)
             if den0 == 0:
                 raise NotRegular(f"entry ({a},{b}) has a pole at the base point")
-            if entry.num.evaluate(at) != 0:
+            if entry.num.evaluate(point) != 0:
                 raise NotVanishing(f"entry ({a},{b}) nonzero at the base point")
-            num = entry.num.shift(at)
+            num = entry.num.shift(point)
             lin = num.homogeneous_component(1)
             # (num/den)^(1) = num^(1)/den(0) since num(0) = 0
             row.append(RatFun.from_poly(lin * (QQ1 / den0)))

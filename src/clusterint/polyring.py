@@ -1,27 +1,24 @@
 """Exact sparse multivariate polynomial, rational-function and jet arithmetic.
 
-Everything is over arbitrary-precision rationals; there is no floating
-point anywhere.  Polynomials are dicts mapping exponent tuples to nonzero
-coefficients.  The public constructor ``Poly(vars, terms)`` drops zero
-coefficients; ``Poly._trusted`` skips that filter and is used only for
-results whose every coefficient is already known to be nonzero (sums,
-negations and products, which delete cancelled terms as they go, and
-quotients of exact division).  One product kernel, ``_mul_terms``, serves
-Poly and Jet alike; it runs on integer numerators over one common
-denominator per factor (Monagan and Pearce, "Sparse polynomial
-multiplication and division in Maple 14", 2010).  A Jet is a Poly whose
-products pass a degree cap to the kernel, which then pairs each term only
-with the terms of the other factor that keep the product within the cap.  There is one determinant, a Laplace
-expansion over row prefixes that computes each minor once.  Exact division
-keeps its remainder as one dict updated in place and takes each next
-leading term from a heap of graded-lex keys (Johnson 1974; Monagan and
-Pearce, "Sparse polynomial division using a heap", JSC 2011); the same
-loop divides integer term dicts for the gcd.  A gcd tries the smaller
-operand as a divisor, then the heuristic integer gcd GCDHEU, and runs a
-primitive remainder sequence only when GCDHEU fails.  The
-canonical text format (used in JSON reports and read back by
-``parse_poly``) lists terms in descending graded-lex order, e.g.
-``z1*z4 - z2``.
+There is no floating point anywhere.  A Poly stores its rational
+coefficients as nonzero int numerators ``terms`` (keyed by exponent tuples)
+over one int denominator ``den`` >= 1 with ``gcd(den, *terms.values()) ==
+1``; the pair is unique, so equality and hashing are exact.
+``Poly(vars, terms)`` takes rational coefficients; ``Poly._trusted`` takes
+nonzero int numerators.  The accessors (``leading``, ``constant_value``,
+``evaluate``, ``sorted_terms``) give rationals.  The kernel loops run on
+ints (Monagan and Pearce, "Sparse polynomial multiplication and division in
+Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly and Jet
+(whose products pass a degree cap, so each term meets only the terms of the
+other factor that keep the product within it); exact division runs on the
+primitive integer part of the divisor, with the remainder in one dict and
+its leading terms taken from a heap of graded-lex keys (Johnson 1974;
+Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
+A gcd tries the smaller operand as a divisor, then the heuristic integer
+gcd GCDHEU, then a primitive remainder sequence.  There is one determinant,
+a Laplace expansion that computes each minor once.  The canonical text
+(``str``, read back by ``parse_poly``) lists terms in descending graded-lex
+order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -96,35 +93,21 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def _int_row(terms: dict):
-    """The terms of a factor as (exponent, integer numerator) pairs over the
-    lcm of its denominators, and that lcm."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return [(e, c.numerator) for e, c in terms.items()], 1
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
-
-
 def _mul_terms(a: dict, b: dict, cap=None) -> dict:
-    """Product of two term dicts, deleting terms that cancel; with ``cap``,
-    only its terms of total degree <= cap.  Each factor is first brought to
-    integer numerators over one common denominator, so the pair loop adds
-    Python ints and each output coefficient is built once, as a rational
-    over the product of the two denominators; scaling by that positive
-    constant leaves the same sums zero, so the keys and their order are
-    those of the loop on rationals.  With a cap, the larger factor's terms
-    are sorted by degree once, and each term of the smaller factor runs
-    only over the prefix that keeps the product within the cap."""
+    """Product of two dicts of integer numerators, deleting terms that
+    cancel; with ``cap``, only its terms of total degree <= cap.  With a
+    cap, the larger factor's terms are sorted by degree once, and each term
+    of the smaller factor runs only over the prefix that keeps the product
+    within the cap."""
     if len(a) > len(b):
         a, b = b, a
-    col, da = _int_row(a)
-    row, db = _int_row(b)
+    row = list(b.items())
     if cap is not None:
         row.sort(key=lambda t: sum(t[0]))
         degs = [sum(e) for e, _ in row]
     add = operator.add
     out = {}
-    for e1, c1 in col:
+    for e1, c1 in a.items():
         for e2, c2 in (row if cap is None else row[:bisect_right(degs, cap - sum(e1))]):
             key = tuple(map(add, e1, e2))
             s = out.get(key)
@@ -136,17 +119,15 @@ def _mul_terms(a: dict, b: dict, cap=None) -> dict:
                     del out[key]
                 else:
                     out[key] = s
-    den = da * db
-    if den == 1:
-        return {e: QQ(s) for e, s in out.items()}
-    return {e: QQ(s, den) for e, s in out.items()}
+    return out
 
 
-def _div_terms(f: dict, g: dict, quo) -> dict:
-    """The quotient of term dicts f / g, g nonzero; raises NotDivisible
-    when the remainder is nonzero.  ``quo(r, c)`` gives each quotient
-    coefficient, r over g's leading coefficient c: true division over Q, or
-    a division of ints that raises NotDivisible when it leaves a remainder.
+def _div_terms(f: dict, g: dict) -> dict:
+    """The quotient of dicts of integer numerators f / g, g nonzero; raises
+    NotDivisible when the remainder is nonzero or a quotient coefficient is
+    not an integer.  For g primitive, a quotient over Q of integer
+    polynomials has integer coefficients (Gauss's lemma), so a step whose
+    coefficient is not an integer already proves that g does not divide f.
 
     Sparse division with a heap: the remainder is one dict, keyed by
     negated exponents and updated in place.  Each step takes the
@@ -183,7 +164,9 @@ def _div_terms(f: dict, g: dict, quo) -> dict:
         nqe = tuple(map(sub, ne, nge))
         if max(nqe) > 0:
             raise NotDivisible("leading term not divisible")
-        qc = quo(rc, gc)
+        qc, r = divmod(rc, gc)
+        if r:
+            raise NotDivisible("quotient coefficient not an integer")
         qterms[tuple(map(neg, nqe))] = qc
         ndq = nd - ndge
         for nte, ndte, tc in tail:
@@ -201,42 +184,69 @@ def _div_terms(f: dict, g: dict, quo) -> dict:
     return qterms
 
 
-class Poly:
-    """Sparse polynomial with exact rational coefficients over a VarSet."""
+class RationalPoint:
+    """A point, given as a list of rationals in varset order or a dict by
+    name of ``vars``, as int numerators ``nums`` over one denominator
+    ``den``; build it once to evaluate many functions at it."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("nums", "den")
+
+    def __init__(self, point, vars: VarSet = None):
+        if isinstance(point, dict):
+            point = [point[nm] for nm in vars.names]
+        point = [qq(v) for v in point]
+        self.den = lcm(*[x.denominator for x in point])
+        self.nums = [x.numerator * (self.den // x.denominator) for x in point]
+
+
+def _as_point(point, vars: VarSet) -> RationalPoint:
+    return point if isinstance(point, RationalPoint) else RationalPoint(point, vars)
+
+class Poly:
+    """Sparse polynomial with exact rational coefficients over a VarSet,
+    stored as nonzero integer numerators ``terms`` over one denominator
+    ``den`` >= 1 that shares no factor with all of them."""
+
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars: VarSet, terms=None):
         self.vars = vars
-        if terms is None:
-            terms = {}
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        terms = {e: c for e, c in terms.items() if c != 0} if terms else {}
+        self.den = den = lcm(*[c.denominator for c in terms.values()])
+        # no prime of the lcm of reduced denominators divides every numerator
+        self.terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, vars: VarSet, terms: dict) -> "Poly":
-        """A Poly over ``terms`` as given, which it takes over: the caller
-        guarantees every coefficient is nonzero."""
+    def _trusted(cls, vars: VarSet, terms: dict, den: int = 1) -> "Poly":
+        """A Poly over nonzero int numerators ``terms``, which it takes
+        over, and ``den`` >= 1, reduced by their common factor."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {e: c // g for e, c in terms.items()}
+                den //= g
         p = cls.__new__(cls)
         p.vars = vars
         p.terms = terms
+        p.den = den
         return p
 
     @staticmethod
     def zero(vars: VarSet) -> "Poly":
-        return Poly(vars)
+        return Poly._trusted(vars, {})
 
     @staticmethod
     def const(vars: VarSet, c) -> "Poly":
-        c = qq(c)
-        if c == 0:
-            return Poly(vars)
-        return Poly(vars, {(0,) * len(vars): c})
+        if not isinstance(c, int):
+            c = qq(c)
+        return Poly._trusted(vars, {(0,) * len(vars): c.numerator} if c else {},
+                             c.denominator)
 
     @staticmethod
     def var(vars: VarSet, name) -> "Poly":
-        return Poly(vars, {vars.unit_exp(name): QQ1})
+        return Poly._trusted(vars, {vars.unit_exp(name): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -247,11 +257,8 @@ class Poly:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self):
-        z = (0,) * len(self.vars)
-        return self.terms.get(z, QQ0)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        c = self.terms.get((0,) * len(self.vars))
+        return QQ0 if c is None else QQ(c, self.den)
 
     def __bool__(self):
         return bool(self.terms)
@@ -269,19 +276,31 @@ class Poly:
         if isinstance(other, (RatFun, Jet)):
             return NotImplemented
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, QQ0) + c
-            if s == 0:
-                terms.pop(e, None)
+        den, b = self.den, other.terms
+        if den == other.den:
+            terms = dict(self.terms)
+        else:
+            den = lcm(den, other.den)
+            k = den // self.den
+            terms = {e: c * k for e, c in self.terms.items()}
+            k = den // other.den
+            b = {e: c * k for e, c in b.items()}
+        for e, c in b.items():
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
             else:
-                terms[e] = s
-        return Poly._trusted(self.vars, terms)
+                s = s + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return Poly._trusted(self.vars, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (RatFun, Jet)):
@@ -295,13 +314,17 @@ class Poly:
         if isinstance(other, (RatFun, Jet)):
             return NotImplemented
         if not isinstance(other, Poly):
-            c = qq(other)
-            if c == 0:
-                return Poly(self.vars)
-            return Poly._trusted(self.vars, {e: c * v for e, v in self.terms.items()})
+            if not isinstance(other, int):
+                other = qq(other)
+            if other == 0:
+                return Poly.zero(self.vars)
+            n = other.numerator
+            return Poly._trusted(self.vars, {e: n * c for e, c in self.terms.items()},
+                                 self.den * other.denominator)
         if other.vars != self.vars:
             raise MixedVariables("mixed variable sets")
-        return Poly._trusted(self.vars, _mul_terms(self.terms, other.terms))
+        return Poly._trusted(self.vars, _mul_terms(self.terms, other.terms),
+                             self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -329,13 +352,14 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.vars == other.vars and self.terms == other.terms
+            return (self.vars == other.vars and self.den == other.den
+                    and self.terms == other.terms)
         if isinstance(other, (int,)) or type(other) is type(QQ0):
             return self == Poly.const(self.vars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     # -- degrees and components ----------------------------------------------
 
@@ -353,11 +377,11 @@ class Poly:
 
     def lowest(self) -> "Poly":
         """Homogeneous component of minimal total degree."""
-        d = self.min_degree()
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return self.homogeneous_component(self.min_degree())
 
     def homogeneous_component(self, d: int) -> "Poly":
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Poly._trusted(
+            self.vars, {e: c for e, c in self.terms.items() if sum(e) == d}, self.den)
 
     def degree_in(self, name) -> int:
         i = self.vars.index[name]
@@ -374,7 +398,7 @@ class Poly:
                 e2 = list(e)
                 e2[i] = 0
                 out[tuple(e2)] = c
-        return Poly(self.vars, out)
+        return Poly._trusted(self.vars, out, self.den)
 
     # -- calculus / evaluation ------------------------------------------------
 
@@ -386,37 +410,37 @@ class Poly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return Poly(self.vars, out)
+        return Poly._trusted(self.vars, out, self.den)
 
     def evaluate(self, point):
-        """Evaluate at a full rational point (list in varset order or dict)."""
-        if isinstance(point, dict):
-            point = [qq(point[nm]) for nm in self.vars.names]
-        else:
-            point = [qq(v) for v in point]
-        total = QQ0
+        """Value at a RationalPoint or what it takes, summed on ints over
+        den * point.den**D, D the total degree."""
+        point = _as_point(point, self.vars)
+        if not self.terms:
+            return QQ0
+        nums, D = point.nums, self.total_degree()
+        scale = [point.den**k for k in range(D + 1)]
+        total = 0
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
+            for x, k in zip(nums, e):
                 if k:
-                    v = v * x**k
-            total = total + v
-        return total
+                    c *= x**k
+            if c:
+                total += c * scale[D - sum(e)]
+        return QQ(total, self.den * scale[D])
 
     def shift(self, point) -> "Poly":
-        """Substitute v_i -> v_i + c_i (translates the base point to 0)."""
-        if isinstance(point, dict):
-            point = [qq(point.get(nm, 0)) for nm in self.vars.names]
-        else:
-            point = [qq(v) for v in point]
+        """Substitute v_i -> v_i + c_i (translates the base point c to 0);
+        ``point`` as for ``evaluate``."""
+        point = _as_point(point, self.vars)
         result = self
-        for i, c in enumerate(point):
+        for i, c in enumerate(point.nums):
             if c == 0:
                 continue
             nm = self.vars.names[i]
             # expand (v + c)^k per term, one variable at a time
-            out = Poly(self.vars)
-            v_plus_c = Poly.var(self.vars, nm) + Poly.const(self.vars, c)
+            out = Poly.zero(self.vars)
+            v_plus_c = Poly.var(self.vars, nm) + Poly.const(self.vars, QQ(c, point.den))
             powers = {0: Poly.const(self.vars, 1)}
             for e, coef in result.terms.items():
                 k = e[i]
@@ -424,7 +448,7 @@ class Poly:
                     powers[k] = v_plus_c**k
                 e2 = list(e)
                 e2[i] = 0
-                out = out + powers[k] * Poly(self.vars, {tuple(e2): coef})
+                out = out + powers[k] * Poly._trusted(self.vars, {tuple(e2): coef}, result.den)
             result = out
         return result
 
@@ -453,7 +477,7 @@ class Poly:
             total = term if total is None else total + term
         if total is None:
             return one * QQ0
-        return total
+        return total if self.den == 1 else total * QQ(1, self.den)
 
     # -- division and gcd -----------------------------------------------------
 
@@ -462,19 +486,25 @@ class Poly:
         if not self.terms:
             raise ZeroInput("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        return e, QQ(self.terms[e], self.den)
 
     def exact_div(self, g: "Poly") -> "Poly":
-        """Exact division; raises NotDivisible when the remainder is nonzero
-        (see ``_div_terms``)."""
+        """Exact division; raises NotDivisible when the remainder is nonzero.
+        With g = (c / g.den) * G for G primitive over Z, the quotient is
+        (g.den / (self.den * c)) * (self.terms / G), the last by
+        ``_div_terms``."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if g.vars != self.vars:
             raise MixedVariables("mixed variable sets")
         if g.is_constant():
-            c = g.constant_value()
-            return Poly(self.vars, {e: v / c for e, v in self.terms.items()})
-        return Poly._trusted(self.vars, _div_terms(self.terms, g.terms, operator.truediv))
+            return self * (QQ1 / g.constant_value())
+        c = gcd(*g.terms.values())
+        G = g.terms if c == 1 else {e: v // c for e, v in g.terms.items()}
+        q = _div_terms(self.terms, G)
+        if g.den != 1:
+            q = {e: v * g.den for e, v in q.items()}
+        return Poly._trusted(self.vars, q, self.den * c)
 
     def divides(self, f: "Poly") -> bool:
         try:
@@ -498,15 +528,19 @@ class Poly:
         return tuple(mins)
 
     def div_monomial(self, mexp) -> "Poly":
-        return Poly(
+        return Poly._trusted(
             self.vars,
             {tuple(a - b for a, b in zip(e, mexp)): c for e, c in self.terms.items()},
+            self.den,
         )
 
     # -- canonical text -------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """(exponent, rational coefficient) pairs in descending graded-lex
+        order."""
+        return [(e, QQ(c, self.den)) for e, c in
+                sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)]
 
     def __str__(self):
         if not self.terms:
@@ -581,50 +615,35 @@ def _poly_content_and_primitive(f: Poly, i: int):
     times the rational scale that makes the primitive part's leading
     coefficient monic in lex order, so that the coefficients of a remainder
     sequence of primitive parts cannot grow in scale."""
-    coeffs = {}
-    for e, c in f.terms.items():
-        k = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        coeffs.setdefault(k, {})[tuple(e2)] = c
-    polys = [Poly(f.vars, t) for t in coeffs.values()]
-    cont = reduce(poly_gcd, polys)
+    name = f.vars.names[i]
+    polys = {k: f.coeff_of(name, k) for k in {e[i] for e in f.terms}}
+    cont = reduce(poly_gcd, polys.values())
     # lex order needs no key function, unlike graded lex
-    top, ct = coeffs[max(coeffs)], cont.terms
-    lc, clc = top[max(top)], ct[max(ct)]
-    if lc != clc:
-        cont = cont * (lc / clc)
-    prim_coeffs = {k: Poly(f.vars, t).exact_div(cont) for k, t in coeffs.items()}
+    top = polys[max(polys)]
+    t, ct = top.terms, cont.terms
+    scale = QQ(t[max(t)] * cont.den, top.den * ct[max(ct)])
+    if scale != 1:
+        cont = cont * scale
+    prim_coeffs = {k: p.exact_div(cont) for k, p in polys.items()}
     return cont, prim_coeffs
 
 
 def _from_univariate(vars: VarSet, i: int, coeffs) -> Poly:
-    out = {}
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            e2 = list(e)
-            e2[i] = k
-            out[tuple(e2)] = c
-    return Poly(vars, out)
-
-
-def _uni_degree(coeffs):
-    return max(coeffs)
+    x = Poly.var(vars, vars.names[i])
+    return sum((p * x**k for k, p in coeffs.items()), Poly.zero(vars))
 
 
 def _uni_pseudo_rem(f, g, vars):
     """Pseudo-remainder of univariate polynomials given as dicts
     {degree: Poly coefficient}."""
     f = dict(f)
-    dg = _uni_degree(g)
+    dg = max(g)
     lcg = g[dg]
-    while f and _uni_degree(f) >= dg:
-        df = _uni_degree(f)
+    while f and max(f) >= dg:
+        df = max(f)
         lcf = f[df]
         # f := lcg*f - lcf * x^(df-dg) * g
-        newf = {}
-        for k, p in f.items():
-            newf[k] = p * lcg
+        newf = {k: p * lcg for k, p in f.items()}
         for k, p in g.items():
             kk = k + df - dg
             q = newf.get(kk, Poly.zero(vars)) - lcf * p
@@ -643,7 +662,7 @@ def _prs_gcd(f: Poly, g: Poly, main: int) -> Poly:
     cg, gprim = _poly_content_and_primitive(g, main)
     cont = poly_gcd(cf, cg)
     a, b = fprim, gprim
-    if _uni_degree(a) < _uni_degree(b):
+    if max(a) < max(b):
         a, b = b, a
     while True:
         r = _uni_pseudo_rem(a, b, f.vars)
@@ -651,7 +670,7 @@ def _prs_gcd(f: Poly, g: Poly, main: int) -> Poly:
             return cont * _from_univariate(f.vars, main, b)
         _, rprim = _poly_content_and_primitive(_from_univariate(f.vars, main, r), main)
         a, b = b, rprim
-        if _uni_degree(b) == 0:
+        if max(b) == 0:
             return cont
 
 
@@ -661,13 +680,6 @@ _HEU_TRIES = 6
 
 class _HeuristicGcdFailed(Exception):
     """GCDHEU verified no candidate at any of its evaluation points."""
-
-
-def _int_quo(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise NotDivisible("integer quotient not exact")
-    return q
 
 
 def _int_primitive(f: dict) -> dict:
@@ -732,8 +744,8 @@ def _heu_gcd(f: dict, g: dict) -> dict:
         if ff and gg:
             h = _int_primitive(_interpolate(_heu_gcd(ff, gg), i, xi))
             try:
-                _div_terms(f, h, _int_quo)
-                _div_terms(g, h, _int_quo)
+                _div_terms(f, h)
+                _div_terms(g, h)
                 return {e: c * v for e, v in h.items()}
             except NotDivisible:
                 pass
@@ -771,12 +783,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     mcommon = tuple(min(a, b) for a, b in zip(mf, mg))
     f = f.div_monomial(mf)
     g = g.div_monomial(mg)
-    mono = Poly(vars, {mcommon: QQ1})
+    mono = Poly._trusted(vars, {mcommon: 1})
 
+    # after removing monomial content a monomial is constant
     if f.is_constant() or g.is_constant():
-        return _normalize_gcd(mono)
-    if f.is_monomial() or g.is_monomial():
-        # after removing monomial content a monomial is constant
         return _normalize_gcd(mono)
 
     # main variable: last one occurring in both
@@ -792,11 +802,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if a.divides(b):
         return _normalize_gcd(a * mono)
     try:
-        h = _heu_gcd(_int_primitive(dict(_int_row(f.terms)[0])),
-                     _int_primitive(dict(_int_row(g.terms)[0])))
+        h = _heu_gcd(_int_primitive(f.terms), _int_primitive(g.terms))
     except _HeuristicGcdFailed:
         return _normalize_gcd(_prs_gcd(f, g, main) * mono)
-    return _normalize_gcd(Poly._trusted(vars, {e: QQ(c) for e, c in h.items()}) * mono)
+    return _normalize_gcd(Poly._trusted(vars, h) * mono)
 
 
 def _normalize_gcd(p: Poly) -> Poly:
@@ -1000,6 +1009,7 @@ class RatFun:
         return RatFun(t, d * dg, reduce=False)
 
     def evaluate(self, point):
+        point = _as_point(point, self.vars)
         d = self.den.evaluate(point)
         if d == 0:
             raise EvaluationSingular("denominator vanishes at evaluation point")
@@ -1084,7 +1094,7 @@ class Jet:
             raise BadTruncation("jet order must be >= 0")
         self.order = order
         self.poly = Poly._trusted(
-            poly.vars, {e: c for e, c in poly.terms.items() if sum(e) <= order}
+            poly.vars, {e: c for e, c in poly.terms.items() if sum(e) <= order}, poly.den
         )
 
     @classmethod
@@ -1138,7 +1148,8 @@ class Jet:
         if other.vars != self.vars:
             raise MixedVariables("mixed variable sets")
         terms = _mul_terms(self.poly.terms, other.terms, self.order)
-        return Jet._trusted(Poly._trusted(self.vars, terms), self.order)
+        return Jet._trusted(Poly._trusted(self.vars, terms, self.poly.den * other.den),
+                            self.order)
 
     __rmul__ = __mul__
 
@@ -1385,29 +1396,16 @@ def _rational_rank(rows) -> int:
 
 def numeric_rank_at(m: PolyMatrix, point) -> int:
     """Exact rank of the rational matrix obtained by evaluating at a point."""
-    rows = []
-    for row in m.entries:
-        vals = []
-        for x in row:
-            if isinstance(x, (Poly, RatFun)):
-                vals.append(x.evaluate(point))
-            else:
-                vals.append(qq(x))
-        rows.append(vals)
-    return _rational_rank(rows)
+    point = RationalPoint(point)
+    return _rational_rank([[x.evaluate(point) if isinstance(x, (Poly, RatFun)) else qq(x)
+                            for x in row] for row in m.entries])
 
 
 def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
     """Max rank over ``retries`` seeded-random rational points; raises
     EvaluationSingular when some denominator vanished at every sample."""
-    nvars = None
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, (Poly, RatFun)):
-                nvars = len(x.vars)
-                break
-        if nvars is not None:
-            break
+    nvars = next((len(x.vars) for row in m.entries for x in row
+                  if isinstance(x, (Poly, RatFun))), None)
     if nvars is None:
         return _rational_rank([[qq(x) for x in row] for row in m.entries])
     best = None

@@ -11,6 +11,7 @@ import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -53,7 +54,7 @@ nonzero = polys().filter(bool)
 def to_sympy(p: Poly) -> sympy.Poly:
     return sympy.Poly.from_dict(
         {e: sympy.Rational(int(c.numerator), int(c.denominator))
-         for e, c in p.terms.items()},
+         for e, c in p.sorted_terms()},
         *GENS, domain="QQ")
 
 
@@ -143,16 +144,51 @@ def rational_mul_terms(a: dict, b: dict, cap=None) -> dict:
 X, Y = Poly.var(X3, "x"), Poly.var(X3, "y")
 
 
+def rational_terms(p: Poly) -> dict:
+    """p's coefficients as Fractions, in the order of its numerators."""
+    return {e: Fraction(c, p.den) for e, c in p.terms.items()}
+
+
 @given(polys(), polys(), coefficients, st.sampled_from([None, 0, 1, 2, 3, 5]))
 def test_mul_terms_is_the_rational_loop(f, g, c, cap):
     # (x + y)(x - y) cancels its cross terms, and so does each product with
-    # a common factor; coefficients have denominators 1 to 4
+    # a common factor; coefficients have denominators 1 to 4.  The kernel
+    # returns int numerators over the product of the two denominators: the
+    # positive scale leaves the same sums zero, so the keys and their order
+    # are those of the loop on rationals
     pairs = [(f, g), ((X + Y) * c, X - Y), ((X + Y) * f * c, (X - Y) * f),
              ((X - Y) * g, (X + Y) * g * c)]
     for a, b in pairs:
         out = _mul_terms(a.terms, b.terms, cap)
-        assert list(out.items()) == list(rational_mul_terms(a.terms, b.terms, cap).items())
-        assert all(type(v) is QQ for v in out.values())
+        assert all(type(v) is int for v in out.values())
+        den = a.den * b.den
+        assert [(e, Fraction(v, den)) for e, v in out.items()] == list(
+            rational_mul_terms(rational_terms(a), rational_terms(b), cap).items())
+
+
+def assert_canonical_poly(p: Poly):
+    """p's numerators are nonzero ints over one int denominator >= 1 that
+    shares no factor with all of them, and p has the pair and the hash of
+    the Poly built from its rational coefficients."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    rebuilt = Poly(p.vars, dict(p.sorted_terms()))
+    assert (rebuilt.terms, rebuilt.den) == (p.terms, p.den)
+    assert hash(rebuilt) == hash(p)
+
+
+@given(polys(), nonzero, coefficients, st.integers(0, 6))
+def test_results_are_in_canonical_form(f, g, c, order):
+    jf, jg = Jet(f, order), Jet(g, order)
+    results = [f + g, f - g, -f, f * g, f * c, c * f, f * (g * c), (f * g).exact_div(g),
+               f.exact_div(Poly.const(X3, c)), g.derivative("x"), (jf * jg).poly, (jf * g).poly,
+               (jf * c).poly, (jf + jg).poly, jf.poly]
+    for p in results:
+        assert_canonical_poly(p)
+    # equal polynomials reached two ways have one pair and one hash
+    for a, b in [((f * g).exact_div(g), f), (f * c + g - g, c * f), ((f + g) * c, f * c + g * c)]:
+        assert (a.terms, a.den, hash(a)) == (b.terms, b.den, hash(b))
 
 
 @given(polys(), polys(), st.integers(0, 6))
@@ -283,6 +319,19 @@ def test_ratfun_derivative_is_canonical(pair):
         for v in X3.names:
             assert_canonical(r.derivative(v),
                              n.derivative(v) * d - n * d.derivative(v), d * d)
+
+
+@given(ratfun_pairs(), st.integers(-2, 2))
+def test_ratfun_results_are_in_canonical_form(pair, k):
+    r, s = pair
+    results = [r + s, r - s, r * s, -r, *(r.derivative(v) for v in X3.names)]
+    if s:
+        results.append(r / s)
+    if r or k >= 0:
+        results.append(r**k)
+    for q in results:
+        assert_canonical_poly(q.num)
+        assert_canonical_poly(q.den)
 
 
 def random_multilinear(rng):

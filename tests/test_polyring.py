@@ -273,6 +273,25 @@ class TestCanonicalText:
         assert parse_poly("z1*3/2*z2^2", Z6) == p6("3/2*z1*z2^2")
 
 
+class TestCoefficientAccessors:
+    """Coefficients are stored as int numerators, but every accessor gives a
+    rational, so that 1 / lc stays exact where the numerator is an int."""
+
+    @pytest.mark.parametrize("text", ["2*z1^2 - 3*z2 + 5", "-1/2*z1*z3 + 2/3", "z2", "0"])
+    def test_accessors_return_rationals(self, text):
+        p = p6(text)
+        assert type(p.constant_value()) is QQ
+        assert type(p.evaluate([1, 2, 3, 4, 5, 6])) is QQ
+        assert all(type(c) is QQ for _, c in p.sorted_terms())
+        if p:
+            lc = p.leading()[1]
+            assert type(lc) is QQ and type(1 / lc) is QQ
+            assert 1 / lc * lc == 1
+
+    def test_integer_leading_coefficient_inverts_exactly(self):
+        assert 1 / p6("2*z1 + 1").leading()[1] == QQ(1, 2)
+
+
 class TestVariableSets:
     @pytest.mark.parametrize("names", [[], ["x", "y", "x"], ["x", "1y"], ["x y"]])
     def test_bad_names(self, names):
@@ -344,7 +363,7 @@ class TestGcdDivision:
         V = VarSet(["b2", "e1", "e2"])
         f = parse_poly("b2*e1^2 + 2*b2*e1 + b2", V)
         g = f * parse_poly("b2*e2 - 3*e1 + 7", V)
-        h = _heu_gcd(*({e: int(c) for e, c in p.terms.items()} for p in (f, g)))
+        h = _heu_gcd(*({e: int(c) for e, c in p.sorted_terms()} for p in (f, g)))
         assert Poly(V, h) == f
 
     def test_ratfun_reduction(self):
