@@ -29,6 +29,7 @@ from .polyring import (
     escalate,
     inverse,
     jet_lowest_term,
+    minors,
     truncated_exp,
 )
 from .rationals import QQ, QQ0, QQ1, _sign
@@ -123,8 +124,9 @@ def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
     return LinearPoissonStructure(vars, mat)
 
 
-def minor(mat: PolyMatrix, rows, cols):
-    return det(mat.submatrix([r - 1 for r in sorted(rows)], [c - 1 for c in sorted(cols)]))
+def minor(table, rows, cols):
+    """The minor on 1-based ``rows`` and ``cols`` from a ``minors`` table."""
+    return table([r - 1 for r in rows], [c - 1 for c in cols])
 
 
 def interval(a: int, b: int):
@@ -217,14 +219,15 @@ def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
     frozen f's, the phi's of the negative word, the psi's of the positive
     word, and the map letter i -> k with psi_k the letter's last occurrence."""
     m = n + 1
+    table = minors(g)
     w0 = WeylElt.longest(m)
-    fs = [minor(g, interval(1, i), w0.act_set(interval(1, i))) for i in range(1, n + 1)]
+    fs = [minor(table, interval(1, i), w0.act_set(interval(1, i))) for i in range(1, n + 1)]
 
     neg = dword.neg
     phis = []
     for k in range(1, len(neg) + 1):
         ik = neg.letters[k - 1]
-        phis.append(minor(g, neg.prefix(k).act_set(interval(1, ik)), w0.act_set(interval(1, ik))))
+        phis.append(minor(table, neg.prefix(k).act_set(interval(1, ik)), w0.act_set(interval(1, ik))))
 
     pos = dword.pos
     l0 = len(pos)
@@ -234,7 +237,7 @@ def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
         suffix = WeylElt.identity(m)
         for t in range(l0, k, -1):
             suffix = suffix * WeylElt.simple(pos.letters[t - 1], m)
-        psis.append(minor(g, w0.act_set(interval(1, jk)), suffix.act_set(interval(1, jk))))
+        psis.append(minor(table, w0.act_set(interval(1, jk)), suffix.act_set(interval(1, jk))))
 
     g_index = {letter: k for k, letter in enumerate(pos.letters, 1)}
     return fs, phis, psis, g_index
@@ -267,7 +270,7 @@ def gexp_formulas(n: int) -> dict:
     open: every comparison is up to sign)."""
     m = n + 1
     vars = sl_varset(n)
-    u = sl_u_matrix(n, vars)
+    u = minors(sl_u_matrix(n, vars))
 
     cluster_lows = set()
     for k in range(2, m + 1):
@@ -292,8 +295,8 @@ def gexp_formulas(n: int) -> dict:
         left = interval(1, n - i + 1)
         right = interval(i + 1, m)
         for k in range(n - i + 2, i + 1):
-            total = total + minor(u, right, left) * minor(u, sorted(left + [k]), sorted(right + [k]))
-            total = total + minor(u, left, right) * minor(u, sorted(right + [k]), sorted(left + [k]))
+            total = total + minor(u, right, left) * minor(u, left + [k], right + [k])
+            total = total + minor(u, left, right) * minor(u, right + [k], left + [k])
         gprime_lows[i] = total
 
     return {

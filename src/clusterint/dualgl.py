@@ -1,12 +1,14 @@
 """The dual Poisson-Lie group of GL(n): staircase determinants and their
-trailing minors, the deformed Casimir coefficients, lowest degree terms at
-the identity both via truncated exponentials and in closed form as minors
-of the Krylov matrix of u, the selection of the integrable system on the
-matrix coalgebra, and the birational Krylov map."""
+trailing minors, the deformed Casimir coefficients from the pencil
+det(lam Y + X), lowest degree terms at the identity both as the same
+minors and pencil of the truncated exponentials of u and in closed form as
+minors of the Krylov matrix of u, the selection of the integrable system on
+the matrix coalgebra, and the birational Krylov map."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,7 +22,6 @@ from .poisson_core import (
     certify,
 )
 from .polyring import (
-    Jet,
     Poly,
     PolyMatrix,
     RatFun,
@@ -30,6 +31,7 @@ from .polyring import (
     inverse,
     jacobian,
     jet_lowest_term,
+    minors,
     truncated_exp,
 )
 from .rationals import QQ, QQ0, QQ1, _sign
@@ -221,14 +223,14 @@ def restrict_to_chart(p: Poly, chart: DualGroupChart) -> RatFun:
     return p.substitute(mapping, RatFun.const(chart.vars, 1))
 
 
-def full_staircase_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    """The uncut n(n-1) staircase: Y-blocks on the diagonal, X-blocks below.
-    Its trailing minors interleave the phi's, the trailing minors of its
+def full_staircase_matrix(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
+    """The uncut n(n-1) staircase of two n x n matrices, Poly or Jet: Y-blocks
+    on the diagonal, X-blocks below, each without its first row.  Its
+    trailing minors interleave the phi's, the trailing minors of its
     leading (n-1)^2 block, with the trailing diagonal products of X."""
-    X = x_matrix(n, vars)
-    Y = y_matrix(n, vars)
+    n = X.rows
     size = n * (n - 1)
-    zero = Poly.zero(vars)
+    zero = X[0, 0] - X[0, 0]
     ent = [[zero for _ in range(size)] for _ in range(size)]
 
     def put(block, row0, col0):
@@ -243,98 +245,60 @@ def full_staircase_matrix(n: int, vars: VarSet) -> PolyMatrix:
 
 
 def trailing_minors(mat: PolyMatrix) -> list:
-    """The principal minors on rows and columns [i, size], i = 1..size."""
+    """The principal minors on rows and columns [i, size], i = 1..size,
+    from one ``minors`` table."""
+    table = minors(mat)
     size = mat.rows
-    return [det(mat.submatrix(range(i, size), range(i, size))) for i in range(size)]
+    return [table(range(i, size), range(i, size)) for i in range(size)]
+
+
+def pencil_coefficients(A: PolyMatrix, B: PolyMatrix) -> list:
+    """The coefficients c_0, ..., c_n of det(lam A + B) = sum_k c_k lam^k,
+    for n x n matrices over Poly or Jet: the determinant at lam = 0..n,
+    times the exact inverse of the Vandermonde matrix of those points."""
+    n = A.rows
+    values = [
+        det(PolyMatrix([[a * t + b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(A.entries, B.entries)]))
+        for t in range(n + 1)
+    ]
+    inv = inverse(PolyMatrix([[QQ(t) ** k for k in range(n + 1)] for t in range(n + 1)]))
+    return [sum(values[t] * inv[k, t] for t in range(n + 1)) for k in range(n + 1)]
 
 
 def build_staircase(n: int) -> StaircaseSystem:
     if n < 2:
         raise SizeOutOfRange(f"the staircase needs n >= 2, got {n}")
     vars = bb_varset(n)
-    lam_matrix = full_staircase_matrix(n, vars)
+    X = x_matrix(n, vars)
+    Y = y_matrix(n, vars)
+    lam_matrix = full_staircase_matrix(X, Y)
     lead = range((n - 1) ** 2)
     phis = trailing_minors(lam_matrix.submatrix(lead, lead))
-
-    # coefficients in the spectral parameter
-    lam_vars = VarSet(list(vars.names) + ["lam"])
-    lam = Poly.var(lam_vars, "lam")
-    Xl = x_matrix(n, lam_vars)
-    Yl = y_matrix(n, lam_vars)
-    pencil = PolyMatrix(
-        [
-            [lam * Yl.entries[i][j] + Xl.entries[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    dp = det(pencil)
-
+    # det(lam Y + X) = det(Y) sum over i of C_{n-i} lam^i, and
     # det((lam-1) Y + X) = sum over i of cbar_num_i(x, y) lam^i, so that
     # cbar_i = cbar_num_i / det(Y)
-    lm1 = lam - Poly.const(lam_vars, 1)
-    pencil2 = PolyMatrix(
-        [
-            [lm1 * Yl.entries[i][j] + Xl.entries[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    dp2 = det(pencil2)
-    cbar_nums = [
-        _drop_var(dp2.coeff_of("lam", i), vars) for i in range(0, n + 1)
-    ]
-
-    detY = det(y_matrix(n, vars))
-    Cs = [RatFun(_drop_var(dp.coeff_of("lam", n - i), vars), detY) for i in range(n + 1)]
+    detY = det(Y)
+    Cs = [RatFun(c, detY) for c in reversed(pencil_coefficients(Y, X))]
+    cbar_nums = pencil_coefficients(Y, X + Y.map(operator.neg))
     return StaircaseSystem(n, vars, phis, Cs, cbar_nums, lam_matrix)
-
-
-def _drop_var(p: Poly, vars: VarSet) -> Poly:
-    mapping = {nm: Poly.var(vars, nm) for nm in vars.names}
-    mapping["lam"] = Poly.zero(vars)
-    return p.substitute(mapping, Poly.const(vars, 1))
 
 
 # -- lowest terms via jets --------------------------------------------------------
 
 
-def exp_substitution(n: int, order: int):
-    """Jets of the two exponential factors: the upper one carries half the
-    diagonal of u, the lower one minus the other half, so their difference of
-    logarithms is u."""
-    uv = u_varset(n)
+def exp_jets(n: int, order: int):
+    """Jets X and Y of the two exponential factors: the upper one carries
+    half the diagonal of u, the lower one minus the other half, so their
+    difference of logarithms is u."""
+    u = u_poly_matrix(n).entries
+    zero = u[0][0] * 0
     half = QQ(1, 2)
-    xm = PolyMatrix(
-        [
-            [
-                Poly.var(uv, f"u{i}{j}") * (half if i == j else QQ1)
-                if i <= j
-                else Poly.zero(uv)
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    )
-    ym = PolyMatrix(
-        [
-            [
-                -Poly.var(uv, f"u{i}{j}") * (half if i == j else QQ1)
-                if i >= j
-                else Poly.zero(uv)
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    )
-    X = truncated_exp(xm, order)
-    Y = truncated_exp(ym, order)
-    mapping = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i <= j:
-                mapping[f"x{i}{j}"] = X.entries[i - 1][j - 1]
-            if i >= j:
-                mapping[f"y{i}{j}"] = Y.entries[i - 1][j - 1]
-    return uv, mapping
+    xm = PolyMatrix([[u[i][j] * half if i == j else u[i][j] if i < j else zero
+                      for j in range(n)] for i in range(n)])
+    ym = PolyMatrix([[-u[i][j] * half if i == j else -u[i][j] if i > j else zero
+                      for j in range(n)] for i in range(n)])
+    return truncated_exp(xm, order), truncated_exp(ym, order)
 
 
 @dataclass
@@ -355,8 +319,9 @@ def lows_order(n: int) -> int:
 
 def lows_via_jets(s: StaircaseSystem) -> JetLows:
     """Exact lowest terms of the restricted system in the difference-of-
-    logarithms coordinates, with adaptive truncation order (from
-    ``lows_order(n)``, doubling up to max(4n, n(n-1)/2 + 2))."""
+    logarithms coordinates: the phi's and cbar's as minors of the jet
+    staircase and the jet pencil of ``exp_jets``, with adaptive truncation
+    order (from ``lows_order(n)``, doubling up to max(4n, n(n-1)/2 + 2))."""
     n = s.n
     return escalate(lambda d: _jet_lows_at(s, d), lows_order(n),
                     max(4 * n, n * (n - 1) // 2 + 2))
@@ -364,16 +329,15 @@ def lows_via_jets(s: StaircaseSystem) -> JetLows:
 
 def _jet_lows_at(s: StaircaseSystem, D: int):
     n = s.n
-    uv, mapping = exp_substitution(n, D)
-    one = Jet.const(uv, 1, D)
-    lows = []
-    for p in s.phis + s.cbar_nums[:n]:
-        low = jet_lowest_term(p.substitute(mapping, one))
-        if low is None:
-            return None
-        lows.append(low)
-    k = len(s.phis)
-    return JetLows(n, D, uv, lows[:k], lows[k:])
+    X, Y = exp_jets(n, D)
+    lead = range((n - 1) ** 2)
+    phis = trailing_minors(full_staircase_matrix(X, Y).submatrix(lead, lead))
+    cbars = pencil_coefficients(Y, X + Y.map(operator.neg))[:n]
+    lows = [jet_lowest_term(j) for j in phis + cbars]
+    if None in lows:
+        return None
+    k = len(phis)
+    return JetLows(n, D, X[0, 0].vars, lows[:k], lows[k:])
 
 
 # -- closed-form lowest terms -------------------------------------------------------
@@ -452,23 +416,19 @@ def minor_product_expansion(n: int, p: int, i: int) -> Poly:
         I1 = list(range(2, i - p)) + list(range(i + 1, n + 1))
     if not I1:
         return Poly.const(u_varset(n), 1)
-    return _nested_minor_sum(u_poly_matrix(n), I1)
+    return _nested_minor_sum(minors(u_poly_matrix(n)), n, I1)
 
 
-def _nested_minor_sum(u: PolyMatrix, rows) -> Poly:
+def _nested_minor_sum(u, n: int, rows) -> Poly:
     """Sum over the column sets C in 2..n with one column fewer than
     ``rows`` of the minor of u on rows and columns {1} + C, times the same
-    sum on the rows C; the minor on rows and column 1 for a single row."""
+    sum on the rows C; the minor on rows and column 1 for a single row.
+    ``u`` is the ``minors`` table of the generic n x n matrix."""
     rows0 = [r - 1 for r in rows]
     if len(rows) == 1:
-        return det(u.submatrix(rows0, [0]))
-    total = Poly.zero(u[0, 0].vars)
-    for nxt in combinations(range(2, u.rows + 1), len(rows) - 1):
-        factor = det(u.submatrix(rows0, [0] + [c - 1 for c in nxt]))
-        if factor.is_zero():
-            continue
-        total = total + factor * _nested_minor_sum(u, nxt)
-    return total
+        return u(rows0, [0])
+    return sum(u(rows0, [0] + [c - 1 for c in nxt]) * _nested_minor_sum(u, n, nxt)
+               for nxt in combinations(range(2, n + 1), len(rows) - 1))
 
 
 # -- the Krylov map -------------------------------------------------------------------

@@ -15,8 +15,11 @@ primitive integer part of the divisor, with the remainder in one dict and
 its leading terms taken from a heap of graded-lex keys (Johnson 1974;
 Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
 A gcd tries the smaller operand as a divisor, then the heuristic integer
-gcd GCDHEU, then a primitive remainder sequence.  There is one determinant,
-a Laplace expansion that computes each minor once.  The canonical text
+gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
+come from one memoized table (``minors``), a Laplace expansion along first
+rows keyed by row and column bit masks, so that every minor read from it
+reuses the sub-minors met before; ``det`` is the full minor of a fresh
+table.  The canonical text
 (``str``, read back by ``parse_poly``) lists terms in descending graded-lex
 order, e.g. ``z1*z4 - z2``.
 """
@@ -1265,47 +1268,70 @@ def _entry_is_zero(x):
     return x == 0
 
 
-def _minor(rows, r, mask, memo):
-    """Determinant of the rows from ``r`` on, restricted to the columns in
-    the bit set ``mask`` (one per row), by Laplace expansion along row r;
-    None when no term survives.  ``memo`` holds each minor by its mask, so
-    the expansions of all larger minors share it."""
-    if mask in memo:
-        return memo[mask]
-    last = r + 1 == len(rows)
+def _minor(rows, rmask, cmask, memo):
+    """Determinant of ``rows`` restricted to the rows in the bit set
+    ``rmask`` and the columns in ``cmask`` (of one size), by Laplace
+    expansion along its first row; None when no term survives.  ``memo``
+    holds each minor by its (row mask, column mask), so the expansions of
+    all larger minors share it."""
+    key = (rmask, cmask)
+    if key in memo:
+        return memo[key]
+    first = rmask & -rmask
+    row = rows[first.bit_length() - 1]
+    rest_rows = rmask ^ first
     total = None
     negate = False
-    rest_mask = mask
+    rest_mask = cmask
     while rest_mask:
         bit = rest_mask & -rest_mask
         rest_mask ^= bit
-        a = rows[r][bit.bit_length() - 1]
+        a = row[bit.bit_length() - 1]
         if not _entry_is_zero(a):
-            if last:
+            if not rest_rows:
                 term = a
             else:
-                rest = _minor(rows, r + 1, mask ^ bit, memo)
+                rest = _minor(rows, rest_rows, cmask ^ bit, memo)
                 term = None if rest is None else a * rest
             if term is not None:
                 if negate:
                     term = -term
                 total = term if total is None else total + term
         negate = not negate
-    memo[mask] = total
+    memo[key] = total
     return total
+
+
+def minors(m: PolyMatrix):
+    """The minors of ``m`` as a function of (rows, cols), two collections
+    of 0-based indices of one size, each read in increasing order.  Poly and
+    Jet minors are expanded by Laplace along their first rows into one table
+    that every minor of ``m`` shares, so a minor met inside another is
+    computed once (no division, so Jet entries work as well as Poly ones);
+    RatFun minors are each cleared by ``det``."""
+    if {type(x) for row in m.entries for x in row} == {RatFun}:
+        return lambda rows, cols: det(m.submatrix(sorted(rows), sorted(cols)))
+    memo = {}
+
+    def minor(rows, cols):
+        if len(rows) != len(cols) or not rows:
+            raise NonSquare(f"{len(rows)}x{len(cols)} minor")
+        out = _minor(m.entries, sum(1 << i for i in rows), sum(1 << j for j in cols), memo)
+        if out is None:
+            x = m.entries[0][0]
+            return x - x
+        return out
+
+    return minor
 
 
 def det(m: PolyMatrix):
     """Exact determinant.  RatFun entries are first cleared of their
-    denominators row by row; every other matrix is expanded by Laplace along
-    its rows in order, computing each minor on a set of trailing rows once
-    (no division, so Jet entries work as well as Poly ones)."""
+    denominators row by row; every other matrix gives the full minor of a
+    fresh ``minors`` table."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
-    if m.rows == 0:
-        raise NonSquare("empty matrix")
-    kinds = {type(x) for row in m.entries for x in row}
-    if kinds == {RatFun}:
+    if {type(x) for row in m.entries for x in row} == {RatFun}:
         # clear each row by the lcm of its denominators, divide back at the
         # end, cancelling the known denominator factors by trial division
         cleared = []
@@ -1329,11 +1355,7 @@ def det(m: PolyMatrix):
             scale = den if scale is None else scale * den
         d = det(PolyMatrix(cleared))
         return ratfun_reduced_by_factors(d, scale, factors)
-    out = _minor(m.entries, 0, (1 << m.rows) - 1, {})
-    if out is None:
-        x = m.entries[0][0]
-        return x - x
-    return out
+    return minors(m)(range(m.rows), range(m.cols))
 
 
 def inverse(m: PolyMatrix) -> PolyMatrix:

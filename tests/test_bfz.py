@@ -21,7 +21,7 @@ from clusterint.bfz import (
 )
 from clusterint.errors import SizeOutOfRange, WrongWord
 from clusterint.poisson_core import generic_rank, is_log_canonical
-from clusterint.polyring import Poly, RatFun, jet_lowest_term, parse_poly
+from clusterint.polyring import Poly, RatFun, jet_lowest_term, minors, parse_poly
 from clusterint.rationals import QQ
 from clusterint.typea import ReducedWord, longest_word
 
@@ -61,7 +61,7 @@ class TestGoldenN2:
     def test_gprime2_low(self, c2):
         # sum of products of complementary corner minors, bordered by the
         # middle index
-        u = sl_u_matrix(2)
+        u = minors(sl_u_matrix(2))
         expect = minor(u, [3], [1]) * minor(u, [1, 2], [2, 3]) + minor(
             u, [1], [3]
         ) * minor(u, [2, 3], [1, 2])

@@ -1,10 +1,11 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
 module imports a name it never uses, no top-level function is defined in
-two modules, every method of a package class is used somewhere, no
-nested function calls itself, and no function imports."""
+two modules, every top-level function, class and method of the package is
+used somewhere, no nested function calls itself, and no function
+imports."""
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +65,27 @@ def test_every_method_is_used():
                 unused += [f"{path.name}:{cls.name}.{node.name}" for node in cls.body
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("__") and node.name not in used]
+    assert unused == []
+
+
+def referenced_names(tree):
+    """Names read as a bare name or as an attribute anywhere in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_top_level_definition_is_used():
+    """Each top-level function and class of the package is referenced by
+    name in the package, the tests or the benchmark, outside its own body."""
+    refs = Counter()
+    for path in [*MODULES, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+        refs += referenced_names(ast.parse(path.read_text(), str(path)))
+    unused = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and refs[node.name] == referenced_names(node)[node.name]):
+                unused.append(f"{path.name}:{node.name}")
     assert unused == []
 
 

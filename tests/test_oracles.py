@@ -11,6 +11,7 @@ import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -19,7 +20,13 @@ from hypothesis import assume, given, strategies as st
 
 from clusterint import polyring
 from clusterint.bfz import _build_at_order, gexp_formulas, gexp_order, standard_double_word
-from clusterint.dualgl import _jet_lows_at, build_staircase, lows_closed_form, lows_order
+from clusterint.dualgl import (
+    _jet_lows_at,
+    build_staircase,
+    lows_closed_form,
+    lows_order,
+    pencil_coefficients,
+)
 from clusterint.errors import NotDivisible
 from clusterint.polyring import (
     Jet,
@@ -30,6 +37,7 @@ from clusterint.polyring import (
     _mul_terms,
     det,
     jet_lowest_term,
+    minors,
     parse_poly,
     poly_gcd,
     ratfun_reduced_by_factors,
@@ -94,11 +102,53 @@ def test_det_agrees_with_sympy(n):
     rng = random.Random(n)
     for _ in range(3):
         rows = random_matrix(rng, n)
-        # Gaussian elimination over sympy's QQ[x, y, z]; its determinants of
-        # expression matrices take minutes on a dense 5x5
-        expected = sympy.Matrix(
-            [[to_sympy(p).as_expr() for p in row] for row in rows]).det(method="domain-ge")
-        assert to_sympy(det(PolyMatrix(rows))) == sympy.Poly(expected, *GENS, domain="QQ")
+        # sympy's determinants of expression matrices take minutes on a
+        # dense 5x5, hence its domain method
+        assert to_sympy(det(PolyMatrix(rows))) == sympy_det(rows)
+
+
+def sympy_det(rows):
+    # Gaussian elimination over sympy's QQ[x, y, z]
+    expected = sympy.Matrix(
+        [[to_sympy(p).as_expr() for p in row] for row in rows]).det(method="domain-ge")
+    return sympy.Poly(expected, *GENS, domain="QQ")
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_every_minor_of_one_table_agrees_with_sympy(n):
+    # larger minors first, so that smaller ones are read back from entries
+    # their expansions left in the table; D cuts the degree-6 entry products
+    D = 4
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        rows = random_matrix(rng, n)
+        table = minors(PolyMatrix(rows))
+        jet_table = minors(PolyMatrix([[Jet(p, D) for p in row] for row in rows]))
+        for k in range(n, 0, -1):
+            for r in combinations(range(n), k):
+                for c in combinations(range(n), k):
+                    got = table(r, c)
+                    assert to_sympy(got) == sympy_det([[rows[i][j] for j in c] for i in r])
+                    assert jet_table(r, c) == Jet(got, D)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pencil_coefficients_agree_with_sympy(n):
+    lam = sympy.Symbol("lam")
+    D = 4
+    rng = random.Random(200 + n)
+    A, B = random_matrix(rng, n), random_matrix(rng, n)
+    expected = sympy.Poly(sympy.Matrix(
+        [[lam * to_sympy(a).as_expr() + to_sympy(b).as_expr() for a, b in zip(ra, rb)]
+         for ra, rb in zip(A, B)]).det(method="domain-ge"), lam, *GENS, domain="QQ")
+    got = pencil_coefficients(PolyMatrix(A), PolyMatrix(B))
+    assert len(got) == n + 1
+    for k, c in enumerate(got):
+        coeff = {e[1:]: v for e, v in expected.as_dict().items() if e[0] == k}
+        assert to_sympy(c) == sympy.Poly.from_dict(coeff, *GENS, domain="QQ")
+    jets = pencil_coefficients(*(PolyMatrix([[Jet(p, D) for p in row] for row in m])
+                                 for m in (A, B)))
+    assert jets == [Jet(c, D) for c in got]
 
 
 @given(nonzero, nonzero, st.data())
