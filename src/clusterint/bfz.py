@@ -672,12 +672,12 @@ def bfz_chart(n: int) -> BFZChart:
         for k in range(l0):
             if j < k:
                 set_entry(
-                    j, k, chart_poly(cell_b.pi_z.bracket_matrix[j][k].as_poly(), "b")
+                    j, k, chart_poly(cell_b.pi_z.bracket_matrix[j][k], "b")
                 )
                 set_entry(
                     l0 + j,
                     l0 + k,
-                    chart_poly(cell_a.pi_z.bracket_matrix[j][k].as_poly(), "a"),
+                    chart_poly(cell_a.pi_z.bracket_matrix[j][k], "a"),
                 )
 
     def root_of(word, k):

@@ -3,9 +3,12 @@ linearization at a vanishing point, log-volume forms, the degree
 criterion that certifies polynomial integrable systems, and torus
 Pfaffian coefficients.
 
+Bracket-matrix entries are Polys where polynomial and RatFuns elsewhere.
 ``_field_entry`` is the one loop over a bracket matrix: row a applied to
-the gradient of h is {v_a, h}.  The bracket, ``hamiltonian_field``, the
-Jacobi check and the Casimir check of ``cluster_engine`` are built on it.
+the gradient of h is {v_a, h}.  It starts from the zero Poly, so results
+stay Polys over Polys; a RatFun entry or h lifts them to RatFuns.  The
+bracket, ``hamiltonian_field``, the pair check of ``schubert.build_cell``,
+the Jacobi check and the Casimir check of ``cluster_engine`` are built on it.
 ``bracket_poly`` is the checked Poly form of the bracket, kept as a method
 of its own because the benchmark's layer tracer (``bench/layertrace.py``)
 wraps it by name.  ``_system_jacobian_det`` is the one Jacobian determinant
@@ -53,18 +56,22 @@ DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 8
 
 
-def _as_ratfun(f, vars):
-    if isinstance(f, RatFun):
-        return f
-    if isinstance(f, Poly):
-        return RatFun.from_poly(f)
-    return RatFun.const(vars, f)
+def _as_entry(x, vars):
+    """A bracket-matrix entry: a Poly unless x is a non-polynomial RatFun."""
+    if isinstance(x, RatFun):
+        return x.as_poly() if x.is_polynomial() else x
+    return x if isinstance(x, Poly) else Poly.const(vars, x)
 
 
-def _field_entry(row, dh) -> RatFun:
+def _num_den(x):
+    """Numerator and denominator of a Poly or RatFun, as Polys."""
+    return (x.num, x.den) if isinstance(x, RatFun) else (x, Poly.const(x.vars, 1))
+
+
+def _field_entry(row, dh) -> Poly | RatFun:
     """sum_b row[b] * dh[b]: row a of a bracket matrix applied to the
-    gradient of h, which is {v_a, h}."""
-    total = RatFun.const(row[0].vars, 0)
+    gradient of h, which is {v_a, h}; a Poly when every term is one."""
+    total = Poly.zero(row[0].vars)
     for p, d in zip(row, dh):
         if not p.is_zero() and not d.is_zero():
             total = total + p * d
@@ -72,12 +79,14 @@ def _field_entry(row, dh) -> RatFun:
 
 
 class PoissonStructure:
-    """A variable list plus the skew matrix of brackets {v_a, v_b}."""
+    """A variable list plus the skew matrix of brackets {v_a, v_b}; an entry
+    given as a number, Poly or RatFun is stored as a Poly unless its
+    denominator is not constant."""
 
     def __init__(self, vars: VarSet, bracket_matrix):
         self.vars = vars
         n = len(vars)
-        m = [[_as_ratfun(x, vars) for x in row] for row in bracket_matrix]
+        m = [[_as_entry(x, vars) for x in row] for row in bracket_matrix]
         if len(m) != n or any(len(row) != n for row in m):
             raise NotPoisson("bracket matrix must be square of size |vars|")
         for a in range(n):
@@ -88,7 +97,7 @@ class PoissonStructure:
 
     @staticmethod
     def zero(vars: VarSet) -> "PoissonStructure":
-        z = RatFun.const(vars, 0)
+        z = Poly.zero(vars)
         n = len(vars)
         return PoissonStructure(vars, [[z] * n for _ in range(n)])
 
@@ -105,11 +114,11 @@ class PoissonStructure:
         dh = [h.derivative(nm) for nm in self.vars.names]
         return [_field_entry(row, dh) for row in self.bracket_matrix]
 
-    def bracket(self, f, g) -> RatFun:
+    def bracket(self, f, g) -> Poly | RatFun:
         """{f, g} = sum_a df/dv_a {v_a, g} for Polys or RatFuns f, g, over the
-        a with df/dv_a != 0."""
+        a with df/dv_a != 0: a Poly when f, g and the entries are Polys."""
         dg = [g.derivative(nm) for nm in self.vars.names]
-        total = RatFun.const(self.vars, 0)
+        total = Poly.zero(self.vars)
         for nm, row in zip(self.vars.names, self.bracket_matrix):
             dfa = f.derivative(nm)
             if not dfa.is_zero():
@@ -121,7 +130,8 @@ class PoissonStructure:
     def bracket_poly(self, f, g) -> Poly:
         """The bracket as a Poly; raises NotDivisible when it is not
         polynomial."""
-        return self.bracket(f, g).as_poly()
+        br = self.bracket(f, g)
+        return br if isinstance(br, Poly) else br.as_poly()
 
     # -- verification --------------------------------------------------------
 
@@ -150,33 +160,27 @@ class LinearPoissonStructure(PoissonStructure):
         super().__init__(vars, bracket_matrix)
         for row in self.bracket_matrix:
             for x in row:
-                if not x.is_polynomial():
+                if isinstance(x, RatFun):
                     raise NotPoisson("linear structure entries must be polynomial")
                 if not x.is_zero() and (
-                    x.num.total_degree() != 1 or x.num.min_degree() != 1
+                    x.total_degree() != 1 or x.min_degree() != 1
                 ):
                     raise NotPoisson("linear structure entries must be linear")
 
 
 def is_log_canonical(pi: PoissonStructure, f, g):
-    """Return lambda with {f, g} = lambda*f*g (exactly, possibly 0), else None."""
-    f = _as_ratfun(f, pi.vars)
-    g = _as_ratfun(g, pi.vars)
+    """Return lambda with {f, g} = lambda*f*g (exactly, possibly 0), else None,
+    for Polys or RatFuns f, g."""
     if f.is_zero() or g.is_zero():
         raise ZeroInput("log-canonical test requires nonzero functions")
     br = pi.bracket(f, g)
     if br.is_zero():
         return QQ0
-    prod = f * g
-    ratio_num = br.num * prod.den
-    ratio_den = br.den * prod.num
-    # constant ratio iff cross-multiplied leading coefficients match everywhere
-    e1, c1 = ratio_num.leading()
-    e2, c2 = ratio_den.leading()
-    lam = c1 / c2
-    if ratio_num == ratio_den * Poly.const(pi.vars, lam):
-        return lam
-    return None
+    (a, b), (c, d) = _num_den(br), _num_den(f * g)
+    # a/b = lam*c/d iff a*d = lam*b*c, lam the ratio of leading coefficients
+    num, den = a * d, b * c
+    lam = num.leading()[1] / den.leading()[1]
+    return lam if num == den * lam else None
 
 
 def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
@@ -189,16 +193,15 @@ def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
     for a in range(n):
         row = []
         for b in range(n):
-            entry = pi.bracket_matrix[a][b]
-            den0 = entry.den.evaluate(point)
+            num, den = _num_den(pi.bracket_matrix[a][b])
+            den0 = den.evaluate(point)
             if den0 == 0:
                 raise NotRegular(f"entry ({a},{b}) has a pole at the base point")
-            if entry.num.evaluate(point) != 0:
+            if num.evaluate(point) != 0:
                 raise NotVanishing(f"entry ({a},{b}) nonzero at the base point")
-            num = entry.num.shift(point)
-            lin = num.homogeneous_component(1)
+            lin = num.shift(point).homogeneous_component(1)
             # (num/den)^(1) = num^(1)/den(0) since num(0) = 0
-            row.append(RatFun.from_poly(lin * (QQ1 / den0)))
+            row.append(lin * (QQ1 / den0))
         out.append(row)
     pi0 = LinearPoissonStructure(pi.vars, out)
     pi0.check_jacobi()
@@ -227,7 +230,7 @@ class LogCanonicalSystem:
 
     @staticmethod
     def build(pi: PoissonStructure, functions) -> "LogCanonicalSystem":
-        fs = [_as_ratfun(f, pi.vars) for f in functions]
+        fs = list(functions)
         if len(fs) != len(pi.vars):
             raise DimensionMismatch(
                 f"{len(fs)} functions for {len(pi.vars)} variables")
@@ -256,10 +259,10 @@ class LogVolumeForm:
         return d + len(self.coefficient.vars)
 
 
-def _system_jacobian_det(functions, vars) -> RatFun:
+def _system_jacobian_det(functions, vars) -> Poly | RatFun:
     """det of the Jacobian of the functions; raises DependentSystem when it
     vanishes identically."""
-    d = det(jacobian([_as_ratfun(f, vars) for f in functions], vars))
+    d = det(jacobian(functions, vars))
     if d.is_zero():
         raise DependentSystem("Jacobian determinant vanishes identically")
     return d

@@ -22,6 +22,7 @@ from .poisson_core import (
     LinearPoissonStructure,
     LogCanonicalSystem,
     PoissonStructure,
+    _field_entry,
     certify,
     generic_rank,
     linearize,
@@ -30,7 +31,6 @@ from .poisson_core import (
 from .polyring import (
     Poly,
     PolyMatrix,
-    RatFun,
     VarSet,
     _sign_canonical,
     det,
@@ -39,13 +39,12 @@ from .polyring import (
 from .rationals import QQ0
 from .typea import (
     ReducedWord,
-    elementary,
+    bott_samelson_prefixes,
     fundamental_weight,
     kplus_kminus,
     longest_word,
     pairing,
     principal_minor,
-    weyl_rep,
 )
 
 
@@ -74,13 +73,8 @@ class SchubertCell:
 def _phi_polys(word: ReducedWord, m: int, vars: VarSet):
     """phi_k = leading principal i_k x i_k minor of the length-k
     Bott-Samelson prefix."""
-    phis = []
-    prefix = PolyMatrix.identity(vars, m)
-    for k, i in enumerate(word.letters, start=1):
-        prefix = prefix * elementary(i, m, Poly.var(vars, f"z{k}"))
-        prefix = prefix * weyl_rep(i, m, vars)
-        phis.append(principal_minor(i, prefix))
-    return phis
+    return [principal_minor(i, prefix) for i, prefix in
+            zip(word.letters, bott_samelson_prefixes(word, m, vars))]
 
 
 def _lambda_matrix(word: ReducedWord, m: int):
@@ -88,16 +82,15 @@ def _lambda_matrix(word: ReducedWord, m: int):
     fundamental weight of letter t and u_t the length-t prefix."""
     l = len(word)
     lam = [[QQ0] * l for _ in range(l)]
-    prefixes = [word.prefix(k) for k in range(l + 1)]
-    for j in range(1, l + 1):
-        wj = fundamental_weight(word.letters[j - 1], m)
-        left = wj - prefixes[j].act(wj)
-        for k in range(j + 1, l + 1):
-            wk = fundamental_weight(word.letters[k - 1], m)
-            right = wk + prefixes[k].act(wk)
-            v = pairing(left, right)
-            lam[j - 1][k - 1] = v
-            lam[k - 1][j - 1] = -v
+    weights = [fundamental_weight(i, m) for i in word.letters]
+    prefixes = [word.prefix(k) for k in range(1, l + 1)]
+    right = [w + u.act(w) for w, u in zip(weights, prefixes)]
+    for j in range(l):
+        left = weights[j] - prefixes[j].act(weights[j])
+        for k in range(j + 1, l):
+            v = pairing(left, right[k])
+            lam[j][k] = v
+            lam[k][j] = -v
     return lam
 
 
@@ -136,7 +129,12 @@ def _pullback_structure(J, phis, lam, diag) -> list:
         if J[j][j] != diag[j]:
             raise NonPolynomialStructure("diagonal is not the predecessor")
 
-    B = [[phis[j] * phis[k] * lam[j][k] for k in range(l)] for j in range(l)]
+    # lam is skew, so B is too: form it above the diagonal only
+    B = [[Poly.zero(phis[0].vars)] * l for _ in range(l)]
+    for j in range(l):
+        for k in range(j + 1, l):
+            B[j][k] = phis[j] * phis[k] * lam[j][k]
+            B[k][j] = -B[j][k]
     Q = _solve_lower(J, B)
     P = [list(c) for c in zip(*_solve_lower(J, list(zip(*Q))))]
 
@@ -173,13 +171,9 @@ def build_cell(m: int, word) -> SchubertCell:
     # {phi_j, phi_k} = sum_a J[j][a] {z_a, phi_k}: one Hamiltonian field of
     # the returned P per k serves every pair j < k
     for k in range(1, l):
-        field = [x.as_poly() for x in pi_z.hamiltonian_field(phis[k])]
+        field = pi_z.hamiltonian_field(phis[k])
         for j in range(k):
-            br = Poly.zero(vars)
-            for d, x in zip(J[j], field):
-                if not d.is_zero() and not x.is_zero():
-                    br = br + d * x
-            if br != phis[j] * phis[k] * lam[j][k]:
+            if _field_entry(J[j], field) != phis[j] * phis[k] * lam[j][k]:
                 raise NonPolynomialStructure(
                     f"bracket of pair ({j + 1},{k + 1}) is not the expected multiple"
                 )
@@ -227,14 +221,11 @@ def index_and_magic(cell: SchubertCell) -> dict:
 def pfaffian_check(cell: SchubertCell) -> bool:
     """The Pfaffian coefficient of the cell system must be a constant times
     the product of the frozen polynomials."""
-    sys = LogCanonicalSystem(
-        cell.vars, [RatFun.from_poly(p) for p in cell.phis], cell.lam
-    )
-    pf = pfaffian_coefficient(sys)
+    pf = pfaffian_coefficient(LogCanonicalSystem(cell.vars, cell.phis, cell.lam))
     prod = Poly.const(cell.vars, 1)
     for k in cell.frozen_indices():
         prod = prod * cell.phis[k - 1]
-    ratio = pf / RatFun.from_poly(prod)
+    ratio = pf / prod
     return ratio.is_constant() and not ratio.is_zero()
 
 

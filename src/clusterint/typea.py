@@ -225,16 +225,27 @@ def weyl_matrix(w, m: int, vars: VarSet) -> PolyMatrix:
     return out
 
 
+def bott_samelson_prefixes(word: ReducedWord, m: int, vars: VarSet) -> list:
+    """[e_{i_1}(z_1) sbar_{i_1} ... e_{i_k}(z_k) sbar_{i_k} for k = 1..l], by
+    column operations: on the right, e_i(z) sbar_i maps the columns
+    (c_i, c_{i+1}) to (c_{i+1} + z c_i, -c_i)."""
+    rows = PolyMatrix.identity(vars, m).entries
+    out = []
+    for k, i in enumerate(word.letters, start=1):
+        z = Poly.var(vars, f"z{k}")
+        for r in rows:
+            r[i - 1], r[i] = r[i] + z * r[i - 1], -r[i - 1]
+        out.append(PolyMatrix(rows))
+    return out
+
+
 def bott_samelson(word: ReducedWord, m: int, vars: VarSet = None) -> PolyMatrix:
     """e_{i_1}(z_1) sbar_{i_1} ... e_{i_l}(z_l) sbar_{i_l} over z_1..z_l."""
     l = len(word)
     if vars is None:
         vars = VarSet([f"z{k}" for k in range(1, l + 1)]) if l else VarSet(["z1"])
-    out = PolyMatrix.identity(vars, m)
-    for k, i in enumerate(word.letters, start=1):
-        out = out * elementary(i, m, Poly.var(vars, f"z{k}"))
-        out = out * weyl_rep(i, m, vars)
-    return out
+    prefixes = bott_samelson_prefixes(word, m, vars)
+    return prefixes[-1] if prefixes else PolyMatrix.identity(vars, m)
 
 
 def generalized_minor(u: WeylElt, v: WeylElt, i: int, g: PolyMatrix):

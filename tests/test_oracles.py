@@ -28,6 +28,7 @@ from clusterint.dualgl import (
     pencil_coefficients,
 )
 from clusterint.errors import NotDivisible
+from clusterint.poisson_core import PoissonStructure
 from clusterint.polyring import (
     Jet,
     Poly,
@@ -462,6 +463,23 @@ def test_gcd_of_squared_trivariate_factors(seed):
     rng = random.Random(seed)
     a, b, f, g = (random_factor(rng) for _ in range(4))
     assert_gcd_agrees(a * f**2 * g, b * f * g**2)
+
+
+@given(st.lists(polys(3, 2), min_size=3, max_size=3), polys(4), polys(4))
+def test_bracket_agrees_with_sympy(entries, f, g):
+    # {f, g} = sum_ab df/dx_a P_ab dg/dx_b over a skew P with Poly entries
+    zero = Poly.zero(X3)
+    P = [[zero] * 3 for _ in range(3)]
+    for (a, b), p in zip(combinations(range(3), 2), entries):
+        P[a][b], P[b][a] = p, -p
+    br = PoissonStructure(X3, P).bracket(f, g)
+    assert type(br) is Poly
+    expect = sympy.Poly(0, *GENS, domain="QQ")
+    for a in range(3):
+        for b in range(3):
+            expect += (to_sympy(f).diff(GENS[a]) * to_sympy(P[a][b])
+                       * to_sympy(g).diff(GENS[b]))
+    assert to_sympy(br) == expect
 
 
 @given(polys(8))

@@ -198,11 +198,46 @@ XYZ = VarSet(["x", "y", "z"])
     # {x, y} = y, {y, z} = x, {x, z} = 0: {z, {x, y}} = -x
     (lambda: structure_from_table({(1, 2): "y", (2, 3): "x"}, XYZ).check_jacobi(),
      NotPoisson, r"Jacobi identity fails on \(0, 1, 2\)"),
+    (lambda: LinearPoissonStructure(
+        XY, [[0, RatFun(parse_poly("x", XY), parse_poly("1 + y", XY))],
+             [-RatFun(parse_poly("x", XY), parse_poly("1 + y", XY)), 0]]),
+     NotPoisson, "polynomial"),
     (lambda: WeylElt((1, 1)), NotPermutation, "not a permutation"),
-], ids=["non-square", "non-skew", "degree-2-entry", "jacobi", "weyl-non-permutation"])
+], ids=["non-square", "non-skew", "degree-2-entry", "rational-linear-entry", "jacobi",
+        "weyl-non-permutation"])
 def test_malformed_input_raises_a_package_error(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+class TestEntryRepresentation:
+    @pytest.mark.parametrize("given", [
+        RatFun(parse_poly("2*x*y", XY), Poly.const(XY, 2)),
+        parse_poly("x*y", XY),
+        1,
+    ], ids=["ratfun", "poly", "int"])
+    def test_a_polynomial_entry_is_stored_as_a_poly(self, given):
+        pi = PoissonStructure(XY, [[0, given], [-given, 0]])
+        for row in pi.bracket_matrix:
+            assert all(type(x) is Poly for x in row)
+        assert pi.bracket_matrix[0][1] == given
+        assert type(PoissonStructure.zero(XY).bracket_matrix[0][1]) is Poly
+
+    def test_a_rational_entry_stays_a_ratfun(self):
+        entry = RatFun(parse_poly("x", XY), parse_poly("1 + y", XY))
+        pi = PoissonStructure(XY, [[0, entry], [-entry, 0]])
+        assert type(pi.bracket_matrix[0][1]) is RatFun
+        assert type(pi.bracket_matrix[0][0]) is Poly
+        x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+        assert type(pi.bracket(x, y)) is RatFun
+
+    def test_brackets_follow_their_inputs(self, sl4_pi):
+        f, g = p6("z1*z4 - z2"), p6("z4")
+        assert sl4_pi.bracket(f, g) == p6("z1*z4^2 - z2*z4")
+        assert type(sl4_pi.bracket(f, g)) is Poly
+        assert type(sl4_pi.bracket(RatFun.from_poly(f), g)) is RatFun
+        assert all(type(x) is Poly for x in sl4_pi.hamiltonian_field(f))
+        assert sl4_pi.bracket(RatFun.from_poly(f), g) == sl4_pi.bracket(f, g)
 
 
 class TestGenericRank:

@@ -9,6 +9,8 @@ from clusterint.typea import (
     ReducedWord,
     WeylElt,
     bott_samelson,
+    bott_samelson_prefixes,
+    elementary,
     fundamental_weight,
     generalized_minor,
     kplus_kminus,
@@ -123,7 +125,28 @@ def _random_reduced_word(rng, m, w=None):
     return ReducedWord(letters, m)
 
 
+def assert_prefixes_are_dense_products(word, m):
+    vs = VarSet([f"z{k}" for k in range(1, len(word) + 1)])
+    prefixes = bott_samelson_prefixes(word, m, vs)
+    assert len(prefixes) == len(word)
+    dense = PolyMatrix.identity(vs, m)
+    for k, (i, prefix) in enumerate(zip(word.letters, prefixes), start=1):
+        dense = dense * elementary(i, m, Poly.var(vs, f"z{k}")) * weyl_rep(i, m, vs)
+        assert prefix.entries == dense.entries
+    assert bott_samelson(word, m, vs).entries == dense.entries
+
+
 class TestBottSamelson:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_prefixes_are_the_dense_products_on_the_longest_word(self, m):
+        assert_prefixes_are_dense_products(longest_word(m), m)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefixes_are_the_dense_products_on_random_words(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(3, 5)
+        assert_prefixes_are_dense_products(_random_reduced_word(rng, m), m)
+
     def test_sl2(self):
         w = ReducedWord([1], 2)
         mat = bott_samelson(w, 2)
@@ -135,6 +158,7 @@ class TestBottSamelson:
 
     def test_empty_word(self):
         w = ReducedWord([], 3)
+        assert bott_samelson_prefixes(w, 3, Z6) == []
         mat = bott_samelson(w, 3)
         for a in range(3):
             for b in range(3):
@@ -193,8 +217,6 @@ class TestGeneralizedMinor:
             [[Poly.var(vs, f"g{a}{b}") for b in range(1, 4)] for a in range(1, 4)]
         )
         z = Poly.var(vs, "t")
-        from clusterint.typea import elementary, weyl_rep
-
         i = 1
         gz = g * elementary(i, m, z) * weyl_rep(i, m, vs)
         e = WeylElt.identity(m)
