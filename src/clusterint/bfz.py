@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CountShortfall, SizeOutOfRange, TruncationInsufficient, WrongWord
+from .errors import CountShortfall, SizeOutOfRange, WrongWord
 from .poisson_core import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -26,7 +26,6 @@ from .polyring import (
     _rational_rank,
     _sign_canonical,
     det,
-    escalate,
     inverse,
     jet_lowest_term,
     minors,
@@ -174,12 +173,6 @@ class BFZCluster:
                 funcs.append(self.psis[k - 1])
         return funcs
 
-    def low(self, j: Jet):
-        got = jet_lowest_term(j)
-        if got is None:
-            raise TruncationInsufficient("jet order too small for this function")
-        return got
-
 
 def _istar_sets(n: int):
     I0, I1, I2 = [], [], []
@@ -198,28 +191,37 @@ def gexp_order(n: int) -> int:
     """The largest degree among the closed-form lowest terms of
     ``gexp_formulas(n)``, from their minor sizes: every form is one minor of
     size at most (n+1)/2, except the difference lows of i in I2, products
-    of minors of sizes n-i+1 and n-i+2."""
+    of minors of sizes n-i+1 and n-i+2.
+
+    The order holds for every double word, not only the standard one:
+
+    - A minor Delta_{I,J}(exp u) has lowest term +-Delta_{I\\J, J\\I}(u), a
+      minor of u on disjoint rows and columns.  It avoids the diagonal, so
+      it is nonzero, and its degree |I\\J| is at most (n+1)/2.
+    - The last-occurrence g_i does not depend on the word: the suffix after
+      the last s_i fixes [1, i].  So the f's, g's and difference functions
+      are the standard ones for every double word."""
     return max([(n + 1) // 2] + [2 * (n - i) + 3 for i in _istar_sets(n)[2]])
 
 
 def build_bfz(n: int, dword: DoubleWord = None) -> BFZCluster:
     """Evaluate the extended cluster at a truncated exponential of a traceless
-    matrix, doubling the jet order from ``gexp_order(n)``, up to 4n, until
-    every lowest term shows."""
+    matrix, at the jet order ``gexp_order(n)``, where every lowest term
+    shows."""
     if dword is None:
         dword = standard_double_word(n)
     m = n + 1
     if dword.neg.m != m:
         raise WrongWord(f"double word is for SL({dword.neg.m}), expected SL({m})")
-    return escalate(lambda d: _build_at_order(n, dword, d), gexp_order(n), 4 * n)
+    return _build_at_order(n, dword, gexp_order(n))
 
 
-def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
-    """The extended cluster as minors of the (n+1)x(n+1) matrix ``g``: the
+def cluster_minors(table, n: int, dword: DoubleWord):
+    """The extended cluster as minors from ``table``, a ``minors`` table of
+    an (n+1)x(n+1) matrix or any map (0-based rows, cols) -> value: the
     frozen f's, the phi's of the negative word, the psi's of the positive
     word, and the map letter i -> k with psi_k the letter's last occurrence."""
     m = n + 1
-    table = minors(g)
     w0 = WeylElt.longest(m)
     fs = [minor(table, interval(1, i), w0.act_set(interval(1, i))) for i in range(1, n + 1)]
 
@@ -244,9 +246,11 @@ def cluster_minors(g: PolyMatrix, n: int, dword: DoubleWord):
 
 
 def _build_at_order(n, dword, D):
+    """The cluster at jet order D; raises TruncationInsufficient when a
+    modified lowest term lies above D."""
     vars = sl_varset(n)
     X = truncated_exp(sl_u_matrix(n, vars), D)
-    fs, phis, psis, g_index = cluster_minors(X, n, dword)
+    fs, phis, psis, g_index = cluster_minors(minors(X), n, dword)
     I0, I1, I2 = _istar_sets(n)
     gprimes = {}
     for i in I2:
@@ -256,8 +260,8 @@ def _build_at_order(n, dword, D):
     cluster = BFZCluster(
         n, dword, vars, D, fs, phis, psis, g_index, gprimes, I0, I1, I2
     )
-    if any(jet_lowest_term(f) is None for f in cluster.modified_functions()):
-        return None
+    for f in cluster.modified_functions():
+        jet_lowest_term(f)
     return cluster
 
 
@@ -326,18 +330,18 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
 
     # frozen rows/columns formulas
     for i in range(1, n + 1):
-        low_i, _ = cluster.low(cluster.fs[i - 1])
-        low_star, _ = cluster.low(cluster.fs[m - i - 1])
+        low_i, _ = jet_lowest_term(cluster.fs[i - 1])
+        low_star, _ = jet_lowest_term(cluster.fs[m - i - 1])
         if not _up_to_sign(low_i, low_star):
             return False
         if i in forms["f"] and not _up_to_sign(low_i, forms["f"][i]):
             return False
     for i, expect in forms["g"].items():
-        low_g, _ = cluster.low(cluster.g(i))
+        low_g, _ = jet_lowest_term(cluster.g(i))
         if not _up_to_sign(low_g, expect):
             return False
     for i, expect in forms["gprime"].items():
-        low_gp, _ = cluster.low(cluster.gprimes[i])
+        low_gp, _ = jet_lowest_term(cluster.gprimes[i])
         if not _up_to_sign(low_gp, expect):
             return False
 
@@ -348,7 +352,7 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     kminus_pos, _ = kplus_kminus(cluster.dword.pos)
     _, kplus_neg = kplus_kminus(cluster.dword.neg)
     for k in range(1, cluster.l0 + 1):
-        low_phi, d = cluster.low(cluster.phis[k - 1])
+        low_phi, d = jet_lowest_term(cluster.phis[k - 1])
         if d == 0:
             if kplus_neg[k] is not None:
                 return False
@@ -357,7 +361,7 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     for k in range(1, cluster.l0 + 1):
         if k in {cluster.g_index[i] for i in range(1, n + 1)}:
             continue
-        low_psi, d = cluster.low(cluster.psis[k - 1])
+        low_psi, d = jet_lowest_term(cluster.psis[k - 1])
         if d == 0:
             return False
         got.add(_sign_canonical(low_psi))
@@ -386,7 +390,7 @@ def choose_integrable_system_bfz(
 
     degs = {}
     for k in index_of:
-        _, d = cluster.low(fn_at(k))
+        _, d = jet_lowest_term(fn_at(k))
         degs[k] = d
 
     # successors by position in the combined word; its first n letters are
@@ -404,7 +408,7 @@ def choose_integrable_system_bfz(
     g_of = {cluster.g_index[i]: i for i in range(1, n + 1)}
     psi_degs = {}
     for k in range(1, l0 + 1):
-        _, d = cluster.low(cluster.psis[k - 1])
+        _, d = jet_lowest_term(cluster.psis[k - 1])
         psi_degs[k] = d
 
     def jump(k):
@@ -428,7 +432,7 @@ def choose_integrable_system_bfz(
         selected.append(cluster.gprimes[i])
         labels.append(f"diff{i}")
 
-    lows = [cluster.low(f)[0] for f in selected]
+    lows = [jet_lowest_term(f)[0] for f in selected]
     word = ",".join(map(str, cluster.dword.neg.letters))
     return certify(lows, sl_dual_linear_structure(n), cluster.vars,
                    l0 + n, seed, samples,
@@ -440,28 +444,33 @@ def choose_integrable_system_bfz(
 
 def modified_mu_low_degree(n: int) -> int:
     """deg of the lowest term of the log-volume form of the modified extended
-    cluster, computed from the jet Jacobian in the exponential chart."""
+    cluster, computed from the jet Jacobian in the exponential chart.
+
+    The form is det(J) / prod(f) du, so its degree is deg det(J) + N - S,
+    with N = |vars| and S the sum of the modified low degrees.  The paper's
+    deg mu^low = l0 puts the lowest term of det(J) at degree l0 - N + S.  J
+    holds jets one order below the cluster, so one build at
+    D = max(gexp_order(n), l0 - N + S + 1) shows that term: a larger true
+    degree raises TruncationInsufficient, and a smaller one is returned.
+    S comes from the minors' index sets, |I\\J| per minor (``gexp_order``)."""
+    N = len(sl_varset(n))
     dword = standard_double_word(n)
-
-    def attempt(D):
-        cluster = _build_at_order(n, dword, D)
-        if cluster is None:
-            return None
-        funcs = cluster.modified_functions()
-        if len(funcs) != len(cluster.vars):
-            raise CountShortfall("modified cluster does not match the chart size")
-        grads = [
-            [f.poly.derivative(nm) for f in funcs] for nm in cluster.vars.names
-        ]
-        jmat = PolyMatrix(
-            [[Jet(p, D - 1) for p in row] for row in grads]
-        )
-        got = jet_lowest_term(det(jmat))
-        if got is None:
-            return None
-        return got[1] + len(cluster.vars) - sum(cluster.low(f)[1] for f in funcs)
-
-    return escalate(attempt, max(2 * n, 4), max(4 * n, 8))
+    fs, phis, psis, _ = cluster_minors(lambda rows, cols: len(set(rows) - set(cols)), n, dword)
+    # f_i g_i - f_i* g_i* replaces g_i for i in I2, at degree deg f_i + deg g_i + 1
+    S = sum(fs) + sum(phis) + sum(psis) + sum(fs[i - 1] + 1 for i in _istar_sets(n)[2])
+    D = max(gexp_order(n), len(phis) - N + S + 1)
+    cluster = _build_at_order(n, dword, D)
+    funcs = cluster.modified_functions()
+    if len(funcs) != N:
+        raise CountShortfall("modified cluster does not match the chart size")
+    grads = [
+        [f.poly.derivative(nm) for f in funcs] for nm in cluster.vars.names
+    ]
+    jmat = PolyMatrix(
+        [[Jet(p, D - 1) for p in row] for row in grads]
+    )
+    _, d = jet_lowest_term(det(jmat))
+    return d + N - sum(jet_lowest_term(f)[1] for f in funcs)
 
 
 # -- Kostant cascade and the index ----------------------------------------------
@@ -632,11 +641,14 @@ def bfz_chart(n: int) -> BFZChart:
         }
         return p.substitute(mapping, Poly.const(vars, 1))
 
+    # both halves of the standard double word are this one word, so its
+    # Bott-Samelson product, cell and roots serve the b and the a block
+    word = dword.pos
+    bs = bott_samelson(word, m)
+
     # the group element: lower part from b, upper part from a, torus from eta
-    bs_b = bott_samelson(dword.pos, m)
-    bs_a = bott_samelson(dword.neg, m)
-    bs_b = bs_b.map(lambda p: chart_poly(p, "b"))
-    bs_a = bs_a.map(lambda p: chart_poly(p, "a"))
+    bs_b = bs.map(lambda p: chart_poly(p, "b"))
+    bs_a = bs.map(lambda p: chart_poly(p, "a"))
     w0mat = weyl_matrix(longest_word(m), m, vars)
     # both inverses are polynomial (unit determinants)
     w0inv = inverse(w0mat.map(RatFun.from_poly)).map(RatFun.as_poly)
@@ -654,11 +666,10 @@ def bfz_chart(n: int) -> BFZChart:
         [[g.entries[i][j] * tdiag[j] for j in range(m)] for i in range(m)]
     )
 
-    fs, phis, psis, g_index = cluster_minors(g, n, dword)
+    fs, phis, psis, g_index = cluster_minors(minors(g), n, dword)
 
-    # Poisson structure: Bott-Samelson block for b (word pos) and a (word neg)
-    cell_b = build_cell(m, dword.pos)
-    cell_a = build_cell(m, dword.neg)
+    # Poisson structure: one Bott-Samelson block for b and one for a
+    bracket = build_cell(m, word).pi_z.bracket_matrix
 
     size = len(vars)
     zero = Poly.zero(vars)
@@ -671,28 +682,19 @@ def bfz_chart(n: int) -> BFZChart:
     for j in range(l0):
         for k in range(l0):
             if j < k:
-                set_entry(
-                    j, k, chart_poly(cell_b.pi_z.bracket_matrix[j][k], "b")
-                )
-                set_entry(
-                    l0 + j,
-                    l0 + k,
-                    chart_poly(cell_a.pi_z.bracket_matrix[j][k], "a"),
-                )
+                set_entry(j, k, chart_poly(bracket[j][k], "b"))
+                set_entry(l0 + j, l0 + k, chart_poly(bracket[j][k], "a"))
 
-    def root_of(word, k):
-        return word.prefix(k - 1).act(simple_root(word.letters[k - 1], m))
-
-    betas_b = [root_of(dword.pos, k) for k in range(1, l0 + 1)]
-    betas_a = [root_of(dword.neg, k) for k in range(1, l0 + 1)]
+    betas = [word.prefix(k - 1).act(simple_root(word.letters[k - 1], m))
+             for k in range(1, l0 + 1)]
     omegas = [fundamental_weight(j, m) for j in range(1, n + 1)]
 
     w0 = WeylElt.longest(m)
     for k in range(l0):
-        wbeta = w0.act(betas_b[k])
+        wbeta = w0.act(betas[k])
         bk = Poly.var(vars, f"b{k + 1}")
         for j in range(l0):
-            c = pairing(wbeta, betas_a[j])
+            c = pairing(wbeta, betas[j])
             if c:
                 set_entry(k, l0 + j, bk * Poly.var(vars, f"a{j + 1}") * c)
         for j in range(n):
@@ -703,7 +705,7 @@ def bfz_chart(n: int) -> BFZChart:
     for k in range(l0):
         ak = Poly.var(vars, f"a{k + 1}")
         for j in range(n):
-            c = -pairing(betas_a[k], omegas[j])
+            c = -pairing(betas[k], omegas[j])
             if c:
                 etaj = Poly.const(vars, 1) + Poly.var(vars, f"e{j + 1}")
                 set_entry(l0 + k, 2 * l0 + j, ak * etaj * c)

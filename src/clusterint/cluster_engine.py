@@ -134,17 +134,6 @@ def mutate(s: Seed, k: int) -> Seed:
     return Seed(s.vars, cluster, list(s.ex), newM, list(s.labels))
 
 
-def generalized_mutate(s: Seed, k: int, exchange_sum: RatFun) -> Seed:
-    """Abstract generalized exchange: replace the k-th variable by
-    (caller-supplied sum of monomials in the other variables) / phi_k; the
-    matrix is carried along unchanged."""
-    if k not in s.ex:
-        raise BadSeed(f"direction {k} is not exchangeable")
-    cluster = list(s.cluster)
-    cluster[k - 1] = exchange_sum / s.cluster[k - 1]
-    return Seed(s.vars, cluster, list(s.ex), [list(r) for r in s.M], list(s.labels))
-
-
 def seed_log_volume(s: Seed):
     if len(s.cluster) != len(s.vars):
         raise DependentSystem("log-volume requires |cluster| = |vars|")

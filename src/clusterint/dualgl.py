@@ -27,7 +27,6 @@ from .polyring import (
     RatFun,
     VarSet,
     det,
-    escalate,
     inverse,
     jacobian,
     jet_lowest_term,
@@ -320,22 +319,20 @@ def lows_order(n: int) -> int:
 def lows_via_jets(s: StaircaseSystem) -> JetLows:
     """Exact lowest terms of the restricted system in the difference-of-
     logarithms coordinates: the phi's and cbar's as minors of the jet
-    staircase and the jet pencil of ``exp_jets``, with adaptive truncation
-    order (from ``lows_order(n)``, doubling up to max(4n, n(n-1)/2 + 2))."""
-    n = s.n
-    return escalate(lambda d: _jet_lows_at(s, d), lows_order(n),
-                    max(4 * n, n * (n - 1) // 2 + 2))
+    staircase and the jet pencil of ``exp_jets``, read at the jet order
+    ``lows_order(n)``."""
+    return _jet_lows_at(s, lows_order(s.n))
 
 
-def _jet_lows_at(s: StaircaseSystem, D: int):
+def _jet_lows_at(s: StaircaseSystem, D: int) -> JetLows:
+    """The lows at jet order D; raises TruncationInsufficient when one lies
+    above D."""
     n = s.n
     X, Y = exp_jets(n, D)
     lead = range((n - 1) ** 2)
     phis = trailing_minors(full_staircase_matrix(X, Y).submatrix(lead, lead))
     cbars = pencil_coefficients(Y, X + Y.map(operator.neg))[:n]
     lows = [jet_lowest_term(j) for j in phis + cbars]
-    if None in lows:
-        return None
     k = len(phis)
     return JetLows(n, D, X[0, 0].vars, lows[:k], lows[k:])
 

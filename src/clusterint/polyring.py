@@ -1166,31 +1166,17 @@ class Jet:
 
 
 def jet_lowest_term(j: Jet):
-    """(lowest term, its degree) of the function a jet truncates, or None
-    for a zero jet.  A jet is exact through total degree ``order``:
-    ``truncated_exp`` drops only the powers X^k with k > order, whose terms
-    have degree > order, and capped products, sums and scalar multiples of
-    jets exact through the order stay exact through it.  A Jet holds no
-    term above its order, so the lowest term of a nonzero jet, of degree
-    d <= order, is the function's own; a zero jet leaves it above the
-    order."""
+    """(lowest term, its degree) of the function a jet truncates.  A jet is
+    exact through total degree ``order``: ``truncated_exp`` drops only the
+    powers X^k with k > order, whose terms have degree > order, and capped
+    products, sums and scalar multiples of jets exact through the order stay
+    exact through it.  A Jet holds no term above its order, so the lowest
+    term of a nonzero jet, of degree d <= order, is the function's own; a
+    zero jet leaves it above the order and raises TruncationInsufficient."""
     if j.is_zero():
-        return None
+        raise TruncationInsufficient(f"no term through jet order {j.order}")
     low = j.poly.lowest()
     return low, low.min_degree()
-
-
-def escalate(attempt, order: int, cap: int):
-    """``attempt(order)`` at doubling jet orders, the last step capped at
-    ``cap``, until it returns something other than None; raises
-    TruncationInsufficient when it still returns None at the cap."""
-    while True:
-        got = attempt(order)
-        if got is not None:
-            return got
-        if order >= cap:
-            raise TruncationInsufficient(f"jet order cap {cap} reached")
-        order = min(2 * order, cap)
 
 
 # -- matrices -------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .polyring import (
     det,
     lowest_term,
 )
-from .rationals import QQ0
 from .typea import (
     ReducedWord,
     bott_samelson_prefixes,
@@ -54,7 +53,7 @@ class SchubertCell:
     word: ReducedWord
     vars: VarSet
     phis: list  # Poly, phi_k in z_1..z_k
-    lam: list  # rational matrix, {phi_j, phi_k} = lam[j][k] phi_j phi_k
+    lam: list  # integer matrix, {phi_j, phi_k} = lam[j][k] phi_j phi_k
     pi_z: PoissonStructure
     pi0: LinearPoissonStructure
     kminus: dict
@@ -81,7 +80,7 @@ def _lambda_matrix(word: ReducedWord, m: int):
     """lam[j][k] = <w_j - u_j.w_j, w_k + u_k.w_k> for j < k, where w_t is the
     fundamental weight of letter t and u_t the length-t prefix."""
     l = len(word)
-    lam = [[QQ0] * l for _ in range(l)]
+    lam = [[0] * l for _ in range(l)]
     weights = [fundamental_weight(i, m) for i in word.letters]
     prefixes = [word.prefix(k) for k in range(1, l + 1)]
     right = [w + u.act(w) for w, u in zip(weights, prefixes)]

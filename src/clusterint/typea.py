@@ -7,17 +7,16 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, NotPermutation, NotReduced, SizeOutOfRange
 from .polyring import Poly, PolyMatrix, VarSet, det
-from .rationals import QQ, QQ0
 
 
 class Weight:
-    """A rational vector in the epsilon basis of the gl_m Cartan; SL-weights
+    """An integer vector in the epsilon basis of the gl_m Cartan; SL-weights
     enter only through pairings with roots, where the center drops out."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(QQ(c) for c in coords)
+        self.coords = tuple(coords)
 
     def __len__(self):
         return len(self.coords)
@@ -67,10 +66,7 @@ def pairing(a: Weight, b: Weight):
     """Dot product in the epsilon basis, so <alpha_i, alpha_i> = 2."""
     if len(a) != len(b):
         raise DimensionMismatch("weights of different sizes")
-    total = QQ0
-    for x, y in zip(a.coords, b.coords):
-        total = total + x * y
-    return total
+    return sum(x * y for x, y in zip(a.coords, b.coords))
 
 
 class WeylElt:

@@ -6,7 +6,6 @@ from clusterint.bfz import bfz_chart
 from clusterint.cluster_engine import (
     FrozenModification,
     Seed,
-    generalized_mutate,
     log_volume_invariance,
     modified_cluster,
     modified_log_volume,
@@ -99,10 +98,9 @@ def _exchange_seed():
     lambda: coordinate_seed(2, [1], [[0]]),
     lambda: coordinate_seed(2, [1, 2], [[0, 1], [1, 0]]).check(),
     lambda: mutate(_exchange_seed(), 2),
-    lambda: generalized_mutate(_exchange_seed(), 2, _exchange_seed().cluster[0]),
     lambda: modified_cluster(_exchange_seed(), FrozenModification({}, {})),
 ], ids=["repeated-index", "index-out-of-range", "matrix-shape", "not-symmetrizable",
-        "mutate-frozen", "generalized-mutate-frozen", "modification-coverage"])
+        "mutate-frozen", "modification-coverage"])
 def test_malformed_seed_raises_bad_seed(call):
     with pytest.raises(BadSeed):
         call()
@@ -134,16 +132,6 @@ class TestLogVolumeInvariance:
             s = coordinate_seed(n, ex, _random_skew(rng, n))
             path = [rng.choice(ex) for _ in range(rng.randint(1, 3))]
             assert log_volume_invariance(s, path)
-
-    def test_generalized_mutation(self, rng):
-        # a three-monomial exchange still flips the volume form only by sign
-        s = coordinate_seed(3, [1], [[0], [1], [1]])
-        vs = s.vars
-        total = parse_poly("z2*z3 + z2 + z3^2", vs)
-        s2 = generalized_mutate(s, 1, RatFun.from_poly(total))
-        mu0 = seed_log_volume(s).coefficient
-        mu1 = seed_log_volume(s2).coefficient
-        assert mu1 == mu0 or mu1 == -mu0
 
 
 # The modified log-volume of test_bfz_n2_modification, in canonical form;

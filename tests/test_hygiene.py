@@ -1,8 +1,8 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
 module imports a name it never uses, no top-level function is defined in
 two modules, every top-level function, class and method of the package is
-used somewhere, no nested function calls itself, and no function
-imports."""
+used somewhere, no nested function calls itself, no function imports,
+and every package error is raised in the package and named in a test."""
 
 import ast
 from collections import Counter, defaultdict
@@ -154,3 +154,21 @@ def test_every_default_is_passed_somewhere():
             unset += [f"{path.name}:{fn.name}({name})" for position, name in defaulted
                       if not any(_passes(call, position, name) for call in calls[fn.name])]
     assert unset == []
+
+
+def test_every_package_error_is_raised_and_tested():
+    """Each ClusterIntError subclass is raised in the package and named in
+    the tests, so every package error stays reachable from a test."""
+    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef) and node.name != "ClusterIntError"}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    named = set()
+    for path in ROOT.glob("tests/*.py"):
+        named |= set(referenced_names(ast.parse(path.read_text(), str(path))))
+    assert sorted(errors - raised) == []
+    assert sorted(errors - named) == []

@@ -11,7 +11,7 @@ import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -19,15 +19,23 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from clusterint import polyring
-from clusterint.bfz import _build_at_order, gexp_formulas, gexp_order, standard_double_word
+from clusterint.bfz import (
+    DoubleWord,
+    _build_at_order,
+    build_bfz,
+    gexp_formulas,
+    gexp_order,
+    standard_double_word,
+)
 from clusterint.dualgl import (
     _jet_lows_at,
     build_staircase,
     lows_closed_form,
     lows_order,
+    lows_via_jets,
     pencil_coefficients,
 )
-from clusterint.errors import NotDivisible
+from clusterint.errors import NotDivisible, NotReduced, TruncationInsufficient
 from clusterint.poisson_core import PoissonStructure
 from clusterint.polyring import (
     Jet,
@@ -44,6 +52,7 @@ from clusterint.polyring import (
     ratfun_reduced_by_factors,
 )
 from clusterint.rationals import QQ
+from clusterint.typea import ReducedWord
 
 X3 = VarSet(["x", "y", "z"])
 GENS = sympy.symbols("x y z")
@@ -263,10 +272,11 @@ def test_jet_lowest_term_is_exact_through_the_order(f):
     terms = to_sympy(f).as_dict()
     d = min(map(sum, terms), default=None)
     for order in range(10):
-        got = jet_lowest_term(Jet(f, order))
         if d is None or d > order:
-            assert got is None
+            with pytest.raises(TruncationInsufficient):
+                jet_lowest_term(Jet(f, order))
         else:
+            got = jet_lowest_term(Jet(f, order))
             low = {e: c for e, c in terms.items() if sum(e) == d}
             assert (to_sympy(got[0]).as_dict(), got[1]) == (low, d)
             assert got == (f.lowest(), f.min_degree())
@@ -279,7 +289,9 @@ def test_bfz_jet_order_is_the_closed_form_degree(n):
             *forms["gprime"].values()]
     D = gexp_order(n)
     assert D == max(p.total_degree() for p in lows)
-    assert _build_at_order(n, standard_double_word(n), D - 1) is None
+    assert build_bfz(n).order == D
+    with pytest.raises(TruncationInsufficient):
+        _build_at_order(n, standard_double_word(n), D - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -288,7 +300,10 @@ def test_dualgl_jet_order_is_the_closed_form_degree(n):
     D = lows_order(n)
     # cbar_0, the determinant of u, has degree n
     assert D == max([n] + [p.total_degree() for p in phis])
-    assert _jet_lows_at(build_staircase(n), D - 1) is None
+    s = build_staircase(n)
+    assert lows_via_jets(s).order == D
+    with pytest.raises(TruncationInsufficient):
+        _jet_lows_at(s, D - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -300,6 +315,29 @@ def test_lows_at_the_closed_form_order_are_final(n):
     s = build_staircase(n)
     dualgl = [_jet_lows_at(s, d) for d in (lows_order(n), lows_order(n) + 1)]
     assert (dualgl[0].phi_lows, dualgl[0].cbar_lows) == (dualgl[1].phi_lows, dualgl[1].cbar_lows)
+
+
+def _longest_words(m):
+    """Every reduced word of the longest element of S_m."""
+    words = []
+    for letters in product(range(1, m), repeat=m * (m - 1) // 2):
+        try:
+            words.append(ReducedWord(letters, m))
+        except NotReduced:
+            pass
+    return words
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_double_word_reads_at_the_closed_form_order(n):
+    # gexp_order(n) holds for every double word (see its docstring): all 4
+    # pairs at n=2, 20 seeded pairs of the 256 at n=3
+    words = _longest_words(n + 1)
+    pairs = [DoubleWord(a, b) for a in words for b in words]
+    for dword in random.Random(n).sample(pairs, {2: 4, 3: 20}[n]):
+        lows = [[jet_lowest_term(f) for f in _build_at_order(n, dword, d).modified_functions()]
+                for d in (gexp_order(n), gexp_order(n) + 1)]
+        assert lows[0] == lows[1], dword
 
 
 def assert_canonical(r: RatFun, num: Poly, den: Poly):

@@ -25,9 +25,9 @@ from clusterint.polyring import (
     VarSet,
     _heu_gcd,
     det,
-    escalate,
     inverse,
     jacobian,
+    jet_lowest_term,
     lowest_term,
     numeric_rank,
     numeric_rank_at,
@@ -427,6 +427,11 @@ class TestJet:
         with pytest.raises(BadTruncation, match="jet orders differ"):
             Jet(p6("z1"), 2) + Jet(p6("z2"), 3)
 
+    def test_lowest_term_above_the_order_raises(self):
+        # every term of z1^3 + z2^4 lies above order 2, so the jet is zero
+        with pytest.raises(TruncationInsufficient, match="jet order 2"):
+            jet_lowest_term(Jet(p6("z1^3 + z2^4"), 2))
+
 
 class TestPolyMatrixShape:
     def test_ragged(self):
@@ -442,32 +447,3 @@ class TestPolyMatrixShape:
         a = PolyMatrix([[p6("z1"), p6("z2")]])
         with pytest.raises(DimensionMismatch, match="shape mismatch"):
             a + PolyMatrix([[p6("z1")], [p6("z2")]])
-
-
-class TestEscalate:
-    def test_raises_at_the_cap(self):
-        seen = []
-
-        def attempt(order):
-            seen.append(order)
-
-        with pytest.raises(TruncationInsufficient, match="cap 12"):
-            escalate(attempt, 4, 12)
-        # two doublings, the same count as the benchmark's escalations(4, 12)
-        assert seen == [4, 8, 12]
-
-    def test_returns_the_first_result(self):
-        seen = []
-
-        def attempt(order):
-            seen.append(order)
-            return f"order {order}" if order >= 8 else None
-
-        assert escalate(attempt, 4, 12) == "order 8"
-        assert seen == [4, 8]
-
-    def test_last_step_is_capped(self):
-        seen = []
-        with pytest.raises(TruncationInsufficient):
-            escalate(seen.append, 3, 10)
-        assert seen == [3, 6, 10]
