@@ -23,7 +23,7 @@ from .polyring import (
     PolyMatrix,
     RatFun,
     VarSet,
-    _rational_rank,
+    _pivot_columns,
     _sign_canonical,
     det,
     inverse,
@@ -589,11 +589,8 @@ def stabilizer_dimension(n: int) -> int:
         col.append(sum((h[a][a] for a in range(m)), QQ0))
         columns.append(col)
 
-    nrows = len(columns[0])
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(nrows)]
-    rank = _rational_rank(matrix)
-    dim = len(unknowns) - rank
-    return dim
+    # the rank of the system is the rank of its transpose, one row per unknown
+    return len(unknowns) - len(_pivot_columns(columns))
 
 
 # -- explicit chart on the open part of the group -------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadSeed, DependentSystem, NotCasimir
-from .poisson_core import PoissonStructure, log_volume
+from .poisson_core import DEFAULT_SEED, PoissonStructure, log_volume
 from .polyring import RatFun, VarSet, jacobian, numeric_rank
 
 SYMMETRIZER_BOUND = 12
@@ -26,15 +26,12 @@ class Seed:
     cluster: list
     ex: list
     M: list
-    labels: list = None
 
     def __post_init__(self):
         self.cluster = [
             f if isinstance(f, RatFun) else RatFun.from_poly(f) for f in self.cluster
         ]
         n = len(self.cluster)
-        if self.labels is None:
-            self.labels = [f"phi{i}" for i in range(1, n + 1)]
         if sorted(set(self.ex)) != sorted(self.ex) or any(
             not 1 <= k <= n for k in self.ex
         ):
@@ -51,7 +48,7 @@ class Seed:
     def check(self) -> None:
         """Algebraic independence (numeric Jacobian rank at seeded points)
         and skew-symmetrizability of the principal part."""
-        r = numeric_rank(jacobian(self.cluster, self.vars), random.Random(0))
+        r = numeric_rank(jacobian(self.cluster, self.vars), random.Random(DEFAULT_SEED))
         if r != len(self.cluster):
             raise DependentSystem("cluster is not algebraically independent")
         if self.ex and skew_symmetrizer(self.principal_part()) is None:
@@ -131,7 +128,7 @@ def mutate(s: Seed, k: int) -> Seed:
                 ) // 2
     cluster = list(s.cluster)
     cluster[k - 1] = new_phi
-    return Seed(s.vars, cluster, list(s.ex), newM, list(s.labels))
+    return Seed(s.vars, cluster, list(s.ex), newM)
 
 
 def seed_log_volume(s: Seed):

@@ -183,7 +183,6 @@ class StaircaseSystem:
     n: int
     bb_vars: VarSet
     phis: list  # Poly over bb_vars, index 1..(n-1)^2
-    Cs: list  # C_i, i in 0..n (coefficients of det(lam + X*Y^{-1})), RatFun
     cbar_nums: list  # polynomial numerators of cbar_i over detY, i in 0..n
     lam_matrix: PolyMatrix  # the uncut staircase, size n(n-1)
 
@@ -274,13 +273,10 @@ def build_staircase(n: int) -> StaircaseSystem:
     lam_matrix = full_staircase_matrix(X, Y)
     lead = range((n - 1) ** 2)
     phis = trailing_minors(lam_matrix.submatrix(lead, lead))
-    # det(lam Y + X) = det(Y) sum over i of C_{n-i} lam^i, and
     # det((lam-1) Y + X) = sum over i of cbar_num_i(x, y) lam^i, so that
     # cbar_i = cbar_num_i / det(Y)
-    detY = det(Y)
-    Cs = [RatFun(c, detY) for c in reversed(pencil_coefficients(Y, X))]
     cbar_nums = pencil_coefficients(Y, X + Y.map(operator.neg))
-    return StaircaseSystem(n, vars, phis, Cs, cbar_nums, lam_matrix)
+    return StaircaseSystem(n, vars, phis, cbar_nums, lam_matrix)
 
 
 # -- lowest terms via jets --------------------------------------------------------
@@ -456,16 +452,17 @@ def F_inverse(f):
 
 
 def casimir_binomial_check(n: int) -> bool:
-    """cbar_i = sum_{j>=i} (-1)^(j-i) binom(j, i) C_{n-j}, symbolically."""
+    """cbar_i = sum_{j>=i} (-1)^(j-i) binom(j, i) C_{n-j}, symbolically,
+    where det(lam Y + X) = det(Y) sum over j of C_{n-j} lam^j.  Both sides
+    are over det(Y), so the check compares numerators."""
     s = build_staircase(n)
-    detY = det(y_matrix(n, s.bb_vars))
+    vars = s.bb_vars
+    pencil = pencil_coefficients(y_matrix(n, vars), x_matrix(n, vars))
     for i in range(0, n + 1):
-        lhs = RatFun(s.cbar_nums[i], detY)
-        rhs = RatFun.const(s.bb_vars, 0)
+        rhs = Poly.zero(vars)
         for j in range(i, n + 1):
-            sign = QQ(-1) ** ((j - i) % 2)
-            rhs = rhs + s.Cs[n - j] * (QQ(math.comb(j, i)) * sign)
-        if lhs != rhs:
+            rhs = rhs + pencil[j] * (QQ(math.comb(j, i)) * (-1) ** (j - i))
+        if s.cbar_nums[i] != rhs:
             return False
     return True
 

@@ -18,7 +18,9 @@ and raises DependentSystem when it vanishes.
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
 ``extract_integrable_system`` hand it their selected lowest terms, and it
 checks the count, involutivity under pi0 and independence, and builds the
-report."""
+report.  Independence is the rank of the Jacobian at up to ``samples``
+seeded random points, read until it is full: a lower bound on the generic
+rank, equal to it with high probability."""
 
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from .polyring import (
     det,
     jacobian,
     lowest_term,
+    numeric_pivots,
     numeric_rank,
 )
 from .rationals import QQ0, QQ1
@@ -357,8 +360,10 @@ def certify(
     of ``expected`` functions: exactly that many are selected, they are in
     involution under pi0 (checked over ``commuting``, a larger pool that
     contains them, when given), and their Jacobian reaches rank
-    ``expected`` at seeded random points.  Raises CountShortfall or
-    NotInvolutive instead of reporting a failure."""
+    ``expected`` at one of up to ``samples`` seeded random points, read
+    until the rank is full.  That rank is a lower bound on the generic
+    rank.  Raises CountShortfall or NotInvolutive instead of reporting a
+    failure."""
     if len(lows) != expected:
         raise CountShortfall(f"selected {len(lows)} functions, expected {expected}")
     if not involutivity_certificate(pi0, lows if commuting is None else commuting):
@@ -378,32 +383,17 @@ def certify(
     )
 
 
-def greedy_independent_subset(functions, vars: VarSet, rng):
-    """Scan in order, keeping functions that increase the numeric Jacobian
-    rank at seeded random points."""
-    kept = []
-    kept_idx = []
-    rank = 0
-    for idx, f in enumerate(functions):
-        trial = kept + [f]
-        j = jacobian(trial, vars)
-        r = numeric_rank(j, random.Random(rng.randrange(1 << 30)), retries=DEFAULT_SAMPLES)
-        if r > rank:
-            kept = trial
-            kept_idx.append(idx)
-            rank = r
-    return kept, kept_idx
-
-
 def extract_integrable_system(
     sys: LogCanonicalSystem, pi0: LinearPoissonStructure
 ) -> IntegrableSystemReport:
     """Lowest terms of a log-canonical system, certified involutive under
-    pi0, with a greedy maximal independent subset of the magic-number size."""
+    pi0, with the pivot columns of their Jacobian at seeded random points
+    (each independent of the lowest terms before it) as the selected
+    subset of the magic-number size."""
     n = len(sys.vars)
     lows = [lowest_term(f)[0] for f in sys.functions]
     magic = n - generic_rank(pi0) // 2
-    kept, kept_idx = greedy_independent_subset(
-        lows, sys.vars, random.Random(DEFAULT_SEED)
-    )
-    return certify(kept, pi0, sys.vars, magic, labels=kept_idx, commuting=lows)
+    kept = numeric_pivots(jacobian(lows, sys.vars), random.Random(DEFAULT_SEED),
+                          DEFAULT_SAMPLES)
+    return certify([lows[i] for i in kept], pi0, sys.vars, magic, labels=kept,
+                   commuting=lows)

@@ -1376,18 +1376,17 @@ def jacobian(fs, vars: VarSet) -> PolyMatrix:
     )
 
 
-def _rational_rank(rows) -> int:
-    """Rank of a dense matrix of rationals by Gaussian elimination."""
+def _pivot_columns(rows) -> list:
+    """Pivot columns, in increasing order, of a dense matrix of rationals
+    by Gaussian elimination: each is independent of the columns before it,
+    and their number is the rank."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank = 0
+    pivots = []
     for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col] != 0:
-                piv = i
-                break
+        rank = len(pivots)
+        piv = next((i for i in range(rank, nr) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
@@ -1396,37 +1395,46 @@ def _rational_rank(rows) -> int:
             if m[i][col] != 0:
                 factor = m[i][col] / pv
                 m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nr:
+        pivots.append(col)
+        if len(pivots) == nr:
             break
-    return rank
+    return pivots
 
 
-def numeric_rank_at(m: PolyMatrix, point) -> int:
-    """Exact rank of the rational matrix obtained by evaluating at a point."""
-    point = RationalPoint(point)
-    return _rational_rank([[x.evaluate(point) if isinstance(x, (Poly, RatFun)) else qq(x)
-                            for x in row] for row in m.entries])
-
-
-def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
-    """Max rank over ``retries`` seeded-random rational points; raises
-    EvaluationSingular when some denominator vanished at every sample."""
+def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
+    """Pivot columns of m at the first of up to ``retries`` seeded-random
+    rational points that reaches the highest rank seen; sampling stops at a
+    point of rank min(rows, cols), which no other point exceeds.  The rank
+    is a lower bound on the generic rank, equal to it with high
+    probability.  A point where a denominator vanishes is skipped; raises
+    EvaluationSingular when every point is.  A matrix with no Poly or
+    RatFun entry is evaluated at the empty point."""
     nvars = next((len(x.vars) for row in m.entries for x in row
-                  if isinstance(x, (Poly, RatFun))), None)
-    if nvars is None:
-        return _rational_rank([[qq(x) for x in row] for row in m.entries])
+                  if isinstance(x, (Poly, RatFun))), 0)
+    full = min(m.rows, m.cols)
     best = None
     for _ in range(retries):
-        point = [random_rational(rng) for _ in range(nvars)]
+        point = RationalPoint([random_rational(rng) for _ in range(nvars)])
         try:
-            r = numeric_rank_at(m, point)
+            pivots = _pivot_columns([[x.evaluate(point) if isinstance(x, (Poly, RatFun))
+                                      else qq(x) for x in row] for row in m.entries])
         except EvaluationSingular:
             continue
-        best = r if best is None else max(best, r)
+        if best is None or len(pivots) > len(best):
+            best = pivots
+        if len(best) == full:
+            break
     if best is None:
         raise EvaluationSingular("all sampled points hit a denominator zero")
     return best
+
+
+def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
+    """Rank of m at seeded-random rational points, as ``numeric_pivots``
+    reads it: a lower bound on the generic rank.  Kept as a function of its
+    own because the benchmark's layer tracer (``bench/layertrace.py``)
+    wraps it by name."""
+    return len(numeric_pivots(m, rng, retries))
 
 
 def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:

@@ -19,10 +19,10 @@ from clusterint.polyring import Poly, RatFun, VarSet, parse_poly
 from clusterint.rationals import QQ
 
 
-def coordinate_seed(n, ex, M, labels=None):
+def coordinate_seed(n, ex, M):
     vs = VarSet([f"z{i}" for i in range(1, n + 1)])
     cluster = [Poly.var(vs, f"z{i}") for i in range(1, n + 1)]
-    return Seed(vs, cluster, ex, M, labels)
+    return Seed(vs, cluster, ex, M)
 
 
 class TestMutate:

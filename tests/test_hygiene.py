@@ -2,7 +2,8 @@
 module imports a name it never uses, no top-level function is defined in
 two modules, every top-level function, class and method of the package is
 used somewhere, no nested function calls itself, no function imports,
-and every package error is raised in the package and named in a test."""
+every package error is raised in the package and named in a test, and
+every random generator is seeded."""
 
 import ast
 from collections import Counter, defaultdict
@@ -172,3 +173,26 @@ def test_every_package_error_is_raised_and_tested():
         named |= set(referenced_names(ast.parse(path.read_text(), str(path))))
     assert sorted(errors - raised) == []
     assert sorted(errors - named) == []
+
+
+def test_every_random_generator_is_seeded():
+    """The one probabilistic step, the rank at random points, stays seeded:
+    each ``random.Random`` of the package is built from the name
+    ``DEFAULT_SEED`` or ``seed`` alone, and nothing else of the ``random``
+    module is used."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                found.append(f"{path.name}:{node.lineno} from random import")
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "random" and node.attr != "Random"):
+                found.append(f"{path.name}:{node.lineno} random.{node.attr}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "random" and node.func.attr == "Random"
+                    and not (len(node.args) == 1 and not node.keywords
+                             and isinstance(node.args[0], ast.Name)
+                             and node.args[0].id in ("DEFAULT_SEED", "seed"))):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

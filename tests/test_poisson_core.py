@@ -35,7 +35,8 @@ from clusterint.poisson_core import (
 )
 from clusterint.polyring import Poly, RatFun, VarSet, lowest_term, parse_poly
 from clusterint.rationals import QQ
-from clusterint.typea import WeylElt
+from clusterint.schubert import build_cell
+from clusterint.typea import WeylElt, longest_word
 
 from conftest import Z6, p6, random_poly, structure_from_table
 
@@ -330,6 +331,19 @@ class TestExtract:
         loaded = json.loads(rep.to_json())
         assert set(loaded) == {f.name for f in fields(IntegrableSystemReport)}
         assert loaded["selected_indices"] == rep.selected_indices
+
+    @pytest.mark.parametrize("m, word, selected", [
+        (4, None, [0, 1, 2, 4]),
+        (5, None, [0, 1, 2, 3, 5, 6]),
+        (5, (2, 1, 3, 2, 4, 3), [0, 1, 2, 3, 4, 5]),
+        (5, (1, 2, 1, 3, 2, 4), [0, 1, 3, 4, 5]),
+    ])
+    def test_selected_indices_on_schubert_cells(self, m, word, selected):
+        # the pivot columns of the Jacobian of the lows, pinned to the
+        # indices a greedy scan of the functions in order keeps
+        cell = build_cell(m, longest_word(m) if word is None else word)
+        sys = LogCanonicalSystem.build(cell.pi_z, cell.phis)
+        assert extract_integrable_system(sys, cell.pi0).selected_indices == selected
 
     def test_zero_structure(self):
         vs = VarSet(["z1", "z2"])

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -29,8 +30,8 @@ from clusterint.polyring import (
     jacobian,
     jet_lowest_term,
     lowest_term,
+    numeric_pivots,
     numeric_rank,
-    numeric_rank_at,
     parse_poly,
     poly_gcd,
     truncated_exp,
@@ -170,6 +171,16 @@ class TestJacobian:
         assert col == [p6("z4"), p6("-1"), p6("0"), p6("z1"), p6("0"), p6("0")]
 
 
+class CountingRandom(random.Random):
+    """A seeded generator that counts its ``randint`` calls."""
+
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
 class TestRank:
     def test_zero(self, rng):
         m = PolyMatrix([[Poly.zero(Z6)] * 3 for _ in range(3)])
@@ -178,15 +189,20 @@ class TestRank:
     def test_identity(self, rng):
         assert numeric_rank(PolyMatrix.identity(Z6, 4), rng) == 4
 
-    def test_point_evaluation(self):
-        vs2 = VarSet(["z1", "z2"])
-        m = PolyMatrix(
-            [
-                [parse_poly("z1", vs2), parse_poly("z2", vs2)],
-                [parse_poly("z1", vs2), parse_poly("z2", vs2)],
-            ]
-        )
-        assert numeric_rank_at(m, [QQ(3), QQ(5)]) == 1
+    def test_sampling_stops_at_full_rank(self):
+        # a point is 6 rationals over Z6, each two randint draws
+        full = CountingRandom(0)
+        assert numeric_rank(PolyMatrix.identity(Z6, 4), full) == 4
+        assert full.draws == 2 * 6
+        deficient = CountingRandom(0)
+        m = PolyMatrix([[p6("z1"), p6("z2"), p6("z1 + z2")]] * 3)
+        assert numeric_rank(m, deficient) == 1
+        assert deficient.draws == 8 * 2 * 6
+
+    def test_pivots_skip_dependent_columns(self, rng):
+        f, g = p6("z1*z2 + z3"), p6("z4^2")
+        assert numeric_pivots(jacobian([f, 2 * f, g], Z6), rng) == [0, 2]
+
 
 
 class TestTruncatedExp:
