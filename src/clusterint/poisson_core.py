@@ -5,10 +5,12 @@ Pfaffian coefficients.
 
 Bracket-matrix entries are Polys where polynomial and RatFuns elsewhere.
 ``_field_entry`` is the one loop over a bracket matrix: row a applied to
-the gradient of h is {v_a, h}.  It starts from the zero Poly, so results
-stay Polys over Polys; a RatFun entry or h lifts them to RatFuns.  The
-bracket, ``hamiltonian_field``, the pair check of ``schubert.build_cell``,
-the Jacobi check and the Casimir check of ``cluster_engine`` are built on it.
+the gradient of h is {v_a, h}.  Over Polys it is one ``polyring.dot``;
+otherwise it starts from the zero Poly, and a RatFun entry or h lifts the
+sum to a RatFun.  The bracket, ``hamiltonian_field``, the pair check of
+``schubert.build_cell``, the general Jacobi check and the Casimir check of
+``cluster_engine`` are built on it (a linear structure checks the Jacobi
+identity on its structure constants).
 ``bracket_poly`` is the checked Poly form of the bracket, kept as a method
 of its own because the benchmark's layer tracer (``bench/layertrace.py``)
 wraps it by name.  ``_system_jacobian_det`` is the one Jacobian determinant
@@ -28,6 +30,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     CountShortfall,
@@ -48,6 +51,7 @@ from .polyring import (
     RationalPoint,
     VarSet,
     det,
+    dot,
     jacobian,
     lowest_term,
     numeric_pivots,
@@ -73,7 +77,9 @@ def _num_den(x):
 
 def _field_entry(row, dh) -> Poly | RatFun:
     """sum_b row[b] * dh[b]: row a of a bracket matrix applied to the
-    gradient of h, which is {v_a, h}; a Poly when every term is one."""
+    gradient of h, which is {v_a, h}; over Polys one ``dot``."""
+    if {*map(type, row), *map(type, dh)} == {Poly}:
+        return dot(row[0].vars, zip(row, dh))
     total = Poly.zero(row[0].vars)
     for p, d in zip(row, dh):
         if not p.is_zero() and not d.is_zero():
@@ -93,7 +99,7 @@ class PoissonStructure:
         if len(m) != n or any(len(row) != n for row in m):
             raise NotPoisson("bracket matrix must be square of size |vars|")
         for a in range(n):
-            for b in range(n):
+            for b in range(a, n):
                 if m[a][b] != -m[b][a]:
                     raise NotPoisson("bracket matrix must be skew-symmetric")
         self.bracket_matrix = m
@@ -157,7 +163,8 @@ class LinearPoissonStructure(PoissonStructure):
     polynomial entries (equivalently, the structure constants of a Lie
     algebra on the dual space).  The constructor checks only that the
     entries are linear: ``linearize`` checks the Jacobi identity of the
-    structure it derives, and tests check the closed-form structures."""
+    structure it derives, on its structure constants, and tests check the
+    closed-form structures."""
 
     def __init__(self, vars: VarSet, bracket_matrix):
         super().__init__(vars, bracket_matrix)
@@ -169,6 +176,24 @@ class LinearPoissonStructure(PoissonStructure):
                     x.total_degree() != 1 or x.min_degree() != 1
                 ):
                     raise NotPoisson("linear structure entries must be linear")
+
+    def check_jacobi(self) -> None:
+        """The Schouten form on int structure constants over one common
+        denominator: with P_ab = sum_d C_ab^d v_d, {v_a, P_bc} + cyclic has
+        the v_e coefficient sum_d C_bc^d C_ad^e + C_ca^d C_bd^e +
+        C_ab^d C_cd^e, so NotPoisson names the same first failing triple."""
+        P = self.bracket_matrix
+        den = lcm(*[x.den for row in P for x in row])
+        C = [[{e.index(1): c * (den // x.den) for e, c in x.terms.items()}
+              for x in row] for row in P]
+        for a, b, c in combinations(range(len(self.vars)), 3):
+            coeff = {}
+            for s, t, u in ((b, c, a), (c, a, b), (a, b, c)):
+                for d, x in C[s][t].items():
+                    for e, y in C[u][d].items():
+                        coeff[e] = coeff.get(e, 0) + x * y
+            if any(coeff.values()):
+                raise NotPoisson(f"Jacobi identity fails on ({a}, {b}, {c})")
 
 
 def is_log_canonical(pi: PoissonStructure, f, g):
@@ -204,7 +229,7 @@ def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
                 raise NotVanishing(f"entry ({a},{b}) nonzero at the base point")
             lin = num.shift(point).homogeneous_component(1)
             # (num/den)^(1) = num^(1)/den(0) since num(0) = 0
-            row.append(lin * (QQ1 / den0))
+            row.append(lin if den0 == 1 else lin * (QQ1 / den0))
         out.append(row)
     pi0 = LinearPoissonStructure(pi.vars, out)
     pi0.check_jacobi()

@@ -10,7 +10,8 @@ nonzero int numerators.  The accessors (``leading``, ``constant_value``,
 ints (Monagan and Pearce, "Sparse polynomial multiplication and division in
 Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly and Jet
 (whose products pass a degree cap, so each term meets only the terms of the
-other factor that keep the product within it); exact division runs on the
+other factor that keep the product within it), and can add into a given
+dict, as ``dot`` does for a sum of products; exact division runs on the
 primitive integer part of the divisor, with the remainder in one dict and
 its leading terms taken from a heap of graded-lex keys (Johnson 1974;
 Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
@@ -96,12 +97,13 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def _mul_terms(a: dict, b: dict, cap=None) -> dict:
+def _mul_terms(a: dict, b: dict, cap=None, out=None, scale=1) -> dict:
     """Product of two dicts of integer numerators, deleting terms that
-    cancel; with ``cap``, only its terms of total degree <= cap.  With a
-    cap, the larger factor's terms are sorted by degree once, and each term
-    of the smaller factor runs only over the prefix that keeps the product
-    within the cap."""
+    cancel; with ``cap``, only its terms of total degree <= cap.  With
+    ``out``, the products times ``scale`` are added into that dict, which
+    is returned.  With a cap, the larger factor's terms are sorted by
+    degree once, and each term of the smaller factor runs only over the
+    prefix that keeps the product within the cap."""
     if len(a) > len(b):
         a, b = b, a
     row = list(b.items())
@@ -109,8 +111,10 @@ def _mul_terms(a: dict, b: dict, cap=None) -> dict:
         row.sort(key=lambda t: sum(t[0]))
         degs = [sum(e) for e, _ in row]
     add = operator.add
-    out = {}
+    if out is None:
+        out = {}
     for e1, c1 in a.items():
+        c1 *= scale
         for e2, c2 in (row if cap is None else row[:bisect_right(degs, cap - sum(e1))]):
             key = tuple(map(add, e1, e2))
             s = out.get(key)
@@ -569,6 +573,17 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def dot(vars: VarSet, pairs) -> Poly:
+    """sum p * q over Poly pairs (p, q), skipping zero factors: every
+    product added into one dict over one common denominator."""
+    pairs = [(p, q) for p, q in pairs if p.terms and q.terms]
+    den = lcm(*[p.den * q.den for p, q in pairs])
+    out = {}
+    for p, q in pairs:
+        _mul_terms(p.terms, q.terms, out=out, scale=den // (p.den * q.den))
+    return Poly._trusted(vars, out, den)
 
 
 def parse_poly(text: str, vars: VarSet) -> Poly:

@@ -34,6 +34,7 @@ from .polyring import (
     VarSet,
     _sign_canonical,
     det,
+    dot,
     lowest_term,
 )
 from .typea import (
@@ -93,34 +94,42 @@ def _lambda_matrix(word: ReducedWord, m: int):
     return lam
 
 
-def _solve_lower(J, B) -> list:
-    """X with J X = B for a lower-triangular J, by forward substitution with
-    an exact division by J[j][j] at each row; raises NonPolynomialStructure
-    when a division leaves a remainder."""
-    X = []
+def _solve_lower(J, B, skew=False) -> list:
+    """Half of X with J X = B for a lower-triangular J, by forward
+    substitution with an exact division by J[j][j]; raises
+    NonPolynomialStructure on a remainder.  Entry (j, k) reads (i, k) for
+    i < j.  Without ``skew`` X is solved above the diagonal, where those
+    (i, k) lie too; with ``skew`` X is skew and solved below it, and
+    (k, j) = -(j, k) is set as row j finishes, before any row reads it.
+    Other entries are zero."""
+    l = len(B)
+    zero = Poly.zero(J[0][0].vars)
+    X = [[zero] * l for _ in range(l)]
     for j, row in enumerate(B):
         terms = [(J[j][i], X[i]) for i in range(j) if not J[j][i].is_zero()]
-        xrow = []
-        for k, acc in enumerate(row):
-            for c, xi in terms:
-                acc = acc - c * xi[k]
+        for k in (range(j) if skew else range(j + 1, l)):
+            acc = row[k] - dot(zero.vars, [(c, xi[k]) for c, xi in terms])
             try:
-                xrow.append(acc.exact_div(J[j][j]))
+                X[j][k] = acc.exact_div(J[j][j])
             except NotDivisible as exc:
                 raise NonPolynomialStructure(
                     "pulled-back bracket is not polynomial"
                 ) from exc
-        X.append(xrow)
+            if skew:
+                X[k][j] = -X[j][k]
     return X
 
 
-def _pullback_structure(J, phis, lam, diag) -> list:
-    """Solve J P J^T = (lam_jk phi_j phi_k) for P, where J[j][a] = d phi_j/d z_a
-    must be lower triangular with J[k][k] = diag[k] (the predecessor polynomial).
-    Q = J^{-1} B = P J^T holds Q[j][k] = {z_j, phi_k}, polynomial whenever P
-    is, so both forward substitutions (J Q = B, then J P^T = Q^T) divide
-    exactly.  P is returned as a dense list of Polys."""
-    l = len(phis)
+def _pullback_structure(J, B, diag) -> list:
+    """Solve J P J^T = B = (lam_jk phi_j phi_k), given above the diagonal,
+    for P; J[j][a] = d phi_j/d z_a must be lower triangular with J[k][k] =
+    diag[k] (the predecessor polynomial).  Q = J^{-1} B = P J^T holds
+    Q[j][k] = {z_j, phi_k}, polynomial whenever P is, so both forward
+    substitutions divide exactly: J Q = B above the diagonal, all that
+    J P^T = Q^T reads to solve P^T below it.  J is invertible and B skew,
+    so P and -P^T both solve it: P is skew, and each mirror entry is
+    exactly the negation of the solved one.  P is a dense list of Polys."""
+    l = len(B)
     for j in range(l):
         for a in range(j + 1, l):
             if not J[j][a].is_zero():
@@ -128,14 +137,8 @@ def _pullback_structure(J, phis, lam, diag) -> list:
         if J[j][j] != diag[j]:
             raise NonPolynomialStructure("diagonal is not the predecessor")
 
-    # lam is skew, so B is too: form it above the diagonal only
-    B = [[Poly.zero(phis[0].vars)] * l for _ in range(l)]
-    for j in range(l):
-        for k in range(j + 1, l):
-            B[j][k] = phis[j] * phis[k] * lam[j][k]
-            B[k][j] = -B[j][k]
     Q = _solve_lower(J, B)
-    P = [list(c) for c in zip(*_solve_lower(J, list(zip(*Q))))]
+    P = [list(c) for c in zip(*_solve_lower(J, list(zip(*Q)), skew=True))]
 
     for row in P:
         for x in row:
@@ -165,14 +168,17 @@ def build_cell(m: int, word) -> SchubertCell:
         for k in range(1, l + 1)
     ]
     J = [[phi.derivative(nm) for nm in vars.names] for phi in phis]
-    P = _pullback_structure(J, phis, lam, diag)
+    zero = Poly.zero(vars)
+    B = [[phis[j] * phis[k] * lam[j][k] if k > j and lam[j][k] else zero
+          for k in range(l)] for j in range(l)]
+    P = _pullback_structure(J, B, diag)
     pi_z = PoissonStructure(vars, P)
-    # {phi_j, phi_k} = sum_a J[j][a] {z_a, phi_k}: one Hamiltonian field of
-    # the returned P per k serves every pair j < k
+    # {phi_j, phi_k} = sum_{a <= j} J[j][a] {z_a, phi_k}: the first k entries
+    # of the field of phi_k (gradient J[k]) under P serve every pair j < k
     for k in range(1, l):
-        field = pi_z.hamiltonian_field(phis[k])
+        field = [_field_entry(row, J[k]) for row in pi_z.bracket_matrix[:k]]
         for j in range(k):
-            if _field_entry(J[j], field) != phis[j] * phis[k] * lam[j][k]:
+            if _field_entry(J[j], field) != B[j][k]:
                 raise NonPolynomialStructure(
                     f"bracket of pair ({j + 1},{k + 1}) is not the expected multiple"
                 )

@@ -45,6 +45,7 @@ from clusterint.polyring import (
     VarSet,
     _mul_terms,
     det,
+    dot,
     jet_lowest_term,
     minors,
     parse_poly,
@@ -224,6 +225,27 @@ def test_mul_terms_is_the_rational_loop(f, g, c, cap):
         den = a.den * b.den
         assert [(e, Fraction(v, den)) for e, v in out.items()] == list(
             rational_mul_terms(rational_terms(a), rational_terms(b), cap).items())
+
+
+@given(polys(), polys(), st.sampled_from([0, 1, 2, 3, 5]))
+def test_products_are_the_rational_loop(f, g, cap):
+    # the kernel's accumulating form leaves a plain product as it was: Poly
+    # and capped Jet products equal the loop on rationals
+    assert f * g == Poly(X3, rational_mul_terms(rational_terms(f), rational_terms(g)))
+    assert (Jet(f, cap) * Jet(g, cap)).poly == Poly(
+        X3, rational_mul_terms(rational_terms(f), rational_terms(g), cap))
+
+
+@given(st.lists(st.tuples(polys(), polys()), max_size=4), polys(), coefficients)
+def test_dot_is_the_sum_of_products(pairs, f, c):
+    # drawn pairs with denominators 1 to 4; then two pairs that cancel, two
+    # with a zero factor, and the empty list
+    tail = [(f * c, X + Y), (-f, (X + Y) * c), (Poly(X3), f), (f, Poly(X3))]
+    for chosen in (pairs + tail, tail, tail[:2], tail[2:], []):
+        got = dot(X3, chosen)
+        assert got == sum((p * q for p, q in chosen), Poly(X3))
+        assert_canonical_poly(got)
+    assert dot(X3, tail).is_zero() and dot(X3, []).is_zero()
 
 
 def assert_canonical_poly(p: Poly):

@@ -33,6 +33,8 @@ from clusterint.poisson_core import (
     pfaffian_coefficient,
     property_I_check,
 )
+from clusterint import dualgl
+from clusterint.bfz import sl_dual_linear_structure
 from clusterint.polyring import Poly, RatFun, VarSet, lowest_term, parse_poly
 from clusterint.rationals import QQ
 from clusterint.schubert import build_cell
@@ -184,6 +186,11 @@ class TestLinearize:
     def test_jacobi_checked(self, sl4_pi):
         linearize(sl4_pi).check_jacobi()
 
+    def test_non_jacobi_linear_part_rejected(self):
+        # the linear part {x, y} = y, {y, z} = x is not a Lie algebra
+        with pytest.raises(NotPoisson, match=r"Jacobi identity fails on \(0, 1, 2\)"):
+            linearize(structure_from_table({(1, 2): "y", (2, 3): "x"}, XYZ))
+
 
 XY = VarSet(["x", "y"])
 XYZ = VarSet(["x", "y", "z"])
@@ -209,6 +216,51 @@ XYZ = VarSet(["x", "y", "z"])
 def test_malformed_input_raises_a_package_error(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+def jacobi_outcomes(pi0):
+    """The NotPoisson message of the Schouten form and of the structure-
+    constant form of the Jacobi check on pi0, None where it passes."""
+    out = []
+    for check in (PoissonStructure.check_jacobi, LinearPoissonStructure.check_jacobi):
+        try:
+            check(pi0)
+            out.append(None)
+        except NotPoisson as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda n=n: sl_dual_linear_structure(n) for n in (1, 2, 3)],
+    *[lambda n=n: dualgl.kks_gl(n) for n in (2, 3)],
+    *[lambda m=m: build_cell(m, longest_word(m)).pi0 for m in (3, 4, 5, 6)],
+], ids=["sl-dual-1", "sl-dual-2", "sl-dual-3", "kks-gl-2", "kks-gl-3",
+        "schubert-3", "schubert-4", "schubert-5", "schubert-6"])
+def test_structure_constant_jacobi_agrees_on_lie_algebras(build):
+    assert jacobi_outcomes(build()) == [None, None]
+
+
+def test_structure_constant_jacobi_names_the_schouten_triple():
+    # {x, y} = y, {y, z} = x fails on (0, 1, 2); a linear term added to one
+    # entry of the m=4 Schubert pi0 (and its mirror) fails first on the
+    # triple the Schouten form names, or on none; denominators 1 to 3
+    broken = LinearPoissonStructure(
+        XYZ, structure_from_table({(1, 2): "y", (2, 3): "x"}, XYZ).bracket_matrix)
+    assert jacobi_outcomes(broken) == ["Jacobi identity fails on (0, 1, 2)"] * 2
+    pi0 = build_cell(4, longest_word(4)).pi0
+    rng = random.Random(7)
+    triples = set()
+    for _ in range(30):
+        P = [list(row) for row in pi0.bracket_matrix]
+        a, b = sorted(rng.sample(range(6), 2))
+        term = Poly.var(pi0.vars, f"z{rng.randint(1, 6)}") * QQ(
+            rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+        P[a][b], P[b][a] = P[a][b] + term, P[b][a] - term
+        schouten, constants = jacobi_outcomes(LinearPoissonStructure(pi0.vars, P))
+        assert schouten == constants
+        triples.add(schouten)
+    assert len(triples - {None}) >= 3
 
 
 class TestEntryRepresentation:

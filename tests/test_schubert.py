@@ -105,18 +105,23 @@ class TestBuildCellSL4:
             build_cell(4, [1, 1])
 
     def test_non_polynomial_pullback_rejected(self):
-        with pytest.raises(NonPolynomialStructure) as info:
-            _solve_lower([[p6("z1")]], [[p6("z1 + z2")]])
-        assert isinstance(info.value.__cause__, NotDivisible)
+        # the smallest half solves that divide: entry (0, 1), and entry
+        # (1, 0) of a skew X, each (z1 + z2) / z1
+        J = [[p6("z1"), p6("0")], [p6("0"), p6("z1")]]
+        for B, skew in (([[p6("0"), p6("z1 + z2")], [p6("0"), p6("0")]], False),
+                        ([[p6("0"), p6("0")], [p6("z1 + z2"), p6("0")]], True)):
+            with pytest.raises(NonPolynomialStructure) as info:
+                _solve_lower(J, B, skew)
+            assert isinstance(info.value.__cause__, NotDivisible)
 
     def test_wrong_structure_rejected(self, monkeypatch):
         # a skew term added to one pair of entries after the solves: the pair
         # check runs on the returned P, so it must refuse it
         solve = schubert._pullback_structure
 
-        def skewed(J, phis, lam, diag):
-            P = solve(J, phis, lam, diag)
-            z1z2 = parse_poly("z1*z2", phis[0].vars)
+        def skewed(J, B, diag):
+            P = solve(J, B, diag)
+            z1z2 = parse_poly("z1*z2", B[0][0].vars)
             P[0][1] = P[0][1] + z1z2
             P[1][0] = P[1][0] - z1z2
             return P
@@ -124,6 +129,23 @@ class TestBuildCellSL4:
         monkeypatch.setattr(schubert, "_pullback_structure", skewed)
         with pytest.raises(NonPolynomialStructure, match=r"pair \(\d,\d\)"):
             build_cell(3, longest_word(3))
+
+
+@pytest.mark.parametrize("m, word", [
+    (4, longest_word(4)), (5, longest_word(5)),
+    (5, (2, 1, 3, 2, 4, 3)), (5, (1, 2, 1, 3, 2, 4))])
+def test_pullback_solves_the_bracket_equation(m, word):
+    # J P J^T = (lam_jk phi_j phi_k) entry by entry, by dense products of the
+    # returned P, independently of the pair check inside build_cell
+    cell = build_cell(m, word)
+    P, phis, l = cell.pi_z.bracket_matrix, cell.phis, len(cell.phis)
+    J = [[phi.derivative(nm) for nm in cell.vars.names] for phi in phis]
+    JP = [[sum((J[j][a] * P[a][b] for a in range(l)), Poly.zero(cell.vars))
+           for b in range(l)] for j in range(l)]
+    for j in range(l):
+        for k in range(l):
+            entry = sum((JP[j][b] * J[k][b] for b in range(l)), Poly.zero(cell.vars))
+            assert entry == phis[j] * phis[k] * cell.lam[j][k], (j, k)
 
 
 class TestChoose:
@@ -213,6 +235,11 @@ class TestLongWord:
         assert index_and_magic(cell)["ind"] == 3
         rep = choose_integrable_system(cell)
         assert rep.involutive and rep.independent_count == rep.magic_number == 12
+
+    @pytest.mark.slow
+    def test_m8(self):
+        rep = choose_integrable_system(build_cell(8, longest_word(8)))
+        assert rep.involutive and rep.independent_count == rep.magic_number == 16
 
 
 class TestFlowStructure:
