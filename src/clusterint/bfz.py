@@ -7,6 +7,7 @@ algebra via Kostant's cascade of strongly orthogonal roots."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import CountShortfall, SizeOutOfRange, WrongWord
 from .poisson_core import (
@@ -623,7 +624,9 @@ class BFZChart:
 
 def bfz_chart(n: int) -> BFZChart:
     """Realize the extended cluster on the chart given by the two unipotent
-    parts and the torus, with all structure entries rational."""
+    parts and the torus, with all structure entries polynomial: a cluster
+    function is a minor of the Poly unipotent product times the torus
+    factors of its columns."""
     dword = standard_double_word(n)
     m = n + 1
     l0 = len(dword.neg)
@@ -648,22 +651,19 @@ def bfz_chart(n: int) -> BFZChart:
     bs_a = bs.map(lambda p: chart_poly(p, "a"))
     w0mat = weyl_matrix(longest_word(m), m, vars)
     # both inverses are polynomial (unit determinants)
-    w0inv = inverse(w0mat.map(RatFun.from_poly)).map(RatFun.as_poly)
-    lower = inverse(bs_b.map(RatFun.from_poly)).map(RatFun.as_poly) * w0mat
-    upper = bs_a * w0inv
+    table = minors(inverse(bs_b) * w0mat * bs_a * inverse(w0mat))
 
-    eta = [RatFun.from_poly(Poly.const(vars, 1) + Poly.var(vars, f"e{j}")) for j in range(1, n + 1)]
-    tdiag = []
-    for j in range(1, m + 1):
-        num = eta[j - 1] if j <= n else RatFun.const(vars, 1)
-        den = eta[j - 2] if j >= 2 else RatFun.const(vars, 1)
-        tdiag.append(num / den)
-    g = (lower * upper).map(lambda p: RatFun.from_poly(p))
-    g = PolyMatrix(
-        [[g.entries[i][j] * tdiag[j] for j in range(m)] for i in range(m)]
-    )
+    # the torus scales column j (0-based) by eta_{j+1} / eta_j, with
+    # eta_0 = eta_m = 1
+    one = Poly.const(vars, 1)
+    etas = [one] + [one + Poly.var(vars, f"e{j}") for j in range(1, n + 1)] + [one]
 
-    fs, phis, psis, g_index = cluster_minors(minors(g), n, dword)
+    def chart_minor(rows, cols):
+        ups, downs = {j + 1 for j in cols}, set(cols)
+        return RatFun(prod((etas[k] for k in ups - downs), start=table(rows, cols)),
+                      prod((etas[k] for k in downs - ups), start=one))
+
+    fs, phis, psis, g_index = cluster_minors(chart_minor, n, dword)
 
     # Poisson structure: one Bott-Samelson block for b and one for a
     bracket = build_cell(m, word).pi_z.bracket_matrix

@@ -10,11 +10,12 @@ otherwise it starts from the zero Poly, and a RatFun entry or h lifts the
 sum to a RatFun.  The bracket, ``hamiltonian_field``, the pair check of
 ``schubert.build_cell``, the general Jacobi check and the Casimir check of
 ``cluster_engine`` are built on it (a linear structure checks the Jacobi
-identity on its structure constants).
+identity on its structure constants); ``hamiltonian_field`` joins the
+fields of N and D, h = N/D, by the quotient rule.
 ``bracket_poly`` is the checked Poly form of the bracket, kept as a method
 of its own because the benchmark's layer tracer (``bench/layertrace.py``)
-wraps it by name.  ``_system_jacobian_det`` is the one Jacobian determinant
-and raises DependentSystem when it vanishes.
+wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant,
+of Poly columns, and raises DependentSystem when it vanishes.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
@@ -37,6 +38,7 @@ from .errors import (
     DependentSystem,
     DimensionMismatch,
     InequalityViolated,
+    NotDivisible,
     NotInvolutive,
     NotLogCanonical,
     NotPoisson,
@@ -119,9 +121,18 @@ class PoissonStructure:
     # -- brackets -----------------------------------------------------------
 
     def hamiltonian_field(self, h) -> list:
-        """[{v_a, h} for each variable v_a], for a Poly or RatFun h."""
-        dh = [h.derivative(nm) for nm in self.vars.names]
-        return [_field_entry(row, dh) for row in self.bracket_matrix]
+        """[{v_a, h} for each variable v_a], for a Poly or RatFun h = N/D:
+        (D {v_a, N} - N {v_a, D}) / D^2 from the Poly fields of N and D,
+        one RatFun per entry (a Poly h, or D = 1, takes the field of N)."""
+        def field(p):
+            dp = [p.derivative(nm) for nm in self.vars.names]
+            return [_field_entry(row, dp) for row in self.bracket_matrix]
+
+        num, den = _num_den(h)
+        if den.is_constant():
+            return field(num)
+        d2 = den * den
+        return [(x * den - y * num) / d2 for x, y in zip(field(num), field(den))]
 
     def bracket(self, f, g) -> Poly | RatFun:
         """{f, g} = sum_a df/dv_a {v_a, g} for Polys or RatFuns f, g, over the
@@ -287,23 +298,31 @@ class LogVolumeForm:
         return d + len(self.coefficient.vars)
 
 
-def _system_jacobian_det(functions, vars) -> Poly | RatFun:
-    """det of the Jacobian of the functions; raises DependentSystem when it
-    vanishes identically."""
-    d = det(jacobian(functions, vars))
+def _cleared_jacobian(functions, vars: VarSet):
+    """(det M, [N_1, D_1, N_2, D_2, ...]) for f_i = N_i/D_i, where column i
+    of the Poly matrix M, D_i grad N_i - N_i grad D_i, is the Jacobian's
+    times D_i^2, so mu = det(M) / prod(N_i D_i).  Raises DependentSystem
+    when det(M) vanishes identically."""
+    parts = [_num_den(f) for f in functions]
+    d = det(PolyMatrix([[den * num.derivative(v) - num * den.derivative(v)
+                         for num, den in parts] for v in vars.names]))
     if d.is_zero():
         raise DependentSystem("Jacobian determinant vanishes identically")
-    return d
+    return d, [p for pair in parts for p in pair]
 
 
 def log_volume(functions, vars: VarSet) -> LogVolumeForm:
-    """mu = det(Jacobian)/prod(f_i), divided by one function at a time:
-    each RatFun division cancels only the gcds of its operands' parts, so
-    the unreduced product of all the functions is never formed."""
-    mu = _system_jacobian_det(functions, vars)
-    for f in functions:
-        mu = mu / f
-    return LogVolumeForm(mu)
+    """mu = det(M) / prod(N_i D_i) (``_cleared_jacobian``): each factor,
+    those of most terms first, divides the numerator exactly or joins the
+    denominator, and one reduced RatFun is formed at the end."""
+    num, factors = _cleared_jacobian(functions, vars)
+    den = Poly.const(vars, 1)
+    for p in sorted(factors, key=lambda p: -len(p.terms)):
+        try:
+            num = num.exact_div(p)
+        except NotDivisible:
+            den = den * p
+    return LogVolumeForm(RatFun(num, den))
 
 
 def pfaffian_coefficient(sys: LogCanonicalSystem) -> RatFun:
@@ -327,13 +346,9 @@ def property_I_check(
 ) -> PropertyIReport:
     """deg(mu^low) versus rk(pi0)/2; the inequality deg >= rk/2 must hold for
     every log-canonical system, so its failure raises."""
-    n = len(sys.vars)
-    _, ddet = lowest_term(_system_jacobian_det(sys.functions, sys.vars))
-    total = 0
-    for f in sys.functions:
-        _, df = lowest_term(f)
-        total += df
-    deg_mu_low = ddet + n - total
+    # lowest degrees add over the products and quotient of det(M) / prod(N_i D_i)
+    d, factors = _cleared_jacobian(sys.functions, sys.vars)
+    deg_mu_low = d.min_degree() + len(sys.vars) - sum(p.min_degree() for p in factors)
     if pi0 is None:
         pi0 = linearize(pi)
     half = generic_rank(pi0) // 2

@@ -1305,13 +1305,10 @@ def _minor(rows, rmask, cmask, memo):
 
 def minors(m: PolyMatrix):
     """The minors of ``m`` as a function of (rows, cols), two collections
-    of 0-based indices of one size, each read in increasing order.  Poly and
-    Jet minors are expanded by Laplace along their first rows into one table
-    that every minor of ``m`` shares, so a minor met inside another is
-    computed once (no division, so Jet entries work as well as Poly ones);
-    RatFun minors are each cleared by ``det``."""
-    if {type(x) for row in m.entries for x in row} == {RatFun}:
-        return lambda rows, cols: det(m.submatrix(sorted(rows), sorted(cols)))
+    of 0-based indices of one size, each read in increasing order.  They
+    are expanded by Laplace along their first rows into one table that
+    every minor of ``m`` shares, so a minor met inside another is computed
+    once (no division, so Jet entries work as well as Poly ones)."""
     memo = {}
 
     def minor(rows, cols):
@@ -1360,11 +1357,24 @@ def det(m: PolyMatrix):
 
 
 def inverse(m: PolyMatrix) -> PolyMatrix:
-    """Inverse of a square matrix over a field (rational or RatFun entries)
-    by Gauss-Jordan elimination; raises SingularLocus when it has none."""
+    """Inverse of a square matrix; raises SingularLocus when it has none.
+    A Poly matrix gives its adjugate over its determinant, all read from
+    one ``minors`` table, and raises NotDivisible when the determinant is
+    not a constant; rational or RatFun entries go by Gauss-Jordan
+    elimination."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
     n = m.rows
+    if {type(x) for row in m.entries for x in row} == {Poly}:
+        table, rest = minors(m), lambda k: [t for t in range(n) if t != k]
+        d = table(range(n), range(n))
+        if d.is_zero():
+            raise SingularLocus("matrix is singular")
+        if not d.is_constant():
+            raise NotDivisible("the inverse is not polynomial")
+        inv = QQ1 / d.constant_value()
+        return PolyMatrix([[table(rest(j), rest(i)) * (-inv if (i + j) % 2 else inv)
+                            for j in range(n)] for i in range(n)])
     zero = m.entries[0][0] - m.entries[0][0]
     one = zero + 1
     a = [list(row) + [one if i == j else zero for j in range(n)]

@@ -208,17 +208,27 @@ class TestChart:
     def test_jacobi(self, chart2):
         chart2.pi.check_jacobi()
 
-    def test_hamiltonian_field_is_the_bracket_with_each_coordinate(self, chart2):
-        h = chart2.phis[1]
+    # the field takes the quotient rule on the parts of h, the bracket
+    # differentiates h as a RatFun; Casimirs have the zero field
+    @pytest.mark.parametrize("h, moves", [
+        (lambda ch: ch.phis[1], True),
+        (lambda ch: ch.psis[0], True),
+        (lambda ch: ch.casimir(1), False),
+        (lambda ch: ch.casimir(2) - ch.casimir(1), False),
+    ], ids=["phi2", "psi1", "casimir1", "casimir-difference"])
+    def test_hamiltonian_field_is_the_bracket_with_each_coordinate(self, chart2, h, moves):
+        h = h(chart2)
         field = chart2.pi.hamiltonian_field(h)
         for nm, entry in zip(chart2.vars.names, field):
             assert entry == chart2.pi.bracket(RatFun.var(chart2.vars, nm), h)
-        assert any(not entry.is_zero() for entry in field)
+        assert any(not entry.is_zero() for entry in field) == moves
 
-    def test_casimir_field_vanishes(self, chart2):
-        c = chart2.casimir(2) - chart2.casimir(1)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_casimir_field_vanishes(self, chart2, n):
+        chart = chart2 if n == 2 else bfz_chart(3)
+        c = chart.casimir(2) - chart.casimir(1)
         assert not c.is_constant()
-        assert all(x.is_zero() for x in chart2.pi.hamiltonian_field(c))
+        assert all(x.is_zero() for x in chart.pi.hamiltonian_field(c))
 
     def test_structure_vanishes_at_base_point(self, chart2):
         zero = [QQ(0)] * len(chart2.vars)

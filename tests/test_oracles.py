@@ -11,12 +11,13 @@ import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
+from sympy.combinatorics import Permutation
 
 from clusterint import polyring
 from clusterint.bfz import (
@@ -35,8 +36,8 @@ from clusterint.dualgl import (
     lows_via_jets,
     pencil_coefficients,
 )
-from clusterint.errors import NotDivisible, NotReduced, TruncationInsufficient
-from clusterint.poisson_core import PoissonStructure
+from clusterint.errors import DependentSystem, NotDivisible, NotReduced, TruncationInsufficient
+from clusterint.poisson_core import PoissonStructure, log_volume
 from clusterint.polyring import (
     Jet,
     Poly,
@@ -540,6 +541,48 @@ def test_bracket_agrees_with_sympy(entries, f, g):
             expect += (to_sympy(f).diff(GENS[a]) * to_sympy(P[a][b])
                        * to_sympy(g).diff(GENS[b]))
     assert to_sympy(br) == expect
+
+
+def log_volume_functions(rng, kind):
+    """Three functions over x, y, z with seeded multilinear parts: Polys;
+    RatFuns whose denominators are powers of one shared factor, such as
+    x + 1; or RatFuns where one function's numerator holds a factor of
+    another function's denominator."""
+    nums = [random_multilinear(rng) + Poly.var(X3, v) for v in rng.sample(X3.names, 3)]
+    if kind == "polys":
+        return nums
+    if kind == "shared-denominator":
+        shared = Poly.var(X3, rng.choice(X3.names)) + 1
+        return [RatFun(p, shared ** rng.randint(1, 2)) for p in nums]
+    g = random_multilinear(rng) + Poly.var(X3, rng.choice(X3.names))
+    dens = [Poly.var(X3, v) + rng.randint(1, 3) for v in rng.sample(X3.names, 3)]
+    return [RatFun(nums[0] * g, dens[0]), RatFun(nums[1], dens[1] * g),
+            RatFun(nums[2], dens[2])]
+
+
+@pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
+@pytest.mark.parametrize("seed", range(6))
+def test_log_volume_agrees_with_sympy(kind, seed):
+    # det(J) / prod(f) in sympy's field QQ(x, y, z), whose elements are
+    # reduced fractions, with the 3 x 3 determinant by permutations
+    fs = log_volume_functions(random.Random(seed), kind)
+    field = sympy.field("x,y,z", sympy.QQ)
+    K, gens = field[0], field[1:]
+    els = [K.from_expr(to_sympy(f).as_expr()) if isinstance(f, Poly)
+           else K.from_expr(to_sympy(f.num).as_expr()) / K.from_expr(to_sympy(f.den).as_expr())
+           for f in fs]
+    jac = [[e.diff(v) for e in els] for v in gens]
+    expected = sum(Permutation(list(p)).signature() * jac[0][p[0]] * jac[1][p[1]] * jac[2][p[2]]
+                   for p in permutations(range(3))) / (els[0] * els[1] * els[2])
+    if expected == 0:
+        with pytest.raises(DependentSystem):
+            log_volume(fs, X3)
+        return
+    mu = log_volume(fs, X3).coefficient
+    p, q = (sympy.Poly(e.as_expr(), *GENS, domain="QQ") for e in (expected.numer, expected.denom))
+    lc = q.LC(order="grlex")
+    assert to_sympy(mu.num) == p.quo_ground(lc)
+    assert to_sympy(mu.den) == q.quo_ground(lc)
 
 
 @given(polys(8))

@@ -284,6 +284,20 @@ class TestEntryRepresentation:
         x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
         assert type(pi.bracket(x, y)) is RatFun
 
+    @pytest.mark.parametrize("num, den", [
+        ("x*y + 1", "1"), ("x", "1 + y"), ("x + y", "x*y - 1"), ("y^2", "1 + y"),
+    ])
+    def test_field_is_the_bracket_on_a_rational_structure(self, num, den):
+        # the quotient rule on the parts of h against the bracket, which
+        # differentiates h as a RatFun
+        entry = RatFun(parse_poly("x", XY), parse_poly("1 + y", XY))
+        pi = PoissonStructure(XY, [[0, entry], [-entry, 0]])
+        h = RatFun(parse_poly(num, XY), parse_poly(den, XY))
+        field = pi.hamiltonian_field(h)
+        for nm, x in zip(XY.names, field):
+            assert x == pi.bracket(RatFun.var(XY, nm), h)
+        assert any(not x.is_zero() for x in field)
+
     def test_brackets_follow_their_inputs(self, sl4_pi):
         f, g = p6("z1*z4 - z2"), p6("z4")
         assert sl4_pi.bracket(f, g) == p6("z1*z4^2 - z2*z4")

@@ -37,6 +37,7 @@ from clusterint.polyring import (
     truncated_exp,
 )
 from clusterint.rationals import QQ
+from clusterint.typea import bott_samelson, longest_word
 
 from conftest import Z6, p6, random_poly
 
@@ -145,6 +146,22 @@ class TestInverse:
             inverse(PolyMatrix([[QQ(1), QQ(2)], [QQ(2), QQ(4)]]))
         with pytest.raises(NonSquare):
             inverse(PolyMatrix([[QQ(1), QQ(2)]]))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_bott_samelson_round_trip(self, m):
+        # a Poly matrix of unit determinant has a Poly inverse, its adjugate
+        g = bott_samelson(longest_word(m), m)
+        inv = inverse(g)
+        assert all(type(x) is Poly for row in inv.entries for x in row)
+        assert (inv * g).entries == PolyMatrix.identity(g[0, 0].vars, m).entries
+
+    def test_poly_matrix_of_non_constant_determinant_is_refused(self):
+        with pytest.raises(NotDivisible):
+            inverse(PolyMatrix([[p6("z1"), p6("1")], [p6("0"), p6("1")]]))
+
+    def test_singular_poly_matrix_is_refused(self):
+        with pytest.raises(SingularLocus):
+            inverse(PolyMatrix([[p6("z1"), p6("z2")], [p6("2*z1"), p6("2*z2")]]))
 
 
 class TestJacobian:
