@@ -19,10 +19,11 @@ A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
 come from one memoized table (``minors``), a Laplace expansion along first
 rows keyed by row and column bit masks, so that every minor read from it
-reuses the sub-minors met before; ``det`` is the full minor of a fresh
-table.  The canonical text
-(``str``, read back by ``parse_poly``) lists terms in descending graded-lex
-order, e.g. ``z1*z4 - z2``.
+reuses the sub-minors met before; it runs on packed monomials (Monagan and
+Pearce), each exponent tuple one int, so a monomial product is one int
+addition, for Poly and Jet alike.  ``det`` is the full minor of a fresh
+table.  The canonical text (``str``, read back by ``parse_poly``) lists
+terms in descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from __future__ import annotations
 import heapq
 import operator
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import reduce
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     BadTruncation,
@@ -1263,62 +1264,86 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _entry_is_zero(x):
-    if isinstance(x, (Poly, RatFun, Jet)):
-        return x.is_zero()
-    return x == 0
-
-
-def _minor(rows, rmask, cmask, memo):
-    """Determinant of ``rows`` restricted to the rows in the bit set
-    ``rmask`` and the columns in ``cmask`` (of one size), by Laplace
-    expansion along its first row; None when no term survives.  ``memo``
-    holds each minor by its (row mask, column mask), so the expansions of
-    all larger minors share it."""
+def _packed_minor(rows, rmask, cmask, memo, cap, shift):
+    """Determinant of the packed ``rows`` on the rows of the bit set
+    ``rmask`` and the columns of ``cmask``, as lists of keys and numerators,
+    by Laplace expansion along its first row into one dict; ``memo`` holds
+    each minor by (row mask, column mask), and 1 at (0, 0).  With a ``cap``
+    the keys of a minor are sorted, and when a product can pass the cap,
+    each term of the shorter factor runs over the prefix of the longer that
+    keeps the product within it; an entry longer than its sub-minor is
+    read as its sorted 1 x 1 minor."""
     key = (rmask, cmask)
-    if key in memo:
-        return memo[key]
+    out = memo.get(key)
+    if out is not None:
+        return out
     first = rmask & -rmask
-    row = rows[first.bit_length() - 1]
-    rest_rows = rmask ^ first
-    total = None
-    negate = False
-    rest_mask = cmask
-    while rest_mask:
-        bit = rest_mask & -rest_mask
-        rest_mask ^= bit
-        a = row[bit.bit_length() - 1]
-        if not _entry_is_zero(a):
-            if not rest_rows:
-                term = a
-            else:
-                rest = _minor(rows, rest_rows, cmask ^ bit, memo)
-                term = None if rest is None else a * rest
-            if term is not None:
-                if negate:
-                    term = -term
-                total = term if total is None else total + term
-        negate = not negate
-    memo[key] = total
-    return total
+    row, rest_rows = rows[first.bit_length() - 1], rmask ^ first
+    out, sign, rest_cols = {}, 1, cmask
+    while rest_cols:
+        bit = rest_cols & -rest_cols
+        rest_cols ^= bit
+        ak, ac = row[bit.bit_length() - 1]
+        bk, bc = _packed_minor(rows, rest_rows, cmask ^ bit, memo, cap, shift) if ak else ((), ())
+        if bk:
+            if rest_rows and cap is not None and len(ak) > len(bk):
+                (bk, bc), ak, ac = _packed_minor(rows, first, bit, memo, cap, shift), bk, bc
+            full = cap is None or (max(ak) + bk[-1]) >> shift <= cap
+            for k1, c1 in zip(ak, ac):
+                c1 *= sign
+                for k2, c2 in zip(bk, bc if full else
+                                  bc[:bisect_left(bk, (cap + 1 - (k1 >> shift)) << shift)]):
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + c1 * c2
+        sign = -sign
+    keys = [k for k, c in out.items() if c]
+    if cap is not None:
+        keys.sort()
+    memo[key] = out = keys, [out[k] for k in keys]
+    return out
 
 
 def minors(m: PolyMatrix):
-    """The minors of ``m`` as a function of (rows, cols), two collections
-    of 0-based indices of one size, each read in increasing order.  They
-    are expanded by Laplace along their first rows into one table that
-    every minor of ``m`` shares, so a minor met inside another is computed
-    once (no division, so Jet entries work as well as Poly ones)."""
-    memo = {}
+    """The minors of ``m``, a matrix of Polys or of Jets of one order, as a
+    function of (rows, cols), two collections of 0-based indices of one
+    size, each read in increasing order, all from one table of packed
+    minors (``_packed_minor``); a Poly entry among Jets is read as a Jet of
+    their order.  Each row is cleared to the lcm of its denominators, and
+    each exponent tuple packed into one int: the degree above fields of
+    whole bytes that hold the sum over the rows of their largest exponent,
+    which no exponent of a minor exceeds."""
+    if not m.cols:
+        raise NonSquare(f"{m.rows}x{m.cols} minor")
+    orders = {x.order for row in m.entries for x in row if isinstance(x, Jet)}
+    if len(orders) > 1:
+        raise BadTruncation("jet orders differ")
+    cap = orders.pop() if orders else None
+    polys = [[x.poly if isinstance(x, Jet) else x if cap is None else Jet(x, cap).poly
+              for x in row] for row in m.entries]
+    vars = polys[0][0].vars
+    if any(p.vars is not vars and p.vars != vars for row in polys for p in row):
+        raise MixedVariables("mixed variable sets")
+    bound = sum(max((max(e) for p in row for e in p.terms), default=0) for row in polys)
+    width = (bound.bit_length() + 7) // 8 or 1
+    size = len(vars) * width
+    shift, dens = 8 * size, [lcm(*(p.den for p in row)) for row in polys]
+    rows = [[([sum(e) << shift | int.from_bytes(bytes(e) if width == 1 else b"".join(
+        x.to_bytes(width, "little") for x in e), "little") for e in p.terms],
+              [c * (d // p.den) for c in p.terms.values()]) for p in row]
+            for row, d in zip(polys, dens)]
+    memo, low = {(0, 0): ([0], [1])}, (1 << shift) - 1
 
-    def minor(rows, cols):
-        if len(rows) != len(cols) or not rows:
-            raise NonSquare(f"{len(rows)}x{len(cols)} minor")
-        out = _minor(m.entries, sum(1 << i for i in rows), sum(1 << j for j in cols), memo)
-        if out is None:
-            x = m.entries[0][0]
-            return x - x
-        return out
+    def minor(rs, cs):
+        if len(rs) != len(cs) or not rs:
+            raise NonSquare(f"{len(rs)}x{len(cs)} minor")
+        terms = {}
+        for k, c in zip(*_packed_minor(rows, sum(1 << i for i in rs), sum(1 << j for j in cs),
+                                       memo, cap, shift)):
+            b = (k & low).to_bytes(size, "little")
+            terms[tuple(b) if width == 1 else tuple(
+                int.from_bytes(b[i:i + width], "little") for i in range(0, size, width))] = c
+        p = Poly._trusted(vars, terms, prod(dens[i] for i in rs))
+        return p if cap is None else Jet._trusted(p, cap)
 
     return minor
 

@@ -120,7 +120,7 @@ def _solve_lower(J, B, skew=False) -> list:
     return X
 
 
-def _pullback_structure(J, B, diag) -> list:
+def _pullback_structure(J, B, diag) -> tuple:
     """Solve J P J^T = B = (lam_jk phi_j phi_k), given above the diagonal,
     for P; J[j][a] = d phi_j/d z_a must be lower triangular with J[k][k] =
     diag[k] (the predecessor polynomial).  Q = J^{-1} B = P J^T holds
@@ -128,7 +128,8 @@ def _pullback_structure(J, B, diag) -> list:
     substitutions divide exactly: J Q = B above the diagonal, all that
     J P^T = Q^T reads to solve P^T below it.  J is invertible and B skew,
     so P and -P^T both solve it: P is skew, and each mirror entry is
-    exactly the negation of the solved one.  P is a dense list of Polys."""
+    exactly the negation of the solved one.  Returns (P, Q), dense lists of
+    Polys, Q zero on and below the diagonal."""
     l = len(B)
     for j in range(l):
         for a in range(j + 1, l):
@@ -144,7 +145,7 @@ def _pullback_structure(J, B, diag) -> list:
         for x in row:
             if not x.is_zero() and x.min_degree() < 1:
                 raise NonPolynomialStructure("pullback does not vanish at 0")
-    return P
+    return P, Q
 
 
 def build_cell(m: int, word) -> SchubertCell:
@@ -153,7 +154,10 @@ def build_cell(m: int, word) -> SchubertCell:
     table of the z-coordinates obtained by pulling the constant-coefficient
     structure back through the triangular change of variables, and the
     linearization at the origin.  Every pair of the system is checked to be
-    log-canonical with the expected coefficient."""
+    log-canonical with the expected coefficient: for j < k, {phi_j, phi_k}
+    = sum_{a <= j} J[j][a] {z_a, phi_k} must be B[j][k] = (J Q)[j][k], and
+    as J is lower triangular with a nonzero diagonal, that holds for all
+    j < k exactly when each {z_j, phi_k} under P equals Q[j][k]."""
     if not isinstance(word, ReducedWord):
         word = ReducedWord(word, m)
     l = len(word)
@@ -171,14 +175,12 @@ def build_cell(m: int, word) -> SchubertCell:
     zero = Poly.zero(vars)
     B = [[phis[j] * phis[k] * lam[j][k] if k > j and lam[j][k] else zero
           for k in range(l)] for j in range(l)]
-    P = _pullback_structure(J, B, diag)
+    P, Q = _pullback_structure(J, B, diag)
     pi_z = PoissonStructure(vars, P)
-    # {phi_j, phi_k} = sum_{a <= j} J[j][a] {z_a, phi_k}: the first k entries
-    # of the field of phi_k (gradient J[k]) under P serve every pair j < k
     for k in range(1, l):
         field = [_field_entry(row, J[k]) for row in pi_z.bracket_matrix[:k]]
         for j in range(k):
-            if _field_entry(J[j], field) != B[j][k]:
+            if field[j] != Q[j][k]:
                 raise NonPolynomialStructure(
                     f"bracket of pair ({j + 1},{k + 1}) is not the expected multiple"
                 )

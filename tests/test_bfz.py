@@ -43,6 +43,11 @@ def c4():
 
 
 @pytest.fixture(scope="module")
+def c5():
+    return build_bfz(5)
+
+
+@pytest.fixture(scope="module")
 def chart2():
     return bfz_chart(2)
 
@@ -87,6 +92,10 @@ class TestGexp:
         assert c4.order == 5
         assert gexp_check(4, c4)
 
+    def test_n5(self, c5):
+        assert c5.order == 5
+        assert gexp_check(5, c5)
+
     def test_wrong_word(self):
         # a different reduced word of the longest element is rejected
         other = ReducedWord([2, 1, 2], 3)
@@ -114,6 +123,11 @@ class TestChoose:
     def test_n4(self, c4):
         rep = choose_integrable_system_bfz(c4)
         assert rep.independent_count == rep.magic_number == 14
+        assert rep.involutive
+
+    def test_n5(self, c5):
+        rep = choose_integrable_system_bfz(c5)
+        assert rep.independent_count == rep.magic_number == 20
         assert rep.involutive
 
 

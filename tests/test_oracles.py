@@ -144,6 +144,51 @@ def test_every_minor_of_one_table_agrees_with_sympy(n):
                     assert jet_table(r, c) == Jet(got, D)
 
 
+def edge_matrix(case):
+    """A seeded 3x3 matrix at an edge of the packed minors table."""
+    rows = random_matrix(random.Random(300), 3)
+    if case == "two-byte exponents":
+        # the rows' largest exponents sum to more than 255
+        rows[0][1] = rows[0][1] + Poly(X3, {(200, 0, 1): QQ(1)})
+        rows[2][0] = rows[2][0] + Poly(X3, {(100, 3, 0): QQ(-2, 3)})
+    elif case == "three-byte exponents":
+        # and here to more than 65535
+        rows[1][2] = rows[1][2] + Poly(X3, {(0, 40000, 1): QQ(5)})
+        rows[2][0] = rows[2][0] + Poly(X3, {(1, 30000, 0): QQ(1, 7)})
+    elif case == "row denominators":
+        rows = [[p * QQ(1, 2 * i + 3) for p in row] for i, row in enumerate(rows)]
+        rows[1][1] = rows[1][1] + Poly(X3, {(0, 1, 0): QQ(1, 5)})
+    elif case == "zero row":
+        rows[1] = [Poly(X3)] * 3
+    elif case == "all zero":
+        rows = [[Poly(X3)] * 3 for _ in range(3)]
+    return rows
+
+
+@pytest.mark.parametrize("case", ["two-byte exponents", "three-byte exponents",
+                                  "row denominators", "zero row", "all zero"])
+def test_packed_minors_table_edge_cases(case):
+    # caps 1 and 3 cut products of the low-degree entries, 250 products of
+    # the two-byte rows; every minor is read in each table
+    rows = edge_matrix(case)
+    table = minors(PolyMatrix(rows))
+    jet_tables = {D: minors(PolyMatrix([[Jet(p, D) for p in row] for row in rows]))
+                  for D in (1, 3, 250)}
+    # a Poly entry among Jets is read as a Jet of their order
+    mixed = minors(PolyMatrix([[Jet(p, 3) if (i + j) % 2 else p for j, p in enumerate(row)]
+                               for i, row in enumerate(rows)]))
+    for k in range(3, 0, -1):
+        for r in combinations(range(3), k):
+            for c in combinations(range(3), k):
+                got = table(r, c)
+                assert to_sympy(got) == sympy_det([[rows[i][j] for j in c] for i in r])
+                for D, jet_table in jet_tables.items():
+                    assert jet_table(r, c) == Jet(got, D)
+                assert mixed(r, c) == Jet(got, 3)
+    if case in ("zero row", "all zero"):
+        assert det(PolyMatrix(rows)).is_zero()
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_pencil_coefficients_agree_with_sympy(n):
     lam = sympy.Symbol("lam")

@@ -30,6 +30,7 @@ from clusterint.polyring import (
     jacobian,
     jet_lowest_term,
     lowest_term,
+    minors,
     numeric_pivots,
     numeric_rank,
     parse_poly,
@@ -106,6 +107,22 @@ class TestDet:
     def test_nonsquare(self):
         with pytest.raises(NonSquare):
             det(PolyMatrix([[p6("z1"), p6("z2")]]))
+
+    def test_mixed_variable_sets_are_refused(self):
+        # the table packs every entry up front, so it refuses before any minor
+        m = PolyMatrix([[p6("z1"), Poly.var(VarSet(["a"]), "a")], [p6("1"), p6("z2")]])
+        with pytest.raises(MixedVariables):
+            minors(m)
+        with pytest.raises(MixedVariables):
+            det(m)
+
+    def test_jets_of_two_orders_are_refused(self):
+        m = PolyMatrix([[Jet(p6("z1"), 2), Jet(p6("z2"), 3)],
+                        [Jet(p6("1"), 2), Jet(p6("z3"), 2)]])
+        with pytest.raises(BadTruncation):
+            minors(m)
+        with pytest.raises(BadTruncation):
+            det(m)
 
     def test_leaves_no_cyclic_garbage(self):
         # the memo of minors is freed as soon as det returns

@@ -120,11 +120,11 @@ class TestBuildCellSL4:
         solve = schubert._pullback_structure
 
         def skewed(J, B, diag):
-            P = solve(J, B, diag)
+            P, Q = solve(J, B, diag)
             z1z2 = parse_poly("z1*z2", B[0][0].vars)
             P[0][1] = P[0][1] + z1z2
             P[1][0] = P[1][0] - z1z2
-            return P
+            return P, Q
 
         monkeypatch.setattr(schubert, "_pullback_structure", skewed)
         with pytest.raises(NonPolynomialStructure, match=r"pair \(\d,\d\)"):
