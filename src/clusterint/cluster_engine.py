@@ -1,6 +1,7 @@
-"""Generic seeds in a rational-function field: ordinary mutation, the
-log-volume form's mutation invariance, and frozen-variable modification by
-Casimir-times-monomial replacements."""
+"""Generic seeds of Polys and RatFuns: ordinary mutation, the log-volume
+form's mutation invariance, and frozen-variable modification by
+Casimir-times-monomial replacements.  Mutation builds a RatFun only when
+the exchange division leaves a denominator."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BadSeed, DependentSystem, NotCasimir
 from .poisson_core import DEFAULT_SEED, PoissonStructure, log_volume
-from .polyring import RatFun, VarSet, jacobian, numeric_rank
+from .polyring import Poly, RatFun, VarSet, jacobian, numeric_rank
 
 SYMMETRIZER_BOUND = 12
 
@@ -19,8 +20,9 @@ SYMMETRIZER_BOUND = 12
 @dataclass
 class Seed:
     """(cluster, exchange set, integer matrix) with the cluster a free
-    transcendence basis; indices are 1-based, M has a row per cluster entry
-    and a column per exchange index."""
+    transcendence basis of Polys and RatFuns, kept as given; indices are
+    1-based, M has a row per cluster entry and a column per exchange
+    index."""
 
     vars: VarSet
     cluster: list
@@ -28,9 +30,6 @@ class Seed:
     M: list
 
     def __post_init__(self):
-        self.cluster = [
-            f if isinstance(f, RatFun) else RatFun.from_poly(f) for f in self.cluster
-        ]
         n = len(self.cluster)
         if sorted(set(self.ex)) != sorted(self.ex) or any(
             not 1 <= k <= n for k in self.ex
@@ -100,13 +99,14 @@ def skew_symmetrizer(B):
 
 
 def mutate(s: Seed, k: int) -> Seed:
-    """Exchange the k-th cluster variable and mutate the matrix."""
+    """Exchange the k-th cluster variable and mutate the matrix; the new
+    variable is a Poly when the exchange division leaves no denominator."""
     if k not in s.ex:
         raise BadSeed(f"direction {k} is not exchangeable")
     c = s.col_of(k)
     n = len(s.cluster)
-    pos = RatFun.const(s.vars, 1)
-    neg = RatFun.const(s.vars, 1)
+    pos = Poly.const(s.vars, 1)
+    neg = Poly.const(s.vars, 1)
     for j in range(1, n + 1):
         mjk = s.M[j - 1][c]
         if mjk > 0:
@@ -114,6 +114,8 @@ def mutate(s: Seed, k: int) -> Seed:
         elif mjk < 0:
             neg = neg * s.cluster[j - 1] ** (-mjk)
     new_phi = (pos + neg) / s.cluster[k - 1]
+    if new_phi.is_polynomial():
+        new_phi = new_phi.as_poly()
 
     newM = [list(row) for row in s.M]
     for i in range(1, n + 1):
@@ -157,13 +159,13 @@ class FrozenModification:
 
     @staticmethod
     def identity(frozen_indices, vars: VarSet) -> "FrozenModification":
-        one = RatFun.const(vars, 1)
+        one = Poly.const(vars, 1)
         return FrozenModification(
             {j: one for j in frozen_indices},
             {j: {j: 1} for j in frozen_indices},
         )
 
-    def replacement(self, j: int, seed: Seed) -> RatFun:
+    def replacement(self, j: int, seed: Seed) -> Poly | RatFun:
         out = self.casimirs[j]
         for t, e in self.monomials[j].items():
             out = out * seed.cluster[t - 1] ** e

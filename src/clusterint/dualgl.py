@@ -20,6 +20,7 @@ from .poisson_core import (
     LinearPoissonStructure,
     PoissonStructure,
     certify,
+    log_volume,
 )
 from .polyring import (
     Poly,
@@ -28,7 +29,6 @@ from .polyring import (
     VarSet,
     det,
     inverse,
-    jacobian,
     jet_lowest_term,
     minors,
     truncated_exp,
@@ -103,17 +103,18 @@ class DualGroupChart:
     vars: VarSet
     pi_dual: PoissonStructure
 
-    def x_entry(self, i, j) -> RatFun:
+    def x_entry(self, i, j) -> Poly:
         if i > j:
-            return RatFun.const(self.vars, 0)
-        return RatFun.var(self.vars, f"x{i}{j}")
+            return Poly.zero(self.vars)
+        return Poly.var(self.vars, f"x{i}{j}")
 
-    def y_entry(self, i, j) -> RatFun:
+    def y_entry(self, i, j) -> Poly | RatFun:
+        """A Poly, except y_ii = 1/x_ii."""
         if i < j:
-            return RatFun.const(self.vars, 0)
+            return Poly.zero(self.vars)
         if i == j:
             return RatFun(Poly.const(self.vars, 1), Poly.var(self.vars, f"x{i}{i}"))
-        return RatFun.var(self.vars, f"y{i}{j}")
+        return Poly.var(self.vars, f"y{i}{j}")
 
 
 def build_dual_chart(n: int) -> DualGroupChart:
@@ -128,7 +129,7 @@ def build_dual_chart(n: int) -> DualGroupChart:
     size = len(coords)
     mat = [[None] * size for _ in range(size)]
     for a in range(size):
-        mat[a][a] = RatFun.const(vars, 0)
+        mat[a][a] = Poly.zero(vars)
         for b in range(a + 1, size):
             ka, ia, ja = coords[a]
             kb, ib, jb = coords[b]
@@ -139,7 +140,7 @@ def build_dual_chart(n: int) -> DualGroupChart:
     return chart
 
 
-def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> RatFun:
+def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> Poly | RatFun:
     """The three bracket families on the double group, between the entries
     (i, j) of a_kind and (p, q) of b_kind, in the chart's coordinates."""
     if a_kind == "x" and b_kind == "x":
@@ -189,27 +190,25 @@ class StaircaseSystem:
     def lambdas(self):
         return trailing_minors(self.lam_matrix)
 
-    def cbar(self, i: int, chart: DualGroupChart) -> RatFun:
-        """cbar_i restricted to the chart (y_ii = 1/x_ii)."""
+    def cbar(self, i: int, chart: DualGroupChart) -> Poly | RatFun:
+        """cbar_i = cbar_num_i / det(Y) restricted to the chart, where
+        y_ii = 1/x_ii makes det(Y) = 1/(x_11 ... x_nn)."""
         num = restrict_to_chart(self.cbar_nums[i], chart)
-        den = RatFun.const(chart.vars, 1)
         for t in range(1, self.n + 1):
-            den = den * chart.y_entry(t, t)
-        return num / den
-
-    def phi_on_chart(self, i: int, chart: DualGroupChart) -> RatFun:
-        return restrict_to_chart(self.phis[i - 1], chart)
+            num = num * chart.x_entry(t, t)
+        return num
 
     def restricted_system(self, chart: DualGroupChart):
         """phi's, the off-corner diagonal of X, and the deformed Casimirs."""
         n = self.n
-        funcs = [self.phi_on_chart(i, chart) for i in range(1, (n - 1) ** 2 + 1)]
-        funcs += [RatFun.var(chart.vars, f"x{i}{i}") for i in range(2, n + 1)]
+        funcs = [restrict_to_chart(phi, chart) for phi in self.phis]
+        funcs += [chart.x_entry(i, i) for i in range(2, n + 1)]
         funcs += [self.cbar(i, chart) for i in range(0, n)]
         return funcs
 
 
-def restrict_to_chart(p: Poly, chart: DualGroupChart) -> RatFun:
+def restrict_to_chart(p: Poly, chart: DualGroupChart) -> Poly | RatFun:
+    """p with y_ii = 1/x_ii: a RatFun when p has a diagonal entry of Y."""
     mapping = {}
     entries = entry_index(chart.n)
     for nm in p.vars.names:
@@ -217,8 +216,8 @@ def restrict_to_chart(p: Poly, chart: DualGroupChart) -> RatFun:
         if kind == "y" and i == j:
             mapping[nm] = chart.y_entry(i, i)
         else:
-            mapping[nm] = RatFun.var(chart.vars, nm)
-    return p.substitute(mapping, RatFun.const(chart.vars, 1))
+            mapping[nm] = Poly.var(chart.vars, nm)
+    return p.substitute(mapping, Poly.const(chart.vars, 1))
 
 
 def full_staircase_matrix(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
@@ -497,96 +496,74 @@ def choose_integrable_system_dualgl(
 
 
 def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:
-    """The log-volume form of the restricted system against the closed form
-    2 (x_11 ... x_nn)^n / (cbar_0 ... cbar_{n-1}), up to sign, plus the
-    degree count (n^2 - n)/2 of its lowest term at the identity."""
+    """The log-volume form mu of the restricted system (``log_volume``)
+    against the closed form 2 (x_11 ... x_nn)^n / (cbar_0 ... cbar_{n-1}),
+    up to sign, plus the degree count (n^2 - n)/2 of its lowest term at the
+    identity."""
     if s is None:
         s = build_staircase(n)
     chart = build_dual_chart(n)
     funcs = s.restricted_system(chart)
-    d = det(jacobian(funcs, chart.vars))
-    if d.is_zero():
-        return False
-    # mu = det(J) / prod(funcs); compare with the closed form by
-    # cross-multiplication: det(J) * prod(cbar) = +- 2 (prod x_ii)^n * prod(funcs)
-    prod_funcs = RatFun.const(chart.vars, 1)
-    for f in funcs:
-        prod_funcs = prod_funcs * f
-    prod_cbar = RatFun.const(chart.vars, 1)
-    for i in range(0, n):
-        prod_cbar = prod_cbar * s.cbar(i, chart)
-    xprod = Poly.const(chart.vars, 1)
-    for i in range(1, n + 1):
-        xprod = xprod * Poly.var(chart.vars, f"x{i}{i}")
-    rhs = RatFun.from_poly(xprod) ** n * prod_funcs * 2
-    lhs = d * prod_cbar
+    mu = log_volume(funcs, chart.vars).coefficient
+    cbars = [RatFun.from_poly(c) if isinstance(c, Poly) else c for c in funcs[-n:]]
+    lhs, rhs = mu, Poly.const(chart.vars, 2)
+    for i, c in enumerate(cbars, 1):
+        lhs = lhs * c
+        rhs = rhs * chart.x_entry(i, i) ** n
     if not (lhs == rhs or lhs == -rhs):
         return False
-
-    # degree of the lowest term at the identity (x_ii = 1), presentation by
-    # presentation so no reduction of the big quotient is ever needed
+    # lowest degrees at the identity (x_ii = 1) add over products, so mu, now
+    # known to be the closed form, has minus the sum of those of the cbar's
     entries = entry_index(n)
     point = [
         QQ1 if kind == "x" and i == j else QQ0
         for kind, i, j in (entries[nm] for nm in chart.vars.names)
     ]
-
-    def shifted_low_degree(r: RatFun) -> int:
-        return r.num.shift(point).min_degree() - r.den.shift(point).min_degree()
-
-    deg = shifted_low_degree(d)
-    for f in funcs:
-        deg -= shifted_low_degree(f)
+    deg = sum(c.den.shift(point).min_degree() - c.num.shift(point).min_degree()
+              for c in cbars)
     return deg + len(chart.vars) == (n * n - n) // 2
 
 
 def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     """Every trailing staircase minor factors, up to sign, as a power of
     det(Y) times a principal block of Y times a determinant of columns drawn
-    from powers of X Y^{-1}."""
+    from powers of U = X Y^{-1}.  On Polys: a column of U^t is that of V^t,
+    V = X adj(Y), over det(Y)^t, and each side is cleared by a power of det(Y)."""
     if s is None:
         s = build_staircase(n)
     vars = s.bb_vars
     X = x_matrix(n, vars)
     Y = y_matrix(n, vars)
-    Yinv = inverse(Y.map(RatFun.from_poly))
-    U = PolyMatrix([[RatFun.from_poly(x) for x in row] for row in X.entries]) * Yinv
-    upow = [PolyMatrix.identity(vars, n).map(lambda p: RatFun.from_poly(p))]
+    table = minors(Y)
+
+    def rest(k):
+        return [t for t in range(n) if t != k]
+
+    adj = PolyMatrix([[table(rest(j), rest(i)) * (-1) ** (i + j) for j in range(n)]
+                      for i in range(n)])
+    V = X * adj
+    vpow = [PolyMatrix.identity(vars, n)]
     for _ in range(n):
-        upow.append(upow[-1] * U)
-    detY = det(Y)
+        vpow.append(vpow[-1] * V)
+    detY = table(range(n), range(n))
     lams = s.lambdas()
 
-    def y_principal(a):
-        idx = list(range(a - 1, n))
-        return det(Y.submatrix(idx, idx))
-
-    def columns(mat, lo, hi):
-        return [[mat.entries[r][c - 1] for r in range(n)] for c in range(lo, hi + 1)]
-
-    ok = True
     for p in range(0, n - 1):
         for i in range(1, n):
-            k = p * (n - 1) + i
-            cols = []
+            # (power t, column c) of each column of V^t in the factor, the
+            # first index a of the principal block of Y and the power of det(Y)
             if i <= p:
-                cols += columns(upow[n - p], n - p + i, n)
-                cols += columns(upow[n - p - 1], 1, i)
-                for t in range(n - p - 2, -1, -1):
-                    cols.append([upow[t].entries[r][0] for r in range(n)])
-                scale = RatFun.from_poly(y_principal(n - p + i)) * RatFun.from_poly(
-                    detY
-                ) ** (n - p - 1)
+                cols = [(n - p, c) for c in range(n - p + i, n + 1)]
+                cols += [(n - p - 1, c) for c in range(1, i + 1)]
+                a, scale = n - p + i - 1, n - p - 1
             else:
-                cols += columns(upow[n - p - 1], i - p, i)
-                for t in range(n - p - 2, -1, -1):
-                    cols.append([upow[t].entries[r][0] for r in range(n)])
-                scale = RatFun.from_poly(y_principal(i - p)) * RatFun.from_poly(
-                    detY
-                ) ** (n - p - 2)
-            m = PolyMatrix([[c[r] for c in cols] for r in range(n)])
-            rhs = scale * det(m)
-            lhs = RatFun.from_poly(lams[k - 1])
+                cols = [(n - p - 1, c) for c in range(i - p, i + 1)]
+                a, scale = i - p - 1, n - p - 2
+            cols += [(t, 1) for t in range(n - p - 2, -1, -1)]
+            cleared = sum(t for t, _ in cols)
+            m = PolyMatrix([[vpow[t].entries[r][c - 1] for t, c in cols] for r in range(n)])
+            lhs = lams[p * (n - 1) + i - 1] * detY ** max(cleared - scale, 0)
+            rhs = table(range(a, n), range(a, n)) * det(m) * detY ** max(scale - cleared, 0)
             if not (lhs == rhs or lhs == -rhs):
-                ok = False
-    return ok
+                return False
+    return True

@@ -14,8 +14,9 @@ identity on its structure constants); ``hamiltonian_field`` joins the
 fields of N and D, h = N/D, by the quotient rule.
 ``bracket_poly`` is the checked Poly form of the bracket, kept as a method
 of its own because the benchmark's layer tracer (``bench/layertrace.py``)
-wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant,
-of Poly columns, and raises DependentSystem when it vanishes.
+wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant
+and the one place a RatFun Jacobian is cleared to Polys, as ``det`` takes
+no RatFun; it raises DependentSystem when it vanishes.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic

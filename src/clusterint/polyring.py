@@ -22,8 +22,10 @@ rows keyed by row and column bit masks, so that every minor read from it
 reuses the sub-minors met before; it runs on packed monomials (Monagan and
 Pearce), each exponent tuple one int, so a monomial product is one int
 addition, for Poly and Jet alike.  ``det`` is the full minor of a fresh
-table.  The canonical text (``str``, read back by ``parse_poly``) lists
-terms in descending graded-lex order, e.g. ``z1*z4 - z2``.
+table.  Neither takes a RatFun entry: a RatFun is kept for a function with
+a denominator, and a matrix of them is cleared to Polys by its caller.
+The canonical text (``str``, read back by ``parse_poly``) lists terms in
+descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -1049,23 +1051,6 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def ratfun_reduced_by_factors(num: Poly, den: Poly, factors) -> "RatFun":
-    """Build num/den, first cancelling the given candidate factors by exact
-    trial division (cheap when the denominator's factorization is known from
-    the construction), then falling back to the generic gcd."""
-    for f in factors:
-        if f.is_constant():
-            continue
-        while True:
-            try:
-                n2 = num.exact_div(f)
-                d2 = den.exact_div(f)
-            except NotDivisible:
-                break
-            num, den = n2, d2
-    return RatFun(num, den)
-
-
 # -- lowest degree terms ---------------------------------------------------------
 
 
@@ -1199,8 +1184,9 @@ def jet_lowest_term(j: Jet):
 
 
 class PolyMatrix:
-    """A rectangular grid of ring elements (Poly, RatFun or Jet) over one
-    VarSet."""
+    """A rectangular grid of ring elements over one VarSet: Polys or Jets
+    for ``minors`` and ``det``; RatFuns and rationals are also evaluated
+    (``numeric_pivots``) and inverted (``inverse``)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -1308,12 +1294,16 @@ def minors(m: PolyMatrix):
     function of (rows, cols), two collections of 0-based indices of one
     size, each read in increasing order, all from one table of packed
     minors (``_packed_minor``); a Poly entry among Jets is read as a Jet of
-    their order.  Each row is cleared to the lcm of its denominators, and
-    each exponent tuple packed into one int: the degree above fields of
-    whole bytes that hold the sum over the rows of their largest exponent,
-    which no exponent of a minor exceeds."""
+    their order, and a RatFun entry raises NotDivisible (a RatFun Jacobian
+    is cleared to Polys by ``poisson_core._cleared_jacobian``).  Each row
+    is cleared to the lcm of its denominators, and each exponent tuple
+    packed into one int: the degree above fields of whole bytes that hold
+    the sum over the rows of their largest exponent, which no exponent of a
+    minor exceeds."""
     if not m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} minor")
+    if any(isinstance(x, RatFun) for row in m.entries for x in row):
+        raise NotDivisible("minors take Poly or Jet entries, not RatFuns")
     orders = {x.order for row in m.entries for x in row if isinstance(x, Jet)}
     if len(orders) > 1:
         raise BadTruncation("jet orders differ")
@@ -1349,35 +1339,10 @@ def minors(m: PolyMatrix):
 
 
 def det(m: PolyMatrix):
-    """Exact determinant.  RatFun entries are first cleared of their
-    denominators row by row; every other matrix gives the full minor of a
-    fresh ``minors`` table."""
+    """Exact determinant of a Poly or Jet matrix: the full minor of a fresh
+    ``minors`` table."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
-    if {type(x) for row in m.entries for x in row} == {RatFun}:
-        # clear each row by the lcm of its denominators, divide back at the
-        # end, cancelling the known denominator factors by trial division
-        cleared = []
-        scale = None
-        vars = m.entries[0][0].vars
-        factors = []
-        for row in m.entries:
-            den = Poly.const(vars, 1)
-            for x in row:
-                if x.den.is_constant():
-                    continue
-                if x.den not in factors:
-                    factors.append(x.den)
-                den = den * x.den.exact_div(poly_gcd(den, x.den))
-            cleared.append(
-                [
-                    x.num * (den if x.den.is_constant() else den.exact_div(x.den))
-                    for x in row
-                ]
-            )
-            scale = den if scale is None else scale * den
-        d = det(PolyMatrix(cleared))
-        return ratfun_reduced_by_factors(d, scale, factors)
     return minors(m)(range(m.rows), range(m.cols))
 
 

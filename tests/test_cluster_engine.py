@@ -42,6 +42,14 @@ class TestMutate:
             parse_poly("z2 + 1", vs), Poly.var(vs, "z1")
         )
 
+    def test_polynomial_exchange_stays_a_poly(self):
+        # (z1*z2 - 1 + 1) / z1 = z2 leaves no denominator
+        vs = VarSet(["z1", "z2"])
+        z1, z2 = Poly.var(vs, "z1"), Poly.var(vs, "z2")
+        s2 = mutate(Seed(vs, [z1, z1 * z2 - 1], [1], [[0], [1]]), 1)
+        assert type(s2.cluster[0]) is Poly
+        assert s2.cluster[0] == z2
+
     def test_involution(self, rng):
         for _ in range(10):
             n = rng.randint(2, 4)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -231,6 +232,12 @@ class TestClosedForms:
         assert trailing_minor_closed_form_check(2)
         assert trailing_minor_closed_form_check(3, s3)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_trailing_minor_closed_form_rejects_a_doubled_staircase(self, n, s3):
+        s = s3 if n == 3 else build_staircase(2)
+        doubled = replace(s, lam_matrix=s.lam_matrix.map(lambda p: p * 2))
+        assert not trailing_minor_closed_form_check(n, doubled)
+
 
 class TestKKS:
     @pytest.mark.parametrize("n", [2, 3])
@@ -333,6 +340,17 @@ class TestLogVolume:
     @pytest.mark.slow
     def test_identity_n3(self, s3):
         assert log_volume_identity_check(3, s3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_identity_rejects_a_wrong_system(self, n, s3):
+        # a doubled cbar numerator doubles prod(cbar) and leaves mu as it
+        # is; a squared phi doubles mu (a doubled phi would leave mu as it
+        # is, since d log(2 phi) = d log(phi))
+        s = s3 if n == 3 else build_staircase(2)
+        assert not log_volume_identity_check(
+            n, replace(s, cbar_nums=[s.cbar_nums[0] * 2, *s.cbar_nums[1:]]))
+        assert not log_volume_identity_check(
+            n, replace(s, phis=[s.phis[0] ** 2, *s.phis[1:]]))
 
 
 class TestValidation:

@@ -1,23 +1,30 @@
 """Byte-identical output: the certified systems of the Schubert, BFZ and
-dual GL families hash to the digests recorded in ``bench/golden.json``.
+dual GL families, and the SL(3) chart's modified log-volume and Casimir
+factor, hash to the digests recorded in ``bench/golden.json``.
 
-The digest is the sha256 of the report's identifying fields as compact,
-key-sorted JSON; the seed is left out, so every seed has the same digest.
-The file is only read here.
+A digest is the sha256 of compact, key-sorted JSON: of the report's
+identifying fields (the seed is left out, so every seed has the same
+digest), or of the canonical string of the chart's output.  The file is
+only read here.
 """
 
-import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from clusterint.bfz import build_bfz, choose_integrable_system_bfz, standard_double_word
+import clusterint.cluster_engine
+from clusterint.bfz import bfz_chart, build_bfz, choose_integrable_system_bfz, standard_double_word
 from clusterint.dualgl import build_staircase, choose_integrable_system_dualgl, lows_via_jets
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import longest_word
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = BENCH / "golden.json"
+sys.path.insert(0, str(BENCH))
+from harness import chart_modification, digest  # noqa: E402
+
 FIELDS = ("variables", "functions", "involutive", "independent_count",
           "magic_number", "construction", "selected_indices")
 
@@ -42,6 +49,20 @@ def dualgl(n):
 ])
 def test_report_digest_is_golden(name, build, size):
     report = build(size)
-    text = json.dumps({f: getattr(report, f) for f in FIELDS},
-                      sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == json.loads(GOLDEN.read_text())[name]
+    assert digest({f: getattr(report, f) for f in FIELDS}) == json.loads(GOLDEN.read_text())[name]
+
+
+def chart_modvol(chart):
+    seed, mod = chart_modification(clusterint, chart)
+    return str(clusterint.cluster_engine.modified_log_volume(seed, mod, chart.pi).coefficient)
+
+
+def chart_casimir(chart):
+    return str(chart.casimir(2) - chart.casimir(1))
+
+
+@pytest.mark.parametrize("name, output", [
+    ("chart-modvol-n2", chart_modvol), ("chart-casimir-n2", chart_casimir),
+])
+def test_chart_digest_is_golden(name, output):
+    assert digest(output(bfz_chart(2))) == json.loads(GOLDEN.read_text())[name]

@@ -51,7 +51,6 @@ from clusterint.polyring import (
     minors,
     parse_poly,
     poly_gcd,
-    ratfun_reduced_by_factors,
 )
 from clusterint.rationals import QQ
 from clusterint.typea import ReducedWord
@@ -419,22 +418,9 @@ def assert_canonical(r: RatFun, num: Poly, den: Poly):
     assert to_sympy(r.den) == q.quo_ground(lc)
 
 
-# RatFun(num, den) runs poly_gcd on the unreduced pair, whose factors
-# here have exponents up to 2 and repeat up to twice
+# the parts of the RatFuns below: products of a cofactor and shared factors
 factors = polys(3, 2)
 nonconstant = factors.filter(lambda p: not p.is_constant())
-
-
-@given(factors.filter(bool), factors.filter(bool), st.lists(
-    st.tuples(nonconstant, st.integers(0, 2), st.integers(0, 2)),
-    min_size=1, max_size=2))
-def test_trial_division_gives_the_canonical_ratfun(a, b, factors):
-    num, den = a, b
-    for f, i, j in factors:
-        num = num * f**i
-        den = den * f**j
-    fs = [f for f, _, _ in factors]
-    assert_canonical(ratfun_reduced_by_factors(num, den, fs), num, den)
 
 
 @st.composite

@@ -136,14 +136,18 @@ class TestDet:
         det(m)
         assert gc.collect() == 0
 
-    def test_ratfun_det(self):
-        m = PolyMatrix(
-            [
-                [RatFun(p6("z1"), p6("z2")), RatFun.const(Z6, 1)],
-                [RatFun.const(Z6, 1), RatFun(p6("z2"), p6("z1"))],
-            ]
-        )
-        assert det(m) == RatFun.const(Z6, 0)
+    @pytest.mark.parametrize("rows", [
+        [[p6("z1"), RatFun(p6("1"), p6("z2"))], [p6("1"), p6("z2")]],
+        [[RatFun(p6("z1"), p6("z2")), RatFun.const(Z6, 1)],
+         [RatFun.const(Z6, 1), RatFun(p6("z2"), p6("z1"))]],
+    ], ids=["mixed", "all-ratfun"])
+    def test_ratfun_entries_are_refused(self, rows):
+        # a RatFun matrix is cleared to Polys by its caller, as
+        # poisson_core._cleared_jacobian does
+        with pytest.raises(NotDivisible):
+            minors(PolyMatrix(rows))
+        with pytest.raises(NotDivisible):
+            det(PolyMatrix(rows))
 
 
 class TestInverse:
