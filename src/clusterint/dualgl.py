@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .errors import SingularLocus, SizeOutOfRange
@@ -27,6 +28,7 @@ from .polyring import (
     PolyMatrix,
     RatFun,
     VarSet,
+    adjugate,
     det,
     inverse,
     jet_lowest_term,
@@ -251,16 +253,17 @@ def trailing_minors(mat: PolyMatrix) -> list:
 
 def pencil_coefficients(A: PolyMatrix, B: PolyMatrix) -> list:
     """The coefficients c_0, ..., c_n of det(lam A + B) = sum_k c_k lam^k,
-    for n x n matrices over Poly or Jet: the determinant at lam = 0..n,
-    times the exact inverse of the Vandermonde matrix of those points."""
+    for n x n matrices over Poly or Jet.  The determinant is multilinear in
+    its rows, so c_k is the sum over the k-sets S of rows of the
+    determinant with row i from A for i in S and from B otherwise: a minor
+    of the 2n x n matrix of rows A_0, B_0, A_1, B_1, ..., on increasing
+    rows, so all 2^n of them come from one ``minors`` table."""
     n = A.rows
-    values = [
-        det(PolyMatrix([[a * t + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(A.entries, B.entries)]))
-        for t in range(n + 1)
-    ]
-    inv = inverse(PolyMatrix([[QQ(t) ** k for k in range(n + 1)] for t in range(n + 1)]))
-    return [sum(values[t] * inv[k, t] for t in range(n + 1)) for k in range(n + 1)]
+    table = minors(PolyMatrix([row for pair in zip(A.entries, B.entries) for row in pair]))
+    cols = range(n)
+    return [reduce(operator.add, [table([2 * i + (i not in S) for i in range(n)], cols)
+                                  for S in combinations(range(n), k)])
+            for k in range(n + 1)]
 
 
 def build_staircase(n: int) -> StaircaseSystem:
@@ -434,17 +437,18 @@ def F_map(u):
 
 def F_inverse(f):
     """u = f * [e_1 | f^{(columns 1..n-1)}]^{-1}; defined when the minor of f
-    on rows 2..n and columns 1..n-1 does not vanish."""
+    on rows 2..n and columns 1..n-1 does not vanish.  The inverse is taken
+    of constant Polys over ``u_varset(n)``, whose values are read back."""
     n = len(f)
     f = [[QQ(x) for x in row] for row in f]
-    ftilde = [
-        [QQ1 if i == 0 else QQ0] + [f[i][j] for j in range(n - 1)] for i in range(n)
-    ]
+    uv = u_varset(n)
+    ftilde = PolyMatrix([[Poly.const(uv, 1 if i == 0 else 0)]
+                         + [Poly.const(uv, f[i][j]) for j in range(n - 1)] for i in range(n)])
     try:
-        inv = inverse(PolyMatrix(ftilde))
+        inv = inverse(ftilde)
     except SingularLocus:
         raise SingularLocus("the leading Krylov minor vanishes") from None
-    return (PolyMatrix(f) * inv).entries
+    return (PolyMatrix(f) * inv.map(Poly.constant_value)).entries
 
 
 # -- checks and selection ----------------------------------------------------------------
@@ -534,18 +538,12 @@ def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     vars = s.bb_vars
     X = x_matrix(n, vars)
     Y = y_matrix(n, vars)
-    table = minors(Y)
-
-    def rest(k):
-        return [t for t in range(n) if t != k]
-
-    adj = PolyMatrix([[table(rest(j), rest(i)) * (-1) ** (i + j) for j in range(n)]
-                      for i in range(n)])
+    adj, detY = adjugate(Y)
+    blocks = trailing_minors(Y)
     V = X * adj
     vpow = [PolyMatrix.identity(vars, n)]
     for _ in range(n):
         vpow.append(vpow[-1] * V)
-    detY = table(range(n), range(n))
     lams = s.lambdas()
 
     for p in range(0, n - 1):
@@ -563,7 +561,7 @@ def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
             cleared = sum(t for t, _ in cols)
             m = PolyMatrix([[vpow[t].entries[r][c - 1] for t, c in cols] for r in range(n)])
             lhs = lams[p * (n - 1) + i - 1] * detY ** max(cleared - scale, 0)
-            rhs = table(range(a, n), range(a, n)) * det(m) * detY ** max(scale - cleared, 0)
+            rhs = blocks[a] * det(m) * detY ** max(scale - cleared, 0)
             if not (lhs == rhs or lhs == -rhs):
                 return False
     return True

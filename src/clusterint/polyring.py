@@ -21,9 +21,12 @@ come from one memoized table (``minors``), a Laplace expansion along first
 rows keyed by row and column bit masks, so that every minor read from it
 reuses the sub-minors met before; it runs on packed monomials (Monagan and
 Pearce), each exponent tuple one int, so a monomial product is one int
-addition, for Poly and Jet alike.  ``det`` is the full minor of a fresh
-table.  Neither takes a RatFun entry: a RatFun is kept for a function with
-a denominator, and a matrix of them is cleared to Polys by its caller.
+addition, for Poly and Jet alike.  It is the one determinant algorithm:
+``det`` is the full minor of a fresh table, ``adjugate`` reads the
+cofactors and the determinant from one, and ``inverse`` is the adjugate of
+a Poly matrix over its constant determinant.  None takes a RatFun entry: a
+RatFun is kept for a function with a denominator, and a matrix of them is
+cleared to Polys by its caller.
 The canonical text (``str``, read back by ``parse_poly``) lists terms in
 descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
@@ -441,25 +444,21 @@ class Poly:
 
     def shift(self, point) -> "Poly":
         """Substitute v_i -> v_i + c_i (translates the base point c to 0);
-        ``point`` as for ``evaluate``."""
+        ``point`` as for ``evaluate``.  One variable at a time, the terms
+        are grouped by their power k of it, and the sum of (v + c)^k times
+        each group is added up in one ``dot``."""
         point = _as_point(point, self.vars)
         result = self
         for i, c in enumerate(point.nums):
             if c == 0:
                 continue
-            nm = self.vars.names[i]
-            # expand (v + c)^k per term, one variable at a time
-            out = Poly.zero(self.vars)
-            v_plus_c = Poly.var(self.vars, nm) + Poly.const(self.vars, QQ(c, point.den))
-            powers = {0: Poly.const(self.vars, 1)}
+            v_plus_c = (Poly.var(self.vars, self.vars.names[i])
+                        + Poly.const(self.vars, QQ(c, point.den)))
+            groups = {}
             for e, coef in result.terms.items():
-                k = e[i]
-                if k not in powers:
-                    powers[k] = v_plus_c**k
-                e2 = list(e)
-                e2[i] = 0
-                out = out + powers[k] * Poly._trusted(self.vars, {tuple(e2): coef}, result.den)
-            result = out
+                groups.setdefault(e[i], {})[(*e[:i], 0, *e[i + 1:])] = coef
+            result = dot(self.vars, [(v_plus_c**k, Poly._trusted(self.vars, g, result.den))
+                                     for k, g in groups.items()])
         return result
 
     def substitute(self, mapping, one):
@@ -1185,8 +1184,8 @@ def jet_lowest_term(j: Jet):
 
 class PolyMatrix:
     """A rectangular grid of ring elements over one VarSet: Polys or Jets
-    for ``minors`` and ``det``; RatFuns and rationals are also evaluated
-    (``numeric_pivots``) and inverted (``inverse``)."""
+    for ``minors`` and what is read from them (``det``, ``adjugate``, and
+    for Polys ``inverse``); Polys and RatFuns for ``numeric_pivots``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -1292,18 +1291,23 @@ def _packed_minor(rows, rmask, cmask, memo, cap, shift):
 def minors(m: PolyMatrix):
     """The minors of ``m``, a matrix of Polys or of Jets of one order, as a
     function of (rows, cols), two collections of 0-based indices of one
-    size, each read in increasing order, all from one table of packed
-    minors (``_packed_minor``); a Poly entry among Jets is read as a Jet of
-    their order, and a RatFun entry raises NotDivisible (a RatFun Jacobian
-    is cleared to Polys by ``poisson_core._cleared_jacobian``).  Each row
+    size, each read in increasing order (the empty minor is 1), all from
+    one table of packed minors (``_packed_minor``); a Poly entry among Jets
+    is read as a Jet of their order.  A RatFun entry raises NotDivisible (a
+    RatFun Jacobian is cleared to Polys by ``poisson_core._cleared_jacobian``),
+    and any other entry TypeError.  Each row
     is cleared to the lcm of its denominators, and each exponent tuple
     packed into one int: the degree above fields of whole bytes that hold
     the sum over the rows of their largest exponent, which no exponent of a
     minor exceeds."""
     if not m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} minor")
-    if any(isinstance(x, RatFun) for row in m.entries for x in row):
+    kinds = {type(x) for row in m.entries for x in row}
+    if RatFun in kinds:
         raise NotDivisible("minors take Poly or Jet entries, not RatFuns")
+    if not kinds <= {Poly, Jet}:
+        raise TypeError("minors take Poly or Jet entries, not "
+                        + ", ".join(sorted(t.__name__ for t in kinds - {Poly, Jet})))
     orders = {x.order for row in m.entries for x in row if isinstance(x, Jet)}
     if len(orders) > 1:
         raise BadTruncation("jet orders differ")
@@ -1324,7 +1328,7 @@ def minors(m: PolyMatrix):
     memo, low = {(0, 0): ([0], [1])}, (1 << shift) - 1
 
     def minor(rs, cs):
-        if len(rs) != len(cs) or not rs:
+        if len(rs) != len(cs):
             raise NonSquare(f"{len(rs)}x{len(cs)} minor")
         terms = {}
         for k, c in zip(*_packed_minor(rows, sum(1 << i for i in rs), sum(1 << j for j in cs),
@@ -1346,41 +1350,35 @@ def det(m: PolyMatrix):
     return minors(m)(range(m.rows), range(m.cols))
 
 
-def inverse(m: PolyMatrix) -> PolyMatrix:
-    """Inverse of a square matrix; raises SingularLocus when it has none.
-    A Poly matrix gives its adjugate over its determinant, all read from
-    one ``minors`` table, and raises NotDivisible when the determinant is
-    not a constant; rational or RatFun entries go by Gauss-Jordan
-    elimination."""
+def adjugate(m: PolyMatrix):
+    """(adj(m), det(m)) of a square Poly or Jet matrix, all read from one
+    ``minors`` table: adj(m)[i][j] is (-1)^(i+j) times the minor of m
+    without row j and column i."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
-    n = m.rows
-    if {type(x) for row in m.entries for x in row} == {Poly}:
-        table, rest = minors(m), lambda k: [t for t in range(n) if t != k]
-        d = table(range(n), range(n))
-        if d.is_zero():
-            raise SingularLocus("matrix is singular")
-        if not d.is_constant():
-            raise NotDivisible("the inverse is not polynomial")
-        inv = QQ1 / d.constant_value()
-        return PolyMatrix([[table(rest(j), rest(i)) * (-inv if (i + j) % 2 else inv)
-                            for j in range(n)] for i in range(n)])
-    zero = m.entries[0][0] - m.entries[0][0]
-    one = zero + 1
-    a = [list(row) + [one if i == j else zero for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise SingularLocus("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            factor = a[r][col]
-            if r != col and factor:
-                a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
-    return PolyMatrix([row[n:] for row in a])
+    n, table = m.rows, minors(m)
+
+    def cofactor(i, j):
+        c = table([t for t in range(n) if t != j], [t for t in range(n) if t != i])
+        return -c if (i + j) % 2 else c
+
+    return (PolyMatrix([[cofactor(i, j) for j in range(n)] for i in range(n)]),
+            table(range(n), range(n)))
+
+
+def inverse(m: PolyMatrix) -> PolyMatrix:
+    """Inverse of a square Poly matrix of constant determinant, its
+    adjugate over the determinant (``adjugate``); raises SingularLocus when
+    the determinant is zero and NotDivisible when it is not a constant."""
+    if any(isinstance(x, Jet) for row in m.entries for x in row):
+        raise TypeError("inverse takes Poly entries, not Jets")
+    adj, d = adjugate(m)
+    if d.is_zero():
+        raise SingularLocus("matrix is singular")
+    if not d.is_constant():
+        raise NotDivisible("the inverse is not polynomial")
+    inv = QQ1 / d.constant_value()
+    return adj.map(lambda p: p * inv)
 
 
 def jacobian(fs, vars: VarSet) -> PolyMatrix:
@@ -1421,18 +1419,16 @@ def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
     rational points that reaches the highest rank seen; sampling stops at a
     point of rank min(rows, cols), which no other point exceeds.  The rank
     is a lower bound on the generic rank, equal to it with high
-    probability.  A point where a denominator vanishes is skipped; raises
-    EvaluationSingular when every point is.  A matrix with no Poly or
-    RatFun entry is evaluated at the empty point."""
-    nvars = next((len(x.vars) for row in m.entries for x in row
-                  if isinstance(x, (Poly, RatFun))), 0)
+    probability.  The entries are Polys or RatFuns; a point where a
+    denominator vanishes is skipped, and EvaluationSingular is raised when
+    every point is."""
+    nvars = next((len(x.vars) for row in m.entries for x in row), 0)
     full = min(m.rows, m.cols)
     best = None
     for _ in range(retries):
         point = RationalPoint([random_rational(rng) for _ in range(nvars)])
         try:
-            pivots = _pivot_columns([[x.evaluate(point) if isinstance(x, (Poly, RatFun))
-                                      else qq(x) for x in row] for row in m.entries])
+            pivots = _pivot_columns([[x.evaluate(point) for x in row] for row in m.entries])
         except EvaluationSingular:
             continue
         if best is None or len(pivots) > len(best):

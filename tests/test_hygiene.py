@@ -2,12 +2,16 @@
 module imports a name it never uses, no top-level function is defined in
 two modules, every top-level function, class and method of the package is
 used somewhere, no nested function calls itself, no function imports,
-every package error is raised in the package and named in a test, and
-every random generator is seeded."""
+every package error is raised in the package and named in a test,
+every random generator is seeded, and every console script that
+``pyproject.toml`` declares imports and is callable."""
 
 import ast
+import importlib
 from collections import Counter, defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "clusterint"
@@ -196,3 +200,22 @@ def test_every_random_generator_is_seeded():
                              and node.args[0].id in ("DEFAULT_SEED", "seed"))):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def test_every_console_script_is_callable():
+    """Each ``module:function`` target of ``[project.scripts]`` imports and
+    names a callable, so no installed command ends in an ImportError."""
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text()).get(
+        "project", {}).get("scripts", {})
+    broken = []
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        try:
+            fn = getattr(importlib.import_module(module), attr)
+        except (ImportError, AttributeError) as exc:
+            broken.append(f"{name} = {target}: {exc!r}")
+            continue
+        if not callable(fn):
+            broken.append(f"{name} = {target}: not callable")
+    assert broken == []

@@ -45,6 +45,7 @@ from clusterint.polyring import (
     RatFun,
     VarSet,
     _mul_terms,
+    adjugate,
     det,
     dot,
     jet_lowest_term,
@@ -143,6 +144,24 @@ def test_every_minor_of_one_table_agrees_with_sympy(n):
                     assert jet_table(r, c) == Jet(got, D)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_adjugate_agrees_with_sympy(n):
+    # D cuts the degree-6 entry products of the cofactors
+    D = 4
+    rng = random.Random(400 + n)
+    for _ in range(3):
+        rows = random_matrix(rng, n)
+        adj, d = adjugate(PolyMatrix(rows))
+        expected = sympy.Matrix(
+            [[to_sympy(p).as_expr() for p in row] for row in rows]).adjugate()
+        assert [[to_sympy(x) for x in row] for row in adj.entries] == [
+            [sympy.Poly(x, *GENS, domain="QQ") for x in expected.row(i)] for i in range(n)]
+        assert to_sympy(d) == sympy_det(rows)
+        jet_adj, jet_d = adjugate(PolyMatrix([[Jet(p, D) for p in row] for row in rows]))
+        assert jet_adj.entries == [[Jet(x, D) for x in row] for row in adj.entries]
+        assert jet_d == Jet(d, D)
+
+
 def edge_matrix(case):
     """A seeded 3x3 matrix at an edge of the packed minors table."""
     rows = random_matrix(random.Random(300), 3)
@@ -205,6 +224,15 @@ def test_pencil_coefficients_agree_with_sympy(n):
     jets = pencil_coefficients(*(PolyMatrix([[Jet(p, D) for p in row] for row in m])
                                  for m in (A, B)))
     assert jets == [Jet(c, D) for c in got]
+
+
+@given(polys(), st.lists(st.builds(QQ, st.integers(-9, 9), st.integers(1, 4)),
+                         min_size=3, max_size=3))
+def test_shift_agrees_with_sympy(p, point):
+    moved = {v: v + sympy.Rational(int(c.numerator), int(c.denominator))
+             for v, c in zip(GENS, point)}
+    expected = to_sympy(p).as_expr().subs(moved, simultaneous=True).expand()
+    assert to_sympy(p.shift(point)) == sympy.Poly(expected, *GENS, domain="QQ")
 
 
 @given(nonzero, nonzero, st.data())

@@ -25,6 +25,7 @@ from clusterint.polyring import (
     RatFun,
     VarSet,
     _heu_gcd,
+    adjugate,
     det,
     inverse,
     jacobian,
@@ -37,7 +38,7 @@ from clusterint.polyring import (
     poly_gcd,
     truncated_exp,
 )
-from clusterint.rationals import QQ
+from clusterint.rationals import QQ, random_rational
 from clusterint.typea import bott_samelson, longest_word
 
 from conftest import Z6, p6, random_poly
@@ -144,29 +145,29 @@ class TestDet:
     def test_ratfun_entries_are_refused(self, rows):
         # a RatFun matrix is cleared to Polys by its caller, as
         # poisson_core._cleared_jacobian does
-        with pytest.raises(NotDivisible):
-            minors(PolyMatrix(rows))
-        with pytest.raises(NotDivisible):
-            det(PolyMatrix(rows))
+        for fn in (minors, det, adjugate, inverse):
+            with pytest.raises(NotDivisible):
+                fn(PolyMatrix(rows))
+
+    @pytest.mark.parametrize("entry", [QQ(1, 2), 3], ids=["Fraction", "int"])
+    def test_other_entries_are_named(self, entry):
+        m = PolyMatrix([[p6("z1"), entry], [p6("1"), p6("z2")]])
+        name = type(entry).__name__
+        for fn in (minors, det, adjugate, inverse):
+            with pytest.raises(TypeError, match=f"not {name}"):
+                fn(m)
 
 
 class TestInverse:
-    def test_ratfun_round_trip(self):
-        # the first pivot is zero, so a row swap is needed
-        m = PolyMatrix(
-            [
-                [RatFun.const(Z6, 0), RatFun(p6("z1"), p6("z2"))],
-                [RatFun.var(Z6, "z3"), RatFun.from_poly(p6("z1 + 1"))],
-            ]
-        )
-        one, zero = RatFun.const(Z6, 1), RatFun.const(Z6, 0)
-        assert (m * inverse(m)).entries == [[one, zero], [zero, one]]
-
     def test_rejects_singular_and_non_square(self):
         with pytest.raises(SingularLocus):
-            inverse(PolyMatrix([[QQ(1), QQ(2)], [QQ(2), QQ(4)]]))
+            inverse(PolyMatrix([[p6("1"), p6("2")], [p6("2"), p6("4")]]))
         with pytest.raises(NonSquare):
-            inverse(PolyMatrix([[QQ(1), QQ(2)]]))
+            inverse(PolyMatrix([[p6("1"), p6("2")]]))
+
+    def test_jet_matrix_is_refused(self):
+        with pytest.raises(TypeError, match="not Jets"):
+            inverse(PolyMatrix.identity(Z6, 2).map(lambda p: Jet(p, 2)))
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_bott_samelson_round_trip(self, m):
@@ -240,6 +241,29 @@ class TestRank:
     def test_pivots_skip_dependent_columns(self, rng):
         f, g = p6("z1*z2 + z3"), p6("z4^2")
         assert numeric_pivots(jacobian([f, 2 * f, g], Z6), rng) == [0, 2]
+
+    @staticmethod
+    def pole_at(values):
+        """1 / prod (z1 - a) over ``values``: a pole where z1 is one of them."""
+        den = Poly.const(Z6, 1)
+        for a in values:
+            den = den * (p6("z1") - a)
+        return RatFun(p6("1"), den)
+
+    def test_pivots_skip_a_point_on_a_pole(self):
+        # z1 of the first point the seeded generator draws is its first draw
+        rng = CountingRandom(5)
+        m = PolyMatrix([[self.pole_at([random_rational(random.Random(5))]), p6("z2")]])
+        assert numeric_pivots(m, rng) == [0]
+        # the first point is skipped and the second has full rank
+        assert rng.draws == 2 * 2 * 6
+
+    def test_pivots_raise_when_every_point_is_on_a_pole(self):
+        draw = random.Random(6)
+        points = [[random_rational(draw) for _ in range(6)] for _ in range(3)]
+        m = PolyMatrix([[self.pole_at([p[0] for p in points])]])
+        with pytest.raises(EvaluationSingular):
+            numeric_pivots(m, random.Random(6), retries=3)
 
 
 
