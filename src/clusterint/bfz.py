@@ -83,22 +83,16 @@ def sl_varset(n: int) -> VarSet:
     return VarSet(names)
 
 
-def sl_u_entry(vars: VarSet, i: int, j: int, m: int) -> Poly:
-    if (i, j) != (m, m):
-        return Poly.var(vars, f"u{i}{j}")
-    out = Poly.zero(vars)
-    for t in range(1, m):
-        out = out - Poly.var(vars, f"u{t}{t}")
-    return out
-
-
 def sl_u_matrix(n: int, vars: VarSet = None) -> PolyMatrix:
+    """The traceless (n+1)x(n+1) matrix of the coordinates ``sl_varset(n)``:
+    its last diagonal entry is minus the sum of the others."""
     m = n + 1
     if vars is None:
         vars = sl_varset(n)
-    return PolyMatrix(
-        [[sl_u_entry(vars, i, j, m) for j in range(1, m + 1)] for i in range(1, m + 1)]
-    )
+    u = [[Poly.var(vars, f"u{i}{j}") if (i, j) != (m, m) else None
+          for j in range(1, m + 1)] for i in range(1, m + 1)]
+    u[n][n] = -sum((u[t][t] for t in range(n)), Poly.zero(vars))
+    return PolyMatrix(u)
 
 
 def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
@@ -107,20 +101,12 @@ def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
     exponential coordinates, restricted to traceless matrices."""
     m = n + 1
     vars = sl_varset(n)
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if (i, j) != (m, m)]
-    size = len(pairs)
-    mat = [[Poly.zero(vars) for _ in range(size)] for _ in range(size)]
-    for a, (i, j) in enumerate(pairs):
-        for b, (p, q) in enumerate(pairs):
-            c = QQ(_sign(p - i) + _sign(q - j), 2)
-            if c == 0:
-                continue
-            term = Poly.zero(vars)
-            if i == q:
-                term = term + sl_u_entry(vars, p, j, m)
-            if p == j:
-                term = term + sl_u_entry(vars, i, q, m)
-            mat[a][b] = term * c
+    u = sl_u_matrix(n, vars).entries
+    zero = Poly.zero(vars)
+    pairs = [(i, j) for i in range(m) for j in range(m) if (i, j) != (n, n)]
+    mat = [[((u[p][j] if i == q else zero) + (u[i][q] if p == j else zero))
+            * QQ(_sign(p - i) + _sign(q - j), 2)
+            for p, q in pairs] for i, j in pairs]
     return LinearPoissonStructure(vars, mat)
 
 
@@ -525,9 +511,9 @@ def kostant_cascade(n: int) -> CascadeData:
 
 
 def _commutator(a, b):
-    a, b = PolyMatrix(a), PolyMatrix(b)
-    return [[x - y for x, y in zip(ra, rb)]
-            for ra, rb in zip((a * b).entries, (b * a).entries)]
+    """ab - ba of two square matrices of rationals."""
+    m = range(len(a))
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in m) for j in m] for i in m]
 
 
 def stabilizer_dimension(n: int) -> int:

@@ -163,18 +163,12 @@ def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> Poly |
 def kks_gl(n: int) -> LinearPoissonStructure:
     """Linear structure of the matrix coalgebra on entry coordinates:
     {u_pq, u_rs} = delta_ps u_rq - delta_rq u_ps."""
-    vars = u_varset(n)
-    order = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    size = len(order)
-    mat = [[Poly.zero(vars) for _ in range(size)] for _ in range(size)]
-    for a, (p, q) in enumerate(order):
-        for b, (r, s) in enumerate(order):
-            term = Poly.zero(vars)
-            if p == s:
-                term = term + Poly.var(vars, f"u{r}{q}")
-            if r == q:
-                term = term - Poly.var(vars, f"u{p}{s}")
-            mat[a][b] = term
+    u = u_poly_matrix(n).entries
+    vars = u[0][0].vars
+    zero = Poly.zero(vars)
+    order = [(i, j) for i in range(n) for j in range(n)]
+    mat = [[(u[r][q] if p == s else zero) - (u[p][s] if r == q else zero)
+            for r, s in order] for p, q in order]
     return LinearPoissonStructure(vars, mat)
 
 
@@ -437,18 +431,19 @@ def F_map(u):
 
 def F_inverse(f):
     """u = f * [e_1 | f^{(columns 1..n-1)}]^{-1}; defined when the minor of f
-    on rows 2..n and columns 1..n-1 does not vanish.  The inverse is taken
-    of constant Polys over ``u_varset(n)``, whose values are read back."""
+    on rows 2..n and columns 1..n-1 does not vanish.  The inverse and the
+    product are taken of constant Polys over ``u_varset(n)``, whose values
+    are read back."""
     n = len(f)
-    f = [[QQ(x) for x in row] for row in f]
     uv = u_varset(n)
-    ftilde = PolyMatrix([[Poly.const(uv, 1 if i == 0 else 0)]
-                         + [Poly.const(uv, f[i][j]) for j in range(n - 1)] for i in range(n)])
+    f = PolyMatrix([[Poly.const(uv, x) for x in row] for row in f])
+    ftilde = PolyMatrix([[Poly.const(uv, 1 if i == 0 else 0)] + f.entries[i][:n - 1]
+                         for i in range(n)])
     try:
         inv = inverse(ftilde)
     except SingularLocus:
         raise SingularLocus("the leading Krylov minor vanishes") from None
-    return (PolyMatrix(f) * inv.map(Poly.constant_value)).entries
+    return (f * inv).map(Poly.constant_value).entries
 
 
 # -- checks and selection ----------------------------------------------------------------

@@ -11,10 +11,13 @@ ints (Monagan and Pearce, "Sparse polynomial multiplication and division in
 Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly and Jet
 (whose products pass a degree cap, so each term meets only the terms of the
 other factor that keep the product within it), and can add into a given
-dict, as ``dot`` does for a sum of products; exact division runs on the
-primitive integer part of the divisor, with the remainder in one dict and
-its leading terms taken from a heap of graded-lex keys (Johnson 1974;
-Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
+dict, as ``dot`` does for a sum of products.  ``dot`` is each entry of a
+matrix product, which takes Poly entries only: ``truncated_exp`` sums the
+powers of a Poly matrix and cuts each entry to a Jet once, at the end.
+Exact division runs on the primitive integer part of the divisor, with the
+remainder in one dict and its leading terms taken from a heap of graded-lex
+keys (Johnson 1974; Monagan and Pearce, "Sparse polynomial division using a
+heap", JSC 2011).
 A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
 come from one memoized table (``minors``), a Laplace expansion along first
@@ -1183,9 +1186,10 @@ def jet_lowest_term(j: Jet):
 
 
 class PolyMatrix:
-    """A rectangular grid of ring elements over one VarSet: Polys or Jets
-    for ``minors`` and what is read from them (``det``, ``adjugate``, and
-    for Polys ``inverse``); Polys and RatFuns for ``numeric_pivots``."""
+    """A rectangular grid of ring elements over one VarSet: Polys for
+    products; Polys or Jets for ``minors`` and what is read from them
+    (``det``, ``adjugate``, and for Polys ``inverse``); Polys and RatFuns
+    for ``numeric_pivots``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -1215,19 +1219,20 @@ class PolyMatrix:
         return PolyMatrix([[fn(x) for x in row] for row in self.entries])
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product of two Poly matrices, each entry one ``dot``; any
+        other entry raises TypeError."""
         if self.cols != other.rows:
             raise DimensionMismatch("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    term = self.entries[i][k] * other.entries[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        entries = [x for m in (self, other) for row in m.entries for x in row]
+        kinds = {type(x) for x in entries}
+        if not kinds <= {Poly}:
+            raise TypeError("matrix products take Poly entries, not "
+                            + ", ".join(sorted(t.__name__ for t in kinds - {Poly})))
+        vars = entries[0].vars if entries else None
+        if any(x.vars is not vars and x.vars != vars for x in entries):
+            raise MixedVariables("mixed variable sets")
+        cols = list(zip(*other.entries))
+        return PolyMatrix([[dot(vars, zip(row, col)) for col in cols] for row in self.entries])
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -1449,23 +1454,22 @@ def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
 
 
 def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:
-    """Matrix exponential sum_{k<=order} x^k/k!, exact through total degree
-    ``order``; entries of x must vanish at the origin."""
+    """Matrix exponential sum_{k<=order} x^k/k! of a Poly matrix, exact
+    through total degree ``order``; entries of x must vanish at the origin.
+    The sum is taken over Polys and each entry cut to a Jet once at the
+    end: a Jet is the truncation of its Poly, so no product of Jets is
+    needed, and for linear entries, as in every caller, no power passes
+    the order before the cut."""
     if order < 1:
         raise BadTruncation("jet order must be >= 1")
     if not x.is_square():
         raise NonSquare("exponential of a non-square matrix")
-    vars = None
     for row in x.entries:
         for entry in row:
             if not entry.is_zero() and entry.constant_value() != 0:
                 raise NotVanishing("entries must have zero constant term")
-            vars = entry.vars
-    xj = x.map(lambda p: Jet(p, order))
-    result = power = PolyMatrix.identity(vars, x.rows).map(lambda p: Jet(p, order))
-    fact = QQ1
+    result = term = PolyMatrix.identity(x[0, 0].vars, x.rows)
     for k in range(1, order + 1):
-        power = power * xj
-        fact = fact * k
-        result = result + power.map(lambda j: j * (QQ1 / fact))
-    return result
+        term = (term * x).map(lambda p: p * QQ(1, k))
+        result = result + term
+    return result.map(lambda p: Jet(p, order))

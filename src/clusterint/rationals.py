@@ -1,32 +1,22 @@
-"""Arbitrary-precision rational scalars.
-
-gmpy2.mpq is used when available (markedly faster on large exact
-computations); the stdlib Fraction is a drop-in fallback.  Everything
-downstream goes through ``QQ`` so the choice is invisible.
-"""
+"""Arbitrary-precision rational scalars: the stdlib Fraction, as ``QQ``."""
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as QQ  # type: ignore
-    _HAVE_GMPY = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    QQ = Fraction
-    _HAVE_GMPY = False
+QQ = Fraction
+# the one backend; the benchmark's provenance line reads this flag
+_HAVE_GMPY = False
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)
 
 
 def qq(x) -> "QQ":
-    """Coerce ints, Fractions, strings like '3/4', or QQ to QQ."""
+    """Coerce ints, Fractions, or strings like '3/4' to QQ."""
     if isinstance(x, str):
         if "/" in x:
             a, b = x.split("/")
             return QQ(int(a), int(b))
         return QQ(int(x))
-    if isinstance(x, Fraction) and not isinstance(QQ0, Fraction):
-        return QQ(x.numerator, x.denominator)
     return QQ(x)
 
 

@@ -162,6 +162,37 @@ def test_adjugate_agrees_with_sympy(n):
         assert jet_d == Jet(d, D)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_matrix_product_agrees_with_sympy(n):
+    rng = random.Random(500 + n)
+    for _ in range(3):
+        a, b = random_matrix(rng, n), random_matrix(rng, n)
+        expected = (sympy.Matrix([[to_sympy(p).as_expr() for p in row] for row in a])
+                    * sympy.Matrix([[to_sympy(p).as_expr() for p in row] for row in b]))
+        got = PolyMatrix(a) * PolyMatrix(b)
+        assert [[to_sympy(x) for x in row] for row in got.entries] == [
+            [sympy.Poly(expected[i, j].expand(), *GENS, domain="QQ") for j in range(n)]
+            for i in range(n)]
+
+
+def test_truncated_exp_agrees_with_sympy():
+    # a dense 3x3 matrix of linear forms, so that no power of it passes the
+    # order and the exponential through degree 4 is sum_{k<=4} x^k/k!
+    D = 4
+    rng = random.Random(600)
+    rows = [[Poly(X3, {e: QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                       for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}) for _ in range(3)]
+            for _ in range(3)]
+    x = sympy.Matrix([[to_sympy(p).as_expr() for p in row] for row in rows])
+    expected = sum((x**k / sympy.factorial(k) for k in range(1, D + 1)), sympy.eye(3))
+    got = polyring.truncated_exp(PolyMatrix(rows), D)
+    for i in range(3):
+        for j in range(3):
+            assert got[i, j].order == D
+            assert to_sympy(got[i, j].poly) == sympy.Poly(expected[i, j].expand(), *GENS,
+                                                          domain="QQ")
+
+
 def edge_matrix(case):
     """A seeded 3x3 matrix at an edge of the packed minors table."""
     rows = random_matrix(random.Random(300), 3)

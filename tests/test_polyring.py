@@ -304,11 +304,12 @@ class TestTruncatedExp:
         D = 4
         e = truncated_exp(x, D)
         em = truncated_exp(x.map(lambda p: -p), D)
-        prod = e * em
+        # products take Polys: multiply the jets' Polys and cut at the order
+        prod = e.map(lambda j: j.poly) * em.map(lambda j: j.poly)
         for i in range(3):
             for j in range(3):
                 expect = QQ(1) if i == j else QQ(0)
-                assert prod.entries[i][j].poly == Poly.const(vs, expect)
+                assert Jet(prod.entries[i][j], D).poly == Poly.const(vs, expect)
 
     def test_bad_truncation(self):
         x = PolyMatrix([[Poly.zero(Z6)]])
@@ -520,6 +521,24 @@ class TestPolyMatrixShape:
         a = PolyMatrix([[p6("z1"), p6("z2")]])
         with pytest.raises(DimensionMismatch, match="shape mismatch"):
             a * a
+
+    @pytest.mark.parametrize("entry, name", [
+        (Jet(p6("z1"), 2), "Jet"),
+        (RatFun(p6("1"), p6("z1")), "RatFun"),
+        (QQ(1, 2), "Fraction"),
+    ])
+    def test_product_takes_polys(self, entry, name):
+        a = PolyMatrix([[p6("z1"), entry], [p6("1"), p6("z2")]])
+        b = PolyMatrix.identity(Z6, 2)
+        with pytest.raises(TypeError, match=f"not {name}"):
+            a * b
+        with pytest.raises(TypeError, match=f"not {name}"):
+            b * a
+
+    def test_product_mixed_variables(self):
+        a = PolyMatrix([[p6("z1")]])
+        with pytest.raises(MixedVariables):
+            a * PolyMatrix([[Poly.var(VarSet(["a"]), "a")]])
 
     def test_sum_shape_mismatch(self):
         a = PolyMatrix([[p6("z1"), p6("z2")]])
