@@ -28,6 +28,7 @@ from .polyring import (
     _sign_canonical,
     det,
     inverse,
+    jacobian,
     jet_lowest_term,
     minors,
     truncated_exp,
@@ -336,7 +337,6 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     # families as sets; the constant ones are exactly the letters whose
     # suffix is empty
     got = set()
-    kminus_pos, _ = kplus_kminus(cluster.dword.pos)
     _, kplus_neg = kplus_kminus(cluster.dword.neg)
     for k in range(1, cluster.l0 + 1):
         low_phi, d = jet_lowest_term(cluster.phis[k - 1])
@@ -450,12 +450,7 @@ def modified_mu_low_degree(n: int) -> int:
     funcs = cluster.modified_functions()
     if len(funcs) != N:
         raise CountShortfall("modified cluster does not match the chart size")
-    grads = [
-        [f.poly.derivative(nm) for f in funcs] for nm in cluster.vars.names
-    ]
-    jmat = PolyMatrix(
-        [[Jet(p, D - 1) for p in row] for row in grads]
-    )
+    jmat = jacobian([f.poly for f in funcs], cluster.vars).map(lambda p: Jet(p, D - 1))
     _, d = jet_lowest_term(det(jmat))
     return d + N - sum(jet_lowest_term(f)[1] for f in funcs)
 

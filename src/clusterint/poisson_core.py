@@ -4,19 +4,17 @@ criterion that certifies polynomial integrable systems, and torus
 Pfaffian coefficients.
 
 Bracket-matrix entries are Polys where polynomial and RatFuns elsewhere.
-``_field_entry`` is the one loop over a bracket matrix: row a applied to
-the gradient of h is {v_a, h}.  Over Polys it is one ``polyring.dot``;
-otherwise it starts from the zero Poly, and a RatFun entry or h lifts the
-sum to a RatFun.  The bracket, ``hamiltonian_field``, the pair check of
-``schubert.build_cell``, the general Jacobi check and the Casimir check of
-``cluster_engine`` are built on it (a linear structure checks the Jacobi
-identity on its structure constants); ``hamiltonian_field`` joins the
-fields of N and D, h = N/D, by the quotient rule.
+A structure clears its matrix once to Poly rows over one Poly denominator,
+and every bracket, field and rank runs on Polys, forming at most one RatFun
+at the end.  ``PoissonStructure._field`` is the one loop over the matrix:
+the fields of N and D, h = N/D, joined by the quotient rule.  The bracket
+dots the cleared ``polyring.gradient`` of f with the field of g, and the
+Jacobi and Casimir checks use ``hamiltonian_field`` (a linear structure
+checks the Jacobi identity on its structure constants).
 ``bracket_poly`` is the checked Poly form of the bracket, kept as a method
 of its own because the benchmark's layer tracer (``bench/layertrace.py``)
-wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant
-and the one place a RatFun Jacobian is cleared to Polys, as ``det`` takes
-no RatFun; it raises DependentSystem when it vanishes.
+wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant,
+of the Poly ``jacobian``; it raises DependentSystem when it vanishes.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
@@ -31,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import lcm
 
@@ -55,10 +54,13 @@ from .polyring import (
     VarSet,
     det,
     dot,
+    gradient,
     jacobian,
     lowest_term,
+    num_den,
     numeric_pivots,
     numeric_rank,
+    poly_gcd,
 )
 from .rationals import QQ0, QQ1
 
@@ -73,27 +75,16 @@ def _as_entry(x, vars):
     return x if isinstance(x, Poly) else Poly.const(vars, x)
 
 
-def _num_den(x):
-    """Numerator and denominator of a Poly or RatFun, as Polys."""
-    return (x.num, x.den) if isinstance(x, RatFun) else (x, Poly.const(x.vars, 1))
-
-
-def _field_entry(row, dh) -> Poly | RatFun:
-    """sum_b row[b] * dh[b]: row a of a bracket matrix applied to the
-    gradient of h, which is {v_a, h}; over Polys one ``dot``."""
-    if {*map(type, row), *map(type, dh)} == {Poly}:
-        return dot(row[0].vars, zip(row, dh))
-    total = Poly.zero(row[0].vars)
-    for p, d in zip(row, dh):
-        if not p.is_zero() and not d.is_zero():
-            total = total + p * d
-    return total
+def _times(p, q):
+    """p * q for Polys or None, which stands for 1."""
+    return q if p is None else p if q is None else p * q
 
 
 class PoissonStructure:
     """A variable list plus the skew matrix of brackets {v_a, v_b}; an entry
     given as a number, Poly or RatFun is stored as a Poly unless its
-    denominator is not constant."""
+    denominator is not constant.  Brackets run on ``_rows``, the matrix
+    times ``_den``, the lcm of the entry denominators (None for 1)."""
 
     def __init__(self, vars: VarSet, bracket_matrix):
         self.vars = vars
@@ -106,6 +97,14 @@ class PoissonStructure:
                 if m[a][b] != -m[b][a]:
                     raise NotPoisson("bracket matrix must be skew-symmetric")
         self.bracket_matrix = m
+        self._rows, self._den = m, None
+        dens = list(dict.fromkeys(x.den for row in m for x in row if isinstance(x, RatFun)))
+        if dens:
+            den = reduce(lambda a, d: a * d.exact_div(poly_gcd(a, d)), dens)
+            cofactor = {d: den.exact_div(d) for d in dens}
+            self._rows = [[x.num * cofactor[x.den] if isinstance(x, RatFun) else x * den
+                           for x in row] for row in m]
+            self._den = den
 
     @staticmethod
     def zero(vars: VarSet) -> "PoissonStructure":
@@ -116,37 +115,42 @@ class PoissonStructure:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.bracket_matrix for x in row)
 
-    def matrix(self) -> PolyMatrix:
-        return PolyMatrix(self.bracket_matrix)
-
     # -- brackets -----------------------------------------------------------
 
-    def hamiltonian_field(self, h) -> list:
-        """[{v_a, h} for each variable v_a], for a Poly or RatFun h = N/D:
-        (D {v_a, N} - N {v_a, D}) / D^2 from the Poly fields of N and D,
-        one RatFun per entry (a Poly h, or D = 1, takes the field of N)."""
-        def field(p):
-            dp = [p.derivative(nm) for nm in self.vars.names]
-            return [_field_entry(row, dp) for row in self.bracket_matrix]
+    def _field(self, h, rows):
+        """(X, C) with {v_a, h} = X[i] / C for a = rows[i] (C None for 1),
+        by the quotient rule (D {v_a, N} - N {v_a, D}) / D^2, h = N/D."""
+        vars, P = self.vars, self._rows
+        num, den = num_den(h)
+        dn = gradient(num, vars)[0]
+        if den is None:
+            return [dot(vars, zip(P[a], dn)) for a in rows], self._den
+        dd = gradient(den, vars)[0]
+        neg = -num
+        return [dot(vars, ((den, dot(vars, zip(P[a], dn))), (neg, dot(vars, zip(P[a], dd)))))
+                for a in rows], _times(den * den, self._den)
 
-        num, den = _num_den(h)
-        if den.is_constant():
-            return field(num)
-        d2 = den * den
-        return [(x * den - y * num) / d2 for x, y in zip(field(num), field(den))]
+    def _bracket_parts(self, f, g):
+        """(B, C) with {f, g} = B / C (C None for 1): the cleared gradient
+        of f dotted with the field of g on the rows where it is nonzero."""
+        grad, cf = gradient(f, self.vars)
+        rows = [a for a, x in enumerate(grad) if x]
+        field, cg = self._field(g, rows)
+        return dot(self.vars, zip((grad[a] for a in rows), field)), _times(cf, cg)
+
+    def hamiltonian_field(self, h) -> list:
+        """[{v_a, h} for each variable v_a]: Polys when neither h nor the
+        matrix has a denominator, else RatFuns."""
+        field, den = self._field(h, range(len(self.vars)))
+        return field if den is None else [RatFun(x, den) for x in field]
 
     def bracket(self, f, g) -> Poly | RatFun:
-        """{f, g} = sum_a df/dv_a {v_a, g} for Polys or RatFuns f, g, over the
-        a with df/dv_a != 0: a Poly when f, g and the entries are Polys."""
-        dg = [g.derivative(nm) for nm in self.vars.names]
-        total = Poly.zero(self.vars)
-        for nm, row in zip(self.vars.names, self.bracket_matrix):
-            dfa = f.derivative(nm)
-            if not dfa.is_zero():
-                entry = _field_entry(row, dg)
-                if not entry.is_zero():
-                    total = total + entry * dfa
-        return total
+        """{f, g} = sum_a df/dv_a {v_a, g} for Polys or RatFuns f, g: a Poly
+        when f, g and the entries are Polys, else one RatFun."""
+        num, den = self._bracket_parts(f, g)
+        if den is None and type(f) is Poly and type(g) is Poly:
+            return num
+        return RatFun(num, den)
 
     def bracket_poly(self, f, g) -> Poly:
         """The bracket as a Poly; raises NotDivisible when it is not
@@ -213,12 +217,13 @@ def is_log_canonical(pi: PoissonStructure, f, g):
     for Polys or RatFuns f, g."""
     if f.is_zero() or g.is_zero():
         raise ZeroInput("log-canonical test requires nonzero functions")
-    br = pi.bracket(f, g)
+    br, c = pi._bracket_parts(f, g)
     if br.is_zero():
         return QQ0
-    (a, b), (c, d) = _num_den(br), _num_den(f * g)
-    # a/b = lam*c/d iff a*d = lam*b*c, lam the ratio of leading coefficients
-    num, den = a * d, b * c
+    (nf, df), (ng, dg) = num_den(f), num_den(g)
+    # br/c = lam*(nf*ng)/(df*dg) iff br*df*dg = lam*c*nf*ng, lam the ratio
+    # of leading coefficients
+    num, den = _times(br, _times(df, dg)), _times(c, nf * ng)
     lam = num.leading()[1] / den.leading()[1]
     return lam if num == den * lam else None
 
@@ -233,8 +238,8 @@ def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
     for a in range(n):
         row = []
         for b in range(n):
-            num, den = _num_den(pi.bracket_matrix[a][b])
-            den0 = den.evaluate(point)
+            num, den = num_den(pi.bracket_matrix[a][b])
+            den0 = 1 if den is None else den.evaluate(point)
             if den0 == 0:
                 raise NotRegular(f"entry ({a},{b}) has a pole at the base point")
             if num.evaluate(point) != 0:
@@ -254,7 +259,8 @@ def generic_rank(pi: PoissonStructure) -> int:
     probability (acceptance tests cross-check closed forms)."""
     if pi.is_zero():
         return 0
-    r = numeric_rank(pi.matrix(), random.Random(DEFAULT_SEED), retries=DEFAULT_SAMPLES)
+    r = numeric_rank(PolyMatrix(pi._rows), random.Random(DEFAULT_SEED),
+                     retries=DEFAULT_SAMPLES)
     if r % 2:
         raise ValueError("skew matrix evaluated to odd rank")
     return r
@@ -300,16 +306,13 @@ class LogVolumeForm:
 
 
 def _cleared_jacobian(functions, vars: VarSet):
-    """(det M, [N_1, D_1, N_2, D_2, ...]) for f_i = N_i/D_i, where column i
-    of the Poly matrix M, D_i grad N_i - N_i grad D_i, is the Jacobian's
-    times D_i^2, so mu = det(M) / prod(N_i D_i).  Raises DependentSystem
+    """(det M, the parts N_i and non-unit D_i of f_i = N_i/D_i), M the Poly
+    ``jacobian``, so mu = det(M) / prod(N_i D_i).  Raises DependentSystem
     when det(M) vanishes identically."""
-    parts = [_num_den(f) for f in functions]
-    d = det(PolyMatrix([[den * num.derivative(v) - num * den.derivative(v)
-                         for num, den in parts] for v in vars.names]))
+    d = det(jacobian(functions, vars))
     if d.is_zero():
         raise DependentSystem("Jacobian determinant vanishes identically")
-    return d, [p for pair in parts for p in pair]
+    return d, [p for f in functions for p in num_den(f) if p is not None]
 
 
 def log_volume(functions, vars: VarSet) -> LogVolumeForm:

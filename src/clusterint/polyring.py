@@ -27,9 +27,9 @@ Pearce), each exponent tuple one int, so a monomial product is one int
 addition, for Poly and Jet alike.  It is the one determinant algorithm:
 ``det`` is the full minor of a fresh table, ``adjugate`` reads the
 cofactors and the determinant from one, and ``inverse`` is the adjugate of
-a Poly matrix over its constant determinant.  None takes a RatFun entry: a
-RatFun is kept for a function with a denominator, and a matrix of them is
-cleared to Polys by its caller.
+a Poly matrix over its constant determinant.  None takes a RatFun entry,
+nor does ``numeric_pivots``: ``gradient`` differentiates a RatFun by its
+Poly parts, so a ``jacobian`` is cleared to Polys.
 The canonical text (``str``, read back by ``parse_poly``) lists terms in
 descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
@@ -416,17 +416,7 @@ class Poly:
                 out[tuple(e2)] = c
         return Poly._trusted(self.vars, out, self.den)
 
-    # -- calculus / evaluation ------------------------------------------------
-
-    def derivative(self, name) -> "Poly":
-        i = self.vars.index[name]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return Poly._trusted(self.vars, out, self.den)
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
         """Value at a RationalPoint or what it takes, summed on ints over
@@ -856,10 +846,9 @@ class RatFun:
       g2 = gcd(t, g) and the sum is (t/g2) / ((b/g)*(d/g2));
     - (a/b) * (c/d): only gcd(a, d) and gcd(c, b) cancel, and the quotient
       is the product with the reciprocal d/c;
-    - d/dv (n/d): with g = gcd(d, d'), t = n'*(d/g) - n*(d'/g) and
-      g2 = gcd(t, d), it is (t/g2) / ((d/g2)*(d/g)); g2 collects the
-      factors of d free of v, which t may share;
     - (a/b)**k = a**k / b**k, as powers of coprime polynomials are coprime.
+
+    A RatFun has no calculus: ``gradient`` differentiates its Poly parts.
     """
 
     __slots__ = ("num", "den")
@@ -1006,30 +995,13 @@ class RatFun:
             other = self._coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        # reduced canonical form makes this exact; cross-multiply as a guard
-        if self.num == other.num and self.den == other.den:
-            return True
-        return (self.num * other.den) == (other.num * self.den)
+        # the canonical form is unique
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # -- calculus / evaluation ----------------------------------------------------
-
-    def derivative(self, name) -> "RatFun":
-        n, d = self.num, self.den
-        dn = n.derivative(name)
-        if d.is_constant():
-            return RatFun(dn, d, reduce=False)
-        dd = d.derivative(name)
-        # gcd(d, 0) is d itself
-        g = d if dd.is_zero() else poly_gcd(d, dd)
-        dg = d.exact_div(g)
-        t = dn * dg - n * dd.exact_div(g)
-        g2 = poly_gcd(t, d)
-        if not g2.is_constant():
-            t, d = t.exact_div(g2), d.exact_div(g2)
-        return RatFun(t, d * dg, reduce=False)
+    # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, point):
         point = _as_point(point, self.vars)
@@ -1051,6 +1023,14 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self})"
+
+
+def num_den(h):
+    """(N, D) with h = N/D for a Poly or RatFun h; D is None when h has no
+    denominator (a Poly, or a RatFun over 1)."""
+    if isinstance(h, RatFun):
+        return (h.num, None) if h.den.is_constant() else (h.num, h.den)
+    return h, None
 
 
 # -- lowest degree terms ---------------------------------------------------------
@@ -1185,11 +1165,19 @@ def jet_lowest_term(j: Jet):
 # -- matrices -------------------------------------------------------------------
 
 
+def _refuse_other_entries(rows, kinds, what):
+    """Raise TypeError naming each type in ``rows`` that is not in ``kinds``."""
+    other = {type(x) for row in rows for x in row} - set(kinds)
+    if other:
+        raise TypeError(f"{what} take {' or '.join(t.__name__ for t in kinds)} entries, not "
+                        + ", ".join(sorted(t.__name__ for t in other)))
+
+
 class PolyMatrix:
     """A rectangular grid of ring elements over one VarSet: Polys for
     products; Polys or Jets for ``minors`` and what is read from them
-    (``det``, ``adjugate``, and for Polys ``inverse``); Polys and RatFuns
-    for ``numeric_pivots``."""
+    (``det``, ``adjugate``, and for Polys ``inverse``); Polys for
+    ``numeric_pivots``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -1224,10 +1212,7 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("shape mismatch")
         entries = [x for m in (self, other) for row in m.entries for x in row]
-        kinds = {type(x) for x in entries}
-        if not kinds <= {Poly}:
-            raise TypeError("matrix products take Poly entries, not "
-                            + ", ".join(sorted(t.__name__ for t in kinds - {Poly})))
+        _refuse_other_entries([entries], (Poly,), "matrix products")
         vars = entries[0].vars if entries else None
         if any(x.vars is not vars and x.vars != vars for x in entries):
             raise MixedVariables("mixed variable sets")
@@ -1299,20 +1284,17 @@ def minors(m: PolyMatrix):
     size, each read in increasing order (the empty minor is 1), all from
     one table of packed minors (``_packed_minor``); a Poly entry among Jets
     is read as a Jet of their order.  A RatFun entry raises NotDivisible (a
-    RatFun Jacobian is cleared to Polys by ``poisson_core._cleared_jacobian``),
-    and any other entry TypeError.  Each row
+    RatFun Jacobian is cleared to Polys by ``jacobian``), and any other
+    entry TypeError.  Each row
     is cleared to the lcm of its denominators, and each exponent tuple
     packed into one int: the degree above fields of whole bytes that hold
     the sum over the rows of their largest exponent, which no exponent of a
     minor exceeds."""
     if not m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} minor")
-    kinds = {type(x) for row in m.entries for x in row}
-    if RatFun in kinds:
+    if any(isinstance(x, RatFun) for row in m.entries for x in row):
         raise NotDivisible("minors take Poly or Jet entries, not RatFuns")
-    if not kinds <= {Poly, Jet}:
-        raise TypeError("minors take Poly or Jet entries, not "
-                        + ", ".join(sorted(t.__name__ for t in kinds - {Poly, Jet})))
+    _refuse_other_entries(m.entries, (Poly, Jet), "minors")
     orders = {x.order for row in m.entries for x in row if isinstance(x, Jet)}
     if len(orders) > 1:
         raise BadTruncation("jet orders differ")
@@ -1386,12 +1368,37 @@ def inverse(m: PolyMatrix) -> PolyMatrix:
     return adj.map(lambda p: p * inv)
 
 
+def gradient(h, vars: VarSet):
+    """(G, C) with grad h = G / C over ``vars``, for a Poly or RatFun h:
+    for h = N/D, G = D grad N - N grad D and C = D^2; for a Poly, or a
+    RatFun over 1, G is the gradient and C is None.  The one derivative:
+    one pass over the terms of each part, the zero partials one shared Poly."""
+    num, den = num_den(h)
+    if num.vars is not vars and num.vars != vars:
+        raise MixedVariables("mixed variable sets")
+    zero = Poly.zero(vars)
+
+    def partials(p):
+        out = [{} for _ in vars.names]
+        for e, c in p.terms.items():
+            for i, k in enumerate(e):
+                if k:
+                    out[i][(*e[:i], k - 1, *e[i + 1:])] = c * k
+        return [Poly._trusted(vars, d, p.den) if d else zero for d in out]
+
+    grad = partials(num)
+    if den is None:
+        return grad, None
+    neg = -num
+    return [dot(vars, ((den, x), (neg, y))) for x, y in zip(grad, partials(den))], den * den
+
+
 def jacobian(fs, vars: VarSet) -> PolyMatrix:
-    """Partial-derivative matrix with rows indexed by the variables and
-    columns by the functions: J[a][i] = d f_i / d v_a."""
-    return PolyMatrix(
-        [[f.derivative(nm) for f in fs] for nm in vars.names]
-    )
+    """Rows indexed by the variables, column i the ``gradient`` numerator
+    D_i^2 d f_i / d v_a of f_i = N_i/D_i (D_i = 1 for a Poly): the rank is
+    the Jacobian's, and the determinant is scaled by prod D_i^2."""
+    cols = [gradient(f, vars)[0] for f in fs]
+    return PolyMatrix([[col[a] for col in cols] for a in range(len(vars))])
 
 
 def _pivot_columns(rows) -> list:
@@ -1424,24 +1431,18 @@ def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
     rational points that reaches the highest rank seen; sampling stops at a
     point of rank min(rows, cols), which no other point exceeds.  The rank
     is a lower bound on the generic rank, equal to it with high
-    probability.  The entries are Polys or RatFuns; a point where a
-    denominator vanishes is skipped, and EvaluationSingular is raised when
-    every point is."""
+    probability.  An entry that is not a Poly raises TypeError."""
+    _refuse_other_entries(m.entries, (Poly,), "numeric pivots")
     nvars = next((len(x.vars) for row in m.entries for x in row), 0)
     full = min(m.rows, m.cols)
-    best = None
+    best = []
     for _ in range(retries):
         point = RationalPoint([random_rational(rng) for _ in range(nvars)])
-        try:
-            pivots = _pivot_columns([[x.evaluate(point) for x in row] for row in m.entries])
-        except EvaluationSingular:
-            continue
-        if best is None or len(pivots) > len(best):
+        pivots = _pivot_columns([[x.evaluate(point) for x in row] for row in m.entries])
+        if len(pivots) > len(best):
             best = pivots
         if len(best) == full:
             break
-    if best is None:
-        raise EvaluationSingular("all sampled points hit a denominator zero")
     return best
 
 

@@ -22,7 +22,6 @@ from .poisson_core import (
     LinearPoissonStructure,
     LogCanonicalSystem,
     PoissonStructure,
-    _field_entry,
     certify,
     generic_rank,
     linearize,
@@ -35,6 +34,7 @@ from .polyring import (
     _sign_canonical,
     det,
     dot,
+    gradient,
     lowest_term,
 )
 from .typea import (
@@ -171,14 +171,14 @@ def build_cell(m: int, word) -> SchubertCell:
         phis[kminus[k] - 1] if kminus[k] else Poly.const(vars, 1)
         for k in range(1, l + 1)
     ]
-    J = [[phi.derivative(nm) for nm in vars.names] for phi in phis]
+    J = [gradient(phi, vars)[0] for phi in phis]
     zero = Poly.zero(vars)
     B = [[phis[j] * phis[k] * lam[j][k] if k > j and lam[j][k] else zero
           for k in range(l)] for j in range(l)]
     P, Q = _pullback_structure(J, B, diag)
     pi_z = PoissonStructure(vars, P)
     for k in range(1, l):
-        field = [_field_entry(row, J[k]) for row in pi_z.bracket_matrix[:k]]
+        field = [dot(vars, zip(row, J[k])) for row in pi_z.bracket_matrix[:k]]
         for j in range(k):
             if field[j] != Q[j][k]:
                 raise NonPolynomialStructure(

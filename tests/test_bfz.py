@@ -222,8 +222,8 @@ class TestChart:
     def test_jacobi(self, chart2):
         chart2.pi.check_jacobi()
 
-    # the field takes the quotient rule on the parts of h, the bracket
-    # differentiates h as a RatFun; Casimirs have the zero field
+    # the field of h on every row, against the bracket with each
+    # coordinate; Casimirs have the zero field
     @pytest.mark.parametrize("h, moves", [
         (lambda ch: ch.phis[1], True),
         (lambda ch: ch.psis[0], True),

@@ -85,6 +85,14 @@ class TestChart:
             br = chart2.pi_dual.bracket(c0, RatFun.var(chart2.vars, nm))
             assert br.is_zero(), nm
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_of_the_rational_structure(self, n):
+        # n^2 - n, as for the linear structure of gl(n)*, on the matrix
+        # cleared of its denominators x_11 ... x_nn
+        pi = build_dual_chart(n).pi_dual
+        assert any(type(x) is RatFun for row in pi.bracket_matrix for x in row)
+        assert generic_rank(pi) == n * n - n
+
     def test_chain_rule_matches_direct_substitution(self, chart2):
         # oracle: compute {y21, x22} on the double group with y11, y22 kept
         # symbolic, then substitute the diagonal constraint afterwards

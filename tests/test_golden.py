@@ -23,7 +23,7 @@ from clusterint.typea import longest_word
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = BENCH / "golden.json"
 sys.path.insert(0, str(BENCH))
-from harness import chart_modification, digest  # noqa: E402
+from harness import WORKLOADS, chart_modification, digest  # noqa: E402
 
 FIELDS = ("variables", "functions", "involutive", "independent_count",
           "magic_number", "construction", "selected_indices")
@@ -66,3 +66,12 @@ def chart_casimir(chart):
 ])
 def test_chart_digest_is_golden(name, output):
     assert digest(output(bfz_chart(2))) == json.loads(GOLDEN.read_text())[name]
+
+
+def test_chart_casimir_workload_is_golden():
+    # the harness run brackets c_2 - c_1 with every chart coordinate, on
+    # the rational bracket path, and reports each it moves as a problem
+    prepare, run = WORKLOADS["chart-casimir-n2"]
+    outcome = run(clusterint, prepare(clusterint), 0)
+    assert outcome.digest == json.loads(GOLDEN.read_text())["chart-casimir-n2"]
+    assert outcome.problems == []

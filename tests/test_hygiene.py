@@ -1,7 +1,8 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
 module imports a name it never uses, no top-level function is defined in
 two modules, every top-level function, class and method of the package is
-used somewhere, no nested function calls itself, no function imports,
+used somewhere, no function assigns a local it never reads, no nested
+function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, and every console script that
 ``pyproject.toml`` declares imports and is callable."""
@@ -92,6 +93,51 @@ def test_every_top_level_definition_is_used():
                     and refs[node.name] == referenced_names(node)[node.name]):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def assigned_names(fn):
+    """(name, line) of each plain name that the body of ``fn`` binds by an
+    assignment, ``for`` or ``with``, outside its nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.With):
+            targets = [item.optional_vars for item in node.items if item.optional_vars]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.For, ast.NamedExpr)):
+            targets = [node.target]
+        else:
+            targets = []
+        yield from ((n.id, n.lineno) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_local_is_assigned_and_never_read():
+    """Every local a function assigns is read in it or in a function nested
+    in it; a name that starts with ``_`` is a deliberate discard."""
+    found = []
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {nm for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                     for nm in n.names}
+            found += [f"{path.name}:{line} {name}" for name, line in assigned_names(fn)
+                      if name not in read and not name.startswith("_")]
+    assert found == []
+
+
+def test_the_unused_local_scan_sees_each_binding():
+    fn = ast.parse("def f(xs):\n    a, _ = xs\n    for b in xs:\n        c = b\n"
+                   "    with open(a) as d:\n        pass\n    def g():\n        e = 1\n"
+                   "    return c\n").body[0]
+    assert sorted(name for name, _ in assigned_names(fn)) == ["_", "a", "b", "c", "d"]
 
 
 def test_no_nested_function_calls_itself():

@@ -37,7 +37,7 @@ from clusterint.dualgl import (
     pencil_coefficients,
 )
 from clusterint.errors import DependentSystem, NotDivisible, NotReduced, TruncationInsufficient
-from clusterint.poisson_core import PoissonStructure, log_volume
+from clusterint.poisson_core import PoissonStructure, is_log_canonical, log_volume
 from clusterint.polyring import (
     Jet,
     Poly,
@@ -48,6 +48,8 @@ from clusterint.polyring import (
     adjugate,
     det,
     dot,
+    gradient,
+    jacobian,
     jet_lowest_term,
     minors,
     parse_poly,
@@ -368,7 +370,7 @@ def assert_canonical_poly(p: Poly):
 def test_results_are_in_canonical_form(f, g, c, order):
     jf, jg = Jet(f, order), Jet(g, order)
     results = [f + g, f - g, -f, f * g, f * c, c * f, f * (g * c), (f * g).exact_div(g),
-               f.exact_div(Poly.const(X3, c)), g.derivative("x"), (jf * jg).poly, (jf * g).poly,
+               f.exact_div(Poly.const(X3, c)), *gradient(g, X3)[0], (jf * jg).poly, (jf * g).poly,
                (jf * c).poly, (jf + jg).poly, jf.poly]
     for p in results:
         assert_canonical_poly(p)
@@ -513,20 +515,10 @@ def test_ratfun_field_operations_are_canonical(pair, k):
         assert_canonical(r**k, b ** -k, a ** -k)
 
 
-# one shared factor: the unreduced d*d doubles every exponent of d
-@given(ratfun_pairs(max_factors=1))
-def test_ratfun_derivative_is_canonical(pair):
-    for r in pair:
-        n, d = r.num, r.den
-        for v in X3.names:
-            assert_canonical(r.derivative(v),
-                             n.derivative(v) * d - n * d.derivative(v), d * d)
-
-
 @given(ratfun_pairs(), st.integers(-2, 2))
 def test_ratfun_results_are_in_canonical_form(pair, k):
     r, s = pair
-    results = [r + s, r - s, r * s, -r, *(r.derivative(v) for v in X3.names)]
+    results = [r + s, r - s, r * s, -r]
     if s:
         results.append(r / s)
     if r or k >= 0:
@@ -650,29 +642,106 @@ def log_volume_functions(rng, kind):
             RatFun(nums[2], dens[2])]
 
 
+FIELD = sympy.field("x,y,z", sympy.QQ)
+K, KGENS = FIELD[0], FIELD[1:]
+
+
+def to_field(f):
+    """A Poly or RatFun as an element of sympy's field QQ(x, y, z), whose
+    elements are reduced fractions."""
+    num, den = (f.num, f.den) if isinstance(f, RatFun) else (f, Poly.const(X3, 1))
+    return K.from_expr(to_sympy(num).as_expr()) / K.from_expr(to_sympy(den).as_expr())
+
+
+def assert_reduced_form(r, expected):
+    """r, a Poly or RatFun, has the parts of the reduced fraction
+    ``expected`` scaled to a denominator with leading coefficient 1."""
+    num, den = (r.num, r.den) if isinstance(r, RatFun) else (r, Poly.const(X3, 1))
+    p, q = (sympy.Poly(e.as_expr(), *GENS, domain="QQ") for e in (expected.numer, expected.denom))
+    lc = q.LC(order="grlex")
+    assert to_sympy(num) == p.quo_ground(lc)
+    assert to_sympy(den) == q.quo_ground(lc)
+
+
 @pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
 @pytest.mark.parametrize("seed", range(6))
 def test_log_volume_agrees_with_sympy(kind, seed):
-    # det(J) / prod(f) in sympy's field QQ(x, y, z), whose elements are
-    # reduced fractions, with the 3 x 3 determinant by permutations
+    # det(J) / prod(f) in sympy's field, with the 3 x 3 determinant by
+    # permutations
     fs = log_volume_functions(random.Random(seed), kind)
-    field = sympy.field("x,y,z", sympy.QQ)
-    K, gens = field[0], field[1:]
-    els = [K.from_expr(to_sympy(f).as_expr()) if isinstance(f, Poly)
-           else K.from_expr(to_sympy(f.num).as_expr()) / K.from_expr(to_sympy(f.den).as_expr())
-           for f in fs]
-    jac = [[e.diff(v) for e in els] for v in gens]
+    els = [to_field(f) for f in fs]
+    jac = [[e.diff(v) for e in els] for v in KGENS]
     expected = sum(Permutation(list(p)).signature() * jac[0][p[0]] * jac[1][p[1]] * jac[2][p[2]]
                    for p in permutations(range(3))) / (els[0] * els[1] * els[2])
     if expected == 0:
         with pytest.raises(DependentSystem):
             log_volume(fs, X3)
         return
-    mu = log_volume(fs, X3).coefficient
-    p, q = (sympy.Poly(e.as_expr(), *GENS, domain="QQ") for e in (expected.numer, expected.denom))
-    lc = q.LC(order="grlex")
-    assert to_sympy(mu.num) == p.quo_ground(lc)
-    assert to_sympy(mu.den) == q.quo_ground(lc)
+    assert_reduced_form(log_volume(fs, X3).coefficient, expected)
+
+
+@pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_column_is_the_squared_denominator_times_the_gradient(kind, seed):
+    fs = log_volume_functions(random.Random(seed), kind)
+    J = jacobian(fs, X3)
+    for i, f in enumerate(fs):
+        den = to_field(f.den if isinstance(f, RatFun) else Poly.const(X3, 1))
+        for a, v in enumerate(KGENS):
+            assert type(J[a, i]) is Poly
+            assert to_field(J[a, i]) == den**2 * to_field(f).diff(v)
+
+
+def rational_structure():
+    """A structure on x, y, z with one rational entry: the log-canonical
+    {u, v} = uv, {u, w} = 2uw, {v, w} = -vw carried to x = u,
+    y = v/(1 + w), z = w, so each monomial in u = x, v = y(1 + z), w = z
+    is log-canonical with every other."""
+    P = [[Poly.zero(X3)] * 3 for _ in range(3)]
+    for (a, b), entry in {(0, 1): RatFun(parse_poly("x*y - x*y*z", X3), parse_poly("1 + z", X3)),
+                          (0, 2): parse_poly("2*x*z", X3),
+                          (1, 2): parse_poly("-y*z", X3)}.items():
+        P[a][b], P[b][a] = entry, -entry
+    return PoissonStructure(X3, P), [[to_field(x) for x in row] for row in P]
+
+
+@pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_bracket_agrees_with_sympy(kind, seed):
+    # {f, g} = sum_ab df/dx_a P_ab dg/dx_b and the field sum_b P_ab dg/dx_b
+    # in sympy's field, with a RatFun entry and RatFun f and g
+    pi, P = rational_structure()
+    f, g, _ = log_volume_functions(random.Random(seed), kind)
+    df, dg = ([to_field(h).diff(v) for v in KGENS] for h in (f, g))
+    field = [sum(P[a][b] * dg[b] for b in range(3)) for a in range(3)]
+    br = pi.bracket(f, g)
+    assert type(br) is RatFun
+    assert_reduced_form(br, sum(df[a] * field[a] for a in range(3)))
+    for x, expected in zip(pi.hamiltonian_field(g), field):
+        assert type(x) is RatFun
+        assert_reduced_form(x, expected)
+
+
+@pytest.mark.parametrize("f, g", [
+    (("x", "z"), ("y + y*z", "x")),
+    (("x*y + x*y*z", "1"), ("z^2", "y + y*z")),
+    (("1", "x*z"), ("y + y*z", "1")),
+    (("x", "z"), ("y", "x")),
+    (("x + z", "1"), ("y", "1 + z")),
+], ids=["monomials", "monomials-over-1", "reciprocal", "not-monomial", "sum"])
+def test_log_canonical_ratio_agrees_with_sympy(f, g):
+    # lambda is {f, g} / (f g) when sympy finds that ratio constant, else None
+    pi, P = rational_structure()
+    f, g = (RatFun(parse_poly(n, X3), parse_poly(d, X3)) for n, d in (f, g))
+    df, dg = ([to_field(h).diff(v) for v in KGENS] for h in (f, g))
+    ratio = sum(df[a] * P[a][b] * dg[b] for a in range(3) for b in range(3)) / (
+        to_field(f) * to_field(g))
+    lam = is_log_canonical(pi, f, g)
+    if ratio.numer.is_ground and ratio.denom.is_ground:
+        e = ratio.as_expr()
+        assert lam == Fraction(int(e.p), int(e.q))
+    else:
+        assert lam is None
 
 
 @given(polys(8))

@@ -284,12 +284,36 @@ class TestEntryRepresentation:
         x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
         assert type(pi.bracket(x, y)) is RatFun
 
+    def test_results_are_polys_exactly_without_a_denominator(self):
+        x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+        pi = PoissonStructure(XY, [[0, x * y], [-x * y, 0]])
+        over_one = RatFun.from_poly(x)
+        assert type(pi.bracket(x, y)) is Poly
+        assert type(pi.bracket(over_one, y)) is RatFun
+        assert pi.bracket(over_one, y) == pi.bracket(x, y)
+        assert all(type(v) is Poly for v in pi.hamiltonian_field(over_one))
+        assert all(type(v) is RatFun for v in pi.hamiltonian_field(1 / y))
+
+    def test_rational_matrix_is_cleared_to_the_lcm_of_its_denominators(self):
+        XYZ = VarSet(["x", "y", "z"])
+        x, y, z = (Poly.var(XYZ, nm) for nm in XYZ.names)
+        entries = {(0, 1): x / (y * z), (0, 2): y / (x * z), (1, 2): z}
+        P = [[0] * 3 for _ in range(3)]
+        for (a, b), v in entries.items():
+            P[a][b], P[b][a] = v, -v
+        pi = PoissonStructure(XYZ, P)
+        assert pi._den == x * y * z
+        assert pi._rows[0][1] == x * x
+        assert pi._rows[2][1] == -x * y * z * z
+        assert type(pi.bracket(x, y)) is RatFun and pi.bracket(x, y) == entries[0, 1]
+        assert pi.bracket_poly(y, z) == z
+
     @pytest.mark.parametrize("num, den", [
         ("x*y + 1", "1"), ("x", "1 + y"), ("x + y", "x*y - 1"), ("y^2", "1 + y"),
     ])
     def test_field_is_the_bracket_on_a_rational_structure(self, num, den):
-        # the quotient rule on the parts of h against the bracket, which
-        # differentiates h as a RatFun
+        # both run on the one field kernel; test_oracles checks each
+        # against sympy
         entry = RatFun(parse_poly("x", XY), parse_poly("1 + y", XY))
         pi = PoissonStructure(XY, [[0, entry], [-entry, 0]])
         h = RatFun(parse_poly(num, XY), parse_poly(den, XY))
