@@ -500,8 +500,7 @@ def kostant_cascade(n: int) -> CascadeData:
         e_plus[i - 1][j - 1] = QQ1
         e_minus[j - 1][i - 1] = QQ1
     data = CascadeData(n, roots, e_plus, e_minus)
-    if not data.strongly_orthogonal():
-        raise ValueError("cascade failed strong orthogonality")
+    assert data.strongly_orthogonal(), "cascade failed strong orthogonality"
     return data
 
 

@@ -261,8 +261,7 @@ def generic_rank(pi: PoissonStructure) -> int:
         return 0
     r = numeric_rank(PolyMatrix(pi._rows), random.Random(DEFAULT_SEED),
                      retries=DEFAULT_SAMPLES)
-    if r % 2:
-        raise ValueError("skew matrix evaluated to odd rank")
+    assert r % 2 == 0, "skew matrix evaluated to odd rank"
     return r
 
 
@@ -381,12 +380,11 @@ class IntegrableSystemReport:
 
 
 def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
-    """Fully symbolic: every pairwise bracket must reduce to zero."""
-    for i in range(len(functions)):
-        for j in range(i + 1, len(functions)):
-            if not pi0.bracket(functions[i], functions[j]).is_zero():
-                return False
-    return True
+    """Fully symbolic: every pairwise bracket, the cleared gradient of one
+    function dotted with the field of the other, each computed once, is 0."""
+    vars, rows = pi0.vars, range(len(pi0.vars))
+    parts = [(gradient(f, vars)[0], pi0._field(f, rows)[0]) for f in functions]
+    return all(dot(vars, zip(f[0], g[1])).is_zero() for f, g in combinations(parts, 2))
 
 
 def certify(

@@ -14,33 +14,36 @@ other factor that keep the product within it), and can add into a given
 dict, as ``dot`` does for a sum of products.  ``dot`` is each entry of a
 matrix product, which takes Poly entries only: ``truncated_exp`` sums the
 powers of a Poly matrix and cuts each entry to a Jet once, at the end.
-Exact division runs on the primitive integer part of the divisor, with the
-remainder in one dict and its leading terms taken from a heap of graded-lex
-keys (Johnson 1974; Monagan and Pearce, "Sparse polynomial division using a
-heap", JSC 2011).
+Products stay on exponent tuples: most have a few term pairs, and packing
+their operands on every call costs more than it saves.  Exact division and
+the minors table run on packed monomials (Monagan and Pearce), each
+exponent tuple one int from the one ``_Packing`` layout, whose int order is
+graded-lex order, so a monomial product is one int addition.  Division runs
+on the primitive integer part of the divisor, with the remainder in one
+dict and its leading terms taken from a heap of packed keys (Johnson 1974;
+Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
 A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
 come from one memoized table (``minors``), a Laplace expansion along first
 rows keyed by row and column bit masks, so that every minor read from it
-reuses the sub-minors met before; it runs on packed monomials (Monagan and
-Pearce), each exponent tuple one int, so a monomial product is one int
-addition, for Poly and Jet alike.  It is the one determinant algorithm:
-``det`` is the full minor of a fresh table, ``adjugate`` reads the
-cofactors and the determinant from one, and ``inverse`` is the adjugate of
-a Poly matrix over its constant determinant.  None takes a RatFun entry,
-nor does ``numeric_pivots``: ``gradient`` differentiates a RatFun by its
-Poly parts, so a ``jacobian`` is cleared to Polys.
+reuses the sub-minors met before, for Poly and Jet alike.  It is the one
+determinant algorithm: ``det`` is the full minor of a fresh table,
+``adjugate`` reads the cofactors and the determinant from one, and
+``inverse`` is the adjugate of a Poly matrix over its constant determinant.
+None takes a RatFun entry, nor does ``numeric_pivots``: ``gradient``
+differentiates a RatFun by its Poly parts, so a ``jacobian`` is cleared to
+Polys.
 The canonical text (``str``, read back by ``parse_poly``) lists terms in
 descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 import re
 from bisect import bisect_left, bisect_right
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm, prod
 
 from .errors import (
@@ -138,6 +141,33 @@ def _mul_terms(a: dict, b: dict, cap=None, out=None, scale=1) -> dict:
     return out
 
 
+class _Packing:
+    """Exponent tuples of ``n`` variables, each entry at most ``bound``, as
+    ints ``degree << shift | fields``, one field of whole bytes a variable,
+    the first the most significant: int order is graded-lex order, and a
+    monomial product is one int addition while no field passes ``bound``.
+    The one packing, of ``_div_terms`` and ``minors``."""
+
+    __slots__ = ("width", "shift", "low")
+
+    def __init__(self, n, bound):
+        self.width = (bound.bit_length() + 7) // 8 or 1
+        self.shift = 8 * n * self.width
+        self.low = (1 << self.shift) - 1
+
+    def pack(self, exps) -> list:
+        shift, width = self.shift, self.width
+        return [sum(e) << shift | int.from_bytes(bytes(e) if width == 1 else b"".join(
+            x.to_bytes(width, "big") for x in e), "big") for e in exps]
+
+    def unpack(self, keys) -> list:
+        low, size, width = self.low, self.shift // 8, self.width
+        if width == 1:
+            return [tuple((k & low).to_bytes(size, "big")) for k in keys]
+        return [tuple(int.from_bytes(b[i:i + width], "big") for i in range(0, size, width))
+                for b in ((k & low).to_bytes(size, "big") for k in keys)]
+
+
 def _div_terms(f: dict, g: dict) -> dict:
     """The quotient of dicts of integer numerators f / g, g nonzero; raises
     NotDivisible when the remainder is nonzero or a quotient coefficient is
@@ -145,59 +175,51 @@ def _div_terms(f: dict, g: dict) -> dict:
     polynomials has integer coefficients (Gauss's lemma), so a step whose
     coefficient is not an integer already proves that g does not divide f.
 
-    Sparse division with a heap: the remainder is one dict, keyed by
-    negated exponents and updated in place.  Each step takes the
-    remainder's graded-lex leading term from a min-heap of keys
-    ``(-degree, negated exponent)``, skipping keys of monomials that
-    have cancelled, and subtracts ``q_term * (g - lt(g))`` term by
-    term, so a step costs O(|g| log) rather than O(|remainder|).  It
-    raises NotDivisible as soon as the leading term is not divisible
-    by g's leading term.  Every monomial a step adds lies below the
-    one it removes, so the heap's keys come out in decreasing order and
-    each quotient term is new and nonzero."""
-    ge = max(g, key=_grlex_key)
-    gc = g[ge]
-    neg, add, sub = operator.neg, operator.add, operator.sub
-    # a negated exponent sums to the negated degree
-    nge = tuple(map(neg, ge))
-    ndge = sum(nge)
-    # g below its leading term: negated exponent and degree, -coefficient
-    tail = []
-    for e, c in g.items():
-        if e != ge:
-            ne = tuple(map(neg, e))
-            tail.append((ne, sum(ne), -c))
-    rem = {tuple(map(neg, e)): c for e, c in f.items()}
-    heap = [(sum(ne), ne) for ne in rem]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    Sparse division with a heap on ``_Packing`` keys: the remainder is one
+    dict, updated in place.  Each step pops its leading term, the largest
+    key, from a heap of negated keys, skipping monomials that have
+    cancelled, and subtracts ``q_term * (g - lt(g))``, one int addition a
+    term, so a step costs O(|g| log) rather than O(|remainder|).  No
+    exponent of the remainder or quotient passes deg f, so fields wide
+    enough for max(deg f, deg g) and a guard bit on top never carry: the
+    leading term is divisible by lt(g) exactly when subtracting lt(g) with
+    its guard bits set clears none of them.  Every monomial a step adds lies
+    below the one it removes, so each quotient term is new and nonzero."""
+    pk = _Packing(len(next(iter(g))), 2 * max(max(map(sum, f), default=0), max(map(sum, g))))
+    low, bits = pk.low, 8 * pk.width
+    guard = low // ((1 << bits) - 1) << bits - 1  # the top bit of each field
+    gterms = list(zip(pk.pack(g), g.values()))
+    lt, gc = max(gterms)
+    tail = [(k, -c) for k, c in gterms if k != lt]
+    rem = dict(zip(pk.pack(f), f.values()))
+    heap = [-k for k in rem]
+    heapify(heap)
     qterms = {}
     while heap:
-        nd, ne = heappop(heap)
-        rc = rem.pop(ne, None)
+        k = -heappop(heap)
+        rc = rem.pop(k, None)
         if rc is None:
             continue
-        nqe = tuple(map(sub, ne, nge))
-        if max(nqe) > 0:
+        if ((k & low | guard) - lt) & guard != guard:
             raise NotDivisible("leading term not divisible")
         qc, r = divmod(rc, gc)
         if r:
             raise NotDivisible("quotient coefficient not an integer")
-        qterms[tuple(map(neg, nqe))] = qc
-        ndq = nd - ndge
-        for nte, ndte, tc in tail:
-            nm = tuple(map(add, nqe, nte))
-            c = rem.get(nm)
+        qk = k - lt
+        qterms[qk] = qc
+        for tk, tc in tail:
+            m = qk + tk
+            c = rem.get(m)
             if c is None:
-                rem[nm] = qc * tc
-                heappush(heap, (ndq + ndte, nm))
+                rem[m] = qc * tc
+                heappush(heap, -m)
             else:
                 c = c + qc * tc
                 if c:
-                    rem[nm] = c
+                    rem[m] = c
                 else:
-                    del rem[nm]
-    return qterms
+                    del rem[m]
+    return dict(zip(pk.unpack(qterms), qterms.values()))
 
 
 class RationalPoint:
@@ -492,13 +514,16 @@ class Poly:
 
     def exact_div(self, g: "Poly") -> "Poly":
         """Exact division; raises NotDivisible when the remainder is nonzero.
-        With g = (c / g.den) * G for G primitive over Z, the quotient is
+        A zero dividend is its own quotient.  Otherwise, with
+        g = (c / g.den) * G for G primitive over Z, the quotient is
         (g.den / (self.den * c)) * (self.terms / G), the last by
         ``_div_terms``."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if g.vars != self.vars:
             raise MixedVariables("mixed variable sets")
+        if self.is_zero():
+            return self
         if g.is_constant():
             return self * (QQ1 / g.constant_value())
         c = gcd(*g.terms.values())
@@ -1285,11 +1310,11 @@ def minors(m: PolyMatrix):
     one table of packed minors (``_packed_minor``); a Poly entry among Jets
     is read as a Jet of their order.  A RatFun entry raises NotDivisible (a
     RatFun Jacobian is cleared to Polys by ``jacobian``), and any other
-    entry TypeError.  Each row
-    is cleared to the lcm of its denominators, and each exponent tuple
-    packed into one int: the degree above fields of whole bytes that hold
-    the sum over the rows of their largest exponent, which no exponent of a
-    minor exceeds."""
+    entry TypeError.  Each row is cleared to the lcm of its denominators,
+    and each exponent tuple packed into one int by ``_Packing``, the layout
+    ``_div_terms`` uses, with fields that hold the sum over the rows of
+    their largest exponent, which no exponent of a minor exceeds; a cap
+    is read on the degree above the fields."""
     if not m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} minor")
     if any(isinstance(x, RatFun) for row in m.entries for x in row):
@@ -1304,26 +1329,19 @@ def minors(m: PolyMatrix):
     vars = polys[0][0].vars
     if any(p.vars is not vars and p.vars != vars for row in polys for p in row):
         raise MixedVariables("mixed variable sets")
-    bound = sum(max((max(e) for p in row for e in p.terms), default=0) for row in polys)
-    width = (bound.bit_length() + 7) // 8 or 1
-    size = len(vars) * width
-    shift, dens = 8 * size, [lcm(*(p.den for p in row)) for row in polys]
-    rows = [[([sum(e) << shift | int.from_bytes(bytes(e) if width == 1 else b"".join(
-        x.to_bytes(width, "little") for x in e), "little") for e in p.terms],
-              [c * (d // p.den) for c in p.terms.values()]) for p in row]
+    pk = _Packing(len(vars), sum(max((max(e) for p in row for e in p.terms), default=0)
+                                 for row in polys))
+    dens = [lcm(*(p.den for p in row)) for row in polys]
+    rows = [[(pk.pack(p.terms), [c * (d // p.den) for c in p.terms.values()]) for p in row]
             for row, d in zip(polys, dens)]
-    memo, low = {(0, 0): ([0], [1])}, (1 << shift) - 1
+    memo = {(0, 0): ([0], [1])}
 
     def minor(rs, cs):
         if len(rs) != len(cs):
             raise NonSquare(f"{len(rs)}x{len(cs)} minor")
-        terms = {}
-        for k, c in zip(*_packed_minor(rows, sum(1 << i for i in rs), sum(1 << j for j in cs),
-                                       memo, cap, shift)):
-            b = (k & low).to_bytes(size, "little")
-            terms[tuple(b) if width == 1 else tuple(
-                int.from_bytes(b[i:i + width], "little") for i in range(0, size, width))] = c
-        p = Poly._trusted(vars, terms, prod(dens[i] for i in rs))
+        keys, coefs = _packed_minor(rows, sum(1 << i for i in rs), sum(1 << j for j in cs),
+                                    memo, cap, pk.shift)
+        p = Poly._trusted(vars, dict(zip(pk.unpack(keys), coefs)), prod(dens[i] for i in rs))
         return p if cap is None else Jet._trusted(p, cap)
 
     return minor

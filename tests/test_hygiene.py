@@ -4,7 +4,8 @@ two modules, every top-level function, class and method of the package is
 used somewhere, no function assigns a local it never reads, no nested
 function calls itself, no function imports,
 every package error is raised in the package and named in a test,
-every random generator is seeded, and every console script that
+every random generator is seeded, ``polyring`` packs monomials in one
+place, and every console script that
 ``pyproject.toml`` declares imports and is callable."""
 
 import ast
@@ -246,6 +247,23 @@ def test_every_random_generator_is_seeded():
                              and node.args[0].id in ("DEFAULT_SEED", "seed"))):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def byte_conversions(tree):
+    """Line of each ``from_bytes`` or ``to_bytes`` attribute in ``tree``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"))
+
+
+def test_monomials_are_packed_in_one_place():
+    """Division and the minors table share ``polyring._Packing``: no other
+    code of ``polyring`` converts between ints and bytes, so no second copy
+    of the packed layout can come back."""
+    tree = ast.parse((SRC / "polyring.py").read_text())
+    packing = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Packing")
+    assert byte_conversions(packing)
+    assert byte_conversions(tree) == byte_conversions(packing)
 
 
 def test_every_console_script_is_callable():

@@ -36,7 +36,13 @@ from clusterint.dualgl import (
     lows_via_jets,
     pencil_coefficients,
 )
-from clusterint.errors import DependentSystem, NotDivisible, NotReduced, TruncationInsufficient
+from clusterint.errors import (
+    DependentSystem,
+    MixedVariables,
+    NotDivisible,
+    NotReduced,
+    TruncationInsufficient,
+)
 from clusterint.poisson_core import PoissonStructure, is_log_canonical, log_volume
 from clusterint.polyring import (
     Jet,
@@ -85,10 +91,9 @@ def test_product_divides_back(f, g):
     assert (f * g).exact_div(g) == f
 
 
-@given(polys(), nonzero, polys(2))
-def test_exact_div_agrees_with_sympy_div(a, g, b):
-    # a*g + b is divisible by g exactly when b is, e.g. when b is 0
-    f = a * g + b
+def assert_div_agrees(f: Poly, g: Poly):
+    """f.exact_div(g) is sympy's quotient when its remainder is zero, and
+    raises NotDivisible otherwise."""
     q, r = sympy.div(to_sympy(f), to_sympy(g))
     if r.is_zero:
         got = f.exact_div(g)
@@ -97,6 +102,72 @@ def test_exact_div_agrees_with_sympy_div(a, g, b):
     else:
         with pytest.raises(NotDivisible):
             f.exact_div(g)
+
+
+@given(polys(), nonzero, polys(2))
+def test_exact_div_agrees_with_sympy_div(a, g, b):
+    # a*g + b is divisible by g exactly when b is, e.g. when b is 0
+    assert_div_agrees(a * g + b, g)
+
+
+def px(text):
+    return parse_poly(text, X3)
+
+
+DIVISION_EDGES = {
+    # deg f >= 128 needs two-byte fields for the guard bit: 129 - 2 would
+    # clear it in a one-byte field
+    "two-byte fields": (px("x^127*y - 2*z^5 + 3") * px("x^2 + y*z"), px("x^2 + y*z")),
+    "two-byte fields, not divisible": (px("x^130*z + 7*y"), px("x^2*z + y")),
+    # some field of lt(g) exceeds the leading term's: the borrow across
+    # fields must not read as divisible
+    "deg g above deg f": (px("x^2 + y"), px("x*y^2 + z")),
+    "deg g above deg f, single terms": (px("x^3"), px("x^2*y^2")),
+    # equal degree, lt(g) above the leading term in the first variable
+    "guard-bit borrow": (px("x*y^2 + z^3 + y"), px("x^2*y + z^3")),
+    "guard-bit borrow, single terms": (px("x*y^2"), px("x^2*y")),
+    # y needs a borrow from x, which stays nonnegative
+    "borrow from a higher field": (px("x^2*z"), px("x*y*z")),
+    "guard-bit borrow, later step": (px("x^2*y + x*z^2") * px("y + z") + px("x*y^2*z"),
+                                     px("x^2*y + x*z^2")),
+    "rational quotient": (px("2/3*x^2 + 1/3*x"), px("4*x + 2")),
+    "rational divisor, quotient coefficient not an integer": (px("x^2 + 1"), px("2/5*x + 1/5")),
+}
+
+
+@pytest.mark.parametrize("case", DIVISION_EDGES)
+def test_packed_division_edge_cases_agree_with_sympy(case):
+    assert_div_agrees(*DIVISION_EDGES[case])
+
+
+def test_division_messages_name_the_failing_step():
+    with pytest.raises(NotDivisible, match="leading term not divisible"):
+        px("x*y^2 + z^3").exact_div(px("x^2*y + z^3"))
+    with pytest.raises(NotDivisible, match="quotient coefficient not an integer"):
+        px("x^2 + 1").exact_div(px("2*x + 1"))
+
+
+def test_zero_dividend():
+    g = px("x*y - 3*z")
+    assert_div_agrees(Poly(X3), g)
+    assert Poly(X3).exact_div(g).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        Poly(X3).exact_div(Poly(X3))
+    with pytest.raises(MixedVariables):
+        Poly(X3).exact_div(Poly.var(VarSet(["x", "y"]), "x"))
+
+
+@pytest.mark.parametrize("bound", [127, 128, 255, 256])
+@given(data=st.data())
+def test_packing_round_trips_in_graded_lex_order(bound, data):
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, bound)] * 3), min_size=1,
+                              max_size=6, unique=True))
+    pk = polyring._Packing(3, bound)
+    keys = pk.pack(exps)
+    assert pk.unpack(keys) == exps
+    assert [k >> pk.shift for k in keys] == [sum(e) for e in exps]
+    # int order is graded-lex order
+    assert sorted(exps, key=lambda e: (sum(e), e)) == pk.unpack(sorted(keys))
 
 
 def random_matrix(rng, n):
