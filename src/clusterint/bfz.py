@@ -27,6 +27,7 @@ from .polyring import (
     _pivot_columns,
     _sign_canonical,
     det,
+    dot,
     inverse,
     jacobian,
     jet_lowest_term,
@@ -240,10 +241,9 @@ def _build_at_order(n, dword, D):
     X = truncated_exp(sl_u_matrix(n, vars), D)
     fs, phis, psis, g_index = cluster_minors(minors(X), n, dword)
     I0, I1, I2 = _istar_sets(n)
-    gprimes = {}
-    for i in I2:
-        istar = n + 1 - i
-        gprimes[i] = fs[i - 1] * psis[g_index[i] - 1] - fs[istar - 1] * psis[g_index[istar] - 1]
+    # f_i g_i - f_{i*} g_{i*} with i* = n + 1 - i, by one capped product
+    gprimes = {i: Jet._trusted(dot(vars, [(fs[i - 1].poly, psis[g_index[i] - 1].poly), (
+        -fs[n - i].poly, psis[g_index[n + 1 - i] - 1].poly)], D), D) for i in I2}
 
     cluster = BFZCluster(
         n, dword, vars, D, fs, phis, psis, g_index, gprimes, I0, I1, I2

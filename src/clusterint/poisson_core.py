@@ -200,7 +200,7 @@ class LinearPoissonStructure(PoissonStructure):
         C_ab^d C_cd^e, so NotPoisson names the same first failing triple."""
         P = self.bracket_matrix
         den = lcm(*[x.den for row in P for x in row])
-        C = [[{e.index(1): c * (den // x.den) for e, c in x.terms.items()}
+        C = [[{e.index(1): int(c * den) for e, c in x.sorted_terms()}
               for x in row] for row in P]
         for a, b, c in combinations(range(len(self.vars)), 3):
             coeff = {}

@@ -1,26 +1,23 @@
 """Exact sparse multivariate polynomial, rational-function and jet arithmetic.
 
 There is no floating point anywhere.  A Poly stores its rational
-coefficients as nonzero int numerators ``terms`` (keyed by exponent tuples)
-over one int denominator ``den`` >= 1 with ``gcd(den, *terms.values()) ==
-1``; the pair is unique, so equality and hashing are exact.
-``Poly(vars, terms)`` takes rational coefficients; ``Poly._trusted`` takes
-nonzero int numerators.  The accessors (``leading``, ``constant_value``,
-``evaluate``, ``sorted_terms``) give rationals.  The kernel loops run on
-ints (Monagan and Pearce, "Sparse polynomial multiplication and division in
-Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly and Jet
+coefficients as nonzero int numerators ``terms`` over one int denominator
+``den`` >= 1 with ``gcd(den, *terms.values()) == 1``; the pair is unique, so
+equality and hashing are exact.  The keys of ``terms`` are packed monomials
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), ints of the one ``_Packing`` layout
+of the VarSet's length: int order is graded-lex order, and a monomial
+product is one int addition.  Exponent tuples are made or read only at the
+edges (``Poly(vars, terms)``, which takes rational coefficients,
+``sorted_terms``, ``evaluate``, ``gradient``, the gcd helpers, ...), and an
+exponent that would reach 2^15 raises SizeOutOfRange.  The kernel loops run
+on ints (Monagan and Pearce, "Sparse polynomial multiplication and division
+in Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly, Jet
 (whose products pass a degree cap, so each term meets only the terms of the
-other factor that keep the product within it), and can add into a given
-dict, as ``dot`` does for a sum of products.  ``dot`` is each entry of a
-matrix product, which takes Poly entries only: ``truncated_exp`` sums the
-powers of a Poly matrix and cuts each entry to a Jet once, at the end.
-Products stay on exponent tuples: most have a few term pairs, and packing
-their operands on every call costs more than it saves.  Exact division and
-the minors table run on packed monomials (Monagan and Pearce), each
-exponent tuple one int from the one ``_Packing`` layout, whose int order is
-graded-lex order, so a monomial product is one int addition.  Division runs
-on the primitive integer part of the divisor, with the remainder in one
-dict and its leading terms taken from a heap of packed keys (Johnson 1974;
+other factor that keep the product within it) and ``dot``, which adds
+products into one dict and is each entry of a matrix product.  Division
+runs on the primitive integer part of the divisor, with the remainder in
+one dict and its leading terms taken from a heap of keys (Johnson 1974;
 Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
 A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
@@ -32,18 +29,19 @@ determinant algorithm: ``det`` is the full minor of a fresh table,
 ``inverse`` is the adjugate of a Poly matrix over its constant determinant.
 None takes a RatFun entry, nor does ``numeric_pivots``: ``gradient``
 differentiates a RatFun by its Poly parts, so a ``jacobian`` is cleared to
-Polys.
-The canonical text (``str``, read back by ``parse_poly``) lists terms in
-descending graded-lex order, e.g. ``z1*z4 - z2``.
+Polys.  The canonical text (``str``, read back by ``parse_poly``) lists
+terms in descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_left, bisect_right
+import struct
+from bisect import bisect_left
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from .errors import (
@@ -58,6 +56,7 @@ from .errors import (
     NotVanishing,
     PolySyntaxError,
     SingularLocus,
+    SizeOutOfRange,
     TruncationInsufficient,
     ZeroInput,
 )
@@ -68,12 +67,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(
     rf"({_NAME_RE.pattern})(?:\^([0-9]+))?|([0-9]+(?:/[0-9]*[1-9][0-9]*)?)")
 
+# every exponent stays below this: the top bit of each 16-bit field is free
+_LIMIT = 1 << 15
+
 
 class VarSet:
     """An ordered list of distinct variable names, fixed for the lifetime
-    of every object built over it."""
+    of every object built over it, and the ``_Packing`` of its monomials."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "pk")
 
     def __init__(self, names):
         names = tuple(names)
@@ -86,6 +88,7 @@ class VarSet:
                 raise BadVariableNames(f"bad variable name {nm!r}")
         self.names = names
         self.index = {nm: i for i, nm in enumerate(names)}
+        self.pk = _Packing(len(names))
 
     def __len__(self):
         return len(self.names)
@@ -99,99 +102,102 @@ class VarSet:
     def __repr__(self):
         return f"VarSet{self.names}"
 
-    def unit_exp(self, name):
-        e = [0] * len(self.names)
-        e[self.index[name]] = 1
-        return tuple(e)
+
+class _Packing:
+    """The one monomial layout of ``n`` variables: exponents e as the int
+    ``sum(e) << shift | fields`` (masked by ``low``), a 16-bit field a
+    variable, the first the most significant; ``unit[i]`` is variable i.
+    Exponents stay below 2^15, so the top bit of each field (``guard``) is
+    free: a sum of two keys never carries from field to field, and a key
+    with a guard bit set holds an exponent out of range."""
+
+    __slots__ = ("shift", "low", "guard", "unit", "_fields")
+
+    def __init__(self, n):
+        self.shift = 16 * n
+        self.low = (1 << self.shift) - 1
+        self.guard = self.low // 0xFFFF << 15
+        self.unit = [1 << self.shift | 1 << 16 * (n - 1 - i) for i in range(n)]
+        self._fields = struct.Struct(f">{n}H")
+
+    def pack(self, exps) -> list:
+        shift, fields = self.shift, self._fields.pack
+        try:
+            keys = [sum(e) << shift | int.from_bytes(fields(*e), "big") for e in exps]
+        except struct.error as exc:
+            raise SizeOutOfRange(f"exponents must lie in 0..{_LIMIT - 1}: {exc}") from exc
+        self.check(keys)
+        return keys
+
+    def unpack(self, keys) -> list:
+        low, size, fields = self.low, self.shift // 8, self._fields.unpack
+        return [fields((k & low).to_bytes(size, "big")) for k in keys]
+
+    def check(self, keys):
+        """Raise SizeOutOfRange when an exponent of ``keys`` reaches 2^15."""
+        if reduce(operator.or_, keys, 0) & self.guard:
+            raise SizeOutOfRange(f"an exponent reaches {_LIMIT}")
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
-
-
-def _mul_terms(a: dict, b: dict, cap=None, out=None, scale=1) -> dict:
-    """Product of two dicts of integer numerators, deleting terms that
-    cancel; with ``cap``, only its terms of total degree <= cap.  With
-    ``out``, the products times ``scale`` are added into that dict, which
-    is returned.  With a cap, the larger factor's terms are sorted by
-    degree once, and each term of the smaller factor runs only over the
-    prefix that keeps the product within the cap."""
+def _mul_terms(pk: _Packing, a: dict, b: dict, cap=None, out=None, scale=1) -> dict:
+    """Product of two dicts of integer numerators on ``pk`` keys, deleting
+    terms that cancel; with ``cap``, only its terms of total degree <= cap.
+    With ``out``, the products times ``scale`` are added into that dict,
+    which is returned.  With a cap, the larger factor's terms are sorted
+    once, and each term of the smaller factor runs only over the prefix
+    that keeps the product within the cap.  The result is checked once when
+    the top degrees of the factors, and the cap, reach an exponent's range."""
     if len(a) > len(b):
         a, b = b, a
+    shift = pk.shift
+    big = (cap is None or cap >= _LIMIT) and (
+        max(a, default=0) >> shift) + (max(b, default=0) >> shift) >= _LIMIT
     row = list(b.items())
     if cap is not None:
-        row.sort(key=lambda t: sum(t[0]))
-        degs = [sum(e) for e, _ in row]
-    add = operator.add
+        row.sort()
+        keys = [k for k, _ in row]
     if out is None:
         out = {}
-    for e1, c1 in a.items():
+    for k1, c1 in a.items():
         c1 *= scale
-        for e2, c2 in (row if cap is None else row[:bisect_right(degs, cap - sum(e1))]):
-            key = tuple(map(add, e1, e2))
-            s = out.get(key)
+        for k2, c2 in (row if cap is None else
+                       row[:bisect_left(keys, (cap + 1 - (k1 >> shift)) << shift)]):
+            k = k1 + k2
+            s = out.get(k)
             if s is None:
-                out[key] = c1 * c2
+                out[k] = c1 * c2
             else:
                 s = s + c1 * c2
                 if s == 0:
-                    del out[key]
+                    del out[k]
                 else:
-                    out[key] = s
+                    out[k] = s
+    if big:
+        pk.check(out)
     return out
 
 
-class _Packing:
-    """Exponent tuples of ``n`` variables, each entry at most ``bound``, as
-    ints ``degree << shift | fields``, one field of whole bytes a variable,
-    the first the most significant: int order is graded-lex order, and a
-    monomial product is one int addition while no field passes ``bound``.
-    The one packing, of ``_div_terms`` and ``minors``."""
+def _div_terms(pk: _Packing, f: dict, g: dict) -> dict:
+    """The quotient of dicts of integer numerators f / g on ``pk`` keys, g
+    nonzero; raises NotDivisible when the remainder is nonzero or a quotient
+    coefficient is not an integer, which for g primitive already proves
+    that g does not divide f (Gauss's lemma).
 
-    __slots__ = ("width", "shift", "low")
-
-    def __init__(self, n, bound):
-        self.width = (bound.bit_length() + 7) // 8 or 1
-        self.shift = 8 * n * self.width
-        self.low = (1 << self.shift) - 1
-
-    def pack(self, exps) -> list:
-        shift, width = self.shift, self.width
-        return [sum(e) << shift | int.from_bytes(bytes(e) if width == 1 else b"".join(
-            x.to_bytes(width, "big") for x in e), "big") for e in exps]
-
-    def unpack(self, keys) -> list:
-        low, size, width = self.low, self.shift // 8, self.width
-        if width == 1:
-            return [tuple((k & low).to_bytes(size, "big")) for k in keys]
-        return [tuple(int.from_bytes(b[i:i + width], "big") for i in range(0, size, width))
-                for b in ((k & low).to_bytes(size, "big") for k in keys)]
-
-
-def _div_terms(f: dict, g: dict) -> dict:
-    """The quotient of dicts of integer numerators f / g, g nonzero; raises
-    NotDivisible when the remainder is nonzero or a quotient coefficient is
-    not an integer.  For g primitive, a quotient over Q of integer
-    polynomials has integer coefficients (Gauss's lemma), so a step whose
-    coefficient is not an integer already proves that g does not divide f.
-
-    Sparse division with a heap on ``_Packing`` keys: the remainder is one
+    Sparse division with a heap on the stored keys: the remainder is one
     dict, updated in place.  Each step pops its leading term, the largest
     key, from a heap of negated keys, skipping monomials that have
     cancelled, and subtracts ``q_term * (g - lt(g))``, one int addition a
-    term, so a step costs O(|g| log) rather than O(|remainder|).  No
-    exponent of the remainder or quotient passes deg f, so fields wide
-    enough for max(deg f, deg g) and a guard bit on top never carry: the
-    leading term is divisible by lt(g) exactly when subtracting lt(g) with
-    its guard bits set clears none of them.  Every monomial a step adds lies
-    below the one it removes, so each quotient term is new and nonzero."""
-    pk = _Packing(len(next(iter(g))), 2 * max(max(map(sum, f), default=0), max(map(sum, g))))
-    low, bits = pk.low, 8 * pk.width
-    guard = low // ((1 << bits) - 1) << bits - 1  # the top bit of each field
-    gterms = list(zip(pk.pack(g), g.values()))
-    lt, gc = max(gterms)
-    tail = [(k, -c) for k, c in gterms if k != lt]
-    rem = dict(zip(pk.pack(f), f.values()))
+    term, so a step costs O(|g| log) rather than O(|remainder|).  If g
+    divides f, no remainder exponent passes f's largest in its variable, so
+    a leading term with a guard bit set proves that g does not; otherwise it
+    is divisible by lt(g) exactly when subtracting lt(g) with its guard bits
+    set clears none of them, and no key carries.  Every monomial a step adds
+    lies below the one it removes, so each quotient term is new and nonzero."""
+    low, guard = pk.low, pk.guard
+    lt = max(g)
+    gc = g[lt]
+    tail = [(k, -c) for k, c in g.items() if k != lt]
+    rem = dict(f)
     heap = [-k for k in rem]
     heapify(heap)
     qterms = {}
@@ -200,7 +206,7 @@ def _div_terms(f: dict, g: dict) -> dict:
         rc = rem.pop(k, None)
         if rc is None:
             continue
-        if ((k & low | guard) - lt) & guard != guard:
+        if k & guard or ((k & low | guard) - lt) & guard != guard:
             raise NotDivisible("leading term not divisible")
         qc, r = divmod(rc, gc)
         if r:
@@ -219,7 +225,7 @@ def _div_terms(f: dict, g: dict) -> dict:
                     rem[m] = c
                 else:
                     del rem[m]
-    return dict(zip(pk.unpack(qterms), qterms.values()))
+    return qterms
 
 
 class RationalPoint:
@@ -242,8 +248,10 @@ def _as_point(point, vars: VarSet) -> RationalPoint:
 
 class Poly:
     """Sparse polynomial with exact rational coefficients over a VarSet,
-    stored as nonzero integer numerators ``terms`` over one denominator
-    ``den`` >= 1 that shares no factor with all of them."""
+    stored as nonzero integer numerators ``terms``, keyed by the packed
+    monomials of ``vars.pk``, over one denominator ``den`` >= 1 that shares
+    no factor with all of them.  ``Poly(vars, terms)`` takes a dict from
+    exponent tuples to rationals."""
 
     __slots__ = ("vars", "terms", "den")
 
@@ -252,7 +260,8 @@ class Poly:
         terms = {e: c for e, c in terms.items() if c != 0} if terms else {}
         self.den = den = lcm(*[c.denominator for c in terms.values()])
         # no prime of the lcm of reduced denominators divides every numerator
-        self.terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        self.terms = dict(zip(vars.pk.pack(terms),
+                              [c.numerator * (den // c.denominator) for c in terms.values()]))
 
     # -- constructors -------------------------------------------------------
 
@@ -279,12 +288,11 @@ class Poly:
     def const(vars: VarSet, c) -> "Poly":
         if not isinstance(c, int):
             c = qq(c)
-        return Poly._trusted(vars, {(0,) * len(vars): c.numerator} if c else {},
-                             c.denominator)
+        return Poly._trusted(vars, {0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def var(vars: VarSet, name) -> "Poly":
-        return Poly._trusted(vars, {vars.unit_exp(name): 1})
+        return Poly._trusted(vars, {vars.pk.unit[vars.index[name]]: 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -292,10 +300,11 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # the constant monomial is the one key 0
+        return not any(self.terms)
 
     def constant_value(self):
-        c = self.terms.get((0,) * len(self.vars))
+        c = self.terms.get(0)
         return QQ0 if c is None else QQ(c, self.den)
 
     def __bool__(self):
@@ -361,7 +370,7 @@ class Poly:
                                  self.den * other.denominator)
         if other.vars != self.vars:
             raise MixedVariables("mixed variable sets")
-        return Poly._trusted(self.vars, _mul_terms(self.terms, other.terms),
+        return Poly._trusted(self.vars, _mul_terms(self.vars.pk, self.terms, other.terms),
                              self.den * other.den)
 
     __rmul__ = __mul__
@@ -406,37 +415,34 @@ class Poly:
         need the -infinity semantics test is_zero first)."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.vars.pk.shift
 
     def min_degree(self) -> int:
         if not self.terms:
             raise ZeroInput("zero polynomial has no lowest degree term")
-        return min(sum(e) for e in self.terms)
+        return min(self.terms) >> self.vars.pk.shift
 
     def lowest(self) -> "Poly":
         """Homogeneous component of minimal total degree."""
         return self.homogeneous_component(self.min_degree())
 
     def homogeneous_component(self, d: int) -> "Poly":
+        shift = self.vars.pk.shift
         return Poly._trusted(
-            self.vars, {e: c for e, c in self.terms.items() if sum(e) == d}, self.den)
+            self.vars, {k: c for k, c in self.terms.items() if k >> shift == d}, self.den)
 
     def degree_in(self, name) -> int:
         i = self.vars.index[name]
         if not self.terms:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.vars.pk.unpack(self.terms))
 
     def coeff_of(self, name, k: int) -> "Poly":
         """Coefficient of name**k, as a Poly with that exponent stripped."""
-        i = self.vars.index[name]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = list(e)
-                e2[i] = 0
-                out[tuple(e2)] = c
-        return Poly._trusted(self.vars, out, self.den)
+        i, pk = self.vars.index[name], self.vars.pk
+        drop = k * pk.unit[i]
+        return Poly._trusted(self.vars, {key - drop: c for (key, c), e in zip(
+            self.terms.items(), pk.unpack(self.terms)) if e[i] == k}, self.den)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -449,7 +455,7 @@ class Poly:
         nums, D = point.nums, self.total_degree()
         scale = [point.den**k for k in range(D + 1)]
         total = 0
-        for e, c in self.terms.items():
+        for e, c in zip(self.vars.pk.unpack(self.terms), self.terms.values()):
             for x, k in zip(nums, e):
                 if k:
                     c *= x**k
@@ -462,7 +468,7 @@ class Poly:
         ``point`` as for ``evaluate``.  One variable at a time, the terms
         are grouped by their power k of it, and the sum of (v + c)^k times
         each group is added up in one ``dot``."""
-        point = _as_point(point, self.vars)
+        point, pk = _as_point(point, self.vars), self.vars.pk
         result = self
         for i, c in enumerate(point.nums):
             if c == 0:
@@ -470,8 +476,8 @@ class Poly:
             v_plus_c = (Poly.var(self.vars, self.vars.names[i])
                         + Poly.const(self.vars, QQ(c, point.den)))
             groups = {}
-            for e, coef in result.terms.items():
-                groups.setdefault(e[i], {})[(*e[:i], 0, *e[i + 1:])] = coef
+            for (key, coef), e in zip(result.terms.items(), pk.unpack(result.terms)):
+                groups.setdefault(e[i], {})[key - e[i] * pk.unit[i]] = coef
             result = dot(self.vars, [(v_plus_c**k, Poly._trusted(self.vars, g, result.den))
                                      for k, g in groups.items()])
         return result
@@ -493,7 +499,7 @@ class Poly:
             return powers[key]
 
         total = None
-        for e, c in self.terms.items():
+        for e, c in zip(self.vars.pk.unpack(self.terms), self.terms.values()):
             term = one * c
             for nm, k in zip(self.vars.names, e):
                 if k:
@@ -509,8 +515,8 @@ class Poly:
         """(exponent, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ZeroInput("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, QQ(self.terms[e], self.den)
+        k = max(self.terms)
+        return self.vars.pk.unpack([k])[0], QQ(self.terms[k], self.den)
 
     def exact_div(self, g: "Poly") -> "Poly":
         """Exact division; raises NotDivisible when the remainder is nonzero.
@@ -528,7 +534,7 @@ class Poly:
             return self * (QQ1 / g.constant_value())
         c = gcd(*g.terms.values())
         G = g.terms if c == 1 else {e: v // c for e, v in g.terms.items()}
-        q = _div_terms(self.terms, G)
+        q = _div_terms(self.vars.pk, self.terms, G)
         if g.den != 1:
             q = {e: v * g.den for e, v in q.items()}
         return Poly._trusted(self.vars, q, self.den * c)
@@ -540,34 +546,14 @@ class Poly:
         except NotDivisible:
             return False
 
-    def monomial_content(self):
-        """Exponent vector of the largest monomial dividing all terms."""
-        it = iter(self.terms)
-        try:
-            first = next(it)
-        except StopIteration:
-            return (0,) * len(self.vars)
-        mins = list(first)
-        for e in it:
-            for i, k in enumerate(e):
-                if k < mins[i]:
-                    mins[i] = k
-        return tuple(mins)
-
-    def div_monomial(self, mexp) -> "Poly":
-        return Poly._trusted(
-            self.vars,
-            {tuple(a - b for a, b in zip(e, mexp)): c for e, c in self.terms.items()},
-            self.den,
-        )
-
     # -- canonical text -------------------------------------------------------
 
     def sorted_terms(self):
         """(exponent, rational coefficient) pairs in descending graded-lex
         order."""
-        return [(e, QQ(c, self.den)) for e, c in
-                sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)]
+        keys = sorted(self.terms, reverse=True)
+        return [(e, QQ(self.terms[k], self.den))
+                for e, k in zip(self.vars.pk.unpack(keys), keys)]
 
     def __str__(self):
         if not self.terms:
@@ -595,14 +581,15 @@ class Poly:
         return f"Poly({self})"
 
 
-def dot(vars: VarSet, pairs) -> Poly:
+def dot(vars: VarSet, pairs, cap=None) -> Poly:
     """sum p * q over Poly pairs (p, q), skipping zero factors: every
-    product added into one dict over one common denominator."""
+    product added into one dict over one common denominator; with ``cap``,
+    only the terms of total degree <= cap."""
     pairs = [(p, q) for p, q in pairs if p.terms and q.terms]
     den = lcm(*[p.den * q.den for p, q in pairs])
     out = {}
     for p, q in pairs:
-        _mul_terms(p.terms, q.terms, out=out, scale=den // (p.den * q.den))
+        _mul_terms(vars.pk, p.terms, q.terms, cap, out, den // (p.den * q.den))
     return Poly._trusted(vars, out, den)
 
 
@@ -651,12 +638,11 @@ def _poly_content_and_primitive(f: Poly, i: int):
     """View f as univariate in vars.names[i]; return (content, primitive)
     where content = gcd of the Poly coefficients (over the other variables)
     times the rational scale that makes the primitive part's leading
-    coefficient monic in lex order, so that the coefficients of a remainder
-    sequence of primitive parts cannot grow in scale."""
+    coefficient monic in graded-lex order, so that the coefficients of a
+    remainder sequence of primitive parts cannot grow in scale."""
     name = f.vars.names[i]
-    polys = {k: f.coeff_of(name, k) for k in {e[i] for e in f.terms}}
+    polys = {k: f.coeff_of(name, k) for k in {e[i] for e in f.vars.pk.unpack(f.terms)}}
     cont = reduce(poly_gcd, polys.values())
-    # lex order needs no key function, unlike graded lex
     top = polys[max(polys)]
     t, ct = top.terms, cont.terms
     scale = QQ(t[max(t)] * cont.den, top.den * ct[max(ct)])
@@ -725,39 +711,42 @@ def _int_primitive(f: dict) -> dict:
     return f if c == 1 else {e: v // c for e, v in f.items()}
 
 
-def _eval_at(f: dict, i: int, xi: int) -> dict:
+def _eval_at(pk: _Packing, f: dict, i: int, xi: int) -> dict:
     """The integer term dict f with variable i set to xi."""
     out = {}
-    for e, c in f.items():
+    for (key, c), e in zip(f.items(), pk.unpack(f)):
         k = e[i]
         if k:
-            e = (*e[:i], 0, *e[i + 1:])
+            key -= k * pk.unit[i]
             c = c * xi**k
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
-def _interpolate(h: dict, i: int, xi: int) -> dict:
+def _interpolate(pk: _Packing, h: dict, i: int, xi: int) -> dict:
     """The integer term dict whose coefficients of variable i are the
-    symmetric xi-adic digits, in (-xi/2, xi/2], of those of h."""
+    symmetric xi-adic digits, in (-xi/2, xi/2], of those of h; a digit past
+    the largest exponent fails the heuristic."""
     out = {}
     half = xi // 2
-    for e, c in h.items():
+    for key, c in h.items():
         k = 0
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out[(*e[:i], k, *e[i + 1:])] = d
+                out[key + k * pk.unit[i]] = d
             c = (c - d) // xi
             k += 1
+        if k > _LIMIT:
+            raise _HeuristicGcdFailed(f"a digit lies past exponent {_LIMIT - 1}")
     return out
 
 
-def _heu_gcd(f: dict, g: dict) -> dict:
-    """gcd in Z[vars] of nonzero integer term dicts, by GCDHEU (Char,
-    Geddes and Gonnet 1989); raises _HeuristicGcdFailed.
+def _heu_gcd(pk: _Packing, f: dict, g: dict) -> dict:
+    """gcd in Z[vars] of nonzero integer term dicts on ``pk`` keys, by
+    GCDHEU (Char, Geddes and Gonnet 1989); raises _HeuristicGcdFailed.
 
     The common integer content c of f and g comes out first and goes back
     into the result.  The last variable that occurs in f or g is set to an
@@ -769,7 +758,7 @@ def _heu_gcd(f: dict, g: dict) -> dict:
     norm, a candidate that divides both is the gcd; otherwise xi grows by
     a factor of about 2.73*xi**(1/4) and the method tries again."""
     c = gcd(*f.values(), *g.values())
-    occurs = [k for k, col in enumerate(zip(*f, *g)) if any(col)]
+    occurs = [k for k, col in enumerate(zip(*pk.unpack([*f, *g]))) if any(col)]
     if not occurs:
         return {next(iter(f)): c}
     i = occurs[-1]
@@ -778,12 +767,12 @@ def _heu_gcd(f: dict, g: dict) -> dict:
         g = {e: v // c for e, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(_HEU_TRIES):
-        ff, gg = _eval_at(f, i, xi), _eval_at(g, i, xi)
+        ff, gg = _eval_at(pk, f, i, xi), _eval_at(pk, g, i, xi)
         if ff and gg:
-            h = _int_primitive(_interpolate(_heu_gcd(ff, gg), i, xi))
+            h = _int_primitive(_interpolate(pk, _heu_gcd(pk, ff, gg), i, xi))
             try:
-                _div_terms(f, h)
-                _div_terms(g, h)
+                _div_terms(pk, f, h)
+                _div_terms(pk, g, h)
                 return {e: c * v for e, v in h.items()}
             except NotDivisible:
                 pass
@@ -817,22 +806,16 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _normalize_gcd(f)
 
     # monomial content comes out first
-    mf, mg = f.monomial_content(), g.monomial_content()
-    mcommon = tuple(min(a, b) for a, b in zip(mf, mg))
-    f = f.div_monomial(mf)
-    g = g.div_monomial(mg)
-    mono = Poly._trusted(vars, {mcommon: 1})
+    (mf, f), (mg, g) = _monomial_content(f), _monomial_content(g)
+    mono = Poly(vars, {tuple(map(min, *vars.pk.unpack([mf, mg]))): 1})
 
     # after removing monomial content a monomial is constant
     if f.is_constant() or g.is_constant():
         return _normalize_gcd(mono)
 
     # main variable: last one occurring in both
-    main = None
-    for i in reversed(range(len(vars))):
-        if any(e[i] for e in f.terms) and any(e[i] for e in g.terms):
-            main = i
-            break
+    fe, ge = (list(zip(*vars.pk.unpack(p.terms))) for p in (f, g))
+    main = next((i for i in reversed(range(len(vars))) if any(fe[i]) and any(ge[i])), None)
     if main is None:
         return _normalize_gcd(mono)
 
@@ -840,10 +823,17 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if a.divides(b):
         return _normalize_gcd(a * mono)
     try:
-        h = _heu_gcd(_int_primitive(f.terms), _int_primitive(g.terms))
+        h = _heu_gcd(vars.pk, _int_primitive(f.terms), _int_primitive(g.terms))
     except _HeuristicGcdFailed:
         return _normalize_gcd(_prs_gcd(f, g, main) * mono)
     return _normalize_gcd(Poly._trusted(vars, h) * mono)
+
+
+def _monomial_content(p: Poly):
+    """(m, p / m) for m the key of the largest monomial dividing every term
+    of a nonzero p."""
+    m = p.vars.pk.pack([tuple(map(min, zip(*p.vars.pk.unpack(p.terms))))])[0]
+    return m, Poly._trusted(p.vars, {k - m: c for k, c in p.terms.items()}, p.den)
 
 
 def _normalize_gcd(p: Poly) -> Poly:
@@ -1104,9 +1094,9 @@ class Jet:
         if order < 0:
             raise BadTruncation("jet order must be >= 0")
         self.order = order
+        top = (order + 1) << poly.vars.pk.shift
         self.poly = Poly._trusted(
-            poly.vars, {e: c for e, c in poly.terms.items() if sum(e) <= order}, poly.den
-        )
+            poly.vars, {k: c for k, c in poly.terms.items() if k < top}, poly.den)
 
     @classmethod
     def _trusted(cls, poly: Poly, order: int) -> "Jet":
@@ -1158,9 +1148,7 @@ class Jet:
         other = self._coerce(other).poly
         if other.vars != self.vars:
             raise MixedVariables("mixed variable sets")
-        terms = _mul_terms(self.poly.terms, other.terms, self.order)
-        return Jet._trusted(Poly._trusted(self.vars, terms, self.poly.den * other.den),
-                            self.order)
+        return Jet._trusted(dot(self.vars, [(self.poly, other)], self.order), self.order)
 
     __rmul__ = __mul__
 
@@ -1264,30 +1252,32 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _packed_minor(rows, rmask, cmask, memo, cap, shift):
-    """Determinant of the packed ``rows`` on the rows of the bit set
-    ``rmask`` and the columns of ``cmask``, as lists of keys and numerators,
-    by Laplace expansion along its first row into one dict; ``memo`` holds
-    each minor by (row mask, column mask), and 1 at (0, 0).  With a ``cap``
-    the keys of a minor are sorted, and when a product can pass the cap,
-    each term of the shorter factor runs over the prefix of the longer that
-    keeps the product within it; an entry longer than its sub-minor is
-    read as its sorted 1 x 1 minor."""
+def _packed_minor(rows, rmask, cmask, memo, cap, pk, check):
+    """Determinant of ``rows`` (entries as lists of ``pk`` keys and
+    numerators) on the rows of the bit set ``rmask`` and the columns of
+    ``cmask``, as such lists, by Laplace expansion along its first row into
+    one dict; ``memo`` holds each minor by (row mask, column mask), and 1 at
+    (0, 0).  With a ``cap`` the keys of a minor are sorted, and when a
+    product can pass the cap, each term of the shorter factor runs over the
+    prefix of the longer that keeps the product within it; an entry longer
+    than its sub-minor is read as its sorted 1 x 1 minor.  With ``check``,
+    each minor is checked (``_Packing.check``) before a product reads it."""
     key = (rmask, cmask)
     out = memo.get(key)
     if out is not None:
         return out
     first = rmask & -rmask
     row, rest_rows = rows[first.bit_length() - 1], rmask ^ first
-    out, sign, rest_cols = {}, 1, cmask
+    out, sign, rest_cols, shift = {}, 1, cmask, pk.shift
     while rest_cols:
         bit = rest_cols & -rest_cols
         rest_cols ^= bit
         ak, ac = row[bit.bit_length() - 1]
-        bk, bc = _packed_minor(rows, rest_rows, cmask ^ bit, memo, cap, shift) if ak else ((), ())
+        bk, bc = (_packed_minor(rows, rest_rows, cmask ^ bit, memo, cap, pk, check)
+                  if ak else ((), ()))
         if bk:
             if rest_rows and cap is not None and len(ak) > len(bk):
-                (bk, bc), ak, ac = _packed_minor(rows, first, bit, memo, cap, shift), bk, bc
+                (bk, bc), ak, ac = _packed_minor(rows, first, bit, memo, cap, pk, check), bk, bc
             full = cap is None or (max(ak) + bk[-1]) >> shift <= cap
             for k1, c1 in zip(ak, ac):
                 c1 *= sign
@@ -1299,6 +1289,8 @@ def _packed_minor(rows, rmask, cmask, memo, cap, shift):
     keys = [k for k, c in out.items() if c]
     if cap is not None:
         keys.sort()
+    if check:
+        pk.check(keys)
     memo[key] = out = keys, [out[k] for k in keys]
     return out
 
@@ -1307,14 +1299,13 @@ def minors(m: PolyMatrix):
     """The minors of ``m``, a matrix of Polys or of Jets of one order, as a
     function of (rows, cols), two collections of 0-based indices of one
     size, each read in increasing order (the empty minor is 1), all from
-    one table of packed minors (``_packed_minor``); a Poly entry among Jets
-    is read as a Jet of their order.  A RatFun entry raises NotDivisible (a
-    RatFun Jacobian is cleared to Polys by ``jacobian``), and any other
-    entry TypeError.  Each row is cleared to the lcm of its denominators,
-    and each exponent tuple packed into one int by ``_Packing``, the layout
-    ``_div_terms`` uses, with fields that hold the sum over the rows of
-    their largest exponent, which no exponent of a minor exceeds; a cap
-    is read on the degree above the fields."""
+    one table of minors on the stored keys (``_packed_minor``); a Poly
+    entry among Jets is read as a Jet of their order.  A RatFun entry raises
+    NotDivisible (a RatFun Jacobian is cleared to Polys by ``jacobian``),
+    and any other entry TypeError.  Each row is cleared to the lcm of its
+    denominators.  No minor has a degree above the sum over the rows of
+    their top degrees, so the exponents of the minors are checked only
+    when that sum, and the cap, reach an exponent's range."""
     if not m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} minor")
     if any(isinstance(x, RatFun) for row in m.entries for x in row):
@@ -1329,10 +1320,11 @@ def minors(m: PolyMatrix):
     vars = polys[0][0].vars
     if any(p.vars is not vars and p.vars != vars for row in polys for p in row):
         raise MixedVariables("mixed variable sets")
-    pk = _Packing(len(vars), sum(max((max(e) for p in row for e in p.terms), default=0)
-                                 for row in polys))
+    pk = vars.pk
+    check = (cap is None or cap >= _LIMIT) and sum(
+        max(max(p.terms, default=0) for p in row) >> pk.shift for row in polys) >= _LIMIT
     dens = [lcm(*(p.den for p in row)) for row in polys]
-    rows = [[(pk.pack(p.terms), [c * (d // p.den) for c in p.terms.values()]) for p in row]
+    rows = [[(list(p.terms), [c * (d // p.den) for c in p.terms.values()]) for p in row]
             for row, d in zip(polys, dens)]
     memo = {(0, 0): ([0], [1])}
 
@@ -1340,8 +1332,8 @@ def minors(m: PolyMatrix):
         if len(rs) != len(cs):
             raise NonSquare(f"{len(rs)}x{len(cs)} minor")
         keys, coefs = _packed_minor(rows, sum(1 << i for i in rs), sum(1 << j for j in cs),
-                                    memo, cap, pk.shift)
-        p = Poly._trusted(vars, dict(zip(pk.unpack(keys), coefs)), prod(dens[i] for i in rs))
+                                    memo, cap, pk, check)
+        p = Poly._trusted(vars, dict(zip(keys, coefs)), prod(dens[i] for i in rs))
         return p if cap is None else Jet._trusted(p, cap)
 
     return minor
@@ -1349,10 +1341,15 @@ def minors(m: PolyMatrix):
 
 def det(m: PolyMatrix):
     """Exact determinant of a Poly or Jet matrix: the full minor of a fresh
-    ``minors`` table."""
+    ``minors`` table of its rows sorted by ascending term count, which
+    expands the sparsest rows first, times the sign of that permutation."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
-    return minors(m)(range(m.rows), range(m.cols))
+    order = sorted(range(m.rows), key=lambda i: sum(
+        len(x.poly.terms if isinstance(x, Jet) else getattr(x, "terms", ()))
+        for x in m.entries[i]))
+    d = minors(PolyMatrix([m.entries[i] for i in order]))(range(m.rows), range(m.cols))
+    return -d if prod(-1 for i, j in combinations(order, 2) if i > j) < 0 else d
 
 
 def adjugate(m: PolyMatrix):
@@ -1397,11 +1394,11 @@ def gradient(h, vars: VarSet):
     zero = Poly.zero(vars)
 
     def partials(p):
-        out = [{} for _ in vars.names]
-        for e, c in p.terms.items():
+        out, unit = [{} for _ in vars.names], vars.pk.unit
+        for (key, c), e in zip(p.terms.items(), vars.pk.unpack(p.terms)):
             for i, k in enumerate(e):
                 if k:
-                    out[i][(*e[:i], k - 1, *e[i + 1:])] = c * k
+                    out[i][key - unit[i]] = c * k
         return [Poly._trusted(vars, d, p.den) if d else zero for d in out]
 
     grad = partials(num)

@@ -194,7 +194,7 @@ class TestOffDiagonalShape:
         for i in range(1, n + 1):
             for f in (c.fs[i - 1], c.g(i)):
                 low, _ = jet_lowest_term(f)
-                for e in low.terms:
+                for e, _ in low.sorted_terms():
                     assert all(e[d] == 0 for d in diag)
 
 

@@ -6,7 +6,8 @@ function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
-``pyproject.toml`` declares imports and is callable."""
+``pyproject.toml`` declares imports and is callable.  One check runs the
+families: every Poly they build is keyed by packed monomials."""
 
 import ast
 import importlib
@@ -14,6 +15,12 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
+
+from clusterint.bfz import build_bfz, choose_integrable_system_bfz, standard_double_word
+from clusterint.dualgl import build_staircase, choose_integrable_system_dualgl, lows_via_jets
+from clusterint.polyring import Poly
+from clusterint.schubert import build_cell, choose_integrable_system
+from clusterint.typea import longest_word
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "clusterint"
@@ -264,6 +271,32 @@ def test_monomials_are_packed_in_one_place():
                    if isinstance(node, ast.ClassDef) and node.name == "_Packing")
     assert byte_conversions(packing)
     assert byte_conversions(tree) == byte_conversions(packing)
+
+
+def test_every_poly_built_end_to_end_has_int_keys(monkeypatch):
+    """Schubert m=4, BFZ n=2 and dual GL n=2, built and certified, make
+    every Poly with int keys, the packed monomials: exponent tuples stay at
+    the edges, and no tuple-keyed kernel runs beside the packed one."""
+    key_types = Counter()
+    init, trusted = Poly.__init__, Poly._trusted.__func__
+
+    def counted_init(self, *args):
+        init(self, *args)
+        key_types.update(map(type, self.terms))
+
+    def counted_trusted(cls, *args):
+        p = trusted(cls, *args)
+        key_types.update(map(type, p.terms))
+        return p
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(Poly, "_trusted", classmethod(counted_trusted))
+    reports = [choose_integrable_system(build_cell(4, longest_word(4))),
+               choose_integrable_system_bfz(build_bfz(2, standard_double_word(2)))]
+    s = build_staircase(2)
+    reports.append(choose_integrable_system_dualgl(2, s, lows_via_jets(s)))
+    assert all(r.involutive for r in reports)
+    assert key_types[int] > 0 and set(key_types) == {int}
 
 
 def test_every_console_script_is_callable():

@@ -41,6 +41,7 @@ from clusterint.errors import (
     MixedVariables,
     NotDivisible,
     NotReduced,
+    SizeOutOfRange,
     TruncationInsufficient,
 )
 from clusterint.poisson_core import PoissonStructure, is_log_canonical, log_volume
@@ -115,8 +116,8 @@ def px(text):
 
 
 DIVISION_EDGES = {
-    # deg f >= 128 needs two-byte fields for the guard bit: 129 - 2 would
-    # clear it in a one-byte field
+    # exponents past 127 fill the upper byte of their 16-bit field, below
+    # its guard bit
     "two-byte fields": (px("x^127*y - 2*z^5 + 3") * px("x^2 + y*z"), px("x^2 + y*z")),
     "two-byte fields, not divisible": (px("x^130*z + 7*y"), px("x^2*z + y")),
     # some field of lt(g) exceeds the leading term's: the borrow across
@@ -157,17 +158,92 @@ def test_zero_dividend():
         Poly(X3).exact_div(Poly.var(VarSet(["x", "y"]), "x"))
 
 
-@pytest.mark.parametrize("bound", [127, 128, 255, 256])
+@pytest.mark.parametrize("bound", [127, 128, 255, 256, 2**15 - 1])
 @given(data=st.data())
 def test_packing_round_trips_in_graded_lex_order(bound, data):
     exps = data.draw(st.lists(st.tuples(*[st.integers(0, bound)] * 3), min_size=1,
                               max_size=6, unique=True))
-    pk = polyring._Packing(3, bound)
+    pk = polyring._Packing(3)
     keys = pk.pack(exps)
     assert pk.unpack(keys) == exps
     assert [k >> pk.shift for k in keys] == [sum(e) for e in exps]
     # int order is graded-lex order
     assert sorted(exps, key=lambda e: (sum(e), e)) == pk.unpack(sorted(keys))
+
+
+# exponents up to 2^14 - 1: every product of two stays below 2^15
+wide_terms = st.dictionaries(st.tuples(*[st.integers(0, 2**14 - 1)] * 3), coefficients,
+                             max_size=5)
+
+
+@given(wide_terms)
+def test_tuple_keyed_terms_round_trip(terms):
+    # the tuple edge: in through the constructor, out through sorted_terms
+    # and the canonical text, over the whole field of each exponent
+    p = Poly(X3, terms)
+    assert all(type(k) is int for k in p.terms)
+    assert p.sorted_terms() == sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]),
+                                      reverse=True)
+    assert Poly(X3, dict(p.sorted_terms())) == p
+    assert parse_poly(str(p), X3) == p
+
+
+@given(wide_terms, wide_terms, wide_terms, st.sampled_from([None, 0, 3, 2**14, 2**15]))
+def test_wide_products_are_the_rational_loop(f, g, h, cap):
+    # products, capped products and dot sums of operands whose exponents
+    # fill most of each field
+    f, g, h = (Poly(X3, t) for t in (f, g, h))
+    expect = Poly(X3, rational_mul_terms(rational_terms(f), rational_terms(g), cap))
+    assert dot(X3, [(f, g)], cap) == expect
+    assert dot(X3, [(f, g), (h, g)], cap) == expect + Poly(
+        X3, rational_mul_terms(rational_terms(h), rational_terms(g), cap))
+    if cap is None:
+        assert f * g == expect
+    elif cap < 2**15:
+        assert (Jet(f, cap) * Jet(g, cap)).poly == expect
+
+
+# sympy's sparse ring in graded-lex order: its dense ``sympy.Poly`` would
+# hold every power below the largest exponent
+SPARSE = sympy.polys.rings.ring("x,y,z", sympy.QQ, sympy.grlex)[0]
+
+
+def to_sparse(p: Poly):
+    return SPARSE.from_dict({e: sympy.QQ(c.numerator, c.denominator)
+                             for e, c in p.sorted_terms()})
+
+
+@given(wide_terms, wide_terms.filter(bool))
+def test_wide_exact_div_agrees_with_sympy_div(a, g):
+    # for one divisor, a zero remainder in any monomial order means g | f
+    a, g = Poly(X3, a), Poly(X3, g)
+    for f in (a * g, a * g + Poly.var(X3, "x")):
+        q, r = to_sparse(f).div(to_sparse(g))
+        if r:
+            with pytest.raises(NotDivisible):
+                f.exact_div(g)
+        else:
+            assert to_sparse(f.exact_div(g)) == q
+
+
+def test_an_exponent_of_2_to_the_15_is_out_of_range():
+    top = 2**15 - 1
+    for exp in ((2**15, 0, 0), (0, 0, 2**16), (0, -1, 0)):
+        with pytest.raises(SizeOutOfRange):
+            Poly(X3, {exp: QQ(1)})
+    with pytest.raises(SizeOutOfRange):
+        X ** 2**15
+    with pytest.raises(SizeOutOfRange):
+        dot(X3, [(X ** top, X * Y)])
+    with pytest.raises(SizeOutOfRange):
+        det(PolyMatrix([[Y ** 20000, Poly(X3)], [Poly(X3), Y ** 13000]]))
+    # a degree past 2^15 is in range while no exponent reaches it
+    big = X ** top * (Y ** top * Z ** top)
+    assert big.total_degree() == 3 * top
+    assert big.exact_div(X ** top) == Y ** top * Z ** top
+    assert str(X ** top * Y) == f"x^{top}*y"
+    assert det(PolyMatrix([[X ** 20000, Poly(X3)], [Poly(X3), Y ** 13000]])) == (
+        X ** 20000 * Y ** 13000)
 
 
 def random_matrix(rng, n):
@@ -273,10 +349,11 @@ def edge_matrix(case):
         # the rows' largest exponents sum to more than 255
         rows[0][1] = rows[0][1] + Poly(X3, {(200, 0, 1): QQ(1)})
         rows[2][0] = rows[2][0] + Poly(X3, {(100, 3, 0): QQ(-2, 3)})
-    elif case == "three-byte exponents":
-        # and here to more than 65535
-        rows[1][2] = rows[1][2] + Poly(X3, {(0, 40000, 1): QQ(5)})
-        rows[2][0] = rows[2][0] + Poly(X3, {(1, 30000, 0): QQ(1, 7)})
+    elif case == "degrees past the exponent range":
+        # and here to more than 2^15, so every minor's exponents are
+        # checked, while each stays below 2^15
+        rows[1][2] = rows[1][2] + Poly(X3, {(0, 20000, 1): QQ(5)})
+        rows[2][0] = rows[2][0] + Poly(X3, {(13000, 0, 0): QQ(1, 7)})
     elif case == "row denominators":
         rows = [[p * QQ(1, 2 * i + 3) for p in row] for i, row in enumerate(rows)]
         rows[1][1] = rows[1][1] + Poly(X3, {(0, 1, 0): QQ(1, 5)})
@@ -287,7 +364,7 @@ def edge_matrix(case):
     return rows
 
 
-@pytest.mark.parametrize("case", ["two-byte exponents", "three-byte exponents",
+@pytest.mark.parametrize("case", ["two-byte exponents", "degrees past the exponent range",
                                   "row denominators", "zero row", "all zero"])
 def test_packed_minors_table_edge_cases(case):
     # caps 1 and 3 cut products of the low-degree entries, 250 products of
@@ -361,7 +438,7 @@ def rational_mul_terms(a: dict, b: dict, cap=None) -> dict:
         a, b = b, a
     row = list(b.items())
     if cap is not None:
-        row.sort(key=lambda t: sum(t[0]))
+        row.sort(key=lambda t: (sum(t[0]), t[0]))
         degs = [sum(e) for e, _ in row]
     out = {}
     for e1, c1 in a.items():
@@ -383,8 +460,9 @@ X, Y = Poly.var(X3, "x"), Poly.var(X3, "y")
 
 
 def rational_terms(p: Poly) -> dict:
-    """p's coefficients as Fractions, in the order of its numerators."""
-    return {e: Fraction(c, p.den) for e, c in p.terms.items()}
+    """p's coefficients as Fractions by exponent tuple, in the order of its
+    numerators."""
+    return {e: Fraction(c, p.den) for e, c in zip(p.vars.pk.unpack(p.terms), p.terms.values())}
 
 
 @given(polys(), polys(), coefficients, st.sampled_from([None, 0, 1, 2, 3, 5]))
@@ -397,10 +475,11 @@ def test_mul_terms_is_the_rational_loop(f, g, c, cap):
     pairs = [(f, g), ((X + Y) * c, X - Y), ((X + Y) * f * c, (X - Y) * f),
              ((X - Y) * g, (X + Y) * g * c)]
     for a, b in pairs:
-        out = _mul_terms(a.terms, b.terms, cap)
+        out = _mul_terms(X3.pk, a.terms, b.terms, cap)
         assert all(type(v) is int for v in out.values())
         den = a.den * b.den
-        assert [(e, Fraction(v, den)) for e, v in out.items()] == list(
+        exps = X3.pk.unpack(out)
+        assert [(e, Fraction(v, den)) for e, v in zip(exps, out.values())] == list(
             rational_mul_terms(rational_terms(a), rational_terms(b), cap).items())
 
 
@@ -461,7 +540,7 @@ def test_jet_results_stay_within_the_order(f, g, order):
     }
     for name, (jet, poly) in results.items():
         assert jet.order == order, name
-        assert all(sum(e) <= order for e in jet.poly.terms), name
+        assert all(sum(e) <= order for e, _ in jet.poly.sorted_terms()), name
         assert jet == Jet(poly, order), name
 
 
@@ -625,7 +704,7 @@ def assert_gcd_agrees(f, g):
     assert r.is_zero and q.is_ground and not q.is_zero
 
 
-def heuristic_fails(f, g):
+def heuristic_fails(*args):
     raise polyring._HeuristicGcdFailed("no candidate verified")
 
 

@@ -449,8 +449,8 @@ class TestGcdDivision:
         V = VarSet(["b2", "e1", "e2"])
         f = parse_poly("b2*e1^2 + 2*b2*e1 + b2", V)
         g = f * parse_poly("b2*e2 - 3*e1 + 7", V)
-        h = _heu_gcd(*({e: int(c) for e, c in p.sorted_terms()} for p in (f, g)))
-        assert Poly(V, h) == f
+        h = _heu_gcd(V.pk, f.terms, g.terms)
+        assert Poly._trusted(V, h) == f
 
     def test_ratfun_reduction(self):
         f = RatFun(p6("z1^2 - z2^2"), p6("z1 + z2"))
