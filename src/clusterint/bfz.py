@@ -19,7 +19,6 @@ from .poisson_core import (
     certify,
 )
 from .polyring import (
-    Jet,
     Poly,
     PolyMatrix,
     RatFun,
@@ -30,7 +29,7 @@ from .polyring import (
     dot,
     inverse,
     jacobian,
-    jet_lowest_term,
+    lowest_term,
     minors,
     truncated_exp,
 )
@@ -129,12 +128,12 @@ class BFZCluster:
     n: int
     dword: DoubleWord
     vars: VarSet
-    order: int
-    fs: list  # Jet, index i in [1, r]
-    phis: list  # Jet, index k in [1, l0]
-    psis: list  # Jet, index k in [1, l0]
+    order: int  # every function below is a Poly cut at this total degree
+    fs: list  # index i in [1, r]
+    phis: list  # index k in [1, l0]
+    psis: list  # index k in [1, l0]
     g_index: dict  # i -> k with psi_k the last occurrence of letter i
-    gprimes: dict  # i in I2 -> Jet f_i g_i - f_{i*} g_{i*}
+    gprimes: dict  # i in I2 -> f_i g_i - f_{i*} g_{i*}
     I0: list
     I1: list
     I2: list
@@ -146,7 +145,7 @@ class BFZCluster:
     def istar(self, i: int) -> int:
         return self.n + 1 - i
 
-    def g(self, i: int) -> Jet:
+    def g(self, i: int) -> Poly:
         return self.psis[self.g_index[i] - 1]
 
     def modified_functions(self):
@@ -195,7 +194,7 @@ def gexp_order(n: int) -> int:
 
 def build_bfz(n: int, dword: DoubleWord = None) -> BFZCluster:
     """Evaluate the extended cluster at a truncated exponential of a traceless
-    matrix, at the jet order ``gexp_order(n)``, where every lowest term
+    matrix, cut at the jet order ``gexp_order(n)``, where every lowest term
     shows."""
     if dword is None:
         dword = standard_double_word(n)
@@ -235,21 +234,21 @@ def cluster_minors(table, n: int, dword: DoubleWord):
 
 
 def _build_at_order(n, dword, D):
-    """The cluster at jet order D; raises TruncationInsufficient when a
+    """The cluster cut at jet order D; raises TruncationInsufficient when a
     modified lowest term lies above D."""
     vars = sl_varset(n)
     X = truncated_exp(sl_u_matrix(n, vars), D)
-    fs, phis, psis, g_index = cluster_minors(minors(X), n, dword)
+    fs, phis, psis, g_index = cluster_minors(minors(X, D), n, dword)
     I0, I1, I2 = _istar_sets(n)
     # f_i g_i - f_{i*} g_{i*} with i* = n + 1 - i, by one capped product
-    gprimes = {i: Jet._trusted(dot(vars, [(fs[i - 1].poly, psis[g_index[i] - 1].poly), (
-        -fs[n - i].poly, psis[g_index[n + 1 - i] - 1].poly)], D), D) for i in I2}
+    gprimes = {i: dot(vars, [(fs[i - 1], psis[g_index[i] - 1]),
+                             (-fs[n - i], psis[g_index[n + 1 - i] - 1])], D) for i in I2}
 
     cluster = BFZCluster(
         n, dword, vars, D, fs, phis, psis, g_index, gprimes, I0, I1, I2
     )
     for f in cluster.modified_functions():
-        jet_lowest_term(f)
+        lowest_term(f, D)
     return cluster
 
 
@@ -318,18 +317,18 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
 
     # frozen rows/columns formulas
     for i in range(1, n + 1):
-        low_i, _ = jet_lowest_term(cluster.fs[i - 1])
-        low_star, _ = jet_lowest_term(cluster.fs[m - i - 1])
+        low_i, _ = lowest_term(cluster.fs[i - 1], cluster.order)
+        low_star, _ = lowest_term(cluster.fs[m - i - 1], cluster.order)
         if not _up_to_sign(low_i, low_star):
             return False
         if i in forms["f"] and not _up_to_sign(low_i, forms["f"][i]):
             return False
     for i, expect in forms["g"].items():
-        low_g, _ = jet_lowest_term(cluster.g(i))
+        low_g, _ = lowest_term(cluster.g(i), cluster.order)
         if not _up_to_sign(low_g, expect):
             return False
     for i, expect in forms["gprime"].items():
-        low_gp, _ = jet_lowest_term(cluster.gprimes[i])
+        low_gp, _ = lowest_term(cluster.gprimes[i], cluster.order)
         if not _up_to_sign(low_gp, expect):
             return False
 
@@ -339,7 +338,7 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     got = set()
     _, kplus_neg = kplus_kminus(cluster.dword.neg)
     for k in range(1, cluster.l0 + 1):
-        low_phi, d = jet_lowest_term(cluster.phis[k - 1])
+        low_phi, d = lowest_term(cluster.phis[k - 1], cluster.order)
         if d == 0:
             if kplus_neg[k] is not None:
                 return False
@@ -348,7 +347,7 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     for k in range(1, cluster.l0 + 1):
         if k in {cluster.g_index[i] for i in range(1, n + 1)}:
             continue
-        low_psi, d = jet_lowest_term(cluster.psis[k - 1])
+        low_psi, d = lowest_term(cluster.psis[k - 1], cluster.order)
         if d == 0:
             return False
         got.add(_sign_canonical(low_psi))
@@ -377,7 +376,7 @@ def choose_integrable_system_bfz(
 
     degs = {}
     for k in index_of:
-        _, d = jet_lowest_term(fn_at(k))
+        _, d = lowest_term(fn_at(k), cluster.order)
         degs[k] = d
 
     # successors by position in the combined word; its first n letters are
@@ -395,7 +394,7 @@ def choose_integrable_system_bfz(
     g_of = {cluster.g_index[i]: i for i in range(1, n + 1)}
     psi_degs = {}
     for k in range(1, l0 + 1):
-        _, d = jet_lowest_term(cluster.psis[k - 1])
+        _, d = lowest_term(cluster.psis[k - 1], cluster.order)
         psi_degs[k] = d
 
     def jump(k):
@@ -419,7 +418,7 @@ def choose_integrable_system_bfz(
         selected.append(cluster.gprimes[i])
         labels.append(f"diff{i}")
 
-    lows = [jet_lowest_term(f)[0] for f in selected]
+    lows = [lowest_term(f, cluster.order)[0] for f in selected]
     word = ",".join(map(str, cluster.dword.neg.letters))
     return certify(lows, sl_dual_linear_structure(n), cluster.vars,
                    l0 + n, seed, samples,
@@ -436,7 +435,8 @@ def modified_mu_low_degree(n: int) -> int:
     The form is det(J) / prod(f) du, so its degree is deg det(J) + N - S,
     with N = |vars| and S the sum of the modified low degrees.  The paper's
     deg mu^low = l0 puts the lowest term of det(J) at degree l0 - N + S.  J
-    holds jets one order below the cluster, so one build at
+    is exact one order below the cluster, so its determinant is capped at
+    D - 1, and one build at
     D = max(gexp_order(n), l0 - N + S + 1) shows that term: a larger true
     degree raises TruncationInsufficient, and a smaller one is returned.
     S comes from the minors' index sets, |I\\J| per minor (``gexp_order``)."""
@@ -450,9 +450,8 @@ def modified_mu_low_degree(n: int) -> int:
     funcs = cluster.modified_functions()
     if len(funcs) != N:
         raise CountShortfall("modified cluster does not match the chart size")
-    jmat = jacobian([f.poly for f in funcs], cluster.vars).map(lambda p: Jet(p, D - 1))
-    _, d = jet_lowest_term(det(jmat))
-    return d + N - sum(jet_lowest_term(f)[1] for f in funcs)
+    _, d = lowest_term(det(jacobian(funcs, cluster.vars), D - 1), D - 1)
+    return d + N - sum(lowest_term(f, D)[1] for f in funcs)
 
 
 # -- Kostant cascade and the index ----------------------------------------------

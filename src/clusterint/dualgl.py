@@ -31,7 +31,7 @@ from .polyring import (
     adjugate,
     det,
     inverse,
-    jet_lowest_term,
+    lowest_term,
     minors,
     truncated_exp,
 )
@@ -217,7 +217,7 @@ def restrict_to_chart(p: Poly, chart: DualGroupChart) -> Poly | RatFun:
 
 
 def full_staircase_matrix(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
-    """The uncut n(n-1) staircase of two n x n matrices, Poly or Jet: Y-blocks
+    """The uncut n(n-1) staircase of two n x n Poly matrices: Y-blocks
     on the diagonal, X-blocks below, each without its first row.  Its
     trailing minors interleave the phi's, the trailing minors of its
     leading (n-1)^2 block, with the trailing diagonal products of X."""
@@ -237,23 +237,24 @@ def full_staircase_matrix(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(ent)
 
 
-def trailing_minors(mat: PolyMatrix) -> list:
+def trailing_minors(mat: PolyMatrix, cap=None) -> list:
     """The principal minors on rows and columns [i, size], i = 1..size,
-    from one ``minors`` table."""
-    table = minors(mat)
+    from one ``minors`` table, cut at ``cap`` as ``minors`` cuts them."""
+    table = minors(mat, cap)
     size = mat.rows
     return [table(range(i, size), range(i, size)) for i in range(size)]
 
 
-def pencil_coefficients(A: PolyMatrix, B: PolyMatrix) -> list:
+def pencil_coefficients(A: PolyMatrix, B: PolyMatrix, cap=None) -> list:
     """The coefficients c_0, ..., c_n of det(lam A + B) = sum_k c_k lam^k,
-    for n x n matrices over Poly or Jet.  The determinant is multilinear in
-    its rows, so c_k is the sum over the k-sets S of rows of the
-    determinant with row i from A for i in S and from B otherwise: a minor
-    of the 2n x n matrix of rows A_0, B_0, A_1, B_1, ..., on increasing
-    rows, so all 2^n of them come from one ``minors`` table."""
+    for n x n Poly matrices, cut at ``cap`` as ``minors`` cuts them.  The
+    determinant is multilinear in its rows, so c_k is the sum over the
+    k-sets S of rows of the determinant with row i from A for i in S and
+    from B otherwise: a minor of the 2n x n matrix of rows A_0, B_0, A_1,
+    B_1, ..., on increasing rows, so all 2^n of them come from one
+    ``minors`` table."""
     n = A.rows
-    table = minors(PolyMatrix([row for pair in zip(A.entries, B.entries) for row in pair]))
+    table = minors(PolyMatrix([row for pair in zip(A.entries, B.entries) for row in pair]), cap)
     cols = range(n)
     return [reduce(operator.add, [table([2 * i + (i not in S) for i in range(n)], cols)
                                   for S in combinations(range(n), k)])
@@ -279,9 +280,9 @@ def build_staircase(n: int) -> StaircaseSystem:
 
 
 def exp_jets(n: int, order: int):
-    """Jets X and Y of the two exponential factors: the upper one carries
-    half the diagonal of u, the lower one minus the other half, so their
-    difference of logarithms is u."""
+    """The two exponential factors X and Y, cut at ``order`` by
+    ``truncated_exp``: the upper one carries half the diagonal of u, the
+    lower one minus the other half, so their difference of logarithms is u."""
     u = u_poly_matrix(n).entries
     zero = u[0][0] * 0
     half = QQ(1, 2)
@@ -310,8 +311,8 @@ def lows_order(n: int) -> int:
 
 def lows_via_jets(s: StaircaseSystem) -> JetLows:
     """Exact lowest terms of the restricted system in the difference-of-
-    logarithms coordinates: the phi's and cbar's as minors of the jet
-    staircase and the jet pencil of ``exp_jets``, read at the jet order
+    logarithms coordinates: the phi's and cbar's as minors of the staircase
+    and the pencil of ``exp_jets``, capped and read at the jet order
     ``lows_order(n)``."""
     return _jet_lows_at(s, lows_order(s.n))
 
@@ -322,9 +323,9 @@ def _jet_lows_at(s: StaircaseSystem, D: int) -> JetLows:
     n = s.n
     X, Y = exp_jets(n, D)
     lead = range((n - 1) ** 2)
-    phis = trailing_minors(full_staircase_matrix(X, Y).submatrix(lead, lead))
-    cbars = pencil_coefficients(Y, X + Y.map(operator.neg))[:n]
-    lows = [jet_lowest_term(j) for j in phis + cbars]
+    phis = trailing_minors(full_staircase_matrix(X, Y).submatrix(lead, lead), D)
+    cbars = pencil_coefficients(Y, X + Y.map(operator.neg), D)[:n]
+    lows = [lowest_term(f, D) for f in phis + cbars]
     k = len(phis)
     return JetLows(n, D, X[0, 0].vars, lows[:k], lows[k:])
 

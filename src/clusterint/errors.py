@@ -20,8 +20,8 @@ class EvaluationSingular(ClusterIntError):
 
 
 class BadTruncation(ClusterIntError):
-    """Truncation order below the minimum, or jets of different orders
-    combined."""
+    """A truncation order or degree cap below the minimum, or jets of
+    different orders multiplied."""
 
 
 class NotDivisible(ClusterIntError):
@@ -52,7 +52,7 @@ class NotPoisson(ClusterIntError):
 
 class NotVanishing(ClusterIntError):
     """The structure does not vanish at the requested base point, or an
-    entry of a matrix exponentiated as a jet has a constant term."""
+    entry of a matrix given a truncated exponential has a constant term."""
 
 
 class NotRegular(ClusterIntError):
@@ -109,7 +109,7 @@ class StructureViolated(ClusterIntError):
 
 
 class TruncationInsufficient(ClusterIntError):
-    """Jet order hit the family's cap before the lowest term stabilized."""
+    """A lowest term lies above the order a truncation is exact through."""
 
 
 class SizeOutOfRange(ClusterIntError):

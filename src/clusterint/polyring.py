@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial, rational-function and jet arithmetic.
+"""Exact sparse multivariate polynomial and rational-function arithmetic.
 
 There is no floating point anywhere.  A Poly stores its rational
 coefficients as nonzero int numerators ``terms`` over one int denominator
@@ -12,10 +12,14 @@ edges (``Poly(vars, terms)``, which takes rational coefficients,
 ``sorted_terms``, ``evaluate``, ``gradient``, the gcd helpers, ...), and an
 exponent that would reach 2^15 raises SizeOutOfRange.  The kernel loops run
 on ints (Monagan and Pearce, "Sparse polynomial multiplication and division
-in Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly, Jet
-(whose products pass a degree cap, so each term meets only the terms of the
-other factor that keep the product within it) and ``dot``, which adds
-products into one dict and is each entry of a matrix product.  Division
+in Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly
+products and ``dot``, which adds products into one dict and is each entry
+of a matrix product.  A truncation is a Poly and a degree cap, not a type
+of its own: ``dot``, ``minors`` and ``det`` take a ``cap`` and keep only
+the terms of total degree <= cap (each term of one factor meets only the
+terms of the other that keep the product within it), ``truncated_exp``
+cuts its entries at its order, and ``lowest_term`` with an ``order`` reads
+the lowest term of a function known through that order.  Division
 runs on the primitive integer part of the divisor, with the remainder in
 one dict and its leading terms taken from a heap of keys (Johnson 1974;
 Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
@@ -23,7 +27,7 @@ A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
 come from one memoized table (``minors``), a Laplace expansion along first
 rows keyed by row and column bit masks, so that every minor read from it
-reuses the sub-minors met before, for Poly and Jet alike.  It is the one
+reuses the sub-minors met before, capped or not.  It is the one
 determinant algorithm: ``det`` is the full minor of a fresh table,
 ``adjugate`` reads the cofactors and the determinant from one, and
 ``inverse`` is the adjugate of a Poly matrix over its constant determinant.
@@ -320,7 +324,7 @@ class Poly:
         return Poly.const(self.vars, other)
 
     def __add__(self, other):
-        if isinstance(other, (RatFun, Jet)):
+        if isinstance(other, RatFun):
             return NotImplemented
         other = self._coerce(other)
         den, b = self.den, other.terms
@@ -350,7 +354,7 @@ class Poly:
         return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (RatFun, Jet)):
+        if isinstance(other, RatFun):
             return NotImplemented
         return self + (-self._coerce(other))
 
@@ -358,7 +362,7 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (RatFun, Jet)):
+        if isinstance(other, RatFun):
             return NotImplemented
         if not isinstance(other, Poly):
             if not isinstance(other, int):
@@ -376,8 +380,6 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
         if isinstance(other, RatFun):
             return RatFun.from_poly(self) / other
         return RatFun(self, self._coerce(other))
@@ -430,6 +432,14 @@ class Poly:
         shift = self.vars.pk.shift
         return Poly._trusted(
             self.vars, {k: c for k, c in self.terms.items() if k >> shift == d}, self.den)
+
+    def truncate(self, cap: int) -> "Poly":
+        """The terms of total degree <= cap: self when that is every term."""
+        top = (cap + 1) << self.vars.pk.shift
+        if max(self.terms, default=0) < top:
+            return self
+        return Poly._trusted(
+            self.vars, {k: c for k, c in self.terms.items() if k < top}, self.den)
 
     def degree_in(self, name) -> int:
         i = self.vars.index[name]
@@ -584,7 +594,10 @@ class Poly:
 def dot(vars: VarSet, pairs, cap=None) -> Poly:
     """sum p * q over Poly pairs (p, q), skipping zero factors: every
     product added into one dict over one common denominator; with ``cap``,
-    only the terms of total degree <= cap."""
+    only the terms of total degree <= cap, which raises BadTruncation when
+    negative."""
+    if cap is not None and cap < 0:
+        raise BadTruncation(f"a degree cap must be >= 0, got {cap}")
     pairs = [(p, q) for p, q in pairs if p.terms and q.terms]
     den = lcm(*[p.den * q.den for p, q in pairs])
     out = {}
@@ -1051,13 +1064,23 @@ def num_den(h):
 # -- lowest degree terms ---------------------------------------------------------
 
 
-def lowest_term(f):
+def lowest_term(f, order=None):
     """Lowest degree term at the origin and its degree.
 
     Poly -> (Poly, int); RatFun -> (RatFun, int) with the quotient of the
     numerator and denominator lowest terms (presentation independent).
+
+    With ``order``, f is a Poly exact through total degree ``order``, as
+    ``truncated_exp``, capped ``minors`` and capped ``dot`` give it: the
+    exponential drops only powers X^k with k > order, whose terms have
+    degree > order, and capped products and sums of Polys exact through the
+    order stay exact through it.  So a term of f of degree d <= order is the
+    function's own lowest term; when f has none, the lowest term lies above
+    the order and TruncationInsufficient is raised.
     """
     if isinstance(f, Poly):
+        if order is not None and (f.is_zero() or f.min_degree() > order):
+            raise TruncationInsufficient(f"no term through jet order {order}")
         if f.is_zero():
             raise ZeroInput("lowest term of the zero polynomial")
         low = f.lowest()
@@ -1083,96 +1106,24 @@ def _sign_canonical(p: Poly) -> Poly:
 
 
 class Jet:
-    """A polynomial truncated at total degree ``order``; products drop
-    everything above the order.  The constructor drops the terms of its Poly
-    above the order; sums, negations, scalar multiples and capped products
-    of Jets already lie within it and are wrapped by ``Jet._trusted``."""
+    """A Poly cut at total degree ``order``, and the capped product of two
+    of one order, one ``dot``.  No module of the package builds one: a
+    truncation is a Poly and a cap argument.  The class stays only because
+    the benchmark's layer tracer (``bench/layertrace.py``) reads ``Jet`` and
+    wraps its ``__mul__`` by name."""
 
     __slots__ = ("poly", "order")
 
     def __init__(self, poly: Poly, order: int):
-        if order < 0:
-            raise BadTruncation("jet order must be >= 0")
         self.order = order
-        top = (order + 1) << poly.vars.pk.shift
-        self.poly = Poly._trusted(
-            poly.vars, {k: c for k, c in poly.terms.items() if k < top}, poly.den)
+        self.poly = poly.truncate(order)
 
-    @classmethod
-    def _trusted(cls, poly: Poly, order: int) -> "Jet":
-        """A Jet over ``poly`` as given: the caller guarantees that no term
-        of ``poly`` lies above the order."""
-        j = cls.__new__(cls)
-        j.order = order
-        j.poly = poly
-        return j
-
-    @staticmethod
-    def const(vars: VarSet, c, order: int) -> "Jet":
-        return Jet(Poly.const(vars, c), order)
-
-    @property
-    def vars(self):
-        return self.poly.vars
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise BadTruncation("jet orders differ")
-            return other
-        if isinstance(other, Poly):
-            return Jet(other, self.order)
-        return Jet.const(self.vars, other, self.order)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Jet._trusted(self.poly + other.poly, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet._trusted(-self.poly, self.order)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, (Jet, Poly)):
-            return Jet._trusted(self.poly * other, self.order)
-        other = self._coerce(other).poly
-        if other.vars != self.vars:
+    def __mul__(self, other: "Jet") -> "Jet":
+        if other.order != self.order:
+            raise BadTruncation("jet orders differ")
+        if other.poly.vars != self.poly.vars:
             raise MixedVariables("mixed variable sets")
-        return Jet._trusted(dot(self.vars, [(self.poly, other)], self.order), self.order)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, Jet):
-            return self.order == other.order and self.poly == other.poly
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Jet({self.poly}, order={self.order})"
-
-
-def jet_lowest_term(j: Jet):
-    """(lowest term, its degree) of the function a jet truncates.  A jet is
-    exact through total degree ``order``: ``truncated_exp`` drops only the
-    powers X^k with k > order, whose terms have degree > order, and capped
-    products, sums and scalar multiples of jets exact through the order stay
-    exact through it.  A Jet holds no term above its order, so the lowest
-    term of a nonzero jet, of degree d <= order, is the function's own; a
-    zero jet leaves it above the order and raises TruncationInsufficient."""
-    if j.is_zero():
-        raise TruncationInsufficient(f"no term through jet order {j.order}")
-    low = j.poly.lowest()
-    return low, low.min_degree()
+        return Jet(dot(self.poly.vars, [(self.poly, other.poly)], self.order), self.order)
 
 
 # -- matrices -------------------------------------------------------------------
@@ -1188,9 +1139,8 @@ def _refuse_other_entries(rows, kinds, what):
 
 class PolyMatrix:
     """A rectangular grid of ring elements over one VarSet: Polys for
-    products; Polys or Jets for ``minors`` and what is read from them
-    (``det``, ``adjugate``, and for Polys ``inverse``); Polys for
-    ``numeric_pivots``."""
+    products, for ``minors`` and what is read from them (``det``,
+    ``adjugate``, ``inverse``) and for ``numeric_pivots``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -1295,28 +1245,26 @@ def _packed_minor(rows, rmask, cmask, memo, cap, pk, check):
     return out
 
 
-def minors(m: PolyMatrix):
-    """The minors of ``m``, a matrix of Polys or of Jets of one order, as a
-    function of (rows, cols), two collections of 0-based indices of one
-    size, each read in increasing order (the empty minor is 1), all from
-    one table of minors on the stored keys (``_packed_minor``); a Poly
-    entry among Jets is read as a Jet of their order.  A RatFun entry raises
-    NotDivisible (a RatFun Jacobian is cleared to Polys by ``jacobian``),
-    and any other entry TypeError.  Each row is cleared to the lcm of its
-    denominators.  No minor has a degree above the sum over the rows of
-    their top degrees, so the exponents of the minors are checked only
-    when that sum, and the cap, reach an exponent's range."""
+def minors(m: PolyMatrix, cap=None):
+    """The minors of ``m``, a matrix of Polys, as a function of (rows,
+    cols), two collections of 0-based indices of one size, each read in
+    increasing order (the empty minor is 1), all from one table of minors
+    on the stored keys (``_packed_minor``).  With ``cap``, each entry is cut
+    to its terms of total degree <= cap and so is every minor; a negative
+    cap raises BadTruncation.  A RatFun entry raises NotDivisible (a RatFun
+    Jacobian is cleared to Polys by ``jacobian``), and any other entry
+    TypeError.  Each row is cleared to the lcm of its denominators.  No
+    minor has a degree above the sum over the rows of their top degrees, so
+    the exponents of the minors are checked only when that sum, and the
+    cap, reach an exponent's range."""
     if not m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} minor")
+    if cap is not None and cap < 0:
+        raise BadTruncation(f"a degree cap must be >= 0, got {cap}")
     if any(isinstance(x, RatFun) for row in m.entries for x in row):
-        raise NotDivisible("minors take Poly or Jet entries, not RatFuns")
-    _refuse_other_entries(m.entries, (Poly, Jet), "minors")
-    orders = {x.order for row in m.entries for x in row if isinstance(x, Jet)}
-    if len(orders) > 1:
-        raise BadTruncation("jet orders differ")
-    cap = orders.pop() if orders else None
-    polys = [[x.poly if isinstance(x, Jet) else x if cap is None else Jet(x, cap).poly
-              for x in row] for row in m.entries]
+        raise NotDivisible("minors take Poly entries, not RatFuns")
+    _refuse_other_entries(m.entries, (Poly,), "minors")
+    polys = m.entries if cap is None else [[p.truncate(cap) for p in row] for row in m.entries]
     vars = polys[0][0].vars
     if any(p.vars is not vars and p.vars != vars for row in polys for p in row):
         raise MixedVariables("mixed variable sets")
@@ -1333,27 +1281,27 @@ def minors(m: PolyMatrix):
             raise NonSquare(f"{len(rs)}x{len(cs)} minor")
         keys, coefs = _packed_minor(rows, sum(1 << i for i in rs), sum(1 << j for j in cs),
                                     memo, cap, pk, check)
-        p = Poly._trusted(vars, dict(zip(keys, coefs)), prod(dens[i] for i in rs))
-        return p if cap is None else Jet._trusted(p, cap)
+        return Poly._trusted(vars, dict(zip(keys, coefs)), prod(dens[i] for i in rs))
 
     return minor
 
 
-def det(m: PolyMatrix):
-    """Exact determinant of a Poly or Jet matrix: the full minor of a fresh
-    ``minors`` table of its rows sorted by ascending term count, which
-    expands the sparsest rows first, times the sign of that permutation."""
+def det(m: PolyMatrix, cap=None):
+    """Exact determinant of a Poly matrix, or with ``cap`` its terms of total
+    degree <= cap, from entries cut as ``minors`` cuts them: the full minor
+    of a fresh ``minors`` table of its rows sorted by ascending term count,
+    which expands the sparsest rows first, times the sign of that
+    permutation."""
     if not m.is_square():
         raise NonSquare(f"{m.rows}x{m.cols} matrix")
     order = sorted(range(m.rows), key=lambda i: sum(
-        len(x.poly.terms if isinstance(x, Jet) else getattr(x, "terms", ()))
-        for x in m.entries[i]))
-    d = minors(PolyMatrix([m.entries[i] for i in order]))(range(m.rows), range(m.cols))
+        len(getattr(x, "terms", ())) for x in m.entries[i]))
+    d = minors(PolyMatrix([m.entries[i] for i in order]), cap)(range(m.rows), range(m.cols))
     return -d if prod(-1 for i, j in combinations(order, 2) if i > j) < 0 else d
 
 
 def adjugate(m: PolyMatrix):
-    """(adj(m), det(m)) of a square Poly or Jet matrix, all read from one
+    """(adj(m), det(m)) of a square Poly matrix, all read from one
     ``minors`` table: adj(m)[i][j] is (-1)^(i+j) times the minor of m
     without row j and column i."""
     if not m.is_square():
@@ -1372,8 +1320,6 @@ def inverse(m: PolyMatrix) -> PolyMatrix:
     """Inverse of a square Poly matrix of constant determinant, its
     adjugate over the determinant (``adjugate``); raises SingularLocus when
     the determinant is zero and NotDivisible when it is not a constant."""
-    if any(isinstance(x, Jet) for row in m.entries for x in row):
-        raise TypeError("inverse takes Poly entries, not Jets")
     adj, d = adjugate(m)
     if d.is_zero():
         raise SingularLocus("matrix is singular")
@@ -1471,11 +1417,11 @@ def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
 
 def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:
     """Matrix exponential sum_{k<=order} x^k/k! of a Poly matrix, exact
-    through total degree ``order``; entries of x must vanish at the origin.
-    The sum is taken over Polys and each entry cut to a Jet once at the
-    end: a Jet is the truncation of its Poly, so no product of Jets is
-    needed, and for linear entries, as in every caller, no power passes
-    the order before the cut."""
+    through total degree ``order``, as Polys cut at the order; entries of x
+    must vanish at the origin.  The sum is taken over uncut Polys and each
+    entry cut once at the end, so no capped product is needed, and for
+    linear entries, as in every caller, no power passes the order before
+    the cut."""
     if order < 1:
         raise BadTruncation("jet order must be >= 1")
     if not x.is_square():
@@ -1488,4 +1434,4 @@ def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:
     for k in range(1, order + 1):
         term = (term * x).map(lambda p: p * QQ(1, k))
         result = result + term
-    return result.map(lambda p: Jet(p, order))
+    return result.map(lambda p: p.truncate(order))

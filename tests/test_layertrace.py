@@ -1,8 +1,9 @@
 """The benchmark's layer tracer (``bench/layertrace.py``) on the package as
 the benchmark loads it: a traced run certifies the same systems as an
-untraced one, the traced layers are called, and ``uninstall`` puts every
-original back.  A rename in ``src`` that the tracer does not follow fails
-here rather than in a traced benchmark run."""
+untraced one, the traced layers are called, the jet orders read by the
+tracer's hooks are the families' closed-form orders, and ``uninstall`` puts
+every original back.  A rename in ``src`` that the tracer does not follow
+fails here rather than in a traced benchmark run."""
 
 import sys
 from pathlib import Path
@@ -33,7 +34,10 @@ def test_traced_run_matches_untraced_and_uninstalls():
         tracer.uninstall()
     assert untraced == [golden()["bfz-n2"], golden()["dualgl-n2"]]
     assert traced == untraced
-    assert tracer.metrics()["polyring.truncated_exp.calls"] > 0
+    metrics = tracer.metrics()
+    assert metrics["polyring.truncated_exp.calls"] > 0
+    assert metrics["bfz.jet_order"] == cl.bfz.gexp_order(2) == 3
+    assert metrics["dualgl.jet_order"] == cl.dualgl.lows_order(2) == 2
     assert cl.polyring.truncated_exp is texp
     assert cl.bfz.truncated_exp is texp and cl.dualgl.truncated_exp is texp
     assert vars(cl.polyring.Jet)["__mul__"] is jet_mul

@@ -46,7 +46,6 @@ from clusterint.errors import (
 )
 from clusterint.poisson_core import PoissonStructure, is_log_canonical, log_volume
 from clusterint.polyring import (
-    Jet,
     Poly,
     PolyMatrix,
     RatFun,
@@ -57,7 +56,7 @@ from clusterint.polyring import (
     dot,
     gradient,
     jacobian,
-    jet_lowest_term,
+    lowest_term,
     minors,
     parse_poly,
     poly_gcd,
@@ -199,8 +198,6 @@ def test_wide_products_are_the_rational_loop(f, g, h, cap):
         X3, rational_mul_terms(rational_terms(h), rational_terms(g), cap))
     if cap is None:
         assert f * g == expect
-    elif cap < 2**15:
-        assert (Jet(f, cap) * Jet(g, cap)).poly == expect
 
 
 # sympy's sparse ring in graded-lex order: its dense ``sympy.Poly`` would
@@ -278,24 +275,25 @@ def sympy_det(rows):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_every_minor_of_one_table_agrees_with_sympy(n):
     # larger minors first, so that smaller ones are read back from entries
-    # their expansions left in the table; D cuts the degree-6 entry products
+    # their expansions left in the table; the cap D cuts the degree-6 entry
+    # products
     D = 4
     rng = random.Random(100 + n)
     for _ in range(3):
         rows = random_matrix(rng, n)
         table = minors(PolyMatrix(rows))
-        jet_table = minors(PolyMatrix([[Jet(p, D) for p in row] for row in rows]))
+        capped = minors(PolyMatrix(rows), D)
         for k in range(n, 0, -1):
             for r in combinations(range(n), k):
                 for c in combinations(range(n), k):
                     got = table(r, c)
                     assert to_sympy(got) == sympy_det([[rows[i][j] for j in c] for i in r])
-                    assert jet_table(r, c) == Jet(got, D)
+                    assert capped(r, c) == got.truncate(D)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_adjugate_agrees_with_sympy(n):
-    # D cuts the degree-6 entry products of the cofactors
+    # the cap D cuts the degree-6 entry products of the cofactors
     D = 4
     rng = random.Random(400 + n)
     for _ in range(3):
@@ -306,9 +304,12 @@ def test_adjugate_agrees_with_sympy(n):
         assert [[to_sympy(x) for x in row] for row in adj.entries] == [
             [sympy.Poly(x, *GENS, domain="QQ") for x in expected.row(i)] for i in range(n)]
         assert to_sympy(d) == sympy_det(rows)
-        jet_adj, jet_d = adjugate(PolyMatrix([[Jet(p, D) for p in row] for row in rows]))
-        assert jet_adj.entries == [[Jet(x, D) for x in row] for row in adj.entries]
-        assert jet_d == Jet(d, D)
+        # the capped adjugate: cofactors from a capped table, and a capped det
+        capped = minors(PolyMatrix(rows), D)
+        rest = [[t for t in range(n) if t != i] for i in range(n)]
+        assert [[capped(rest[j], rest[i]) * (-1) ** (i + j) for j in range(n)]
+                for i in range(n)] == [[x.truncate(D) for x in row] for row in adj.entries]
+        assert det(PolyMatrix(rows), D) == d.truncate(D)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -337,9 +338,9 @@ def test_truncated_exp_agrees_with_sympy():
     got = polyring.truncated_exp(PolyMatrix(rows), D)
     for i in range(3):
         for j in range(3):
-            assert got[i, j].order == D
-            assert to_sympy(got[i, j].poly) == sympy.Poly(expected[i, j].expand(), *GENS,
-                                                          domain="QQ")
+            assert got[i, j].total_degree() <= D
+            assert to_sympy(got[i, j]) == sympy.Poly(expected[i, j].expand(), *GENS,
+                                                     domain="QQ")
 
 
 def edge_matrix(case):
@@ -371,19 +372,18 @@ def test_packed_minors_table_edge_cases(case):
     # the two-byte rows; every minor is read in each table
     rows = edge_matrix(case)
     table = minors(PolyMatrix(rows))
-    jet_tables = {D: minors(PolyMatrix([[Jet(p, D) for p in row] for row in rows]))
-                  for D in (1, 3, 250)}
-    # a Poly entry among Jets is read as a Jet of their order
-    mixed = minors(PolyMatrix([[Jet(p, 3) if (i + j) % 2 else p for j, p in enumerate(row)]
-                               for i, row in enumerate(rows)]))
+    capped_tables = {D: minors(PolyMatrix(rows), D) for D in (1, 3, 250)}
+    # entries already cut at the cap among uncut ones
+    mixed = minors(PolyMatrix([[p.truncate(3) if (i + j) % 2 else p for j, p in enumerate(row)]
+                               for i, row in enumerate(rows)]), 3)
     for k in range(3, 0, -1):
         for r in combinations(range(3), k):
             for c in combinations(range(3), k):
                 got = table(r, c)
                 assert to_sympy(got) == sympy_det([[rows[i][j] for j in c] for i in r])
-                for D, jet_table in jet_tables.items():
-                    assert jet_table(r, c) == Jet(got, D)
-                assert mixed(r, c) == Jet(got, 3)
+                for D, capped in capped_tables.items():
+                    assert capped(r, c) == got.truncate(D)
+                assert mixed(r, c) == got.truncate(3)
     if case in ("zero row", "all zero"):
         assert det(PolyMatrix(rows)).is_zero()
 
@@ -402,9 +402,8 @@ def test_pencil_coefficients_agree_with_sympy(n):
     for k, c in enumerate(got):
         coeff = {e[1:]: v for e, v in expected.as_dict().items() if e[0] == k}
         assert to_sympy(c) == sympy.Poly.from_dict(coeff, *GENS, domain="QQ")
-    jets = pencil_coefficients(*(PolyMatrix([[Jet(p, D) for p in row] for row in m])
-                                 for m in (A, B)))
-    assert jets == [Jet(c, D) for c in got]
+    capped = pencil_coefficients(PolyMatrix(A), PolyMatrix(B), D)
+    assert capped == [c.truncate(D) for c in got]
 
 
 @given(polys(), st.lists(st.builds(QQ, st.integers(-9, 9), st.integers(1, 4)),
@@ -426,9 +425,10 @@ def test_jet_product_is_the_truncated_product(f, g, data):
     D = data.draw(st.sampled_from(degrees))
     cut = sympy.Poly.from_dict(
         {e: c for e, c in product.items() if sum(e) <= D}, *GENS, domain="QQ")
-    assert to_sympy((Jet(f, D) * Jet(g, D)).poly) == cut
-    assert to_sympy((Jet(f, D) * g).poly) == cut
-    assert to_sympy((g * Jet(f, D)).poly) == cut
+    # a jet product is a capped product, of cut or uncut factors
+    assert to_sympy(dot(X3, [(f, g)], D)) == cut
+    assert to_sympy(dot(X3, [(g, f)], D)) == cut
+    assert to_sympy(dot(X3, [(f.truncate(D), g)], D)) == cut
 
 
 def rational_mul_terms(a: dict, b: dict, cap=None) -> dict:
@@ -486,9 +486,9 @@ def test_mul_terms_is_the_rational_loop(f, g, c, cap):
 @given(polys(), polys(), st.sampled_from([0, 1, 2, 3, 5]))
 def test_products_are_the_rational_loop(f, g, cap):
     # the kernel's accumulating form leaves a plain product as it was: Poly
-    # and capped Jet products equal the loop on rationals
+    # and capped products equal the loop on rationals
     assert f * g == Poly(X3, rational_mul_terms(rational_terms(f), rational_terms(g)))
-    assert (Jet(f, cap) * Jet(g, cap)).poly == Poly(
+    assert dot(X3, [(f, g)], cap) == Poly(
         X3, rational_mul_terms(rational_terms(f), rational_terms(g), cap))
 
 
@@ -518,10 +518,10 @@ def assert_canonical_poly(p: Poly):
 
 @given(polys(), nonzero, coefficients, st.integers(0, 6))
 def test_results_are_in_canonical_form(f, g, c, order):
-    jf, jg = Jet(f, order), Jet(g, order)
     results = [f + g, f - g, -f, f * g, f * c, c * f, f * (g * c), (f * g).exact_div(g),
-               f.exact_div(Poly.const(X3, c)), *gradient(g, X3)[0], (jf * jg).poly, (jf * g).poly,
-               (jf * c).poly, (jf + jg).poly, jf.poly]
+               f.exact_div(Poly.const(X3, c)), *gradient(g, X3)[0], dot(X3, [(f, g)], order),
+               dot(X3, [(f, g), (g * c, f)], order), (f * c).truncate(order),
+               (f + g).truncate(order)]
     for p in results:
         assert_canonical_poly(p)
     # equal polynomials reached two ways have one pair and one hash
@@ -531,30 +531,33 @@ def test_results_are_in_canonical_form(f, g, c, order):
 
 @given(polys(), polys(), st.integers(0, 6))
 def test_jet_results_stay_within_the_order(f, g, order):
-    a, b = Jet(f, order), Jet(g, order)
+    # each entry point that takes a cap gives the uncapped result cut there
+    m = PolyMatrix([[f, g], [g * QQ(3, 2), f + g]])
     results = {
-        "sum": (a + b, f + g), "difference": (a - b, f - g), "negation": (-a, -f),
-        "product": (a * b, f * g), "jet times poly": (a * g, f * g),
-        "poly times jet": (g * a, f * g), "scalar multiple": (a * QQ(3, 2), f * QQ(3, 2)),
-        "poly plus jet": (g + a, f + g),
+        "cut": (f.truncate(order), f), "product": (dot(X3, [(f, g)], order), f * g),
+        "dot": (dot(X3, [(f, g), (g, g - f)], order), f * g + g * (g - f)),
+        "minor": (minors(m, order)([1], [0]), g * QQ(3, 2)),
+        "determinant": (det(m, order), det(m)),
     }
-    for name, (jet, poly) in results.items():
-        assert jet.order == order, name
-        assert all(sum(e) <= order for e, _ in jet.poly.sorted_terms()), name
-        assert jet == Jet(poly, order), name
+    for name, (capped, full) in results.items():
+        assert all(sum(e) <= order for e, _ in capped.sorted_terms()), name
+        assert capped == full.truncate(order), name
 
 
 @given(polys())
-def test_jet_lowest_term_is_exact_through_the_order(f):
-    # the lowest homogeneous part of f, from sympy's terms
+def test_lowest_term_is_exact_through_the_order(f):
+    # the lowest homogeneous part of f, from sympy's terms; the order only
+    # bounds where it is looked for, so f and its cut give one answer
     terms = to_sympy(f).as_dict()
     d = min(map(sum, terms), default=None)
     for order in range(10):
         if d is None or d > order:
-            with pytest.raises(TruncationInsufficient):
-                jet_lowest_term(Jet(f, order))
+            for p in (f, f.truncate(order)):
+                with pytest.raises(TruncationInsufficient):
+                    lowest_term(p, order)
         else:
-            got = jet_lowest_term(Jet(f, order))
+            got = lowest_term(f.truncate(order), order)
+            assert lowest_term(f, order) == got
             low = {e: c for e, c in terms.items() if sum(e) == d}
             assert (to_sympy(got[0]).as_dict(), got[1]) == (low, d)
             assert got == (f.lowest(), f.min_degree())
@@ -587,7 +590,7 @@ def test_dualgl_jet_order_is_the_closed_form_degree(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_lows_at_the_closed_form_order_are_final(n):
     std = standard_double_word(n)
-    bfz = [[jet_lowest_term(f) for f in _build_at_order(n, std, d).modified_functions()]
+    bfz = [[lowest_term(f, d) for f in _build_at_order(n, std, d).modified_functions()]
            for d in (gexp_order(n), gexp_order(n) + 1)]
     assert bfz[0] == bfz[1]
     s = build_staircase(n)
@@ -613,7 +616,7 @@ def test_every_double_word_reads_at_the_closed_form_order(n):
     words = _longest_words(n + 1)
     pairs = [DoubleWord(a, b) for a in words for b in words]
     for dword in random.Random(n).sample(pairs, {2: 4, 3: 20}[n]):
-        lows = [[jet_lowest_term(f) for f in _build_at_order(n, dword, d).modified_functions()]
+        lows = [[lowest_term(f, d) for f in _build_at_order(n, dword, d).modified_functions()]
                 for d in (gexp_order(n), gexp_order(n) + 1)]
         assert lows[0] == lows[1], dword
 

@@ -27,10 +27,10 @@ from clusterint.polyring import (
     _heu_gcd,
     adjugate,
     det,
+    dot,
     gradient,
     inverse,
     jacobian,
-    jet_lowest_term,
     lowest_term,
     minors,
     numeric_pivots,
@@ -67,6 +67,14 @@ class TestLowestTerm:
     def test_zero_input(self):
         with pytest.raises(ZeroInput):
             lowest_term(Poly.zero(Z6))
+
+    def test_no_term_through_the_order_raises(self):
+        # every term of z1^3 + z2^4 lies above order 2, as does every term
+        # of the zero truncation
+        for f in (p6("z1^3 + z2^4"), Poly.zero(Z6)):
+            with pytest.raises(TruncationInsufficient, match="jet order 2"):
+                lowest_term(f, 2)
+        assert lowest_term(p6("z1^3 + z2^2"), 2) == (p6("z2^2"), 2)
 
     def test_multiplicative(self, rng):
         for _ in range(30):
@@ -118,24 +126,26 @@ class TestDet:
         with pytest.raises(MixedVariables):
             det(m)
 
-    def test_jets_of_two_orders_are_refused(self):
-        m = PolyMatrix([[Jet(p6("z1"), 2), Jet(p6("z2"), 3)],
-                        [Jet(p6("1"), 2), Jet(p6("z3"), 2)]])
-        with pytest.raises(BadTruncation):
-            minors(m)
-        with pytest.raises(BadTruncation):
-            det(m)
+    def test_a_negative_cap_is_refused(self):
+        m = PolyMatrix([[p6("z1 + 1"), p6("z2")], [p6("1"), p6("z3 + 2")]])
+        for fn in (minors, det):
+            with pytest.raises(BadTruncation, match="cap must be >= 0"):
+                fn(m, -1)
+        with pytest.raises(BadTruncation, match="cap must be >= 0"):
+            dot(Z6, [(p6("z1"), p6("z2"))], -1)
+        # cap 0 keeps the constant terms of the entries, and of det(m)
+        assert det(m, 0) == det(m).truncate(0) == Poly.const(Z6, 2)
 
     def test_leaves_no_cyclic_garbage(self):
         # the memo of minors is freed as soon as det returns
         vs = VarSet(["a", "b", "c"])
         letters = ["a", "b", "c", "a + b", "b - c"]
         m = PolyMatrix(
-            [[Jet(parse_poly(letters[(i * j) % 5], vs) + i - j, 3) for j in range(5)]
+            [[parse_poly(letters[(i * j) % 5], vs) + i - j for j in range(5)]
              for i in range(5)]
         )
         gc.collect()
-        det(m)
+        det(m, 3)
         assert gc.collect() == 0
 
     @pytest.mark.parametrize("rows", [
@@ -167,7 +177,7 @@ class TestInverse:
             inverse(PolyMatrix([[p6("1"), p6("2")]]))
 
     def test_jet_matrix_is_refused(self):
-        with pytest.raises(TypeError, match="not Jets"):
+        with pytest.raises(TypeError, match="not Jet"):
             inverse(PolyMatrix.identity(Z6, 2).map(lambda p: Jet(p, 2)))
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -278,14 +288,14 @@ class TestTruncatedExp:
     def test_zero(self):
         x = PolyMatrix([[Poly.zero(Z6)] * 2 for _ in range(2)])
         e = truncated_exp(x, 3)
-        assert e.entries[0][0].poly == Poly.const(Z6, 1)
-        assert e.entries[0][1].poly.is_zero()
+        assert e.entries[0][0] == Poly.const(Z6, 1)
+        assert e.entries[0][1].is_zero()
 
     def test_nilpotent(self):
         x = PolyMatrix([[Poly.zero(Z6), p6("z1")], [Poly.zero(Z6), Poly.zero(Z6)]])
         e = truncated_exp(x, 3)
-        assert e.entries[0][1].poly == p6("z1")
-        assert e.entries[1][0].poly.is_zero()
+        assert e.entries[0][1] == p6("z1")
+        assert e.entries[1][0].is_zero()
 
     def test_diagonal(self):
         vs = VarSet(["u11", "u22"])
@@ -296,8 +306,8 @@ class TestTruncatedExp:
             ]
         )
         e = truncated_exp(x, 2)
-        assert e.entries[0][0].poly == parse_poly("1/2*u11^2 + u11 + 1", vs)
-        assert e.entries[1][1].poly == parse_poly("1/2*u22^2 + u22 + 1", vs)
+        assert e.entries[0][0] == parse_poly("1/2*u11^2 + u11 + 1", vs)
+        assert e.entries[1][1] == parse_poly("1/2*u22^2 + u22 + 1", vs)
 
     def test_exp_times_exp_minus(self, rng):
         vs = VarSet(["a", "b", "c"])
@@ -311,12 +321,12 @@ class TestTruncatedExp:
         D = 4
         e = truncated_exp(x, D)
         em = truncated_exp(x.map(lambda p: -p), D)
-        # products take Polys: multiply the jets' Polys and cut at the order
-        prod = e.map(lambda j: j.poly) * em.map(lambda j: j.poly)
+        # the product of the cut exponentials, cut at the order
+        prod = e * em
         for i in range(3):
             for j in range(3):
                 expect = QQ(1) if i == j else QQ(0)
-                assert Jet(prod.entries[i][j], D).poly == Poly.const(vs, expect)
+                assert prod.entries[i][j].truncate(D) == Poly.const(vs, expect)
 
     def test_bad_truncation(self):
         x = PolyMatrix([[Poly.zero(Z6)]])
@@ -493,7 +503,8 @@ class TestRatFunArithmetic:
 
 class TestJet:
     def test_truncating_product(self):
-        j = Jet(p6("z1 + z2"), 2)
+        j = Jet(p6("z1 + z2 + z3^3"), 2)
+        assert j.poly == p6("z1 + z2")
         sq = j * j
         assert sq.poly == p6("z1^2 + 2*z1*z2 + z2^2")
         cube = sq * j
@@ -506,12 +517,7 @@ class TestJet:
 
     def test_orders_differ(self):
         with pytest.raises(BadTruncation, match="jet orders differ"):
-            Jet(p6("z1"), 2) + Jet(p6("z2"), 3)
-
-    def test_lowest_term_above_the_order_raises(self):
-        # every term of z1^3 + z2^4 lies above order 2, so the jet is zero
-        with pytest.raises(TruncationInsufficient, match="jet order 2"):
-            jet_lowest_term(Jet(p6("z1^3 + z2^4"), 2))
+            Jet(p6("z1"), 2) * Jet(p6("z2"), 3)
 
 
 class TestPolyMatrixShape:
