@@ -17,6 +17,7 @@ from .poisson_core import (
     LinearPoissonStructure,
     PoissonStructure,
     certify,
+    linear_structure,
 )
 from .polyring import (
     Poly,
@@ -33,7 +34,7 @@ from .polyring import (
     minors,
     truncated_exp,
 )
-from .rationals import QQ, QQ0, QQ1, _sign
+from .rationals import QQ0, QQ1, _sign
 from .schubert import build_cell
 from .typea import (
     ReducedWord,
@@ -99,16 +100,16 @@ def sl_u_matrix(n: int, vars: VarSet = None) -> PolyMatrix:
 def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
     """Linearization at the identity of the multiplicative structure on
     SL(n+1): the degree-1 part of (sign(p-i)+sign(q-j))/2 * x_iq * x_pj in
-    exponential coordinates, restricted to traceless matrices."""
+    exponential coordinates, restricted to traceless matrices, from its int
+    constants over 2 (``linear_structure``); u_mm = -(u_11 + ... + u_nn)."""
     m = n + 1
-    vars = sl_varset(n)
-    u = sl_u_matrix(n, vars).entries
-    zero = Poly.zero(vars)
     pairs = [(i, j) for i in range(m) for j in range(m) if (i, j) != (n, n)]
-    mat = [[((u[p][j] if i == q else zero) + (u[i][q] if p == j else zero))
-            * QQ(_sign(p - i) + _sign(q - j), 2)
-            for p, q in pairs] for i, j in pairs]
-    return LinearPoissonStructure(vars, mat)
+    u = {ij: [(d, 1)] for d, ij in enumerate(pairs)}
+    u[n, n] = [(d, -c) for t in range(n) for d, c in u[t, t]]
+    return linear_structure(sl_varset(n), [[
+        [(d, (_sign(p - i) + _sign(q - j)) * c)
+         for d, c in (u[p, j] if i == q else []) + (u[i, q] if p == j else [])]
+        for p, q in pairs] for i, j in pairs], 2)
 
 
 def minor(table, rows, cols):

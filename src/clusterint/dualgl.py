@@ -21,6 +21,7 @@ from .poisson_core import (
     LinearPoissonStructure,
     PoissonStructure,
     certify,
+    linear_structure,
     log_volume,
 )
 from .polyring import (
@@ -161,15 +162,12 @@ def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> Poly |
 
 
 def kks_gl(n: int) -> LinearPoissonStructure:
-    """Linear structure of the matrix coalgebra on entry coordinates:
-    {u_pq, u_rs} = delta_ps u_rq - delta_rq u_ps."""
-    u = u_poly_matrix(n).entries
-    vars = u[0][0].vars
-    zero = Poly.zero(vars)
+    """Linear structure of the matrix coalgebra on entry coordinates, from
+    its int constants: {u_pq, u_rs} = delta_ps u_rq - delta_rq u_ps."""
     order = [(i, j) for i in range(n) for j in range(n)]
-    mat = [[(u[r][q] if p == s else zero) - (u[p][s] if r == q else zero)
-            for r, s in order] for p, q in order]
-    return LinearPoissonStructure(vars, mat)
+    return linear_structure(u_varset(n), [[
+        ([(r * n + q, 1)] if p == s else []) + ([(p * n + s, -1)] if r == q else [])
+        for r, s in order] for p, q in order], 1)
 
 
 # -- staircase system ------------------------------------------------------------

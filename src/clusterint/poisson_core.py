@@ -9,8 +9,10 @@ and every bracket, field and rank runs on Polys, forming at most one RatFun
 at the end.  ``PoissonStructure._field`` is the one loop over the matrix:
 the fields of N and D, h = N/D, joined by the quotient rule.  The bracket
 dots the cleared ``polyring.gradient`` of f with the field of g, and the
-Jacobi and Casimir checks use ``hamiltonian_field`` (a linear structure
-checks the Jacobi identity on its structure constants).
+Jacobi and Casimir checks use ``hamiltonian_field``.  A linear structure
+runs on its int keys: its entries are linear when every key is a unit key,
+its Jacobi check reads int structure constants from its terms, and
+``linear_structure`` builds one from closed-form int constants.
 ``bracket_poly`` is the checked Poly form of the bracket, kept as a method
 of its own because the benchmark's layer tracer (``bench/layertrace.py``)
 wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant,
@@ -21,8 +23,8 @@ cells, the BFZ cluster, the dual group of GL(n)) and the generic
 ``extract_integrable_system`` hand it their selected lowest terms, and it
 checks the count, involutivity under pi0 and independence, and builds the
 report.  Independence is the rank of the Jacobian at up to ``samples``
-seeded random points, read until it is full: a lower bound on the generic
-rank, equal to it with high probability."""
+seeded random points, read until it is full by fraction-free elimination:
+a lower bound on the generic rank, equal to it with high probability."""
 
 from __future__ import annotations
 
@@ -75,6 +77,13 @@ def _as_entry(x, vars):
     return x if isinstance(x, Poly) else Poly.const(vars, x)
 
 
+def _skew(x, y) -> bool:
+    """x == -y, for two Polys on their den and terms, negating neither."""
+    if type(x) is Poly and type(y) is Poly:
+        return x.den == y.den and x.terms == {k: -c for k, c in y.terms.items()}
+    return x == -y
+
+
 def _times(p, q):
     """p * q for Polys or None, which stands for 1."""
     return q if p is None else p if q is None else p * q
@@ -94,7 +103,7 @@ class PoissonStructure:
             raise NotPoisson("bracket matrix must be square of size |vars|")
         for a in range(n):
             for b in range(a, n):
-                if m[a][b] != -m[b][a]:
+                if not _skew(m[a][b], m[b][a]):
                     raise NotPoisson("bracket matrix must be skew-symmetric")
         self.bracket_matrix = m
         self._rows, self._den = m, None
@@ -178,29 +187,30 @@ class LinearPoissonStructure(PoissonStructure):
     """Poisson structure whose bracket matrix has homogeneous degree-1
     polynomial entries (equivalently, the structure constants of a Lie
     algebra on the dual space).  The constructor checks only that the
-    entries are linear: ``linearize`` checks the Jacobi identity of the
-    structure it derives, on its structure constants, and tests check the
-    closed-form structures."""
+    entries are linear (every key a unit key): ``linearize`` checks the
+    Jacobi identity of the structure it derives, on its structure
+    constants, and tests check the closed-form structures."""
 
     def __init__(self, vars: VarSet, bracket_matrix):
         super().__init__(vars, bracket_matrix)
+        units = set(vars.pk.unit)
         for row in self.bracket_matrix:
             for x in row:
                 if isinstance(x, RatFun):
                     raise NotPoisson("linear structure entries must be polynomial")
-                if not x.is_zero() and (
-                    x.total_degree() != 1 or x.min_degree() != 1
-                ):
+                if not units.issuperset(x.terms):
                     raise NotPoisson("linear structure entries must be linear")
 
     def check_jacobi(self) -> None:
         """The Schouten form on int structure constants over one common
-        denominator: with P_ab = sum_d C_ab^d v_d, {v_a, P_bc} + cyclic has
-        the v_e coefficient sum_d C_bc^d C_ad^e + C_ca^d C_bd^e +
-        C_ab^d C_cd^e, so NotPoisson names the same first failing triple."""
+        denominator, read from the terms (unit key -> variable): with
+        P_ab = sum_d C_ab^d v_d, {v_a, P_bc} + cyclic has the v_e
+        coefficient sum_d C_bc^d C_ad^e + C_ca^d C_bd^e + C_ab^d C_cd^e,
+        so NotPoisson names the same first failing triple."""
         P = self.bracket_matrix
         den = lcm(*[x.den for row in P for x in row])
-        C = [[{e.index(1): int(c * den) for e, c in x.sorted_terms()}
+        index = {u: i for i, u in enumerate(self.vars.pk.unit)}
+        C = [[{index[k]: c * (den // x.den) for k, c in x.terms.items()}
               for x in row] for row in P]
         for a, b, c in combinations(range(len(self.vars)), 3):
             coeff = {}
@@ -210,6 +220,22 @@ class LinearPoissonStructure(PoissonStructure):
                         coeff[e] = coeff.get(e, 0) + x * y
             if any(coeff.values()):
                 raise NotPoisson(f"Jacobi identity fails on ({a}, {b}, {c})")
+
+
+def linear_structure(vars: VarSet, constants, den: int) -> LinearPoissonStructure:
+    """The linear structure {v_a, v_b} = sum c v_d / den over the pairs
+    (d, c) of a variable index and an int in ``constants[a][b]`` (a repeated
+    d adds), each entry built on the unit keys; zero entries share one Poly."""
+    unit, zero = vars.pk.unit, Poly.zero(vars)
+
+    def entry(pairs):
+        terms = {}
+        for d, c in pairs:
+            terms[unit[d]] = terms.get(unit[d], 0) + c
+        terms = {k: c for k, c in terms.items() if c}
+        return Poly._trusted(vars, terms, den) if terms else zero
+
+    return LinearPoissonStructure(vars, [[entry(p) for p in row] for row in constants])
 
 
 def is_log_canonical(pi: PoissonStructure, f, g):

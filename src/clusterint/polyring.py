@@ -457,11 +457,13 @@ class Poly:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
-        """Value at a RationalPoint or what it takes, summed on ints over
-        den * point.den**D, D the total degree."""
+        """Value at a RationalPoint or what it takes: the constant term at
+        the origin, else summed on ints over den * point.den**D, D the degree."""
         point = _as_point(point, self.vars)
         if not self.terms:
             return QQ0
+        if point.den == 1 and not any(point.nums):
+            return self.constant_value()
         nums, D = point.nums, self.total_degree()
         scale = [point.den**k for k in range(D + 1)]
         total = 0
@@ -1363,24 +1365,27 @@ def jacobian(fs, vars: VarSet) -> PolyMatrix:
 
 
 def _pivot_columns(rows) -> list:
-    """Pivot columns, in increasing order, of a dense matrix of rationals
-    by Gaussian elimination: each is independent of the columns before it,
-    and their number is the rank."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
+    """Pivot columns, in increasing order, of a dense matrix of rationals:
+    each is independent of the columns before it, and their number is the
+    rank.  Each row is cleared to ints, and Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) pivots on the first row at or below
+    the rank with a nonzero entry in the column; its entries are Gaussian
+    elimination's times nonzero minors, so the pivots are the same."""
+    m = [[x.numerator * (d // x.denominator) for x in r]
+         for r in rows for d in [lcm(*[x.denominator for x in r])]]
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots, prev = [], 1
     for col in range(nc):
         rank = len(pivots)
-        piv = next((i for i in range(rank, nr) if m[i][col] != 0), None)
+        piv = next((i for i in range(rank, nr) if m[i][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
+        top, pv = m[rank], m[rank][col]
         for i in range(rank + 1, nr):
-            if m[i][col] != 0:
-                factor = m[i][col] / pv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+            c = m[i][col]
+            m[i] = [(pv * a - c * b) // prev for a, b in zip(m[i], top)]
+        prev = pv
         pivots.append(col)
         if len(pivots) == nr:
             break
@@ -1388,10 +1393,10 @@ def _pivot_columns(rows) -> list:
 
 
 def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
-    """Pivot columns of m at the first of up to ``retries`` seeded-random
-    rational points that reaches the highest rank seen; sampling stops at a
-    point of rank min(rows, cols), which no other point exceeds.  The rank
-    is a lower bound on the generic rank, equal to it with high
+    """Pivot columns of m, by the fraction-free ``_pivot_columns``, at the
+    first of up to ``retries`` seeded-random rational points that reaches
+    the highest rank seen; sampling stops at rank min(rows, cols).  The
+    rank is a lower bound on the generic rank, equal to it with high
     probability.  An entry that is not a Poly raises TypeError."""
     _refuse_other_entries(m.entries, (Poly,), "numeric pivots")
     nvars = next((len(x.vars) for row in m.entries for x in row), 0)

@@ -8,7 +8,7 @@ every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
 ``pyproject.toml`` declares imports and is callable.  One check runs the
 families: every Poly they build is keyed by packed monomials, and they
-build no Jet."""
+build no Jet; and the closed-form linear structures do no Poly arithmetic."""
 
 import ast
 import importlib
@@ -17,8 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from clusterint.bfz import build_bfz, choose_integrable_system_bfz, standard_double_word
-from clusterint.dualgl import build_staircase, choose_integrable_system_dualgl, lows_via_jets
+from clusterint.bfz import (
+    build_bfz,
+    choose_integrable_system_bfz,
+    sl_dual_linear_structure,
+    standard_double_word,
+)
+from clusterint.dualgl import (
+    build_staircase,
+    choose_integrable_system_dualgl,
+    kks_gl,
+    lows_via_jets,
+)
 from clusterint.polyring import Jet, Poly
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import longest_word
@@ -306,6 +316,20 @@ def test_every_poly_built_end_to_end_has_int_keys(monkeypatch):
     assert all(r.involutive for r in reports)
     assert key_types[int] > 0 and set(key_types) == {int}
     assert jets == []
+
+
+def test_closed_form_linear_structures_do_no_poly_arithmetic(monkeypatch):
+    """``sl_dual_linear_structure`` and ``kks_gl`` build each entry from its
+    int constants on the unit keys: no Poly sum or product."""
+    calls = Counter()
+    for name in ("__add__", "__mul__"):
+        def counted(self, other, name=name, op=getattr(Poly, name)):
+            calls[name] += 1
+            return op(self, other)
+        monkeypatch.setattr(Poly, name, counted)
+    sl_dual_linear_structure(3)
+    kks_gl(3)
+    assert calls == Counter()
 
 
 def test_every_console_script_is_callable():

@@ -1,6 +1,8 @@
 """The polynomial kernel against sympy, on polynomials drawn by hypothesis
 and on matrices from a seeded generator; the jet orders of the BFZ and
-dual GL families against the degrees of their closed-form lowest terms.
+dual GL families against the degrees of their closed-form lowest terms;
+the fraction-free pivot columns against sympy's rref and a Fraction
+elimination; the closed-form linear structures against their Poly formulas.
 
 sympy's sparse polynomials over QQ are an implementation independent of
 ``polyring``; its graded-lex order on (x, y, z) is the one ``polyring``
@@ -16,7 +18,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from sympy.combinatorics import Permutation
 
 from clusterint import polyring
@@ -26,15 +28,20 @@ from clusterint.bfz import (
     build_bfz,
     gexp_formulas,
     gexp_order,
+    sl_dual_linear_structure,
+    sl_u_matrix,
+    sl_varset,
     standard_double_word,
 )
 from clusterint.dualgl import (
     _jet_lows_at,
     build_staircase,
+    kks_gl,
     lows_closed_form,
     lows_order,
     lows_via_jets,
     pencil_coefficients,
+    u_poly_matrix,
 )
 from clusterint.errors import (
     DependentSystem,
@@ -49,6 +56,7 @@ from clusterint.polyring import (
     Poly,
     PolyMatrix,
     RatFun,
+    RationalPoint,
     VarSet,
     _mul_terms,
     adjugate,
@@ -61,8 +69,9 @@ from clusterint.polyring import (
     parse_poly,
     poly_gcd,
 )
-from clusterint.rationals import QQ
-from clusterint.typea import ReducedWord
+from clusterint.rationals import QQ, _sign, random_rational
+from clusterint.schubert import build_cell
+from clusterint.typea import ReducedWord, longest_word
 
 X3 = VarSet(["x", "y", "z"])
 GENS = sympy.symbols("x y z")
@@ -900,3 +909,129 @@ def test_log_canonical_ratio_agrees_with_sympy(f, g):
 @given(polys(8))
 def test_parse_inverts_str(p):
     assert parse_poly(str(p), X3) == p
+
+
+# -- the fraction-free rank and the closed-form linear structures -------------
+
+
+def fraction_pivot_columns(rows):
+    """Gaussian elimination on Fractions, the pivot rule of
+    ``polyring._pivot_columns``: the first row at or below the rank with a
+    nonzero entry in the column."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] / m[rank][col]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def sympy_pivots(rows):
+    return list(sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                              for r in rows]).rref()[1])
+
+
+rank_entries = st.one_of(st.just(Fraction(0)), st.fractions(-30, 30, max_denominator=12))
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-6 x 1-6 rational matrices: dense, of a drawn rank (a product of
+    two thin factors), or with drawn rows and columns set to zero."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dense", "low-rank", "zero-lines"]))
+    if kind == "low-rank":
+        k = draw(st.integers(0, min(nr, nc)))
+        a = draw(st.lists(st.lists(rank_entries, min_size=k, max_size=k),
+                          min_size=nr, max_size=nr))
+        b = draw(st.lists(st.lists(rank_entries, min_size=nc, max_size=nc),
+                          min_size=k, max_size=k))
+        return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                 for j in range(nc)] for i in range(nr)]
+    rows = draw(st.lists(st.lists(rank_entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if kind == "zero-lines":
+        zr = draw(st.sets(st.integers(0, nr - 1)))
+        zc = draw(st.sets(st.integers(0, nc - 1)))
+        rows = [[Fraction(0) if i in zr or j in zc else x for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    return rows
+
+
+def as_fractions(rows):
+    return [[Fraction(x) for x in r] for r in rows]
+
+
+@given(rational_matrices())
+@example(as_fractions([[0, 0, 0]]))
+@example(as_fractions([[0, 3, 1, 0]]))
+@example(as_fractions([[0], [0], [2], [5]]))
+@example(as_fractions([[0, 0], [0, 0], [0, 0]]))
+@example(as_fractions([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+@example(as_fractions([[0, 1, 2], [0, 2, 4], [0, 0, 0]]))
+@example(as_fractions([[QQ(1, 2), QQ(1, 3)], [QQ(3, 2), 1], [QQ(-1, 7), 0]]))
+@example(as_fractions([[2, 1, 0, 4, 1], [4, 2, 1, 8, 0]]))
+def test_fraction_free_pivots_agree_with_sympy_rref(rows):
+    # the examples: zero, 1 x k, k x 1, rank-deficient, zero-column, tall
+    # and wide matrices
+    got = polyring._pivot_columns(rows)
+    assert got == sympy_pivots(rows) == fraction_pivot_columns(rows)
+
+
+def family_lows():
+    """(lows, vars) of the Schubert m=4, BFZ n=2 and dual GL n=2 runs."""
+    cell = build_cell(4, longest_word(4))
+    cluster = build_bfz(2, standard_double_word(2))
+    jets = lows_via_jets(build_staircase(2))
+    return [(cell.lows(), cell.vars),
+            ([lowest_term(f, cluster.order)[0] for f in cluster.fs + cluster.phis],
+             cluster.vars),
+            ([p for p, _ in jets.phi_lows + jets.cbar_lows], jets.u_vars)]
+
+
+def test_fraction_free_pivots_on_the_family_jacobians():
+    # five seeded points each, as numeric_pivots draws them
+    for lows, vars in family_lows():
+        m = jacobian(lows, vars)
+        rng = random.Random(5)
+        for _ in range(5):
+            point = RationalPoint([random_rational(rng) for _ in vars.names])
+            rows = [[x.evaluate(point) for x in row] for row in m.entries]
+            assert polyring._pivot_columns(rows) == fraction_pivot_columns(rows)
+
+
+def reference_sl_dual(n):
+    """``sl_dual_linear_structure`` by Poly arithmetic on the traceless
+    matrix: (sign(p-i)+sign(q-j))/2 (delta_iq u_pj + delta_pj u_iq)."""
+    m = n + 1
+    vars = sl_varset(n)
+    u = sl_u_matrix(n, vars).entries
+    zero = Poly.zero(vars)
+    pairs = [(i, j) for i in range(m) for j in range(m) if (i, j) != (n, n)]
+    return [[((u[p][j] if i == q else zero) + (u[i][q] if p == j else zero))
+             * QQ(_sign(p - i) + _sign(q - j), 2)
+             for p, q in pairs] for i, j in pairs]
+
+
+def reference_kks(n):
+    """``kks_gl`` by Poly arithmetic: delta_ps u_rq - delta_rq u_ps."""
+    u = u_poly_matrix(n).entries
+    zero = Poly.zero(u[0][0].vars)
+    order = [(i, j) for i in range(n) for j in range(n)]
+    return [[(u[r][q] if p == s else zero) - (u[p][s] if r == q else zero)
+             for r, s in order] for p, q in order]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_closed_form_linear_structures_are_the_poly_formulas(n):
+    for built, expected in ((sl_dual_linear_structure(n), reference_sl_dual(n)),
+                            (kks_gl(n), reference_kks(n))):
+        assert [[(str(x), x.den) for x in row] for row in built.bracket_matrix] == [
+            [(str(x), x.den) for x in row] for row in expected]

@@ -203,6 +203,17 @@ XYZ = VarSet(["x", "y", "z"])
     (lambda: LinearPoissonStructure(
         XY, structure_from_table({(1, 2): "x*y"}, XY).bracket_matrix),
      NotPoisson, "linear"),
+    (lambda: LinearPoissonStructure(XY, [[0, 1], [-1, 0]]), NotPoisson, "linear"),
+    (lambda: LinearPoissonStructure(
+        XY, structure_from_table({(1, 2): "x + 1"}, XY).bracket_matrix),
+     NotPoisson, "linear"),
+    (lambda: PoissonStructure(
+        XY, [[0, parse_poly("1/2*x", XY)], [parse_poly("-1/3*x", XY), 0]]),
+     NotPoisson, "skew-symmetric"),
+    (lambda: PoissonStructure(
+        XY, [[0, RatFun(parse_poly("x", XY), parse_poly("1 + y", XY))],
+             [RatFun(parse_poly("x", XY), parse_poly("1 + y", XY)), 0]]),
+     NotPoisson, "skew-symmetric"),
     # {x, y} = y, {y, z} = x, {x, z} = 0: {z, {x, y}} = -x
     (lambda: structure_from_table({(1, 2): "y", (2, 3): "x"}, XYZ).check_jacobi(),
      NotPoisson, r"Jacobi identity fails on \(0, 1, 2\)"),
@@ -211,8 +222,9 @@ XYZ = VarSet(["x", "y", "z"])
              [-RatFun(parse_poly("x", XY), parse_poly("1 + y", XY)), 0]]),
      NotPoisson, "polynomial"),
     (lambda: WeylElt((1, 1)), NotPermutation, "not a permutation"),
-], ids=["non-square", "non-skew", "degree-2-entry", "rational-linear-entry", "jacobi",
-        "weyl-non-permutation"])
+], ids=["non-square", "non-skew", "degree-2-entry", "constant-entry", "affine-entry",
+        "skew-but-for-the-denominator", "non-skew-ratfun", "rational-linear-entry",
+        "jacobi", "weyl-non-permutation"])
 def test_malformed_input_raises_a_package_error(build, error, match):
     with pytest.raises(error, match=match):
         build()
