@@ -215,20 +215,15 @@ def cluster_minors(table, n: int, dword: DoubleWord):
     fs = [minor(table, interval(1, i), w0.act_set(interval(1, i))) for i in range(1, n + 1)]
 
     neg = dword.neg
-    phis = []
-    for k in range(1, len(neg) + 1):
-        ik = neg.letters[k - 1]
-        phis.append(minor(table, neg.prefix(k).act_set(interval(1, ik)), w0.act_set(interval(1, ik))))
+    phis = [minor(table, u.act_set(interval(1, ik)), w0.act_set(interval(1, ik)))
+            for ik, u in zip(neg.letters, neg.prefixes()[1:])]
 
+    # the suffix s_{j_l0} ... s_{j_(k+1)} is w^-1 u_k, u_k the prefix to k and w all of it
     pos = dword.pos
-    l0 = len(pos)
-    psis = []
-    for k in range(1, l0 + 1):
-        jk = pos.letters[k - 1]
-        suffix = WeylElt.identity(m)
-        for t in range(l0, k, -1):
-            suffix = suffix * WeylElt.simple(pos.letters[t - 1], m)
-        psis.append(minor(table, w0.act_set(interval(1, jk)), suffix.act_set(interval(1, jk))))
+    us = pos.prefixes()
+    winv = us[-1].inverse()
+    psis = [minor(table, w0.act_set(interval(1, jk)), (winv * u).act_set(interval(1, jk)))
+            for jk, u in zip(pos.letters, us[1:])]
 
     g_index = {letter: k for k, letter in enumerate(pos.letters, 1)}
     return fs, phis, psis, g_index
@@ -662,8 +657,7 @@ def bfz_chart(n: int) -> BFZChart:
                 set_entry(j, k, chart_poly(bracket[j][k], "b"))
                 set_entry(l0 + j, l0 + k, chart_poly(bracket[j][k], "a"))
 
-    betas = [word.prefix(k - 1).act(simple_root(word.letters[k - 1], m))
-             for k in range(1, l0 + 1)]
+    betas = [u.act(simple_root(i, m)) for i, u in zip(word.letters, word.prefixes())]
     omegas = [fundamental_weight(j, m) for j in range(1, n + 1)]
 
     w0 = WeylElt.longest(m)

@@ -9,20 +9,22 @@ packed exponent vectors", CASC 2007), ints of the one ``_Packing`` layout
 of the VarSet's length: int order is graded-lex order, and a monomial
 product is one int addition.  Exponent tuples are made or read only at the
 edges (``Poly(vars, terms)``, which takes rational coefficients,
-``sorted_terms``, ``evaluate``, ``gradient``, the gcd helpers, ...), and an
-exponent that would reach 2^15 raises SizeOutOfRange.  The kernel loops run
-on ints (Monagan and Pearce, "Sparse polynomial multiplication and division
-in Maple 14", 2010): one product kernel, ``_mul_terms``, serves Poly
-products and ``dot``, which adds products into one dict and is each entry
-of a matrix product.  A truncation is a Poly and a degree cap, not a type
-of its own: ``dot``, ``minors`` and ``det`` take a ``cap`` and keep only
-the terms of total degree <= cap (each term of one factor meets only the
-terms of the other that keep the product within it), ``truncated_exp``
-cuts its entries at its order, and ``lowest_term`` with an ``order`` reads
-the lowest term of a function known through that order.  Division
-runs on the primitive integer part of the divisor, with the remainder in
-one dict and its leading terms taken from a heap of keys (Johnson 1974;
-Monagan and Pearce, "Sparse polynomial division using a heap", JSC 2011).
+``sorted_terms``, ``evaluate``, ``gradient``, the gcd helpers, ...).  The
+kernel loops run on ints (Monagan and Pearce, "Sparse polynomial
+multiplication and division in Maple 14", 2010): one product kernel,
+``_mul_terms``, serves Poly products and ``dot``, which adds products into
+one dict and is each entry of a matrix product.  A key sum never carries
+from field to field, so only a result is checked: SizeOutOfRange is raised
+exactly when it holds an exponent >= 2^15.  A truncation is a Poly and a
+degree cap, not a type of its own: ``dot``, ``minors`` and ``det`` take a
+``cap`` and keep only the terms of total degree <= cap (each term of one
+factor meets only the terms of the other that keep the product within
+it), ``truncated_exp`` cuts its entries at its order, and ``lowest_term``
+with an ``order`` reads the lowest term of a function known through that
+order.  Division runs on the primitive integer part of the divisor, with
+the remainder in one dict and its leading terms taken from a heap of keys
+(Johnson 1974; Monagan and Pearce, "Sparse polynomial division using a
+heap", JSC 2011).
 A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
 come from one memoized table (``minors``), a Laplace expansion along first
@@ -149,16 +151,13 @@ def _mul_terms(pk: _Packing, a: dict, b: dict, cap=None, out=None, scale=1) -> d
     With ``out``, the products times ``scale`` are added into that dict,
     which is returned.  With a cap, the larger factor's terms are sorted
     once, and each term of the smaller factor runs only over the prefix
-    that keeps the product within the cap.  The result is checked once when
-    the top degrees of the factors, and the cap, reach an exponent's range."""
+    that keeps the product within the cap.  No field carries, so the
+    callers check only their result for an exponent >= 2^15."""
     if len(a) > len(b):
         a, b = b, a
     shift = pk.shift
-    big = (cap is None or cap >= _LIMIT) and (
-        max(a, default=0) >> shift) + (max(b, default=0) >> shift) >= _LIMIT
-    row = list(b.items())
+    row = b.items() if cap is None else sorted(b.items())
     if cap is not None:
-        row.sort()
         keys = [k for k, _ in row]
     if out is None:
         out = {}
@@ -176,8 +175,6 @@ def _mul_terms(pk: _Packing, a: dict, b: dict, cap=None, out=None, scale=1) -> d
                     del out[k]
                 else:
                     out[k] = s
-    if big:
-        pk.check(out)
     return out
 
 
@@ -374,8 +371,9 @@ class Poly:
                                  self.den * other.denominator)
         if other.vars != self.vars:
             raise MixedVariables("mixed variable sets")
-        return Poly._trusted(self.vars, _mul_terms(self.vars.pk, self.terms, other.terms),
-                             self.den * other.den)
+        terms = _mul_terms(self.vars.pk, self.terms, other.terms)
+        self.vars.pk.check(terms)
+        return Poly._trusted(self.vars, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -477,10 +475,13 @@ class Poly:
 
     def shift(self, point) -> "Poly":
         """Substitute v_i -> v_i + c_i (translates the base point c to 0);
-        ``point`` as for ``evaluate``.  One variable at a time, the terms
-        are grouped by their power k of it, and the sum of (v + c)^k times
-        each group is added up in one ``dot``."""
+        ``point`` as for ``evaluate``; the origin returns the Poly itself.
+        One variable at a time, the terms are grouped by their power k of
+        it, and the sum of (v + c)^k times each group is added up in one
+        ``dot``."""
         point, pk = _as_point(point, self.vars), self.vars.pk
+        if not any(point.nums):
+            return self
         result = self
         for i, c in enumerate(point.nums):
             if c == 0:
@@ -532,18 +533,16 @@ class Poly:
 
     def exact_div(self, g: "Poly") -> "Poly":
         """Exact division; raises NotDivisible when the remainder is nonzero.
-        A zero dividend is its own quotient.  Otherwise, with
-        g = (c / g.den) * G for G primitive over Z, the quotient is
+        A zero dividend, or a divisor of 1, is returned as it is.  Otherwise,
+        with g = (c / g.den) * G for G primitive over Z, the quotient is
         (g.den / (self.den * c)) * (self.terms / G), the last by
-        ``_div_terms``."""
+        ``_div_terms``, on ints, a constant G too."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if g.vars != self.vars:
             raise MixedVariables("mixed variable sets")
-        if self.is_zero():
+        if not self.terms or (g.den == 1 and g.terms == {0: 1}):
             return self
-        if g.is_constant():
-            return self * (QQ1 / g.constant_value())
         c = gcd(*g.terms.values())
         G = g.terms if c == 1 else {e: v // c for e, v in g.terms.items()}
         q = _div_terms(self.vars.pk, self.terms, G)
@@ -597,7 +596,8 @@ def dot(vars: VarSet, pairs, cap=None) -> Poly:
     """sum p * q over Poly pairs (p, q), skipping zero factors: every
     product added into one dict over one common denominator; with ``cap``,
     only the terms of total degree <= cap, which raises BadTruncation when
-    negative."""
+    negative.  Unless the cap keeps it below 2^15, the sum is checked once:
+    products out of range that cancel leave it exact, as no field carries."""
     if cap is not None and cap < 0:
         raise BadTruncation(f"a degree cap must be >= 0, got {cap}")
     pairs = [(p, q) for p, q in pairs if p.terms and q.terms]
@@ -605,6 +605,8 @@ def dot(vars: VarSet, pairs, cap=None) -> Poly:
     out = {}
     for p, q in pairs:
         _mul_terms(vars.pk, p.terms, q.terms, cap, out, den // (p.den * q.den))
+    if cap is None or cap >= _LIMIT:
+        vars.pk.check(out)
     return Poly._trusted(vars, out, den)
 
 

@@ -83,7 +83,7 @@ def _lambda_matrix(word: ReducedWord, m: int):
     l = len(word)
     lam = [[0] * l for _ in range(l)]
     weights = [fundamental_weight(i, m) for i in word.letters]
-    prefixes = [word.prefix(k) for k in range(1, l + 1)]
+    prefixes = word.prefixes()[1:]
     right = [w + u.act(w) for w, u in zip(weights, prefixes)]
     for j in range(l):
         left = weights[j] - prefixes[j].act(weights[j])
@@ -96,19 +96,19 @@ def _lambda_matrix(word: ReducedWord, m: int):
 
 def _solve_lower(J, B, skew=False) -> list:
     """Half of X with J X = B for a lower-triangular J, by forward
-    substitution with an exact division by J[j][j]; raises
-    NonPolynomialStructure on a remainder.  Entry (j, k) reads (i, k) for
-    i < j.  Without ``skew`` X is solved above the diagonal, where those
-    (i, k) lie too; with ``skew`` X is skew and solved below it, and
-    (k, j) = -(j, k) is set as row j finishes, before any row reads it.
-    Other entries are zero."""
+    substitution: B[j][k] - sum J[j][i] X[i][k] is one ``dot``, divided
+    exactly by J[j][j]; raises NonPolynomialStructure on a remainder.
+    Entry (j, k) reads (i, k) for i < j.  Without ``skew`` X is solved above
+    the diagonal, where those (i, k) lie too; with ``skew`` X is skew and
+    solved below it, and (k, j) = -(j, k) is set as row j finishes, before
+    any row reads it.  Other entries are zero."""
     l = len(B)
-    zero = Poly.zero(J[0][0].vars)
+    zero, one = Poly.zero(J[0][0].vars), Poly.const(J[0][0].vars, 1)
     X = [[zero] * l for _ in range(l)]
     for j, row in enumerate(B):
-        terms = [(J[j][i], X[i]) for i in range(j) if not J[j][i].is_zero()]
+        terms = [(-J[j][i], X[i]) for i in range(j) if J[j][i]]
         for k in (range(j) if skew else range(j + 1, l)):
-            acc = row[k] - dot(zero.vars, [(c, xi[k]) for c, xi in terms])
+            acc = dot(zero.vars, [(one, row[k])] + [(c, xi[k]) for c, xi in terms])
             try:
                 X[j][k] = acc.exact_div(J[j][j])
             except NotDivisible as exc:

@@ -156,14 +156,17 @@ class ReducedWord:
         return len(self.letters)
 
     def element(self) -> WeylElt:
-        return self.prefix(len(self.letters))
+        return self.prefixes()[-1]
 
-    def prefix(self, k: int) -> WeylElt:
-        """s_{i_1} ... s_{i_k} as a permutation."""
-        w = WeylElt.identity(self.m)
-        for i in self.letters[:k]:
-            w = w * WeylElt.simple(i, self.m)
-        return w
+    def prefixes(self) -> list:
+        """[s_{i_1} ... s_{i_k} for k = 0..l] in one pass: right
+        multiplication by s_i swaps the images of i and i + 1."""
+        perm = list(range(1, self.m + 1))
+        out = [WeylElt(perm)]
+        for i in self.letters:
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            out.append(WeylElt(perm))
+        return out
 
     def __repr__(self):
         return f"ReducedWord{self.letters}"

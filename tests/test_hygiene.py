@@ -6,13 +6,15 @@ function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
-``pyproject.toml`` declares imports and is callable.  One check runs the
-families: every Poly they build is keyed by packed monomials, and they
-build no Jet; and the closed-form linear structures do no Poly arithmetic."""
+``pyproject.toml`` declares imports and is callable.  Three checks run the
+code: every Poly the families build is keyed by packed monomials, and they
+build no Jet; the closed-form linear structures do no Poly arithmetic; and
+the Schubert build subtracts no Poly and makes no Fraction in a division."""
 
 import ast
 import importlib
 from collections import Counter, defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -329,6 +331,36 @@ def test_closed_form_linear_structures_do_no_poly_arithmetic(monkeypatch):
         monkeypatch.setattr(Poly, name, counted)
     sl_dual_linear_structure(3)
     kks_gl(3)
+    assert calls == Counter()
+
+
+def test_schubert_build_subtracts_no_poly_and_divides_on_ints(monkeypatch):
+    """``build_cell`` solves each pullback entry as one ``dot`` (no Poly
+    subtraction) and divides without making a Fraction."""
+    calls = Counter()
+    inside = []
+    sub, exact_div, new = Poly.__sub__, Poly.exact_div, Fraction.__new__
+
+    def subtracted(self, other):
+        calls["Poly.__sub__"] += 1
+        return sub(self, other)
+
+    def dividing(self, g):
+        inside.append(g)
+        try:
+            return exact_div(self, g)
+        finally:
+            inside.pop()
+
+    def made(cls, *args, **kwargs):
+        if inside:
+            calls["Fraction in exact_div"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__sub__", subtracted)
+    monkeypatch.setattr(Poly, "exact_div", dividing)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(made))
+    build_cell(4, longest_word(4))
     assert calls == Counter()
 
 

@@ -232,6 +232,80 @@ def test_wide_exact_div_agrees_with_sympy_div(a, g):
             assert to_sparse(f.exact_div(g)) == q
 
 
+# a monomial over the whole wide range, or the constant monomial
+wide_monomials = st.tuples(*[st.integers(0, 2**14 - 1)] * 3) | st.just((0, 0, 0))
+
+
+@given(wide_terms, wide_monomials, coefficients)
+@example({(3, 0, 1): QQ(1), (0, 0, 0): QQ(-2, 3)}, (0, 0, 0), QQ(-3, 2))
+def test_wide_exact_div_by_one_term_agrees_with_sympy(a, e, c):
+    # a constant or single-term divisor, on ints; times h, of two terms,
+    # the same division gives the same quotient
+    a, g = Poly(X3, a), Poly(X3, {e: c})
+    h = Poly.var(X3, "x") + 1
+    for f in (a * g, a * g + Poly.var(X3, "y")):
+        q, r = to_sparse(f).div(to_sparse(g))
+        if r:
+            for ff, gg in ((f, g), (f * h, g * h)):
+                with pytest.raises(NotDivisible):
+                    ff.exact_div(gg)
+        else:
+            got = f.exact_div(g)
+            assert to_sparse(got) == q
+            assert (f * h).exact_div(g * h) == got
+            assert_canonical_poly(got)
+    assert a.exact_div(Poly.const(X3, 1)) is a
+
+
+def test_single_term_division_refuses_what_does_not_divide():
+    # on the stored keys, a single-term g and g + 1: an exponent short in
+    # y, a quotient coefficient 3/2, and a dividend key with the guard bit
+    # of x set (x^(2^15))
+    pk = X3.pk
+    x, y = pk.unit[:2]
+    cases = [({x + 2 * y: 1}, {2 * x: 1}, "leading term not divisible"),
+             ({x: 3}, {x: 2}, "quotient coefficient not an integer"),
+             ({2**15 * x: 1}, {0: 1}, "leading term not divisible"),
+             ({2**15 * x: 1}, {x: 1}, "leading term not divisible")]
+    for f, g, message in cases:
+        for divisor in (g, {**g, 0: 1}) if 0 not in g else (g,):
+            with pytest.raises(NotDivisible, match=message):
+                polyring._div_terms(pk, f, divisor)
+
+
+# exponents at the edge of the range: a sum of two reaches 2^15 or stays below
+edge_terms = st.dictionaries(
+    st.tuples(*[st.sampled_from([0, 1, 2**14 - 1, 2**14, 2**15 - 1])] * 3),
+    coefficients, max_size=3)
+
+
+@given(edge_terms, edge_terms, edge_terms, st.sampled_from([None, 2**15, 3 * 2**15]))
+# out-of-range products that cancel leave an exact sum: x^top x - x^top x,
+# and (y + x) x^top - x x^top
+@example({(2**15 - 1, 0, 0): QQ(1)}, {(0, 1, 0): QQ(1)}, {(1, 0, 0): QQ(1)}, None)
+@example({(0, 1, 0): QQ(1), (1, 0, 0): QQ(1)}, {(2**15 - 1, 0, 0): QQ(1)},
+         {(1, 0, 0): QQ(-1)}, 2**15)
+def test_a_product_is_out_of_range_exactly_when_its_result_is(f, g, h, cap):
+    # Poly products and dot sums, the second with pairs whose products
+    # cancel, against the loop on rationals over exponent tuples
+    f, g, h = (Poly(X3, t) for t in (f, g, h))
+    for pairs in ([(f, g)], [(f, g), (h, g)], [(f, h), (-f, h), (g, g)]):
+        expect = {}
+        for p, q in pairs:
+            for e, v in rational_mul_terms(rational_terms(p), rational_terms(q), cap).items():
+                expect[e] = expect.get(e, 0) + v
+        expect = {e: v for e, v in expect.items() if v}
+        products = [lambda: dot(X3, pairs, cap)]
+        if len(pairs) == 1 and cap is None:
+            products.append(lambda: f * g)
+        for product in products:
+            if any(max(e) >= 2**15 for e in expect):
+                with pytest.raises(SizeOutOfRange):
+                    product()
+            else:
+                assert product() == Poly(X3, expect)
+
+
 def test_an_exponent_of_2_to_the_15_is_out_of_range():
     top = 2**15 - 1
     for exp in ((2**15, 0, 0), (0, 0, 2**16), (0, -1, 0)):

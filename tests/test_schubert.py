@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,10 @@ from clusterint.errors import (
 )
 from clusterint.poisson_core import (
     LinearPoissonStructure,
+    PoissonStructure,
     generic_rank,
     is_log_canonical,
+    linearize,
 )
 from clusterint.polyring import Poly, RatFun, gradient, lowest_term, parse_poly
 from clusterint import schubert
@@ -35,12 +38,13 @@ from clusterint.typea import (
     WeylElt,
     fundamental_weight,
     longest_word,
+    pairing,
     simple_root,
 )
 
 from conftest import SL4_PI0_TABLE, SL4_PI_TABLE, SL4_PHIS, Z6, p6
 
-from test_typea import _random_reduced_word
+from test_typea import _random_reduced_word, all_reduced_words, product_prefixes
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +150,40 @@ def test_pullback_solves_the_bracket_equation(m, word):
         for k in range(l):
             entry = sum((JP[j][b] * J[k][b] for b in range(l)), Poly.zero(cell.vars))
             assert entry == phis[j] * phis[k] * cell.lam[j][k], (j, k)
+
+
+def lambda_by_products(word):
+    """lam[j][k] = <w_j - u_j.w_j, w_k + u_k.w_k> for j < k, and skew, with
+    each prefix u_k a product of simple reflections."""
+    m, l = word.m, len(word)
+    us = product_prefixes(word.letters, m)[1:]
+    ws = [fundamental_weight(i, m) for i in word.letters]
+    lam = [[0] * l for _ in range(l)]
+    for j, k in combinations(range(l), 2):
+        lam[j][k] = pairing(ws[j] - us[j].act(ws[j]), ws[k] + us[k].act(ws[k]))
+        lam[k][j] = -lam[j][k]
+    return lam
+
+
+def test_lambda_matrix_is_the_per_prefix_formula():
+    words = [ReducedWord(w, m) for m in (2, 3, 4) for w in all_reduced_words(m) if w]
+    words += [longest_word(m) for m in range(5, 8)]
+    for word in words:
+        assert schubert._lambda_matrix(word, word.m) == lambda_by_products(word)
+
+
+def test_linearization_at_the_origin_is_the_shifted_one(sl4_cell):
+    # the structure moved to a base point c and linearized there, through
+    # Poly.shift, is the linearization at the origin, which shifts nothing
+    pi = sl4_cell.pi_z
+    n = len(pi.vars)
+    c = [QQ(k, 3) - 1 for k in range(n)]
+    moved = PoissonStructure(pi.vars, [[x.shift([-v for v in c]) for x in row]
+                                       for row in pi.bracket_matrix])
+    origin = linearize(pi).bracket_matrix
+    assert origin == sl4_cell.pi0.bracket_matrix
+    assert linearize(pi, at=[0] * n).bracket_matrix == origin
+    assert linearize(moved, at=c).bracket_matrix == origin
 
 
 class TestChoose:

@@ -71,6 +71,38 @@ class TestWeylElt:
         assert w.letters == (1, 2, 3, 1, 2, 1)
         assert w.element() == WeylElt.longest(4)
 
+    def test_prefixes_are_products_of_simple_reflections(self):
+        words = {m: all_reduced_words(m) for m in (2, 3, 4)}
+        # S_4 has 24 elements, and its longest element 16 reduced words
+        assert len({product_prefixes(w, 4)[-1] for w in words[4]}) == 24
+        assert sum(len(w) == 6 for w in words[4]) == 16
+        for m, ws in words.items():
+            for letters in ws:
+                assert ReducedWord(letters, m).prefixes() == product_prefixes(letters, m)
+        for m in range(5, 8):
+            word = longest_word(m)
+            assert word.prefixes() == product_prefixes(word.letters, m)
+
+
+def product_prefixes(letters, m):
+    """[s_{i_1} ... s_{i_k} for k = 0..l], each one product more."""
+    out = [WeylElt.identity(m)]
+    for i in letters:
+        out.append(out[-1] * WeylElt.simple(i, m))
+    return out
+
+
+def all_reduced_words(m):
+    """Every reduced word of every element of S_m, the empty one too, grown a
+    letter at a time: w s_i is longer than w exactly when w(i) < w(i + 1)."""
+    words, frontier = [], [((), WeylElt.identity(m))]
+    while frontier:
+        letters, w = frontier.pop()
+        words.append(letters)
+        frontier += [(letters + (i,), w * WeylElt.simple(i, m))
+                     for i in range(1, m) if w(i) < w(i + 1)]
+    return words
+
 
 class TestWeylRep:
     def test_sl2(self):
