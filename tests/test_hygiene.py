@@ -6,10 +6,11 @@ function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
-``pyproject.toml`` declares imports and is callable.  Three checks run the
+``pyproject.toml`` declares imports and is callable.  Four checks run the
 code: every Poly the families build is keyed by packed monomials, and they
-build no Jet; the closed-form linear structures do no Poly arithmetic; and
-the Schubert build subtracts no Poly and makes no Fraction in a division."""
+build no Jet; the closed-form linear structures do no Poly arithmetic;
+the Schubert build subtracts no Poly and makes no Fraction in a division;
+and the minors table and Poly sums combine terms in ``_mul_terms``."""
 
 import ast
 import importlib
@@ -31,7 +32,8 @@ from clusterint.dualgl import (
     kks_gl,
     lows_via_jets,
 )
-from clusterint.polyring import Jet, Poly
+from clusterint import polyring
+from clusterint.polyring import Jet, Poly, PolyMatrix, VarSet, minors, parse_poly
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import longest_word
 
@@ -362,6 +364,31 @@ def test_schubert_build_subtracts_no_poly_and_divides_on_ints(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(made))
     build_cell(4, longest_word(4))
     assert calls == Counter()
+
+
+def test_minors_and_sums_run_on_the_one_product_kernel(monkeypatch):
+    """A ``minors`` read, capped or not, and a Poly sum each combine their
+    terms in ``polyring._mul_terms``, with the results of the unpatched
+    run: the kernel has one accumulate loop."""
+    xy = VarSet(["x", "y"])
+    f, g = parse_poly("x^2*y + 1/2*x - 3", xy), parse_poly("2/3*y^2 - x*y + 5", xy)
+    m = PolyMatrix([[f, g], [g * g, f + 1]])
+    reads = {"minors": lambda: minors(m)(range(2), range(2)),
+             "capped minors": lambda: minors(m, 3)(range(2), range(2)),
+             "Poly.__add__": lambda: f + g}
+    expected = {name: read() for name, read in reads.items()}
+    calls = []
+    mul_terms = polyring._mul_terms
+
+    def counted(*args):
+        calls.append(args)
+        return mul_terms(*args)
+
+    monkeypatch.setattr(polyring, "_mul_terms", counted)
+    for name, read in reads.items():
+        calls.clear()
+        assert read() == expected[name], name
+        assert calls, f"{name} combines terms outside _mul_terms"
 
 
 def test_every_console_script_is_callable():

@@ -443,13 +443,30 @@ def edge_matrix(case):
         rows[1][1] = rows[1][1] + Poly(X3, {(0, 1, 0): QQ(1, 5)})
     elif case == "zero row":
         rows[1] = [Poly(X3)] * 3
+    elif case == "long entries":
+        # each entry has more terms than the minors of the rows below it,
+        # of degrees on both sides of every cap (1, 3 and 250)
+        rng = random.Random(301)
+
+        def entry(per_degree):
+            terms = {}
+            for d in (0, 1, 2, 3, 4, 249, 250, 251):
+                for _ in range(per_degree):
+                    a = rng.randint(0, d)
+                    b = rng.randint(0, d - a)
+                    c = rng.choice([-3, -2, -1, 1, 2, 3])
+                    terms[a, b, d - a - b] = QQ(c, rng.randint(1, 3))
+            return Poly(X3, terms)
+
+        rows = [[entry(3) for _ in range(3)], [entry(1) for _ in range(3)],
+                [Poly(X3, {(j, 2 - j, 1): QQ(j + 1)}) for j in range(3)]]
     elif case == "all zero":
         rows = [[Poly(X3)] * 3 for _ in range(3)]
     return rows
 
 
 @pytest.mark.parametrize("case", ["two-byte exponents", "degrees past the exponent range",
-                                  "row denominators", "zero row", "all zero"])
+                                  "row denominators", "zero row", "all zero", "long entries"])
 def test_packed_minors_table_edge_cases(case):
     # caps 1 and 3 cut products of the low-degree entries, 250 products of
     # the two-byte rows; every minor is read in each table
@@ -1076,7 +1093,7 @@ def test_fraction_free_pivots_on_the_family_jacobians():
         m = jacobian(lows, vars)
         rng = random.Random(5)
         for _ in range(5):
-            point = RationalPoint([random_rational(rng) for _ in vars.names])
+            point = RationalPoint([random_rational(rng) for _ in vars.names], vars)
             rows = [[x.evaluate(point) for x in row] for row in m.entries]
             assert polyring._pivot_columns(rows) == fraction_pivot_columns(rows)
 

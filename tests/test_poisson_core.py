@@ -35,7 +35,7 @@ from clusterint.poisson_core import (
 )
 from clusterint import dualgl
 from clusterint.bfz import sl_dual_linear_structure
-from clusterint.polyring import Poly, RatFun, VarSet, lowest_term, parse_poly
+from clusterint.polyring import Poly, RationalPoint, RatFun, VarSet, lowest_term, parse_poly
 from clusterint.rationals import QQ
 from clusterint.schubert import build_cell
 from clusterint.typea import WeylElt, longest_word
@@ -194,6 +194,23 @@ class TestLinearize:
 
 XY = VarSet(["x", "y"])
 XYZ = VarSet(["x", "y", "z"])
+
+
+@pytest.mark.parametrize("n", [2, 4], ids=["short", "long"])
+@pytest.mark.parametrize("use", [
+    lambda point: parse_poly("x*y*z + z^2", XYZ).evaluate(point),
+    lambda point: parse_poly("x*y*z + z^2", XYZ).shift(point),
+    lambda point: RatFun(parse_poly("x*y*z", XYZ), parse_poly("1 + x", XYZ)).evaluate(point),
+    # the base point where every bracket of the 3-variable cell vanishes
+    lambda point: linearize(build_cell(3, longest_word(3)).pi_z, at=[0] * len(point)),
+    # a point built over another VarSet
+    lambda point: parse_poly("x*y*z", XYZ).evaluate(
+        RationalPoint(point, VarSet([f"v{i}" for i in range(len(point))]))),
+], ids=["Poly.evaluate", "Poly.shift", "RatFun.evaluate", "linearize", "RationalPoint"])
+def test_a_point_of_the_wrong_length_raises(use, n):
+    # a short point is not zero-filled and a long one is not cut
+    with pytest.raises(DimensionMismatch, match=f"a point of {n} coordinates for 3 variables"):
+        use(list(range(1, n + 1)))
 
 
 @pytest.mark.parametrize("build, error, match", [
