@@ -129,12 +129,13 @@ class BFZCluster:
     n: int
     dword: DoubleWord
     vars: VarSet
-    order: int  # every function below is a Poly cut at this total degree
+    order: int  # the table cap: fs, phis and psis are Polys cut at this total degree
     fs: list  # index i in [1, r]
     phis: list  # index k in [1, l0]
     psis: list  # index k in [1, l0]
     g_index: dict  # i -> k with psi_k the last occurrence of letter i
-    gprimes: dict  # i in I2 -> f_i g_i - f_{i*} g_{i*}
+    gprimes: dict  # i in I2 -> f_i g_i - f_{i*} g_{i*}, cut at caps[i]
+    caps: dict  # i in I2 -> order + n + 1 - i, the degree gprimes[i] is exact through
     I0: list
     I1: list
     I2: list
@@ -164,16 +165,10 @@ class BFZCluster:
 
 
 def _istar_sets(n: int):
-    I0, I1, I2 = [], [], []
-    for i in range(1, n + 1):
-        istar = n + 1 - i
-        if i == istar:
-            I0.append(i)
-        elif i < istar:
-            I1.append(i)
-        else:
-            I2.append(i)
-    return I0, I1, I2
+    """I0, I1, I2: the i in [1, n] with i = i*, i < i* and i > i*, i* = n + 1 - i."""
+    r = range(1, n + 1)
+    return ([i for i in r if 2 * i == n + 1], [i for i in r if 2 * i < n + 1],
+            [i for i in r if 2 * i > n + 1])
 
 
 def gexp_order(n: int) -> int:
@@ -193,16 +188,28 @@ def gexp_order(n: int) -> int:
     return max([(n + 1) // 2] + [2 * (n - i) + 3 for i in _istar_sets(n)[2]])
 
 
+def table_order(n: int) -> int:
+    """C = n//2 + 1, the least cap of the exponential and the minors table
+    at which every lowest term of the modified cluster shows:
+
+    - A plain minor's low has degree at most (n+1)//2 <= C (``gexp_order``).
+    - The four factors of the difference function of i in I2 are minors
+      with lows of degree n+1-i, so f_i g_i - f_{i*} g_{i*} is exact through
+      C + n+1-i when they are exact through C.  That shows its low, of degree
+      2(n-i)+3, when n-i+2 <= C; i > (n+1)/2 gives n-i+2 <= n//2 + 1, with
+      equality at the least i in I2 (n >= 2)."""
+    return n // 2 + 1
+
+
 def build_bfz(n: int, dword: DoubleWord = None) -> BFZCluster:
     """Evaluate the extended cluster at a truncated exponential of a traceless
-    matrix, cut at the jet order ``gexp_order(n)``, where every lowest term
-    shows."""
+    matrix, cut at ``table_order(n)``, where every lowest term shows."""
     if dword is None:
         dword = standard_double_word(n)
     m = n + 1
     if dword.neg.m != m:
         raise WrongWord(f"double word is for SL({dword.neg.m}), expected SL({m})")
-    return _build_at_order(n, dword, gexp_order(n))
+    return _build_at_order(n, dword, table_order(n))
 
 
 def cluster_minors(table, n: int, dword: DoubleWord):
@@ -230,22 +237,22 @@ def cluster_minors(table, n: int, dword: DoubleWord):
 
 
 def _build_at_order(n, dword, D):
-    """The cluster cut at jet order D; raises TruncationInsufficient when a
-    modified lowest term lies above D."""
+    """The cluster at table cap D, each difference function of i exact
+    through D + n+1-i (``table_order``); raises TruncationInsufficient when
+    a lowest term lies above its function's cap."""
     vars = sl_varset(n)
     X = truncated_exp(sl_u_matrix(n, vars), D)
     fs, phis, psis, g_index = cluster_minors(minors(X, D), n, dword)
     I0, I1, I2 = _istar_sets(n)
+    caps = {i: D + n + 1 - i for i in I2}
     # f_i g_i - f_{i*} g_{i*} with i* = n + 1 - i, by one capped product
     gprimes = {i: dot(vars, [(fs[i - 1], psis[g_index[i] - 1]),
-                             (-fs[n - i], psis[g_index[n + 1 - i] - 1])], D) for i in I2}
-
-    cluster = BFZCluster(
-        n, dword, vars, D, fs, phis, psis, g_index, gprimes, I0, I1, I2
-    )
-    for f in cluster.modified_functions():
+                             (-fs[n - i], psis[g_index[n + 1 - i] - 1])], caps[i]) for i in I2}
+    for f in fs + phis + psis:
         lowest_term(f, D)
-    return cluster
+    for i in I2:
+        lowest_term(gprimes[i], caps[i])
+    return BFZCluster(n, dword, vars, D, fs, phis, psis, g_index, gprimes, caps, I0, I1, I2)
 
 
 # -- closed forms at the standard word ----------------------------------------
@@ -324,7 +331,7 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
         if not _up_to_sign(low_g, expect):
             return False
     for i, expect in forms["gprime"].items():
-        low_gp, _ = lowest_term(cluster.gprimes[i], cluster.order)
+        low_gp, _ = lowest_term(cluster.gprimes[i], cluster.caps[i])
         if not _up_to_sign(low_gp, expect):
             return False
 
@@ -410,11 +417,10 @@ def choose_integrable_system_bfz(
         if admissible:
             selected.append(cluster.psis[k - 1])
             labels.append(f"col{k}")
-    for i in cluster.I2:
-        selected.append(cluster.gprimes[i])
-        labels.append(f"diff{i}")
-
     lows = [lowest_term(f, cluster.order)[0] for f in selected]
+    for i in cluster.I2:
+        lows.append(lowest_term(cluster.gprimes[i], cluster.caps[i])[0])
+        labels.append(f"diff{i}")
     word = ",".join(map(str, cluster.dword.neg.letters))
     return certify(lows, sl_dual_linear_structure(n), cluster.vars,
                    l0 + n, seed, samples,
@@ -514,17 +520,9 @@ def stabilizer_dimension(n: int) -> int:
 
     # unknowns: h (m diagonal entries, trace pinned to 0 by an extra row),
     # n_+ entries (i<j), n_- entries (i>j)
-    unknowns = []
-    for t in range(m):
-        unknowns.append(("h", t, t))
-    for i in range(m):
-        for j in range(m):
-            if i < j:
-                unknowns.append(("p", i, j))
-    for i in range(m):
-        for j in range(m):
-            if i > j:
-                unknowns.append(("m", i, j))
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    unknowns = ([("h", t, t) for t in range(m)] + [("p", i, j) for i, j in pairs if i < j]
+                + [("m", i, j) for i, j in pairs if i > j])
 
     def basis_matrix(i, j):
         e = [[QQ0] * m for _ in range(m)]
@@ -539,31 +537,13 @@ def stabilizer_dimension(n: int) -> int:
         np_ = e if kind == "p" else zero
         nm_ = e if kind == "m" else zero
         c1 = _commutator([[h[a][b] + np_[a][b] for b in range(m)] for a in range(m)], em)
-        c2 = [
-            [
-                x + y
-                for x, y in zip(ra, rb)
-            ]
-            for ra, rb in zip(_commutator(np_, em), _commutator(nm_, ep))
-        ]
+        c2 = [[x + y for x, y in zip(ra, rb)]
+              for ra, rb in zip(_commutator(np_, em), _commutator(nm_, ep))]
         c3 = _commutator([[h[a][b] - nm_[a][b] for b in range(m)] for a in range(m)], ep)
-        col = []
-        # c1 strictly lower entries must vanish
-        for a in range(m):
-            for b in range(m):
-                if a > b:
-                    col.append(c1[a][b])
-        # c2 diagonal entries must vanish
-        for a in range(m):
-            col.append(c2[a][a])
-        # c3 strictly upper entries must vanish
-        for a in range(m):
-            for b in range(m):
-                if a < b:
-                    col.append(c3[a][b])
-        # trace of h must vanish
-        col.append(sum((h[a][a] for a in range(m)), QQ0))
-        columns.append(col)
+        # the strictly lower entries of c1, the diagonal of c2, the strictly
+        # upper entries of c3 and the trace of h must vanish
+        columns.append([c1[a][b] for a, b in pairs if a > b] + [c2[a][a] for a in range(m)]
+                       + [c3[a][b] for a, b in pairs if a < b] + [sum(h[a][a] for a in range(m))])
 
     # the rank of the system is the rank of its transpose, one row per unknown
     return len(unknowns) - len(_pivot_columns(columns))

@@ -14,18 +14,18 @@ kernel loops run on ints (Monagan and Pearce, "Sparse polynomial
 multiplication and division in Maple 14", 2010): one accumulate loop,
 ``_mul_terms``, serves Poly products, Poly sums (a factor of 1), ``dot``,
 which adds products into one dict and is each entry of a matrix product,
-and every minor of the minors table.  A key sum never carries from field
-to field, so only a result is checked: SizeOutOfRange is raised exactly
-when it holds an exponent >= 2^15.  A truncation is a Poly and a
-degree cap, not a type of its own: ``dot``, ``minors`` and ``det`` take a
-``cap`` and keep only the terms of total degree <= cap (each term of one
-factor meets only the terms of the other that keep the product within
-it), ``truncated_exp`` cuts its entries at its order, and ``lowest_term``
-with an ``order`` reads the lowest term of a function known through that
-order.  Division runs on the primitive integer part of the divisor, with
-the remainder in one dict and its leading terms taken from a heap of keys
-(Johnson 1974; Monagan and Pearce, "Sparse polynomial division using a
-heap", JSC 2011).
+every minor of the minors table and each Horner step of ``truncated_exp``.
+A key sum never carries from field to field, so only a result is checked:
+SizeOutOfRange is raised exactly when it holds an exponent >= 2^15.  A
+truncation is a Poly and a degree cap, not a type of its own: ``dot``,
+``minors`` and ``det`` take a ``cap`` and keep only the terms of total
+degree <= cap (each term of one factor meets only the terms of the other
+that keep the product within it), ``truncated_exp`` cuts each product at
+its order, and ``lowest_term`` with an ``order`` reads the lowest term of
+a function known through that order.  Division runs on the primitive
+integer part of the divisor, with the remainder in one dict and its leading
+terms taken from a heap of keys (Johnson 1974; Monagan and Pearce, "Sparse
+polynomial division using a heap", JSC 2011).
 A gcd tries the smaller operand as a divisor, then the heuristic integer
 gcd GCDHEU, then a primitive remainder sequence.  The minors of a matrix
 come from one memoized table (``minors``), a Laplace expansion along first
@@ -49,7 +49,7 @@ from bisect import bisect_left
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 
 from .errors import (
     BadTruncation,
@@ -1072,11 +1072,13 @@ def lowest_term(f, order=None):
 
     With ``order``, f is a Poly exact through total degree ``order``, as
     ``truncated_exp``, capped ``minors`` and capped ``dot`` give it: the
-    exponential drops only powers X^k with k > order, whose terms have
-    degree > order, and capped products and sums of Polys exact through the
-    order stay exact through it.  So a term of f of degree d <= order is the
-    function's own lowest term; when f has none, the lowest term lies above
-    the order and TruncationInsufficient is raised.
+    exponential drops only powers X^k with k > order and terms of degree >
+    order, and capped products and sums of Polys exact through the order
+    stay exact through it (a product of two factors exact through C, with
+    lowest terms of degree >= e, is exact through C + e).  So a term of f of
+    degree d <= order is the function's own lowest term; when f has none,
+    the lowest term lies above the order and TruncationInsufficient is
+    raised.
     """
     if isinstance(f, Poly):
         if order is not None and (f.is_zero() or f.min_degree() > order):
@@ -1406,20 +1408,36 @@ def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
 def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:
     """Matrix exponential sum_{k<=order} x^k/k! of a Poly matrix, exact
     through total degree ``order``, as Polys cut at the order; entries of x
-    must vanish at the origin.  The sum is taken over uncut Polys and each
-    entry cut once at the end, so no capped product is needed, and for
-    linear entries, as in every caller, no power passes the order before
-    the cut."""
+    must vanish at the origin.  Horner form on ints: with x = X/d over one
+    denominator, the sum is M_0 / a_0, where M_(order+1) = 0, M_k = a_k I +
+    X M_(k+1) and a_k = order!/k! * d^(order-k).  Each entry of X M_(k+1) is
+    one ``_mul_terms`` dict cut at the order: every later step multiplies by
+    X, which vanishes at the origin, so no cut term comes back within it."""
     if order < 1:
         raise BadTruncation("jet order must be >= 1")
     if not x.is_square():
         raise NonSquare("exponential of a non-square matrix")
+    _refuse_other_entries(x.entries, (Poly,), "exponentials")
+    if not x.rows:
+        return PolyMatrix([])
+    vars, n, d = x[0, 0].vars, x.rows, 1
     for row in x.entries:
-        for entry in row:
-            if not entry.is_zero() and entry.constant_value() != 0:
+        for p in row:
+            if 0 in p.terms:
                 raise NotVanishing("entries must have zero constant term")
-    result = term = PolyMatrix.identity(x[0, 0].vars, x.rows)
-    for k in range(1, order + 1):
-        term = (term * x).map(lambda p: p * QQ(1, k))
-        result = result + term
-    return result.map(lambda p: p.truncate(order))
+            if p.vars is not vars and p.vars != vars:
+                raise MixedVariables("mixed variable sets")
+            d = lcm(d, p.den)
+    M = [[{}] * n] * n  # M_(order+1) = 0, whose dicts are only read
+    for k in range(order, -1, -1):
+        ak = factorial(order) // factorial(k) * d ** (order - k)
+        step = [[{0: ak} if i == j else {} for j in range(n)] for i in range(n)]
+        for row, out in zip(x.entries, step):
+            for p, m_row in zip(row, M):
+                for m, o in zip(m_row, out):
+                    if p.terms and m:
+                        _mul_terms(vars.pk, p.terms, m, order, o, d // p.den)
+        M = step
+        if order >= _LIMIT:
+            vars.pk.check([key for row in M for m in row for key in m])
+    return PolyMatrix([[Poly._trusted(vars, m, ak) for m in row] for row in M])

@@ -19,8 +19,9 @@ from clusterint.bfz import (
     sl_varset,
     stabilizer_dimension,
     standard_double_word,
+    table_order,
 )
-from clusterint.errors import SizeOutOfRange, WrongWord
+from clusterint.errors import SizeOutOfRange, TruncationInsufficient, WrongWord
 from clusterint.poisson_core import generic_rank, is_log_canonical
 from clusterint.polyring import Poly, RatFun, lowest_term, minors, parse_poly
 from clusterint.rationals import QQ
@@ -71,7 +72,9 @@ class TestGoldenN2:
         expect = minor(u, [3], [1]) * minor(u, [1, 2], [2, 3]) + minor(
             u, [1], [3]
         ) * minor(u, [2, 3], [1, 2])
-        low, deg = lowest_term(c2.gprimes[2], c2.order)
+        # the table is cut at 2, the difference function at its own cap 3
+        assert (c2.order, c2.caps) == (2, {2: 3})
+        low, deg = lowest_term(c2.gprimes[2], c2.caps[2])
         assert deg == 3
         assert low == expect or low == -expect
 
@@ -89,12 +92,22 @@ class TestGexp:
         assert gexp_check(3, c3)
 
     def test_n4(self, c4):
-        assert c4.order == 5
+        # the highest difference low, of degree gexp_order(4), is read at
+        # its own cap; the table is cut at table_order(4)
+        assert c4.order == table_order(4) == 3
+        assert c4.caps == {3: gexp_order(4), 4: 4} == {3: 5, 4: 4}
         assert gexp_check(4, c4)
 
     def test_n5(self, c5):
-        assert c5.order == 5
+        assert c5.order == table_order(5) == 3
+        assert c5.caps == {4: gexp_order(5), 5: 4} == {4: 5, 5: 4}
         assert gexp_check(5, c5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_table_order_is_the_least_cap(self, n):
+        # one below, the difference function of the least i in I2 loses its low
+        with pytest.raises(TruncationInsufficient):
+            _build_at_order(n, standard_double_word(n), table_order(n) - 1)
 
     def test_wrong_word(self):
         # a different reduced word of the longest element is rejected
@@ -128,6 +141,17 @@ class TestChoose:
     def test_n5(self, c5):
         rep = choose_integrable_system_bfz(c5)
         assert rep.independent_count == rep.magic_number == 20
+        assert rep.involutive
+
+    def test_n6(self):
+        rep = choose_integrable_system_bfz(build_bfz(6))
+        assert rep.independent_count == rep.magic_number == 27
+        assert rep.involutive
+
+    @pytest.mark.slow
+    def test_n7(self):
+        rep = choose_integrable_system_bfz(build_bfz(7))
+        assert rep.independent_count == rep.magic_number == 35
         assert rep.involutive
 
 

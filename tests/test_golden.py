@@ -23,7 +23,7 @@ from clusterint.typea import longest_word
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = BENCH / "golden.json"
 sys.path.insert(0, str(BENCH))
-from harness import WORKLOADS, chart_modification, digest  # noqa: E402
+from harness import WORKLOADS, chart_modification, digest, report_outcome  # noqa: E402
 
 FIELDS = ("variables", "functions", "involutive", "independent_count",
           "magic_number", "construction", "selected_indices")
@@ -50,6 +50,34 @@ def dualgl(n):
 def test_report_digest_is_golden(name, build, size):
     report = build(size)
     assert digest({f: getattr(report, f) for f in FIELDS}) == json.loads(GOLDEN.read_text())[name]
+
+
+# report digests of the BFZ systems at n = 2..5, and digests of the dual GL
+# lows through jets at n = 2..4 (canonical text and degree of each): the
+# lows are exact, so no cap of the exponential or of the minors table that
+# shows them may change these
+BFZ_REPORTS = {
+    2: "02ba14db9f024e3f7e341f756997a36b238e5d9dc456fe6c93d705a55ad376df",
+    3: "b0e4c2254d04622e403ce06d73a0f21cd7f5d307aa06a293854beb779b1eab05",
+    4: "7a0e6584ff867adbc7313da5ae11cb83150853d32624fdc3dbd8bc6e6ea0687a",
+    5: "f7250bd33395a179e8783b445fb0652ed7472d0850a4de0e54c78683a619f2c9",
+}
+DUALGL_LOWS = {
+    2: "28d2bb20e89274958bf51347a88723373ffd2ec5f5123e9b8e94a3c293195665",
+    3: "b16c3d5983a2e9c6ad151c70c94dcc4ad4f4de5c9ba23626d025d392455c927f",
+    4: "7070b1df096a6144b2b689da7eaa0424c80514cfb6f504d2378ece7d2205f259",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BFZ_REPORTS))
+def test_bfz_report_digest_is_pinned(n):
+    assert report_outcome(bfz(n)).digest == BFZ_REPORTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(DUALGL_LOWS))
+def test_dualgl_jet_lows_are_pinned(n):
+    jets = lows_via_jets(build_staircase(n))
+    assert digest([[str(p), d] for p, d in jets.phi_lows + jets.cbar_lows]) == DUALGL_LOWS[n]
 
 
 def chart_modvol(chart):

@@ -6,11 +6,12 @@ function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
-``pyproject.toml`` declares imports and is callable.  Four checks run the
+``pyproject.toml`` declares imports and is callable.  Five checks run the
 code: every Poly the families build is keyed by packed monomials, and they
 build no Jet; the closed-form linear structures do no Poly arithmetic;
 the Schubert build subtracts no Poly and makes no Fraction in a division;
-and the minors table and Poly sums combine terms in ``_mul_terms``."""
+the minors table and Poly sums combine terms in ``_mul_terms``; and
+``truncated_exp`` does no Poly or matrix arithmetic."""
 
 import ast
 import importlib
@@ -33,7 +34,7 @@ from clusterint.dualgl import (
     lows_via_jets,
 )
 from clusterint import polyring
-from clusterint.polyring import Jet, Poly, PolyMatrix, VarSet, minors, parse_poly
+from clusterint.polyring import Jet, Poly, PolyMatrix, VarSet, minors, parse_poly, truncated_exp
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import longest_word
 
@@ -389,6 +390,22 @@ def test_minors_and_sums_run_on_the_one_product_kernel(monkeypatch):
         calls.clear()
         assert read() == expected[name], name
         assert calls, f"{name} combines terms outside _mul_terms"
+
+
+def test_truncated_exp_does_no_poly_or_matrix_arithmetic(monkeypatch):
+    """``truncated_exp`` takes its Horner steps on int dicts through
+    ``_mul_terms``: no Poly sum or product and no matrix product."""
+    xy = VarSet(["x", "y"])
+    x = PolyMatrix([[parse_poly(s, xy) for s in row]
+                    for row in (("1/2*x + y^2", "-y"), ("3*x*y", "x - 2/3*y"))])
+    calls = Counter()
+    for cls, name in ((Poly, "__add__"), (Poly, "__mul__"), (PolyMatrix, "__mul__")):
+        def counted(self, other, key=f"{cls.__name__}.{name}", op=getattr(cls, name)):
+            calls[key] += 1
+            return op(self, other)
+        monkeypatch.setattr(cls, name, counted)
+    truncated_exp(x, 4)
+    assert calls == Counter()
 
 
 def test_every_console_script_is_callable():

@@ -36,7 +36,7 @@ def test_traced_run_matches_untraced_and_uninstalls():
     assert traced == untraced
     metrics = tracer.metrics()
     assert metrics["polyring.truncated_exp.calls"] > 0
-    assert metrics["bfz.jet_order"] == cl.bfz.gexp_order(2) == 3
+    assert metrics["bfz.jet_order"] == cl.bfz.table_order(2) == 2
     assert metrics["dualgl.jet_order"] == cl.dualgl.lows_order(2) == 2
     assert cl.polyring.truncated_exp is texp
     assert cl.bfz.truncated_exp is texp and cl.dualgl.truncated_exp is texp

@@ -32,6 +32,7 @@ from clusterint.bfz import (
     sl_u_matrix,
     sl_varset,
     standard_double_word,
+    table_order,
 )
 from clusterint.dualgl import (
     _jet_lows_at,
@@ -408,6 +409,25 @@ def test_matrix_product_agrees_with_sympy(n):
             for i in range(n)]
 
 
+@pytest.mark.parametrize("D", [3, 4])
+def test_truncated_exp_of_quadratic_entries_agrees_with_sympy(D):
+    # entries with degree-2 terms and Fraction coefficients, so that powers
+    # of x pass the order: the exponential through degree D is
+    # sum_{k<=D} x^k/k! with its terms above degree D dropped
+    rng = random.Random(601)
+    monomials = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]
+    rows = [[Poly(X3, {e: QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                       for e in monomials}) for _ in range(3)] for _ in range(3)]
+    x = sympy.Matrix([[to_sympy(p).as_expr() for p in row] for row in rows])
+    expected = sum((x**k / sympy.factorial(k) for k in range(1, D + 1)), sympy.eye(3))
+    got = polyring.truncated_exp(PolyMatrix(rows), D)
+    for i in range(3):
+        for j in range(3):
+            full = sympy.Poly(expected[i, j].expand(), *GENS, domain="QQ").as_dict()
+            assert to_sympy(got[i, j]).as_dict() == {e: c for e, c in full.items()
+                                                    if sum(e) <= D}
+
+
 def test_truncated_exp_agrees_with_sympy():
     # a dense 3x3 matrix of linear forms, so that no power of it passes the
     # order and the exponential through degree 4 is sum_{k<=4} x^k/k!
@@ -670,9 +690,11 @@ def test_bfz_jet_order_is_the_closed_form_degree(n):
             *forms["gprime"].values()]
     D = gexp_order(n)
     assert D == max(p.total_degree() for p in lows)
-    assert build_bfz(n).order == D
-    with pytest.raises(TruncationInsufficient):
-        _build_at_order(n, standard_double_word(n), D - 1)
+    # the table is cut at table_order(n), and the highest difference low is
+    # read at its function's own cap, D (table_order(n) - 1 raises: test_bfz)
+    c = build_bfz(n)
+    assert c.order == table_order(n)
+    assert max(c.caps.values()) == max(lowest_term(c.gprimes[i], c.caps[i])[1] for i in c.I2) == D
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -711,14 +733,19 @@ def _longest_words(m):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_double_word_reads_at_the_closed_form_order(n):
-    # gexp_order(n) holds for every double word (see its docstring): all 4
-    # pairs at n=2, 20 seeded pairs of the 256 at n=3
+    # gexp_order(n) and table_order(n) hold for every double word (see
+    # their docstrings): all 4 pairs at n=2, 20 seeded pairs of the 256 at
+    # n=3; at the table cap each difference function is read at its own cap
     words = _longest_words(n + 1)
     pairs = [DoubleWord(a, b) for a in words for b in words]
     for dword in random.Random(n).sample(pairs, {2: 4, 3: 20}[n]):
         lows = [[lowest_term(f, d) for f in _build_at_order(n, dword, d).modified_functions()]
                 for d in (gexp_order(n), gexp_order(n) + 1)]
         assert lows[0] == lows[1], dword
+        builds = [_build_at_order(n, dword, d) for d in (table_order(n), gexp_order(n) + 1)]
+        at_caps = [[lowest_term(f, c.order) for f in c.fs + c.phis + c.psis]
+                   + [lowest_term(c.gprimes[i], c.caps[i]) for i in c.I2] for c in builds]
+        assert at_caps[0] == at_caps[1], dword
 
 
 def assert_canonical(r: RatFun, num: Poly, den: Poly):

@@ -328,6 +328,11 @@ class TestTruncatedExp:
                 expect = QQ(1) if i == j else QQ(0)
                 assert prod.entries[i][j].truncate(D) == Poly.const(vs, expect)
 
+    def test_empty(self):
+        # the exponential of the 0 x 0 matrix is the 0 x 0 identity
+        e = truncated_exp(PolyMatrix([]), 3)
+        assert (e.rows, e.cols, e.entries) == (0, 0, [])
+
     def test_bad_truncation(self):
         x = PolyMatrix([[Poly.zero(Z6)]])
         with pytest.raises(BadTruncation):
@@ -337,6 +342,15 @@ class TestTruncatedExp:
         x = PolyMatrix([[p6("z1 + 1")]])
         with pytest.raises(NotVanishing, match="zero constant term"):
             truncated_exp(x, 2)
+
+    def test_mixed_variables_raise(self):
+        x = PolyMatrix([[p6("z1"), Poly.zero(Z6)], [Poly.zero(Z6), parse_poly("a", VarSet(["a"]))]])
+        with pytest.raises(MixedVariables):
+            truncated_exp(x, 2)
+
+    def test_other_entries_raise(self):
+        with pytest.raises(TypeError, match="not Fraction"):
+            truncated_exp(PolyMatrix([[p6("z1"), QQ(1, 2)], [p6("z2"), p6("z3")]]), 2)
 
 
 class TestCanonicalText:
