@@ -4,27 +4,25 @@ criterion that certifies polynomial integrable systems, and torus
 Pfaffian coefficients.
 
 Bracket-matrix entries are Polys where polynomial and RatFuns elsewhere.
-A structure clears its matrix once to Poly rows over one Poly denominator,
-and every bracket, field and rank runs on Polys, forming at most one RatFun
-at the end.  ``PoissonStructure._field`` is the one loop over the matrix:
-the fields of N and D, h = N/D, joined by the quotient rule.  The bracket
-dots the cleared ``polyring.gradient`` of f with the field of g, and the
-Jacobi and Casimir checks use ``hamiltonian_field``.  A linear structure
-runs on its int keys: its entries are linear when every key is a unit key,
-its Jacobi check reads int structure constants from its terms, and
-``linear_structure`` builds one from closed-form int constants.
-``bracket_poly`` is the checked Poly form of the bracket, kept as a method
-of its own because the benchmark's layer tracer (``bench/layertrace.py``)
-wraps it by name.  ``_cleared_jacobian`` is the one Jacobian determinant,
-of the Poly ``jacobian``; it raises DependentSystem when it vanishes.
+A structure clears its matrix once to Poly rows over one Poly denominator;
+``PoissonStructure._field`` is the one loop over them (the fields of N
+and D, h = N/D, by the quotient rule), and the bracket dots the cleared
+``polyring.gradient`` of f with the field of g.  A linear structure also
+carries one table of int structure constants, built from closed-form
+constants (``linear_structure``, which ``linearize`` calls) or read from
+linear Polys; its Jacobi check and ``involutivity_certificate`` run on it
+through ``polyring._mul_terms``, with no Poly arithmetic.  ``bracket_poly``
+stays a method because the benchmark's layer tracer
+(``bench/layertrace.py``) wraps it by name.  ``_cleared_jacobian`` is the
+one Jacobian determinant.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
 ``extract_integrable_system`` hand it their selected lowest terms, and it
-checks the count, involutivity under pi0 and independence, and builds the
-report.  Independence is the rank of the Jacobian at up to ``samples``
-seeded random points, read until it is full by fraction-free elimination:
-a lower bound on the generic rank, equal to it with high probability."""
+checks the count, involutivity under pi0 and independence: the rank of
+the Jacobian, its entries read as ints at up to ``samples`` seeded random
+points until the rank is full, a lower bound on the generic rank, equal
+to it with high probability."""
 
 from __future__ import annotations
 
@@ -54,6 +52,7 @@ from .polyring import (
     RatFun,
     RationalPoint,
     VarSet,
+    _mul_terms,
     det,
     dot,
     gradient,
@@ -64,7 +63,7 @@ from .polyring import (
     numeric_rank,
     poly_gcd,
 )
-from .rationals import QQ0, QQ1
+from .rationals import QQ0
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 8
@@ -96,17 +95,13 @@ class PoissonStructure:
     times ``_den``, the lcm of the entry denominators (None for 1)."""
 
     def __init__(self, vars: VarSet, bracket_matrix):
-        self.vars = vars
-        n = len(vars)
+        self.vars, n = vars, len(vars)
         m = [[_as_entry(x, vars) for x in row] for row in bracket_matrix]
         if len(m) != n or any(len(row) != n for row in m):
             raise NotPoisson("bracket matrix must be square of size |vars|")
-        for a in range(n):
-            for b in range(a, n):
-                if not _skew(m[a][b], m[b][a]):
-                    raise NotPoisson("bracket matrix must be skew-symmetric")
-        self.bracket_matrix = m
-        self._rows, self._den = m, None
+        if not all(_skew(m[a][b], m[b][a]) for a in range(n) for b in range(a, n)):
+            raise NotPoisson("bracket matrix must be skew-symmetric")
+        self.bracket_matrix, self._rows, self._den = m, m, None
         dens = list(dict.fromkeys(x.den for row in m for x in row if isinstance(x, RatFun)))
         if dens:
             den = reduce(lambda a, d: a * d.exact_div(poly_gcd(a, d)), dens)
@@ -117,9 +112,7 @@ class PoissonStructure:
 
     @staticmethod
     def zero(vars: VarSet) -> "PoissonStructure":
-        z = Poly.zero(vars)
-        n = len(vars)
-        return PoissonStructure(vars, [[z] * n for _ in range(n)])
+        return PoissonStructure(vars, [[0] * len(vars) for _ in vars.names])
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.bracket_matrix for x in row)
@@ -184,58 +177,66 @@ class PoissonStructure:
 
 
 class LinearPoissonStructure(PoissonStructure):
-    """Poisson structure whose bracket matrix has homogeneous degree-1
-    polynomial entries (equivalently, the structure constants of a Lie
-    algebra on the dual space).  The constructor checks only that the
-    entries are linear (every key a unit key): ``linearize`` checks the
-    Jacobi identity of the structure it derives, on its structure
-    constants, and tests check the closed-form structures."""
+    """Poisson structure with homogeneous degree-1 polynomial entries (a Lie
+    algebra on the dual space), carried as one int table: ``table[a][b]``
+    is the term dict of {v_a, v_b} on the unit keys of ``vars.pk`` over the
+    int ``den``, read from the entries or built by ``linear_structure``."""
 
     def __init__(self, vars: VarSet, bracket_matrix):
         super().__init__(vars, bracket_matrix)
-        units = set(vars.pk.unit)
-        for row in self.bracket_matrix:
-            for x in row:
-                if isinstance(x, RatFun):
-                    raise NotPoisson("linear structure entries must be polynomial")
-                if not units.issuperset(x.terms):
-                    raise NotPoisson("linear structure entries must be linear")
+        m, units = self.bracket_matrix, set(vars.pk.unit)
+        if any(isinstance(x, RatFun) or not units.issuperset(x.terms) for row in m for x in row):
+            raise NotPoisson("linear structure entries must be polynomial and linear")
+        self.den = lcm(*[x.den for row in m for x in row])
+        self.table = [[{k: c * (self.den // x.den) for k, c in x.terms.items()} for x in row]
+                      for row in m]
 
     def check_jacobi(self) -> None:
-        """The Schouten form on int structure constants over one common
-        denominator, read from the terms (unit key -> variable): with
-        P_ab = sum_d C_ab^d v_d, {v_a, P_bc} + cyclic has the v_e
-        coefficient sum_d C_bc^d C_ad^e + C_ca^d C_bd^e + C_ab^d C_cd^e,
-        so NotPoisson names the same first failing triple."""
-        P = self.bracket_matrix
-        den = lcm(*[x.den for row in P for x in row])
-        index = {u: i for i, u in enumerate(self.vars.pk.unit)}
-        C = [[{index[k]: c * (den // x.den) for k, c in x.terms.items()}
-              for x in row] for row in P]
-        for a, b, c in combinations(range(len(self.vars)), 3):
-            coeff = {}
-            for s, t, u in ((b, c, a), (c, a, b), (a, b, c)):
-                for d, x in C[s][t].items():
-                    for e, y in C[u][d].items():
-                        coeff[e] = coeff.get(e, 0) + x * y
-            if any(coeff.values()):
-                raise NotPoisson(f"Jacobi identity fails on ({a}, {b}, {c})")
+        """Schouten on the table: the v_e coefficient of {v_a, P_bc} +
+        cyclic, P_ab = sum_d C_ab^d v_d, is sum_d C_bc^d C_ad^e + C_ca^d
+        C_bd^e + C_ab^d C_cd^e, summed over the nonzero C_st^d (s < t) and
+        C_ud = -C_du only; NotPoisson names the first failing triple."""
+        T, index, coeff = self.table, {u: i for i, u in enumerate(self.vars.pk.unit)}, {}
+        for s, t in combinations(range(len(T)), 2):
+            for d, x in T[s][t].items():
+                for u, y in enumerate(T[index[d]]):
+                    if y and u != s and u != t:
+                        out = coeff.setdefault(tuple(sorted((s, t, u))), {})
+                        for e, z in y.items():
+                            out[e] = out.get(e, 0) + (x if s < u < t else -x) * z
+        failing = [abc for abc, out in coeff.items() if any(out.values())]
+        if failing:
+            raise NotPoisson("Jacobi identity fails on ({}, {}, {})".format(*min(failing)))
 
 
 def linear_structure(vars: VarSet, constants, den: int) -> LinearPoissonStructure:
-    """The linear structure {v_a, v_b} = sum c v_d / den over the pairs
-    (d, c) of a variable index and an int in ``constants[a][b]`` (a repeated
-    d adds), each entry built on the unit keys; zero entries share one Poly."""
-    unit, zero = vars.pk.unit, Poly.zero(vars)
-
-    def entry(pairs):
-        terms = {}
-        for d, c in pairs:
-            terms[unit[d]] = terms.get(unit[d], 0) + c
-        terms = {k: c for k, c in terms.items() if c}
-        return Poly._trusted(vars, terms, den) if terms else zero
-
-    return LinearPoissonStructure(vars, [[entry(p) for p in row] for row in constants])
+    """{v_a, v_b} = sum c v_d / den over the pairs (d, c) of a variable
+    index and an int in ``constants[a][b]`` (a repeated d adds), merged into
+    the table, checked skew there, and read into Polys (zero entries one
+    Poly).  A den not an int >= 1 raises NotPoisson, an index outside
+    0..n-1 DimensionMismatch."""
+    n, unit, table = len(vars), vars.pk.unit, []
+    if len(constants) != n or any(len(row) != n for row in constants):
+        raise NotPoisson("bracket matrix must be square of size |vars|")
+    if type(den) is not int or den < 1:
+        raise NotPoisson(f"a linear structure's denominator must be an int >= 1, got {den!r}")
+    for row in constants:
+        table.append([])
+        for pairs in row:
+            terms = {}
+            for d, c in pairs:
+                if not 0 <= d < n:
+                    raise DimensionMismatch(f"variable index {d} of {n} variables")
+                terms[unit[d]] = terms.get(unit[d], 0) + c
+            table[-1].append({k: c for k, c in terms.items() if c})
+    if any(table[a][b] != {k: -c for k, c in table[b][a].items()}
+           for a in range(n) for b in range(a, n)):
+        raise NotPoisson("bracket matrix must be skew-symmetric")
+    pi, zero = LinearPoissonStructure.__new__(LinearPoissonStructure), Poly.zero(vars)
+    pi.vars, pi.table, pi.den, pi._den = vars, table, den, None
+    pi.bracket_matrix = pi._rows = [[Poly._trusted(vars, t, den) if t else zero for t in row]
+                                    for row in table]
+    return pi
 
 
 def is_log_canonical(pi: PoissonStructure, f, g):
@@ -255,26 +256,30 @@ def is_log_canonical(pi: PoissonStructure, f, g):
 
 
 def linearize(pi: PoissonStructure, at=None) -> LinearPoissonStructure:
-    """Linearization at a point where every bracket vanishes: translate the
-    point to the origin and keep the degree-1 part of each entry.  Raises
-    NotPoisson when the result fails the Jacobi identity."""
-    n = len(pi.vars)
-    point = RationalPoint([0] * n if at is None else at, pi.vars)
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            num, den = num_den(pi.bracket_matrix[a][b])
-            den0 = 1 if den is None else den.evaluate(point)
-            if den0 == 0:
-                raise NotRegular(f"entry ({a},{b}) has a pole at the base point")
-            if num.evaluate(point) != 0:
-                raise NotVanishing(f"entry ({a},{b}) nonzero at the base point")
-            lin = num.shift(point).homogeneous_component(1)
-            # (num/den)^(1) = num^(1)/den(0) since num(0) = 0
-            row.append(lin if den0 == 1 else lin * (QQ1 / den0))
-        out.append(row)
-    pi0 = LinearPoissonStructure(pi.vars, out)
+    """Linearization at a point where every bracket vanishes: translate it
+    to the origin (unless it is the origin) and read the degree-1 keys of
+    each entry num/den above the diagonal, num^(1) / den(0), into a
+    ``linear_structure``.  Raises NotRegular at a pole, NotVanishing where
+    an entry is nonzero, NotPoisson when Jacobi fails."""
+    n, shift, index = len(pi.vars), pi.vars.pk.shift, {u: i for i, u in enumerate(pi.vars.pk.unit)}
+    point = None if at is None else RationalPoint(at, pi.vars)
+    moved, lins, dens = point is not None and any(point.nums), {}, {}
+    for a, b in combinations(range(n), 2):
+        num, den = num_den(pi.bracket_matrix[a][b])
+        if moved:
+            num, den = num.shift(point), den and den.shift(point)
+        den0, q = (1, 1) if den is None else (den.terms.get(0, 0), den.den)
+        if den0 == 0:
+            raise NotRegular(f"entry ({a},{b}) has a pole at the base point")
+        if 0 in num.terms:
+            raise NotVanishing(f"entry ({a},{b}) nonzero at the base point")
+        lins[a, b] = [(index[k], c * q) for k, c in num.terms.items() if k >> shift == 1]
+        dens[a, b] = num.den * den0
+    den, constants = lcm(*map(abs, dens.values())), [[[]] * n for _ in range(n)]
+    for (a, b), lin in lins.items():
+        constants[a][b] = [(d, c * (den // dens[a, b])) for d, c in lin]
+        constants[b][a] = [(d, -c) for d, c in constants[a][b]]
+    pi0 = linear_structure(pi.vars, constants, den)
     pi0.check_jacobi()
     return pi0
 
@@ -283,8 +288,6 @@ def generic_rank(pi: PoissonStructure) -> int:
     """Max rank of the bracket matrix over seeded random rational points; a
     probabilistic lower bound that equals the true rank with overwhelming
     probability (acceptance tests cross-check closed forms)."""
-    if pi.is_zero():
-        return 0
     r = numeric_rank(PolyMatrix(pi._rows), random.Random(DEFAULT_SEED),
                      retries=DEFAULT_SAMPLES)
     assert r % 2 == 0, "skew matrix evaluated to odd rank"
@@ -406,11 +409,27 @@ class IntegrableSystemReport:
 
 
 def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
-    """Fully symbolic: every pairwise bracket, the cleared gradient of one
-    function dotted with the field of the other, each computed once, is 0."""
-    vars, rows = pi0.vars, range(len(pi0.vars))
-    parts = [(gradient(f, vars)[0], pi0._field(f, rows)[0]) for f in functions]
-    return all(dot(vars, zip(f[0], g[1])).is_zero() for f, g in combinations(parts, 2))
+    """Fully symbolic, on the table T of pi0 (a plain structure is read as
+    a ``LinearPoissonStructure``, so a non-linear one raises NotPoisson):
+    each cleared ``gradient`` G, over one int on its support, gives the
+    field X[a] = sum_b T[a][b] G[b]; each pairwise bracket sum_a G_f[a]
+    X_g[a], summed like X by ``_mul_terms``, must cancel."""
+    if not isinstance(pi0, LinearPoissonStructure):
+        pi0 = LinearPoissonStructure(pi0.vars, pi0.bracket_matrix)
+    pk, parts = pi0.vars.pk, []
+    for f in functions:
+        grad = gradient(f, pi0.vars)[0]
+        den = lcm(*[x.den for x in grad])
+        grad = [(a, {k: c * (den // x.den) for k, c in x.terms.items()})
+                for a, x in enumerate(grad) if x]
+        field = {}
+        for a, row in enumerate(pi0.table):
+            for b, g in grad:
+                if row[b]:
+                    _mul_terms(pk, row[b], g, None, field.setdefault(a, {}))
+        parts.append((grad, field))
+    return not any(reduce(lambda out, ag: _mul_terms(pk, ag[1], field.get(ag[0], {}), None, out),
+                          grad, {}) for (grad, _), (_, field) in combinations(parts, 2))
 
 
 def certify(

@@ -34,10 +34,11 @@ reuses the sub-minors met before, capped or not.  It is the one
 determinant algorithm: ``det`` is the full minor of a fresh table,
 ``adjugate`` reads the cofactors and the determinant from one, and
 ``inverse`` is the adjugate of a Poly matrix over its constant determinant.
-None takes a RatFun entry, nor does ``numeric_pivots``: ``gradient``
-differentiates a RatFun by its Poly parts, so a ``jacobian`` is cleared to
-Polys.  The canonical text (``str``, read back by ``parse_poly``) lists
-terms in descending graded-lex order, e.g. ``z1*z4 - z2``.
+None takes a RatFun entry, nor does ``numeric_pivots``, which reads each
+entry at a point as ints (``_int_value``, as ``evaluate`` does): a
+``jacobian`` is cleared to Polys by ``gradient``.  The canonical text
+(``str``, read back by ``parse_poly``) lists terms in descending graded-lex
+order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -449,23 +450,9 @@ class Poly:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
-        """Value at a RationalPoint or what it takes: the constant term at
-        the origin, else summed on ints over den * point.den**D, D the degree."""
+        """Value at a RationalPoint or what it takes, by ``_int_value``."""
         point = _as_point(point, self.vars)
-        if not self.terms:
-            return QQ0
-        if point.den == 1 and not any(point.nums):
-            return self.constant_value()
-        nums, D = point.nums, self.total_degree()
-        scale = [point.den**k for k in range(D + 1)]
-        total = 0
-        for e, c in zip(self.vars.pk.unpack(self.terms), self.terms.values()):
-            for x, k in zip(nums, e):
-                if k:
-                    c *= x**k
-            if c:
-                total += c * scale[D - sum(e)]
-        return QQ(total, self.den * scale[D])
+        return QQ(*_int_value(self, point.nums, [point.den] * len(point.nums)))
 
     def shift(self, point) -> "Poly":
         """Substitute v_i -> v_i + c_i (translates the base point c to 0);
@@ -1350,14 +1337,18 @@ def jacobian(fs, vars: VarSet) -> PolyMatrix:
 
 
 def _pivot_columns(rows) -> list:
-    """Pivot columns, in increasing order, of a dense matrix of rationals:
-    each is independent of the columns before it, and their number is the
-    rank.  Each row is cleared to ints, and Bareiss's fraction-free
-    elimination (Math. Comp. 22, 1968) pivots on the first row at or below
-    the rank with a nonzero entry in the column; its entries are Gaussian
-    elimination's times nonzero minors, so the pivots are the same."""
-    m = [[x.numerator * (d // x.denominator) for x in r]
-         for r in rows for d in [lcm(*[x.denominator for x in r])]]
+    """``_int_pivots`` of a dense matrix of rationals, each row cleared."""
+    return _int_pivots([[x.numerator * (d // x.denominator) for x in r]
+                        for r in rows for d in [lcm(*[x.denominator for x in r])]])
+
+
+def _int_pivots(m) -> list:
+    """Pivot columns, in increasing order, of a dense int matrix (which it
+    overwrites): each is independent of the columns before it, and their
+    number is the rank.  Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968) pivots on the first row at or below the rank with a nonzero
+    entry in the column; its entries are Gaussian elimination's times
+    nonzero minors, so the pivots are the same."""
     nr, nc = len(m), len(m[0]) if m else 0
     pivots, prev = [], 1
     for col in range(nc):
@@ -1377,19 +1368,39 @@ def _pivot_columns(rows) -> list:
     return pivots
 
 
+def _int_value(p: Poly, nums, dens) -> tuple:
+    """Ints (v, w) with p = v / w at x_i = nums[i] / dens[i]: w is den
+    prod dens[i]^D_i, D_i the top exponent of variable i in p, and v the
+    sum of c prod nums[i]^e_i dens[i]^(D_i - e_i) over the terms c x^e."""
+    if not p.terms:
+        return 0, 1
+    exps = p.vars.pk.unpack(p.terms)
+    D = [(i, d) for i, d in enumerate(map(max, zip(*exps))) if d]
+    v, w = 0, p.den
+    for c, e in zip(p.terms.values(), exps):
+        for i, d in D:
+            c *= nums[i] ** e[i] * dens[i] ** (d - e[i])
+        v += c
+    for i, d in D:
+        w *= dens[i] ** d
+    return v, w
+
+
 def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
-    """Pivot columns of m, by the fraction-free ``_pivot_columns``, at the
+    """Pivot columns of m, by the fraction-free ``_int_pivots``, at the
     first of up to ``retries`` seeded-random rational points that reaches
-    the highest rank seen; sampling stops at rank min(rows, cols).  The
-    rank is a lower bound on the generic rank, equal to it with high
-    probability.  An entry that is not a Poly raises TypeError."""
+    the highest rank seen; sampling stops at rank min(rows, cols).  Each
+    entry is read as ints v / w (``_int_value``), each row cleared over the
+    lcm of its w, which leaves the pivots as they are: a lower bound on the
+    generic rank, equal with high probability; non-Poly entries raise TypeError."""
     _refuse_other_entries(m.entries, (Poly,), "numeric pivots")
-    full = min(m.rows, m.cols)
-    best = []
+    full, best = min(m.rows, m.cols), []
     for _ in range(retries if full else 0):
-        vars = m.entries[0][0].vars
-        point = RationalPoint([random_rational(rng) for _ in vars.names], vars)
-        pivots = _pivot_columns([[x.evaluate(point) for x in row] for row in m.entries])
+        xs = [random_rational(rng) for _ in m.entries[0][0].vars.names]
+        nums, dens = [x.numerator for x in xs], [x.denominator for x in xs]
+        values = [[_int_value(p, nums, dens) for p in row] for row in m.entries]
+        pivots = _int_pivots([[v * (L // w) for v, w in row]
+                              for row in values for L in [lcm(*[w for _, w in row])]])
         if len(pivots) > len(best):
             best = pivots
         if len(best) == full:
@@ -1399,9 +1410,9 @@ def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
 
 def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
     """Rank of m at seeded-random rational points, as ``numeric_pivots``
-    reads it: a lower bound on the generic rank.  Kept as a function of its
-    own because the benchmark's layer tracer (``bench/layertrace.py``)
-    wraps it by name."""
+    reads it from int columns: a lower bound on the generic rank.  Kept as
+    a function of its own because the benchmark's layer tracer
+    (``bench/layertrace.py``) wraps it by name."""
     return len(numeric_pivots(m, rng, retries))
 
 

@@ -6,15 +6,18 @@ function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
-``pyproject.toml`` declares imports and is callable.  Five checks run the
+``pyproject.toml`` declares imports and is callable.  Six checks run the
 code: every Poly the families build is keyed by packed monomials, and they
 build no Jet; the closed-form linear structures do no Poly arithmetic;
 the Schubert build subtracts no Poly and makes no Fraction in a division;
-the minors table and Poly sums combine terms in ``_mul_terms``; and
-``truncated_exp`` does no Poly or matrix arithmetic."""
+the minors table and Poly sums combine terms in ``_mul_terms``;
+``truncated_exp`` does no Poly or matrix arithmetic; and the involutivity
+certificate, linearization at the origin and numeric pivots do no Poly
+arithmetic or evaluation."""
 
 import ast
 import importlib
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -33,8 +36,19 @@ from clusterint.dualgl import (
     kks_gl,
     lows_via_jets,
 )
-from clusterint import polyring
-from clusterint.polyring import Jet, Poly, PolyMatrix, VarSet, minors, parse_poly, truncated_exp
+from clusterint import poisson_core, polyring
+from clusterint.poisson_core import PoissonStructure, involutivity_certificate, linearize
+from clusterint.polyring import (
+    Jet,
+    Poly,
+    PolyMatrix,
+    VarSet,
+    jacobian,
+    minors,
+    numeric_pivots,
+    parse_poly,
+    truncated_exp,
+)
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import longest_word
 
@@ -405,6 +419,30 @@ def test_truncated_exp_does_no_poly_or_matrix_arithmetic(monkeypatch):
             return op(self, other)
         monkeypatch.setattr(cls, name, counted)
     truncated_exp(x, 4)
+    assert calls == Counter()
+
+
+def test_linear_layer_does_no_poly_arithmetic_or_evaluation(monkeypatch):
+    """``involutivity_certificate`` (of a linear structure and of a plain
+    one with linear entries), ``linearize`` at the origin and
+    ``numeric_pivots`` run on int tables and int columns: no Poly sum,
+    product or evaluation, and no ``dot``."""
+    cell = build_cell(4, longest_word(4))
+    lows = cell.lows()
+    plain = PoissonStructure(cell.vars, cell.pi0.bracket_matrix)
+    m = jacobian(lows, cell.vars)
+    calls = Counter()
+    for owner, name in [(Poly, op) for op in ("__add__", "__sub__", "__neg__", "__mul__",
+                                               "evaluate")] + [(polyring, "dot"),
+                                                               (poisson_core, "dot")]:
+        def counted(*args, key=name, op=getattr(owner, name)):
+            calls[key] += 1
+            return op(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert involutivity_certificate(cell.pi0, lows)
+    assert involutivity_certificate(plain, lows)
+    linearize(cell.pi_z)
+    assert len(numeric_pivots(m, random.Random(1))) == 4
     assert calls == Counter()
 
 

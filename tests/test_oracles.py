@@ -2,7 +2,9 @@
 and on matrices from a seeded generator; the jet orders of the BFZ and
 dual GL families against the degrees of their closed-form lowest terms;
 the fraction-free pivot columns against sympy's rref and a Fraction
-elimination; the closed-form linear structures against their Poly formulas.
+elimination; the closed-form linear structures against their Poly formulas;
+the involutivity certificate on int tables against Poly brackets, and the
+int-column numeric pivots against pivots of the evaluated entries.
 
 sympy's sparse polynomials over QQ are an implementation independent of
 ``polyring``; its graded-lex order on (x, y, z) is the one ``polyring``
@@ -52,7 +54,12 @@ from clusterint.errors import (
     SizeOutOfRange,
     TruncationInsufficient,
 )
-from clusterint.poisson_core import PoissonStructure, is_log_canonical, log_volume
+from clusterint.poisson_core import (
+    PoissonStructure,
+    involutivity_certificate,
+    is_log_canonical,
+    log_volume,
+)
 from clusterint.polyring import (
     Poly,
     PolyMatrix,
@@ -67,6 +74,7 @@ from clusterint.polyring import (
     jacobian,
     lowest_term,
     minors,
+    numeric_pivots,
     parse_poly,
     poly_gcd,
 )
@@ -1153,3 +1161,119 @@ def test_closed_form_linear_structures_are_the_poly_formulas(n):
                             (kks_gl(n), reference_kks(n))):
         assert [[(str(x), x.den) for x in row] for row in built.bracket_matrix] == [
             [(str(x), x.den) for x in row] for row in expected]
+
+
+# -- the linear layer on int tables against Poly brackets and evaluations -----
+
+
+@pytest.fixture(scope="module")
+def linear_structures():
+    """sl(3)* at the identity, the gl(3) coalgebra and a Schubert pi0."""
+    return [sl_dual_linear_structure(2), kks_gl(3), build_cell(4, longest_word(4)).pi0]
+
+
+def polys_over(vars, max_terms=3):
+    exponents = st.tuples(*[st.integers(0, 2)] * len(vars))
+    return st.dictionaries(exponents, coefficients, max_size=max_terms).map(
+        lambda terms: Poly(vars, terms))
+
+
+@st.composite
+def involution_cases(draw, structures):
+    """A linear structure and 2-3 Polys or RatFuns on its variables: drawn
+    freely (which rarely commute), or made from the first by a square, a
+    reciprocal or a constant (which commute with it)."""
+    pi0 = draw(st.sampled_from(structures))
+    vars = pi0.vars
+
+    def function():
+        num = draw(polys_over(vars))
+        if draw(st.booleans()):
+            return num
+        return RatFun(num, draw(polys_over(vars, 2).filter(lambda p: not p.is_constant())))
+
+    f = function()
+    fs = [f]
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["free", "square", "reciprocal", "constant"]))
+        if kind == "square":
+            fs.append(f * f)
+        elif kind == "reciprocal" and f:
+            fs.append(1 / f if isinstance(f, RatFun) else RatFun(Poly.const(vars, 1), f))
+        elif kind == "constant":
+            fs.append(Poly.const(vars, draw(coefficients)))
+        else:
+            fs.append(function())
+    return pi0, fs
+
+
+@given(data=st.data())
+def test_table_certificate_is_the_poly_bracket(linear_structures, data):
+    pi0, fs = data.draw(involution_cases(linear_structures))
+    expected = all(pi0.bracket(f, g).is_zero() for f, g in combinations(fs, 2))
+    assert involutivity_certificate(pi0, fs) == expected
+    # a plain structure with the same entries is read through its table
+    plain = PoissonStructure(pi0.vars, pi0.bracket_matrix)
+    assert involutivity_certificate(plain, fs) == expected
+
+
+def test_table_certificate_on_coordinate_pairs(linear_structures):
+    # {v_a, v_b} is the entry itself: both outcomes occur on every structure
+    for pi0 in linear_structures:
+        coords = [Poly.var(pi0.vars, nm) for nm in pi0.vars.names]
+        seen = set()
+        for a, b in combinations(range(len(coords)), 2):
+            got = involutivity_certificate(pi0, [coords[a], coords[b]])
+            assert got == pi0.bracket_matrix[a][b].is_zero()
+            seen.add(got)
+        assert seen == {True, False}
+
+
+def evaluated_pivots(m, rng, retries):
+    """``numeric_pivots`` as ``_pivot_columns`` of the ``Poly.evaluate``
+    values, at the same seeded points."""
+    full, best = min(m.rows, m.cols), []
+    for _ in range(retries if full else 0):
+        vars = m.entries[0][0].vars
+        point = RationalPoint([random_rational(rng) for _ in vars.names], vars)
+        pivots = polyring._pivot_columns([[x.evaluate(point) for x in row]
+                                          for row in m.entries])
+        if len(pivots) > len(best):
+            best = pivots
+        if len(best) == full:
+            break
+    return best
+
+
+@st.composite
+def poly_matrices(draw):
+    """0-4 x 0-4 Poly matrices with Fraction coefficients and mixed
+    degrees; a column may be zero or a Poly multiple of an earlier one."""
+    nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cols = []
+    for j in range(nc):
+        kind = draw(st.sampled_from(["free", "zero", "multiple"]))
+        if kind == "zero":
+            cols.append([Poly.zero(X3)] * nr)
+        elif kind == "multiple" and j:
+            c = draw(polys(2, 2))
+            cols.append([x * c for x in cols[draw(st.integers(0, j - 1))]])
+        else:
+            cols.append([draw(polys(3)) for _ in range(nr)])
+    return PolyMatrix([[col[i] for col in cols] for i in range(nr)])
+
+
+@given(poly_matrices(), st.integers(0, 2**16), st.integers(0, 4))
+@example(PolyMatrix([]), 1, 3)
+@example(PolyMatrix([[], []]), 1, 3)
+@example(PolyMatrix([[Poly.zero(X3), px("x^3 + 1/2*y")], [Poly.zero(X3), px("2/3*z")]]), 1, 3)
+def test_int_pivots_are_the_evaluated_pivots(m, seed, retries):
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert numeric_pivots(m, rng, retries) == evaluated_pivots(m, ref, retries)
+    assert rng.random() == ref.random()  # the same points were drawn
+
+
+def test_int_pivots_on_the_family_jacobians():
+    for lows, vars in family_lows():
+        m = jacobian(lows, vars)
+        assert numeric_pivots(m, random.Random(5)) == evaluated_pivots(m, random.Random(5), 8)

@@ -28,6 +28,7 @@ from clusterint.poisson_core import (
     generic_rank,
     involutivity_certificate,
     is_log_canonical,
+    linear_structure,
     linearize,
     log_volume,
     pfaffian_coefficient,
@@ -245,6 +246,35 @@ def test_a_point_of_the_wrong_length_raises(use, n):
 def test_malformed_input_raises_a_package_error(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+# {x, y} = x over 1 (den 1); a constant at (0, 1) and its mirror at (1, 0)
+def xy_constants(d01=0, c01=1, c10=-1):
+    return [[[], [(d01, c01)]], [[(d01, c10)], []]]
+
+
+@pytest.mark.parametrize("constants, den, error, match", [
+    (xy_constants(), 0, NotPoisson, "denominator must be an int >= 1, got 0"),
+    (xy_constants(), -2, NotPoisson, "denominator must be an int >= 1, got -2"),
+    (xy_constants(), QQ(1, 2), NotPoisson, "denominator must be an int >= 1"),
+    (xy_constants(d01=-1), 1, DimensionMismatch, "variable index -1 of 2 variables"),
+    (xy_constants(d01=2), 1, DimensionMismatch, "variable index 2 of 2 variables"),
+    (xy_constants(c10=1), 1, NotPoisson, "skew-symmetric"),
+    ([[[], [(0, 1)]]], 1, NotPoisson, "square"),
+], ids=["den-0", "den-negative", "den-fraction", "index-negative", "index-n", "non-skew",
+        "non-square"])
+def test_linear_structure_refuses_malformed_constants(constants, den, error, match):
+    with pytest.raises(error, match=match):
+        linear_structure(XY, constants, den)
+
+
+def test_linear_structure_merges_and_reduces():
+    # (0, 2) and (0, 1) add to 3 x, over 6: the entry x/2 with den 2
+    pi = linear_structure(XY, [[[], [(0, 2), (0, 1), (1, 0)]], [[(0, -3)], []]], 6)
+    assert pi.table == [[{}, {XY.pk.unit[0]: 3}], [{XY.pk.unit[0]: -3}, {}]] and pi.den == 6
+    assert pi.bracket_matrix[0][1] == parse_poly("1/2*x", XY)
+    assert pi.bracket_matrix[0][1].den == 2
+    assert pi.bracket_matrix[1][1].is_zero()
 
 
 def jacobi_outcomes(pi0):
@@ -481,6 +511,11 @@ class TestCertify:
     def test_wrong_selected_count_raises(self, sl4_pi0):
         with pytest.raises(CountShortfall, match="selected 1 functions"):
             certify([p6("z1")], sl4_pi0, Z6, 2)
+
+    def test_non_linear_pi0_raises(self, sl4_pi):
+        # the quadratic SL(4) structure has no table of structure constants
+        with pytest.raises(NotPoisson, match="linear"):
+            certify([p6("z1"), p6("z2")], sl4_pi, Z6, 2)
 
     def test_rank_below_expected_raises(self, sl4_pi0):
         with pytest.raises(CountShortfall, match="independent count 1"):
