@@ -2,7 +2,9 @@
 longest element: the frozen-variable modification, lowest degree terms at
 the identity via truncated exponentials, the selection of a polynomial
 integrable system on the linearization, and the index of the dual Lie
-algebra via Kostant's cascade of strongly orthogonal roots."""
+algebra via Kostant's cascade of strongly orthogonal roots.  The build
+stores each lowest term, read once at its function's cap; the selection
+reads them and keeps the positions of ``degree_jumps``."""
 
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .typea import (
     ReducedWord,
     WeylElt,
     bott_samelson,
+    degree_jumps,
     fundamental_weight,
     kplus_kminus,
     longest_word,
@@ -136,6 +139,10 @@ class BFZCluster:
     g_index: dict  # i -> k with psi_k the last occurrence of letter i
     gprimes: dict  # i in I2 -> f_i g_i - f_{i*} g_{i*}, cut at caps[i]
     caps: dict  # i in I2 -> order + n + 1 - i, the degree gprimes[i] is exact through
+    f_lows: list  # (lowest term, degree) of each f, read once at build
+    phi_lows: list  # the same, by position beside phis
+    psi_lows: list  # the same, by position beside psis
+    gprime_lows: dict  # i in I2 -> the same of gprimes[i], read at caps[i]
     I0: list
     I1: list
     I2: list
@@ -154,14 +161,16 @@ class BFZCluster:
         """The extended cluster after the frozen modification: f's, phi's and
         psi's, with the last-occurrence psi of each letter in I2 replaced by
         the corresponding difference function."""
-        funcs = list(self.fs) + list(self.phis)
+        return self._modified(self.fs, self.phis, self.psis, self.gprimes)
+
+    def modified_lows(self):
+        """The stored (lowest term, degree) pairs of ``modified_functions``."""
+        return self._modified(self.f_lows, self.phi_lows, self.psi_lows, self.gprime_lows)
+
+    def _modified(self, fs, phis, psis, gprimes):
         replaced = {self.g_index[i]: i for i in self.I2}
-        for k in range(1, self.l0 + 1):
-            if k in replaced:
-                funcs.append(self.gprimes[replaced[k]])
-            else:
-                funcs.append(self.psis[k - 1])
-        return funcs
+        return fs + phis + [gprimes[replaced[k]] if k in replaced else psi
+                            for k, psi in enumerate(psis, 1)]
 
 
 def _istar_sets(n: int):
@@ -238,8 +247,8 @@ def cluster_minors(table, n: int, dword: DoubleWord):
 
 def _build_at_order(n, dword, D):
     """The cluster at table cap D, each difference function of i exact
-    through D + n+1-i (``table_order``); raises TruncationInsufficient when
-    a lowest term lies above its function's cap."""
+    through D + n+1-i (``table_order``), with every lowest term read at its
+    function's cap; raises TruncationInsufficient when one lies above it."""
     vars = sl_varset(n)
     X = truncated_exp(sl_u_matrix(n, vars), D)
     fs, phis, psis, g_index = cluster_minors(minors(X, D), n, dword)
@@ -248,11 +257,10 @@ def _build_at_order(n, dword, D):
     # f_i g_i - f_{i*} g_{i*} with i* = n + 1 - i, by one capped product
     gprimes = {i: dot(vars, [(fs[i - 1], psis[g_index[i] - 1]),
                              (-fs[n - i], psis[g_index[n + 1 - i] - 1])], caps[i]) for i in I2}
-    for f in fs + phis + psis:
-        lowest_term(f, D)
-    for i in I2:
-        lowest_term(gprimes[i], caps[i])
-    return BFZCluster(n, dword, vars, D, fs, phis, psis, g_index, gprimes, caps, I0, I1, I2)
+    f_lows, phi_lows, psi_lows = ([lowest_term(f, D) for f in fam] for fam in (fs, phis, psis))
+    gprime_lows = {i: lowest_term(gprimes[i], caps[i]) for i in I2}
+    return BFZCluster(n, dword, vars, D, fs, phis, psis, g_index, gprimes, caps,
+                      f_lows, phi_lows, psi_lows, gprime_lows, I0, I1, I2)
 
 
 # -- closed forms at the standard word ----------------------------------------
@@ -310,51 +318,28 @@ def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
     if cluster is None:
         cluster = build_bfz(n)
     std = standard_double_word(n)
-    if (
-        tuple(cluster.dword.neg.letters) != tuple(std.neg.letters)
-        or tuple(cluster.dword.pos.letters) != tuple(std.pos.letters)
-    ):
+    if (cluster.dword.neg.letters, cluster.dword.pos.letters) != (std.neg.letters, std.pos.letters):
         raise WrongWord("closed forms hold for the standard double word only")
     forms = gexp_formulas(n)
-    m = n + 1
 
-    # frozen rows/columns formulas
-    for i in range(1, n + 1):
-        low_i, _ = lowest_term(cluster.fs[i - 1], cluster.order)
-        low_star, _ = lowest_term(cluster.fs[m - i - 1], cluster.order)
-        if not _up_to_sign(low_i, low_star):
-            return False
-        if i in forms["f"] and not _up_to_sign(low_i, forms["f"][i]):
-            return False
-    for i, expect in forms["g"].items():
-        low_g, _ = lowest_term(cluster.g(i), cluster.order)
-        if not _up_to_sign(low_g, expect):
-            return False
-    for i, expect in forms["gprime"].items():
-        low_gp, _ = lowest_term(cluster.gprimes[i], cluster.caps[i])
-        if not _up_to_sign(low_gp, expect):
-            return False
+    # frozen rows/columns formulas: f_i against f_{i*} and the closed forms
+    f_lows = [low for low, _ in cluster.f_lows]
+    pairs = ([(f_lows[i - 1], f_lows[n - i]) for i in range(1, n + 1)]
+             + [(f_lows[i - 1], f) for i, f in forms["f"].items()]
+             + [(cluster.psi_lows[cluster.g_index[i] - 1][0], g) for i, g in forms["g"].items()]
+             + [(cluster.gprime_lows[i][0], g) for i, g in forms["gprime"].items()])
+    if not all(_up_to_sign(a, b) for a, b in pairs):
+        return False
 
-    # cluster-variable lows: the nonconstant ones match the two minor
-    # families as sets; the constant ones are exactly the letters whose
-    # suffix is empty
-    got = set()
+    # cluster-variable lows: the nonconstant phi's and the psi's but the last
+    # occurrences match the two minor families (no constant) as sets; the
+    # constant phi's are exactly those whose letter does not recur
     _, kplus_neg = kplus_kminus(cluster.dword.neg)
-    for k in range(1, cluster.l0 + 1):
-        low_phi, d = lowest_term(cluster.phis[k - 1], cluster.order)
-        if d == 0:
-            if kplus_neg[k] is not None:
-                return False
-            continue
-        got.add(_sign_canonical(low_phi))
-    for k in range(1, cluster.l0 + 1):
-        if k in {cluster.g_index[i] for i in range(1, n + 1)}:
-            continue
-        low_psi, d = lowest_term(cluster.psis[k - 1], cluster.order)
-        if d == 0:
-            return False
-        got.add(_sign_canonical(low_psi))
-    return got == forms["cluster"]
+    if any(d == 0 and kplus_neg[k] for k, (_, d) in enumerate(cluster.phi_lows, 1)):
+        return False
+    got = [low for low, d in cluster.phi_lows if d] + [
+        low for k, (low, _) in enumerate(cluster.psi_lows, 1) if k not in cluster.g_index.values()]
+    return {_sign_canonical(low) for low in got} == forms["cluster"]
 
 
 # -- selection ----------------------------------------------------------------
@@ -370,60 +355,29 @@ def choose_integrable_system_bfz(
     difference functions; certified involutive and independent of the
     expected cardinality l0 + r."""
     n = cluster.n
-    l0 = cluster.l0
-    letters_combined = list(range(n, 0, -1)) + list(cluster.dword.neg.letters)
-    index_of = list(range(-n, 0)) + list(range(1, l0 + 1))
+    # position p of the combined word (n, ..., 1) + neg holds f_(n+1-p) for
+    # p <= n, phi_(p-n) after; its first n letters are distinct, so every
+    # successor is a phi
+    rows = cluster.f_lows[::-1] + cluster.phi_lows
+    _, kplus = kplus_kminus(list(range(n, 0, -1)) + list(cluster.dword.neg.letters))
+    picked = degree_jumps([d for _, d in rows], kplus)
+    lows = [rows[p - 1][0] for p in picked]
+    labels = [f"row{p - n - 1 if p <= n else p - n}" for p in picked]
 
-    def fn_at(k):
-        return cluster.fs[-k - 1] if k < 0 else cluster.phis[k - 1]
-
-    degs = {}
-    for k in index_of:
-        _, d = lowest_term(fn_at(k), cluster.order)
-        degs[k] = d
-
-    # successors by position in the combined word; its first n letters are
-    # distinct, so every successor is a phi
-    _, kplus = kplus_kminus(letters_combined)
-    selected = []
-    labels = []
-    for p, k in enumerate(index_of, start=1):
-        succ_deg = degs[index_of[kplus[p] - 1]] if kplus[p] else 0
-        if degs[k] == succ_deg + 1:
-            selected.append(fn_at(k))
-            labels.append(f"row{k}")
-
-    kminus_pos, _ = kplus_kminus(cluster.dword.pos)
-    g_of = {cluster.g_index[i]: i for i in range(1, n + 1)}
-    psi_degs = {}
-    for k in range(1, l0 + 1):
-        _, d = lowest_term(cluster.psis[k - 1], cluster.order)
-        psi_degs[k] = d
-
-    def jump(k):
-        pred = kminus_pos[k]
-        pred_deg = psi_degs[pred] if pred else 0
-        return psi_degs[k] == pred_deg + 1
-
-    for k in range(1, l0 + 1):
-        i = g_of.get(k)
-        admissible = False
-        if i not in cluster.I2 and jump(k):
-            admissible = True
-        if i in cluster.I1:
-            k1 = cluster.g_index[cluster.istar(i)]
-            if jump(k1):
-                admissible = True
-        if admissible:
-            selected.append(cluster.psis[k - 1])
-            labels.append(f"col{k}")
-    lows = [lowest_term(f, cluster.order)[0] for f in selected]
-    for i in cluster.I2:
-        lows.append(lowest_term(cluster.gprimes[i], cluster.caps[i])[0])
-        labels.append(f"diff{i}")
+    # a column is admissible when it jumps over its predecessor in the
+    # positive word, unless it is the last occurrence of a letter in I2, or
+    # when it is the last occurrence of i in I1 and that of i* jumps
+    kminus, _ = kplus_kminus(cluster.dword.pos)
+    jumps = degree_jumps([d for _, d in cluster.psi_lows], kminus)
+    last = {k: i for i, k in cluster.g_index.items()}
+    cols = [k for k in range(1, cluster.l0 + 1)
+            if (last.get(k) not in cluster.I2 and k in jumps)
+            or (last.get(k) in cluster.I1 and cluster.g_index[cluster.istar(last[k])] in jumps)]
+    lows += [cluster.psi_lows[k - 1][0] for k in cols] + [cluster.gprime_lows[i][0] for i in cluster.I2]
+    labels += [f"col{k}" for k in cols] + [f"diff{i}" for i in cluster.I2]
     word = ",".join(map(str, cluster.dword.neg.letters))
     return certify(lows, sl_dual_linear_structure(n), cluster.vars,
-                   l0 + n, seed, samples,
+                   cluster.l0 + n, seed, samples,
                    f"bfz n={n} word={word} labels={';'.join(labels)}", labels)
 
 
@@ -453,7 +407,7 @@ def modified_mu_low_degree(n: int) -> int:
     if len(funcs) != N:
         raise CountShortfall("modified cluster does not match the chart size")
     _, d = lowest_term(det(jacobian(funcs, cluster.vars), D - 1), D - 1)
-    return d + N - sum(lowest_term(f, D)[1] for f in funcs)
+    return d + N - sum(deg for _, deg in cluster.modified_lows())
 
 
 # -- Kostant cascade and the index ----------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-from .errors import SingularLocus, SizeOutOfRange
+from .errors import DimensionMismatch, SingularLocus, SizeOutOfRange
 from .poisson_core import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -478,6 +478,8 @@ def choose_integrable_system_dualgl(
         s = build_staircase(n)
     if jets is None:
         jets = lows_via_jets(s)
+    if s.n != n or jets.n != n:
+        raise DimensionMismatch(f"staircase of size {s.n} and jet lows of size {jets.n} for n={n}")
     selected = []
     labels = []
     for p in range(0, n - 1):

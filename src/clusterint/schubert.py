@@ -2,7 +2,8 @@
 reduced word, the Poisson structure in Bott-Samelson coordinates, its
 linearization at the torus-fixed point, integrable-system selection by
 degree jumps, Pfaffian and index formulas, and the quasi-polynomial flow
-structure checks."""
+structure checks.  ``build_cell`` stores each phi's lowest term, read
+once; the selection reads them and keeps the k of ``degree_jumps``."""
 
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .polyring import (
 from .typea import (
     ReducedWord,
     bott_samelson_prefixes,
+    degree_jumps,
     fundamental_weight,
     kplus_kminus,
     longest_word,
@@ -59,12 +61,13 @@ class SchubertCell:
     pi0: LinearPoissonStructure
     kminus: dict
     kplus: dict
+    phi_lows: list  # (lowest term, degree) of each phi, read once at build
 
     def lows(self):
-        return [lowest_term(p)[0] for p in self.phis]
+        return [low for low, _ in self.phi_lows]
 
     def low_degrees(self):
-        return [lowest_term(p)[1] for p in self.phis]
+        return [d for _, d in self.phi_lows]
 
     def frozen_indices(self):
         return [k for k in range(1, len(self.word) + 1) if self.kplus[k] is None]
@@ -160,6 +163,8 @@ def build_cell(m: int, word) -> SchubertCell:
     j < k exactly when each {z_j, phi_k} under P equals Q[j][k]."""
     if not isinstance(word, ReducedWord):
         word = ReducedWord(word, m)
+    if word.m != m:
+        raise WrongWord(f"reduced word is for m={word.m}, the cell for m={m}")
     l = len(word)
     if l == 0:
         raise WrongWord("empty word has no cell data")
@@ -185,7 +190,8 @@ def build_cell(m: int, word) -> SchubertCell:
                     f"bracket of pair ({j + 1},{k + 1}) is not the expected multiple"
                 )
     pi0 = linearize(pi_z)
-    return SchubertCell(m, word, vars, phis, lam, pi_z, pi0, kminus, kplus)
+    return SchubertCell(m, word, vars, phis, lam, pi_z, pi0, kminus, kplus,
+                        [lowest_term(p) for p in phis])
 
 
 def choose_integrable_system(
@@ -193,14 +199,8 @@ def choose_integrable_system(
 ) -> IntegrableSystemReport:
     """Keep the lowest terms whose degree jumps over the predecessor's;
     certify symbolic involutivity and the magic-number cardinality."""
-    l = len(cell.word)
     lows = cell.lows()
-    degs = cell.low_degrees()
-    selected = []
-    for k in range(1, l + 1):
-        pred = degs[cell.kminus[k] - 1] if cell.kminus[k] else 0
-        if degs[k - 1] == 1 + pred:
-            selected.append(k)
+    selected = degree_jumps(cell.low_degrees(), cell.kminus)
     word = ",".join(map(str, cell.word.letters))
     # involution is certified over all lowest terms, not only the chosen ones
     return certify([lows[k - 1] for k in selected], cell.pi0, cell.vars,
@@ -209,8 +209,7 @@ def choose_integrable_system(
 
 
 def magic_number(cell: SchubertCell) -> int:
-    degs = cell.low_degrees()
-    return sum(degs[k - 1] for k in cell.frozen_indices())
+    return sum(cell.phi_lows[k - 1][1] for k in cell.frozen_indices())
 
 
 def index_and_magic(cell: SchubertCell) -> dict:

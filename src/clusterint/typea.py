@@ -195,6 +195,15 @@ def kplus_kminus(word) -> tuple:
     return kminus, kplus
 
 
+def degree_jumps(degs, neighbour) -> list:
+    """The 1-based k whose degree jumps by one over its neighbour's,
+    degs[k-1] = 1 + degs[neighbour[k]-1], a missing neighbour (None)
+    counting as degree 0; ``neighbour`` is a k^- or k^+ map of
+    ``kplus_kminus`` over the same positions."""
+    return [k for k, d in enumerate(degs, 1)
+            if d == 1 + (degs[neighbour[k] - 1] if neighbour[k] else 0)]
+
+
 # -- matrix realizations -----------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from clusterint.bfz import (
@@ -53,16 +55,26 @@ def chart2():
     return bfz_chart(2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_stored_lows_are_the_lowest_terms(n, c2, c3):
+    # the build reads each low once, f's, phi's and psi's at the table cap
+    # and each difference function at its own
+    c = {2: c2, 3: c3}[n]
+    assert [c.f_lows, c.phi_lows, c.psi_lows] == [
+        [lowest_term(f, c.order) for f in fam] for fam in (c.fs, c.phis, c.psis)]
+    assert c.gprime_lows == {i: lowest_term(c.gprimes[i], c.caps[i]) for i in c.I2}
+    assert c.modified_lows() == [lowest_term(f) for f in c.modified_functions()]
+
+
 class TestGoldenN2:
     def test_f1_low(self, c2):
-        low, deg = lowest_term(c2.fs[0], c2.order)
+        low, deg = c2.f_lows[0]
         u13 = Poly.var(c2.vars, "u13")
         assert low == u13 or low == -u13
         assert deg == 1
 
     def test_f1_equals_f2_low(self, c2):
-        low1, _ = lowest_term(c2.fs[0], c2.order)
-        low2, _ = lowest_term(c2.fs[1], c2.order)
+        (low1, _), (low2, _) = c2.f_lows
         assert low1 == low2 or low1 == -low2
 
     def test_gprime2_low(self, c2):
@@ -74,7 +86,7 @@ class TestGoldenN2:
         ) * minor(u, [2, 3], [1, 2])
         # the table is cut at 2, the difference function at its own cap 3
         assert (c2.order, c2.caps) == (2, {2: 3})
-        low, deg = lowest_term(c2.gprimes[2], c2.caps[2])
+        low, deg = c2.gprime_lows[2]
         assert deg == 3
         assert low == expect or low == -expect
 
@@ -102,6 +114,24 @@ class TestGexp:
         assert c5.order == table_order(5) == 3
         assert c5.caps == {4: gexp_order(5), 5: 4} == {4: 5, 5: 4}
         assert gexp_check(5, c5)
+
+    def test_rejects_a_changed_low(self, c2):
+        # each stored low the check reads, changed, fails it: f_2 (compared
+        # with f_1 only), the g of I1, the difference function, a constant
+        # phi whose letter recurs, and a constant or doubled psi
+        def twice(pair):
+            return pair[0] * 2, pair[1]
+
+        one = (Poly.const(c2.vars, 1), 0)
+        g1 = c2.g_index[1] - 1
+        psis = [twice(p) if k == g1 else p for k, p in enumerate(c2.psi_lows)]
+        for change in (dict(f_lows=[c2.f_lows[0], twice(c2.f_lows[1])]),
+                       dict(psi_lows=psis),
+                       dict(gprime_lows={2: twice(c2.gprime_lows[2])}),
+                       dict(phi_lows=[one] + c2.phi_lows[1:]),
+                       dict(psi_lows=[one] + c2.psi_lows[1:]),
+                       dict(psi_lows=[twice(c2.psi_lows[0])] + c2.psi_lows[1:])):
+            assert not gexp_check(2, dataclasses.replace(c2, **change)), change
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_table_order_is_the_least_cap(self, n):

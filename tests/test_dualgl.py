@@ -26,7 +26,7 @@ from clusterint.dualgl import (
     x_matrix,
     y_matrix,
 )
-from clusterint.errors import SingularLocus, SizeOutOfRange
+from clusterint.errors import DimensionMismatch, SingularLocus, SizeOutOfRange
 from clusterint.poisson_core import generic_rank, is_log_canonical
 from clusterint.polyring import Poly, PolyMatrix, RatFun, det, parse_poly
 from clusterint.rationals import QQ, QQ0, QQ1
@@ -302,6 +302,16 @@ class TestChoose:
         rep = choose_integrable_system_dualgl(4, s=s4, jets=jets4)
         assert rep.independent_count == rep.magic_number == 10
         assert rep.involutive
+
+    def test_inputs_of_another_size(self, s3, jets3):
+        # were an IndexError (n=3 with n=2 inputs) or MixedVariables (n=2
+        # with n=3 inputs)
+        s2 = build_staircase(2)
+        jets2 = lows_via_jets(s2)
+        for n, s, jets in ((3, s2, jets2), (2, s3, jets3), (3, s3, jets2), (2, s2, jets3),
+                           (3, s2, jets3), (3, s2, None)):
+            with pytest.raises(DimensionMismatch, match=f"staircase of size {s.n}.* for n={n}"):
+                choose_integrable_system_dualgl(n, s, jets)
 
 
 class TestCasimirIdentity:

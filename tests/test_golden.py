@@ -15,10 +15,16 @@ from pathlib import Path
 import pytest
 
 import clusterint.cluster_engine
-from clusterint.bfz import bfz_chart, build_bfz, choose_integrable_system_bfz, standard_double_word
+from clusterint.bfz import (
+    DoubleWord,
+    bfz_chart,
+    build_bfz,
+    choose_integrable_system_bfz,
+    standard_double_word,
+)
 from clusterint.dualgl import build_staircase, choose_integrable_system_dualgl, lows_via_jets
 from clusterint.schubert import build_cell, choose_integrable_system
-from clusterint.typea import longest_word
+from clusterint.typea import ReducedWord, longest_word
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = BENCH / "golden.json"
@@ -78,6 +84,41 @@ def test_bfz_report_digest_is_pinned(n):
 def test_dualgl_jet_lows_are_pinned(n):
     jets = lows_via_jets(build_staircase(n))
     assert digest([[str(p), d] for p, d in jets.phi_lows + jets.cbar_lows]) == DUALGL_LOWS[n]
+
+
+# report digests of inputs the benchmark does not run: the longest words at
+# m = 3 and 5 (as ``longest_word`` spells them), other Schubert words, and BFZ n=3 double words whose negative half
+# is not the standard word (the positive half is), so that the degree-jump
+# selection runs over other kminus / kplus maps
+SCHUBERT_WORD_REPORTS = {
+    (3, (1, 2, 1)): "5dc0f6a08b5a23f50742fb76fd689223f98e66e2e13125d2a780e9a99fc0c240",
+    (5, (1, 2, 3, 4, 1, 2, 3, 1, 2, 1)):
+        "299f860cc418ad537f73fe82804e56a41160d762b6b1cbb40a8e7154537ce5f7",
+    (4, (2, 1, 3, 2)): "c714bd65aaf62960dd60af6faece1cbdec51022a185a4037ea375784d81a0593",
+    (4, (1, 2, 1, 3, 2, 1)): "5d5964177fde8f6ba38a718653bdc34d1f7ddc4221314e1ccd788a6ce132b77e",
+    (5, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)):
+        "2fdbe5ccf58e0fb795466942c3da2a98fd2c0c852484020cff90cc0e6ee28ed9",
+}
+BFZ_NEG_WORD_REPORTS = {
+    (3, 2, 1, 3, 2, 3): "77898e5c0c5059b4e624f6f9f6c233442cd011159714fc93464928a3d086439f",
+    (1, 2, 1, 3, 2, 1): "84a506ac2524929ae18307e6f5abee7c241e082b04c5359d8e2e1254564a5753",
+    (2, 1, 2, 3, 2, 1): "35ed45bf81ae59dd64a264a03e5e62a8b9c27a0f171d01d32a4fae88fad5e1c9",
+}
+
+
+@pytest.mark.parametrize("m, letters", sorted(SCHUBERT_WORD_REPORTS))
+def test_schubert_word_report_digest_is_pinned(m, letters):
+    outcome = report_outcome(choose_integrable_system(build_cell(m, ReducedWord(letters, m))))
+    assert outcome.problems == []
+    assert outcome.digest == SCHUBERT_WORD_REPORTS[m, letters]
+
+
+@pytest.mark.parametrize("neg", sorted(BFZ_NEG_WORD_REPORTS))
+def test_bfz_negative_word_report_digest_is_pinned(neg):
+    dword = DoubleWord(ReducedWord(neg, 4), longest_word(4))
+    outcome = report_outcome(choose_integrable_system_bfz(build_bfz(3, dword)))
+    assert outcome.problems == []
+    assert outcome.digest == BFZ_NEG_WORD_REPORTS[neg]
 
 
 def chart_modvol(chart):

@@ -6,9 +6,10 @@ function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, and every console script that
-``pyproject.toml`` declares imports and is callable.  Six checks run the
+``pyproject.toml`` declares imports and is callable.  Seven checks run the
 code: every Poly the families build is keyed by packed monomials, and they
-build no Jet; the closed-form linear structures do no Poly arithmetic;
+build no Jet; choosing on a built Schubert cell or BFZ cluster reads no
+lowest term; the closed-form linear structures do no Poly arithmetic;
 the Schubert build subtracts no Poly and makes no Fraction in a division;
 the minors table and Poly sums combine terms in ``_mul_terms``;
 ``truncated_exp`` does no Poly or matrix arithmetic; and the involutivity
@@ -36,7 +37,7 @@ from clusterint.dualgl import (
     kks_gl,
     lows_via_jets,
 )
-from clusterint import poisson_core, polyring
+from clusterint import bfz, poisson_core, polyring, schubert
 from clusterint.poisson_core import PoissonStructure, involutivity_certificate, linearize
 from clusterint.polyring import (
     Jet,
@@ -404,6 +405,25 @@ def test_minors_and_sums_run_on_the_one_product_kernel(monkeypatch):
         calls.clear()
         assert read() == expected[name], name
         assert calls, f"{name} combines terms outside _mul_terms"
+
+
+def test_choosing_reads_no_lowest_term(monkeypatch):
+    """The Schubert and BFZ builds read each lowest term once, at its cap,
+    and choosing on a built cell or cluster reads none again."""
+    calls = Counter()
+    for module in (schubert, bfz):
+        def counted(*args, key=module.__name__, read=module.lowest_term):
+            calls[key] += 1
+            return read(*args)
+        monkeypatch.setattr(module, "lowest_term", counted)
+    cell = build_cell(6, longest_word(6))
+    cluster = build_bfz(3, standard_double_word(3))
+    # 15 phi's; 3 f's, 6 phi's, 6 psi's and 1 difference function
+    assert calls == Counter({"clusterint.schubert": 15, "clusterint.bfz": 16})
+    calls.clear()
+    choose_integrable_system(cell)
+    choose_integrable_system_bfz(cluster)
+    assert calls == Counter()
 
 
 def test_truncated_exp_does_no_poly_or_matrix_arithmetic(monkeypatch):

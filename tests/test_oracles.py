@@ -702,7 +702,7 @@ def test_bfz_jet_order_is_the_closed_form_degree(n):
     # read at its function's own cap, D (table_order(n) - 1 raises: test_bfz)
     c = build_bfz(n)
     assert c.order == table_order(n)
-    assert max(c.caps.values()) == max(lowest_term(c.gprimes[i], c.caps[i])[1] for i in c.I2) == D
+    assert max(c.caps.values()) == max(d for _, d in c.gprime_lows.values()) == D
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -751,8 +751,8 @@ def test_every_double_word_reads_at_the_closed_form_order(n):
                 for d in (gexp_order(n), gexp_order(n) + 1)]
         assert lows[0] == lows[1], dword
         builds = [_build_at_order(n, dword, d) for d in (table_order(n), gexp_order(n) + 1)]
-        at_caps = [[lowest_term(f, c.order) for f in c.fs + c.phis + c.psis]
-                   + [lowest_term(c.gprimes[i], c.caps[i]) for i in c.I2] for c in builds]
+        at_caps = [c.f_lows + c.phi_lows + c.psi_lows + [c.gprime_lows[i] for i in c.I2]
+                   for c in builds]
         assert at_caps[0] == at_caps[1], dword
 
 
@@ -1117,7 +1117,7 @@ def family_lows():
     cluster = build_bfz(2, standard_double_word(2))
     jets = lows_via_jets(build_staircase(2))
     return [(cell.lows(), cell.vars),
-            ([lowest_term(f, cluster.order)[0] for f in cluster.fs + cluster.phis],
+            ([low for low, _ in cluster.f_lows + cluster.phi_lows],
              cluster.vars),
             ([p for p, _ in jets.phi_lows + jets.cbar_lows], jets.u_vars)]
 

@@ -201,6 +201,15 @@ class TestChoose:
         assert set(rep.functions) == {"z1", "z2"}
         assert rep.selected_indices == [1, 2]
 
+    def test_stored_lows_are_the_lowest_terms(self, sl4_cell):
+        assert sl4_cell.phi_lows == [lowest_term(p) for p in sl4_cell.phis]
+
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_word_of_another_size(self, m):
+        # was a bare IndexError at m=2 and a weight-size mismatch at m=4, 5
+        with pytest.raises(WrongWord, match=f"word is for m=3, the cell for m={m}"):
+            build_cell(m, ReducedWord([1, 2, 1], 3))
+
 
 class TestIndexMagic:
     def test_sl4(self, sl4_cell):

@@ -10,6 +10,7 @@ from clusterint.typea import (
     WeylElt,
     bott_samelson,
     bott_samelson_prefixes,
+    degree_jumps,
     elementary,
     fundamental_weight,
     generalized_minor,
@@ -275,3 +276,16 @@ class TestKPlusMinus:
     def test_121(self):
         kminus, _ = kplus_kminus(ReducedWord([1, 2, 1], 3))
         assert kminus == {1: None, 2: None, 3: 1}
+
+
+class TestDegreeJumps:
+    def test_sl4_word(self):
+        # the Schubert m=4 low degrees: phi_5 = z2 z5 - z3 z4 jumps over phi_2
+        kminus, kplus = kplus_kminus(ReducedWord([1, 2, 3, 1, 2, 1], 4))
+        degs = [1, 1, 1, 1, 2, 1]
+        assert degree_jumps(degs, kminus) == [1, 2, 3, 5]
+        assert degree_jumps(degs, kplus) == [3, 6]
+
+    def test_missing_neighbour_counts_as_degree_zero(self):
+        assert degree_jumps([0, 2, 1], {1: None, 2: None, 3: 1}) == [3]
+        assert degree_jumps([], {}) == []
