@@ -109,10 +109,14 @@ def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
     pairs = [(i, j) for i in range(m) for j in range(m) if (i, j) != (n, n)]
     u = {ij: [(d, 1)] for d, ij in enumerate(pairs)}
     u[n, n] = [(d, -c) for t in range(n) for d, c in u[t, t]]
-    return linear_structure(sl_varset(n), [[
-        [(d, (_sign(p - i) + _sign(q - j)) * c)
-         for d, c in (u[p, j] if i == q else []) + (u[i, q] if p == j else [])]
-        for p, q in pairs] for i, j in pairs], 2)
+    col, constants = {pq: b for b, pq in enumerate(pairs)}, [[[]] * len(pairs) for _ in pairs]
+    for (i, j), row in zip(pairs, constants):
+        for p, q in [(p, i) for p in range(m)] + [(j, q) for q in range(m) if q != i]:
+            s = _sign(p - i) + _sign(q - j)
+            if s and (p, q) != (n, n):
+                row[col[p, q]] = [(d, s * c) for d, c in (u[p, j] if i == q else [])
+                                  + (u[i, q] if p == j else [])]
+    return linear_structure(sl_varset(n), constants, 2)
 
 
 def minor(table, rows, cols):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BadSeed, DependentSystem, NotCasimir
 from .poisson_core import DEFAULT_SEED, PoissonStructure, log_volume
-from .polyring import Poly, RatFun, VarSet, jacobian, numeric_rank
+from .polyring import Poly, RatFun, VarSet, jacobian_pivots
 
 SYMMETRIZER_BOUND = 12
 
@@ -47,7 +47,7 @@ class Seed:
     def check(self) -> None:
         """Algebraic independence (numeric Jacobian rank at seeded points)
         and skew-symmetrizability of the principal part."""
-        r = numeric_rank(jacobian(self.cluster, self.vars), random.Random(DEFAULT_SEED))
+        r = len(jacobian_pivots(self.cluster, self.vars, random.Random(DEFAULT_SEED)))
         if r != len(self.cluster):
             raise DependentSystem("cluster is not algebraically independent")
         if self.ex and skew_symmetrizer(self.principal_part()) is None:

@@ -52,14 +52,15 @@ from .polyring import (
     RatFun,
     RationalPoint,
     VarSet,
+    _gradient_terms,
     _mul_terms,
     det,
     dot,
     gradient,
     jacobian,
+    jacobian_pivots,
     lowest_term,
     num_den,
-    numeric_pivots,
     numeric_rank,
     poly_gcd,
 )
@@ -212,10 +213,10 @@ class LinearPoissonStructure(PoissonStructure):
 def linear_structure(vars: VarSet, constants, den: int) -> LinearPoissonStructure:
     """{v_a, v_b} = sum c v_d / den over the pairs (d, c) of a variable
     index and an int in ``constants[a][b]`` (a repeated d adds), merged into
-    the table, checked skew there, and read into Polys (zero entries one
-    Poly).  A den not an int >= 1 raises NotPoisson, an index outside
-    0..n-1 DimensionMismatch."""
-    n, unit, table = len(vars), vars.pk.unit, []
+    the table, checked skew on its nonzero entries, and read into Polys
+    (zero entries one dict and one Poly).  A den not an int >= 1 raises
+    NotPoisson, an index outside 0..n-1 DimensionMismatch."""
+    n, unit, table, empty = len(vars), vars.pk.unit, [], {}
     if len(constants) != n or any(len(row) != n for row in constants):
         raise NotPoisson("bracket matrix must be square of size |vars|")
     if type(den) is not int or den < 1:
@@ -223,14 +224,14 @@ def linear_structure(vars: VarSet, constants, den: int) -> LinearPoissonStructur
     for row in constants:
         table.append([])
         for pairs in row:
-            terms = {}
+            terms = {} if pairs else empty
             for d, c in pairs:
                 if not 0 <= d < n:
                     raise DimensionMismatch(f"variable index {d} of {n} variables")
                 terms[unit[d]] = terms.get(unit[d], 0) + c
-            table[-1].append({k: c for k, c in terms.items() if c})
-    if any(table[a][b] != {k: -c for k, c in table[b][a].items()}
-           for a in range(n) for b in range(a, n)):
+            table[-1].append({k: c for k, c in terms.items() if c} if pairs else empty)
+    if any(table[b][a] != {k: -c for k, c in t.items()}
+           for a, row in enumerate(table) for b, t in enumerate(row) if t):
         raise NotPoisson("bracket matrix must be skew-symmetric")
     pi, zero = LinearPoissonStructure.__new__(LinearPoissonStructure), Poly.zero(vars)
     pi.vars, pi.table, pi.den, pi._den = vars, table, den, None
@@ -411,17 +412,14 @@ class IntegrableSystemReport:
 def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
     """Fully symbolic, on the table T of pi0 (a plain structure is read as
     a ``LinearPoissonStructure``, so a non-linear one raises NotPoisson):
-    each cleared ``gradient`` G, over one int on its support, gives the
-    field X[a] = sum_b T[a][b] G[b]; each pairwise bracket sum_a G_f[a]
-    X_g[a], summed like X by ``_mul_terms``, must cancel."""
+    each cleared gradient G, int dicts read from the terms by
+    ``_gradient_terms``, gives the field X[a] = sum_b T[a][b] G[b]; each
+    pairwise bracket sum_a G_f[a] X_g[a], summed like X, must cancel."""
     if not isinstance(pi0, LinearPoissonStructure):
         pi0 = LinearPoissonStructure(pi0.vars, pi0.bracket_matrix)
     pk, parts = pi0.vars.pk, []
     for f in functions:
-        grad = gradient(f, pi0.vars)[0]
-        den = lcm(*[x.den for x in grad])
-        grad = [(a, {k: c * (den // x.den) for k, c in x.terms.items()})
-                for a, x in enumerate(grad) if x]
+        grad = [(a, g) for a, g in enumerate(_gradient_terms(f, pi0.vars)[0]) if g]
         field = {}
         for a, row in enumerate(pi0.table):
             for b, g in grad:
@@ -448,14 +446,20 @@ def certify(
     involution under pi0 (checked over ``commuting``, a larger pool that
     contains them, when given), and their Jacobian reaches rank
     ``expected`` at one of up to ``samples`` seeded random points, read
-    until the rank is full.  That rank is a lower bound on the generic
-    rank.  Raises CountShortfall or NotInvolutive instead of reporting a
-    failure."""
+    until the rank is full (``jacobian_pivots``): a lower bound on the
+    generic rank.  Raises CountShortfall, NotInvolutive (also naming a
+    selected low missing from ``commuting``) or, for ``labels`` of another
+    length than the lows, DimensionMismatch instead of reporting a failure."""
     if len(lows) != expected:
         raise CountShortfall(f"selected {len(lows)} functions, expected {expected}")
+    if labels and len(labels) != len(lows):
+        raise DimensionMismatch(f"{len(labels)} labels for {len(lows)} functions")
+    missing = [] if commuting is None else [i for i, f in enumerate(lows) if f not in commuting]
+    if missing:
+        raise NotInvolutive(f"selected low {missing[0]} is not in the commuting pool")
     if not involutivity_certificate(pi0, lows if commuting is None else commuting):
         raise NotInvolutive("lowest terms are not in involution under pi0")
-    rank = numeric_rank(jacobian(lows, vars), random.Random(seed), retries=samples)
+    rank = len(jacobian_pivots(lows, vars, random.Random(seed), samples))
     if rank != expected:
         raise CountShortfall(f"independent count {rank} below {expected}")
     return IntegrableSystemReport(
@@ -480,7 +484,6 @@ def extract_integrable_system(
     n = len(sys.vars)
     lows = [lowest_term(f)[0] for f in sys.functions]
     magic = n - generic_rank(pi0) // 2
-    kept = numeric_pivots(jacobian(lows, sys.vars), random.Random(DEFAULT_SEED),
-                          DEFAULT_SAMPLES)
+    kept = jacobian_pivots(lows, sys.vars, random.Random(DEFAULT_SEED), DEFAULT_SAMPLES)
     return certify([lows[i] for i in kept], pi0, sys.vars, magic, labels=kept,
                    commuting=lows)

@@ -34,9 +34,10 @@ reuses the sub-minors met before, capped or not.  It is the one
 determinant algorithm: ``det`` is the full minor of a fresh table,
 ``adjugate`` reads the cofactors and the determinant from one, and
 ``inverse`` is the adjugate of a Poly matrix over its constant determinant.
-None takes a RatFun entry, nor does ``numeric_pivots``, which reads each
-entry at a point as ints (``_int_value``, as ``evaluate`` does): a
-``jacobian`` is cleared to Polys by ``gradient``.  The canonical text
+None takes a RatFun entry, nor does ``numeric_pivots`` (``generic_rank``),
+which reads each entry at a point as ints, as ``evaluate`` does.  Jacobian
+ranks go through ``jacobian_pivots``, which reads the Jacobian of Polys
+and RatFuns at a point from its terms' values.  The canonical text
 (``str``, read back by ``parse_poly``) lists terms in descending graded-lex
 order, e.g. ``z1*z4 - z2``.
 """
@@ -450,9 +451,10 @@ class Poly:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
-        """Value at a RationalPoint or what it takes, by ``_int_value``."""
+        """Value at a RationalPoint or what it takes, by ``_scaled_terms``."""
         point = _as_point(point, self.vars)
-        return QQ(*_int_value(self, point.nums, [point.den] * len(point.nums)))
+        w, values = _scaled_terms(self, point.nums, [point.den] * len(point.nums))
+        return QQ(sum(v for v, _ in values), w)
 
     def shift(self, point) -> "Poly":
         """Substitute v_i -> v_i + c_i (translates the base point c to 0);
@@ -1303,29 +1305,36 @@ def inverse(m: PolyMatrix) -> PolyMatrix:
     return adj.map(lambda p: p * inv)
 
 
-def gradient(h, vars: VarSet):
-    """(G, C) with grad h = G / C over ``vars``, for a Poly or RatFun h:
-    for h = N/D, G = D grad N - N grad D and C = D^2; for a Poly, or a
-    RatFun over 1, G is the gradient and C is None.  The one derivative:
-    one pass over the terms of each part, the zero partials one shared Poly."""
-    num, den = num_den(h)
+def _gradient_terms(h, vars: VarSet):
+    """(G, q, D), grad h = G / (q D^2) for a Poly or RatFun h = N/D: G = D
+    grad N - N grad D as int dicts, one a variable, q an int, D None for 1.
+    The one derivative: one pass over the terms of each part."""
+    (num, den), pk = num_den(h), vars.pk
     if num.vars is not vars and num.vars != vars:
         raise MixedVariables("mixed variable sets")
-    zero = Poly.zero(vars)
 
     def partials(p):
-        out, unit = [{} for _ in vars.names], vars.pk.unit
-        for (key, c), e in zip(p.terms.items(), vars.pk.unpack(p.terms)):
+        out, unit = [{} for _ in vars.names], pk.unit
+        for (key, c), e in zip(p.terms.items(), pk.unpack(p.terms)):
             for i, k in enumerate(e):
                 if k:
                     out[i][key - unit[i]] = c * k
-        return [Poly._trusted(vars, d, p.den) if d else zero for d in out]
+        return out
 
     grad = partials(num)
-    if den is None:
-        return grad, None
-    neg = -num
-    return [dot(vars, ((den, x), (neg, y))) for x, y in zip(grad, partials(den))], den * den
+    if den is not None:
+        grad = [_mul_terms(pk, num.terms, y, None, _mul_terms(pk, den.terms, x), -1)
+                for x, y in zip(grad, partials(den))]
+        pk.check([k for t in grad for k in t])
+    return grad, num.den * (1 if den is None else den.den), den
+
+
+def gradient(h, vars: VarSet):
+    """(G, C) with grad h = G / C: ``_gradient_terms`` read into Polys (the
+    zero partials one shared Poly), and C = D^2, or None for a Poly or a
+    RatFun over 1."""
+    (grad, q, den), zero = _gradient_terms(h, vars), Poly.zero(vars)
+    return [Poly._trusted(vars, t, q) if t else zero for t in grad], den and den * den
 
 
 def jacobian(fs, vars: VarSet) -> PolyMatrix:
@@ -1368,52 +1377,85 @@ def _int_pivots(m) -> list:
     return pivots
 
 
-def _int_value(p: Poly, nums, dens) -> tuple:
-    """Ints (v, w) with p = v / w at x_i = nums[i] / dens[i]: w is den
-    prod dens[i]^D_i, D_i the top exponent of variable i in p, and v the
-    sum of c prod nums[i]^e_i dens[i]^(D_i - e_i) over the terms c x^e."""
-    if not p.terms:
-        return 0, 1
+def _scaled_terms(p: Poly, nums, dens) -> tuple:
+    """(w, [(v, e)]) with p = sum v / w at x_i = nums[i] / dens[i]: w is
+    den prod dens[i]^D_i, D_i the top exponent of variable i in p, and v
+    is c prod nums[i]^e_i dens[i]^(D_i - e_i) for each term c x^e."""
     exps = p.vars.pk.unpack(p.terms)
     D = [(i, d) for i, d in enumerate(map(max, zip(*exps))) if d]
-    v, w = 0, p.den
-    for c, e in zip(p.terms.values(), exps):
-        for i, d in D:
-            c *= nums[i] ** e[i] * dens[i] ** (d - e[i])
-        v += c
-    for i, d in D:
-        w *= dens[i] ** d
-    return v, w
+    return p.den * prod(dens[i] ** d for i, d in D), [
+        (c * prod(nums[i] ** e[i] * dens[i] ** (d - e[i]) for i, d in D), e)
+        for c, e in zip(p.terms.values(), exps)]
 
 
-def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
-    """Pivot columns of m, by the fraction-free ``_int_pivots``, at the
-    first of up to ``retries`` seeded-random rational points that reaches
-    the highest rank seen; sampling stops at rank min(rows, cols).  Each
-    entry is read as ints v / w (``_int_value``), each row cleared over the
-    lcm of its w, which leaves the pivots as they are: a lower bound on the
-    generic rank, equal with high probability; non-Poly entries raise TypeError."""
-    _refuse_other_entries(m.entries, (Poly,), "numeric pivots")
-    full, best = min(m.rows, m.cols), []
+def _sampled_pivots(nvars: int, full: int, rng, retries: int, rows_at) -> list:
+    """``_int_pivots`` of the int rows ``rows_at(nums, dens)`` at the first
+    of up to ``retries`` seeded-random rational points nums[i] / dens[i]
+    that reaches the highest rank seen; sampling stops at rank ``full``."""
+    best = []
     for _ in range(retries if full else 0):
-        xs = [random_rational(rng) for _ in m.entries[0][0].vars.names]
-        nums, dens = [x.numerator for x in xs], [x.denominator for x in xs]
-        values = [[_int_value(p, nums, dens) for p in row] for row in m.entries]
-        pivots = _int_pivots([[v * (L // w) for v, w in row]
-                              for row in values for L in [lcm(*[w for _, w in row])]])
-        if len(pivots) > len(best):
-            best = pivots
+        xs = [random_rational(rng) for _ in range(nvars)]
+        pivots = _int_pivots(rows_at([x.numerator for x in xs], [x.denominator for x in xs]))
+        best = max(best, pivots, key=len)  # the first of the highest rank
         if len(best) == full:
             break
     return best
 
 
+def numeric_pivots(m: PolyMatrix, rng, retries: int = 8) -> list:
+    """Pivot columns of a Poly matrix m at seeded-random points (full at
+    rank min(rows, cols)), each entry read as ints, each row cleared over
+    one int: a lower bound on the generic rank, equal with high
+    probability, for ``generic_rank``.  Non-Poly entries raise TypeError."""
+    _refuse_other_entries(m.entries, (Poly,), "numeric pivots")
+    full = min(m.rows, m.cols)
+
+    def rows_at(nums, dens):
+        values = [[_scaled_terms(p, nums, dens) for p in row] for row in m.entries]
+        return [[sum(v for v, _ in t) * (L // w) for w, t in row]
+                for row in values for L in [lcm(*[w for w, _ in row])]]
+
+    return _sampled_pivots(len(m.entries[0][0].vars) if full else 0, full, rng, retries, rows_at)
+
+
 def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
-    """Rank of m at seeded-random rational points, as ``numeric_pivots``
-    reads it from int columns: a lower bound on the generic rank.  Kept as
-    a function of its own because the benchmark's layer tracer
-    (``bench/layertrace.py``) wraps it by name."""
+    """``len(numeric_pivots(m, rng, retries))``, kept because the
+    benchmark's layer tracer (``bench/layertrace.py``) wraps it by name."""
     return len(numeric_pivots(m, rng, retries))
+
+
+def jacobian_pivots(fs, vars: VarSet, rng, retries: int = 8) -> list:
+    """The draws and pivots of ``numeric_pivots`` on ``jacobian(fs, vars)``,
+    read from each term's value v at a point (``_scaled_terms``): row a is
+    scaled by x_a where x_a != 0, so x_a d(t)/dx_a = e_a t adds e_a v; at
+    x_a = 0 only the terms with e_a = 1 and no other zero coordinate count.
+    The column of N/D is D dN - N dD over one int; nonzero row and column
+    scales keep the pivot columns."""
+    parts, n = [num_den(f) for f in fs], len(vars)
+    if any(num.vars is not vars and num.vars != vars for num, _ in parts):
+        raise MixedVariables("mixed variable sets")
+
+    def values(p, nums, dens, zero):
+        value, row = 0, [0] * n
+        for v, e in _scaled_terms(p, nums, dens)[1]:
+            z = [i for i in zero if e[i]]
+            value += 0 if z else v
+            for i, k in enumerate(e):
+                if k and (not z or z == [i] and k == 1):
+                    row[i] += k * v
+        return value, row
+
+    def rows_at(nums, dens):
+        zero, nums, cols = [i for i, x in enumerate(nums) if not x], [x or 1 for x in nums], []
+        for num, den in parts:
+            v, dn = values(num, nums, dens, zero)
+            if den is not None:
+                w, dd = values(den, nums, dens, zero)
+                dn = [w * x - v * y for x, y in zip(dn, dd)]
+            cols.append(dn)
+        return [list(row) for row in zip(*cols)]
+
+    return _sampled_pivots(n, min(n, len(parts)), rng, retries, rows_at)
 
 
 def truncated_exp(x: PolyMatrix, order: int) -> PolyMatrix:

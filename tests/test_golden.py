@@ -9,6 +9,7 @@ only read here.
 """
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -22,7 +23,11 @@ from clusterint.bfz import (
     choose_integrable_system_bfz,
     standard_double_word,
 )
+from clusterint.cluster_engine import Seed, mutate
 from clusterint.dualgl import build_staircase, choose_integrable_system_dualgl, lows_via_jets
+from clusterint.errors import ClusterIntError
+from clusterint.poisson_core import DEFAULT_SEED, LogCanonicalSystem, extract_integrable_system
+from clusterint.polyring import Poly, VarSet, jacobian_pivots
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import ReducedWord, longest_word
 
@@ -119,6 +124,63 @@ def test_bfz_negative_word_report_digest_is_pinned(neg):
     outcome = report_outcome(choose_integrable_system_bfz(build_bfz(3, dword)))
     assert outcome.problems == []
     assert outcome.digest == BFZ_NEG_WORD_REPORTS[neg]
+
+
+# report digests of ``extract_integrable_system`` on the Schubert longest-word
+# log-canonical systems, whose selected indices are the pivot columns of the
+# Jacobian of their lows; and one digest of the ``Seed.check`` outcome of
+# each seed of tests/test_cluster_engine.py beside the pivot columns of its
+# cluster's Jacobian, so that a change of pivots shows beyond the family
+# reports
+EXTRACT_REPORTS = {
+    3: "1b4fdbafe8dcad5f7a1e3669c833f1b5e25359ceda47f403f7304e9e13d9dbb0",
+    4: "c74106af263e49a1ac951d884075123c67190fac23521b42c143e74739e453f6",
+    5: "196054cc4fbbbabf7f0ee983d158017a2b064d387eb97c79a01aff00a7c8901f",
+}
+SEED_CHECKS = "a253f3e720f3b6266bc972aa0f3aa83392271633ac65237e1d7eb0c30fa58dc9"
+
+
+@pytest.mark.parametrize("m", sorted(EXTRACT_REPORTS))
+def test_extracted_schubert_report_digest_is_pinned(m):
+    cell = build_cell(m, longest_word(m))
+    report = extract_integrable_system(LogCanonicalSystem.build(cell.pi_z, cell.phis), cell.pi0)
+    assert digest({f: getattr(report, f) for f in FIELDS}) == EXTRACT_REPORTS[m]
+
+
+def coordinate_seed(n, ex, M):
+    vs = VarSet([f"z{i}" for i in range(1, n + 1)])
+    return Seed(vs, [Poly.var(vs, f"z{i}") for i in range(1, n + 1)], ex, M)
+
+
+def cluster_engine_seeds():
+    """The seeds of tests/test_cluster_engine.py, mutated ones (with RatFun
+    entries) and the SL(3) chart's among them."""
+    vs = VarSet(["z1", "z2"])
+    z1, z2 = Poly.var(vs, "z1"), Poly.var(vs, "z2")
+    s = coordinate_seed(2, [1], [[0], [1]])
+    chart = bfz_chart(2)
+    return [s, Seed(s.vars, [s.cluster[0]] * 2, s.ex, s.M),
+            coordinate_seed(2, [1, 2], [[0, 1], [1, 0]]),
+            mutate(coordinate_seed(2, [1], [[0], [0]]), 1), mutate(s, 1),
+            mutate(coordinate_seed(3, [1], [[0], [1], [-1]]), 1),
+            Seed(vs, [z1, z1 * z2 - 1], [1], [[0], [1]]),
+            mutate(Seed(vs, [z1, z1 * z2 - 1], [1], [[0], [1]]), 1),
+            Seed(chart.vars, chart.all_functions(), [], [[] for _ in range(8)])]
+
+
+def check_outcome(seed):
+    try:
+        seed.check()
+    except ClusterIntError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_seed_check_outcomes_are_pinned():
+    outcomes = [[check_outcome(s), jacobian_pivots(s.cluster, s.vars, random.Random(DEFAULT_SEED))]
+                for s in cluster_engine_seeds()]
+    assert [o for o, _ in outcomes] == ["ok", "DependentSystem", "BadSeed"] + ["ok"] * 6
+    assert digest(outcomes) == SEED_CHECKS
 
 
 def chart_modvol(chart):

@@ -38,13 +38,20 @@ from clusterint.dualgl import (
     lows_via_jets,
 )
 from clusterint import bfz, poisson_core, polyring, schubert
-from clusterint.poisson_core import PoissonStructure, involutivity_certificate, linearize
+from clusterint.poisson_core import (
+    PoissonStructure,
+    certify,
+    involutivity_certificate,
+    linearize,
+)
 from clusterint.polyring import (
     Jet,
     Poly,
     PolyMatrix,
+    RatFun,
     VarSet,
     jacobian,
+    jacobian_pivots,
     minors,
     numeric_pivots,
     parse_poly,
@@ -444,24 +451,34 @@ def test_truncated_exp_does_no_poly_or_matrix_arithmetic(monkeypatch):
 
 def test_linear_layer_does_no_poly_arithmetic_or_evaluation(monkeypatch):
     """``involutivity_certificate`` (of a linear structure and of a plain
-    one with linear entries), ``linearize`` at the origin and
-    ``numeric_pivots`` run on int tables and int columns: no Poly sum,
-    product or evaluation, and no ``dot``."""
+    one with linear entries), ``linearize`` at the origin, ``certify``,
+    ``jacobian_pivots`` (of Polys and RatFuns) and ``numeric_pivots`` run
+    on int tables and int columns: no Poly sum, product or evaluation, no
+    ``dot``; and but for ``numeric_pivots``, which takes one, no
+    ``gradient``, no ``jacobian`` and no ``PolyMatrix``."""
     cell = build_cell(4, longest_word(4))
     lows = cell.lows()
     plain = PoissonStructure(cell.vars, cell.pi0.bracket_matrix)
     m = jacobian(lows, cell.vars)
+    quotients = [RatFun(lows[0], lows[3]), RatFun(lows[4], lows[1] + lows[2])]
+    pivots = numeric_pivots(jacobian(quotients + lows, cell.vars), random.Random(1))
     calls = Counter()
     for owner, name in [(Poly, op) for op in ("__add__", "__sub__", "__neg__", "__mul__",
-                                               "evaluate")] + [(polyring, "dot"),
-                                                               (poisson_core, "dot")]:
+                                               "evaluate")] + [
+            (module, fn) for module in (polyring, poisson_core)
+            for fn in ("dot", "gradient", "jacobian")] + [(PolyMatrix, "__init__")]:
         def counted(*args, key=name, op=getattr(owner, name)):
             calls[key] += 1
             return op(*args)
         monkeypatch.setattr(owner, name, counted)
     assert involutivity_certificate(cell.pi0, lows)
     assert involutivity_certificate(plain, lows)
+    assert involutivity_certificate(cell.pi0, quotients + lows)
     linearize(cell.pi_z)
+    report = certify([lows[i] for i in (0, 1, 2, 4)], cell.pi0, cell.vars, 4, commuting=lows)
+    assert report.independent_count == 4
+    assert jacobian_pivots(quotients + lows, cell.vars, random.Random(1)) == pivots
+    assert calls == Counter()
     assert len(numeric_pivots(m, random.Random(1))) == 4
     assert calls == Counter()
 

@@ -3,8 +3,9 @@ and on matrices from a seeded generator; the jet orders of the BFZ and
 dual GL families against the degrees of their closed-form lowest terms;
 the fraction-free pivot columns against sympy's rref and a Fraction
 elimination; the closed-form linear structures against their Poly formulas;
-the involutivity certificate on int tables against Poly brackets, and the
-int-column numeric pivots against pivots of the evaluated entries.
+the involutivity certificate on int tables against Poly brackets, the
+int-column numeric pivots against pivots of the evaluated entries, and the
+Jacobian pivots read from term values against those of the Poly Jacobian.
 
 sympy's sparse polynomials over QQ are an implementation independent of
 ``polyring``; its graded-lex order on (x, y, z) is the one ``polyring``
@@ -72,6 +73,7 @@ from clusterint.polyring import (
     dot,
     gradient,
     jacobian,
+    jacobian_pivots,
     lowest_term,
     minors,
     numeric_pivots,
@@ -1277,3 +1279,81 @@ def test_int_pivots_on_the_family_jacobians():
     for lows, vars in family_lows():
         m = jacobian(lows, vars)
         assert numeric_pivots(m, random.Random(5)) == evaluated_pivots(m, random.Random(5), 8)
+        rng, ref = random.Random(5), random.Random(5)
+        assert jacobian_pivots(lows, vars, rng) == numeric_pivots(m, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+class ZeroProneRandom(random.Random):
+    """A Random whose ``randint`` returns 0 for one numerator in three, so
+    that points with zero coordinates, and the Jacobian rows there, occur."""
+
+    def randint(self, a, b):
+        if a < 0 <= b and self.random() < 1 / 3:
+            return 0
+        return super().randint(a, b)
+
+
+@st.composite
+def jacobian_cases(draw):
+    """(fs, rng class, seed): 0-4 Polys and RatFuns on x, y, z with
+    exponents up to 3, constants, repeats, shifts f + c of a drawn f (whose
+    column is f's, so the quotient rule shows), and RatFuns whose
+    denominator vanishes at the first point the seed draws."""
+    cls = draw(st.sampled_from([random.Random, ZeroProneRandom]))
+    seed = draw(st.integers(0, 2**16))
+    first = [random_rational(r) for r in [cls(seed)] for _ in X3.names]
+    fs = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["poly", "ratfun", "constant", "repeat", "shift", "pole"]))
+        if kind == "constant":
+            fs.append(Poly.const(X3, draw(coefficients)))
+        elif kind == "repeat" and fs:
+            fs.append(draw(st.sampled_from(fs)))
+        elif kind == "shift" and fs:
+            fs.append(draw(st.sampled_from(fs)) + draw(coefficients))
+        elif kind in ("ratfun", "pole"):
+            den = draw(nonconstant)
+            if kind == "pole":  # den(first) = 0 through its factor z - z(first)
+                den = den * (Poly.var(X3, "z") - first[2])
+            fs.append(RatFun(draw(polys(4)), den))
+        else:
+            fs.append(draw(polys(4)))
+    return fs, cls, seed
+
+
+@given(jacobian_cases(), st.integers(0, 4))
+@example(([], random.Random, 1), 3)
+@example(([px("x*y^2 + z"), RatFun(px("x"), px("y^2 + x*z"))], ZeroProneRandom, 7), 8)
+@example(([RatFun(px("x + z"), px("y^2 + x*z")), RatFun(px("x + y^2 + x*z + z"), px("y^2 + x*z"))],
+          random.Random, 3), 2)
+def test_jacobian_pivots_are_the_poly_jacobian_pivots(case, retries):
+    fs, cls, seed = case
+    rng, ref = cls(seed), cls(seed)
+    assert jacobian_pivots(fs, X3, rng, retries) == numeric_pivots(jacobian(fs, X3), ref, retries)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_jacobian_pivots_at_zero_coordinates():
+    # terms with an exponent 1 on a zero coordinate, beside exponents 2 and
+    # 3 on it and on others, with and without a denominator; fs[3] - 2 is
+    # fs[1], so the last three have rank 2
+    fs = [px("x*y^2 + x^2*z - 3*y"), RatFun(px("x*z + y^3"), px("x^2 + z + 1")),
+          RatFun(px("y*z^2 - x"), px("y + 2*x^3*z")),
+          RatFun(px("x*z + y^3"), px("x^2 + z + 1")) + 2]
+    zeros = 0
+    for seed in range(200):
+        rng, ref = ZeroProneRandom(seed), ZeroProneRandom(seed)
+        got = jacobian_pivots(fs[:3], X3, rng, 2)
+        assert got == numeric_pivots(jacobian(fs[:3], X3), ref, 2)
+        assert rng.getstate() == ref.getstate()
+        rng, ref = ZeroProneRandom(seed), ZeroProneRandom(seed)
+        assert jacobian_pivots(fs[1:], X3, rng, 1) == numeric_pivots(jacobian(fs[1:], X3), ref, 1)
+        point = [random_rational(ZeroProneRandom(seed)) for _ in X3.names]
+        zeros += 0 in point
+    assert zeros > 50  # the rows at x_a = 0 ran on many of the seeds
+
+
+def test_jacobian_pivots_refuse_mixed_variables():
+    with pytest.raises(MixedVariables):
+        jacobian_pivots([Poly.var(VarSet(["x", "y"]), "x")], X3, random.Random(1))

@@ -260,12 +260,20 @@ def xy_constants(d01=0, c01=1, c10=-1):
     (xy_constants(d01=-1), 1, DimensionMismatch, "variable index -1 of 2 variables"),
     (xy_constants(d01=2), 1, DimensionMismatch, "variable index 2 of 2 variables"),
     (xy_constants(c10=1), 1, NotPoisson, "skew-symmetric"),
+    ([[[], [(0, 1)]], [[], []]], 1, NotPoisson, "skew-symmetric"),
+    ([[[(1, 2)], []], [[], []]], 1, NotPoisson, "skew-symmetric"),
     ([[[], [(0, 1)]]], 1, NotPoisson, "square"),
 ], ids=["den-0", "den-negative", "den-fraction", "index-negative", "index-n", "non-skew",
-        "non-square"])
+        "empty-mirror", "diagonal", "non-square"])
 def test_linear_structure_refuses_malformed_constants(constants, den, error, match):
     with pytest.raises(error, match=match):
         linear_structure(XY, constants, den)
+
+
+def test_linear_structure_reads_cancelling_pairs_as_zero():
+    # pairs that cancel make a zero entry, skew against an empty mirror
+    pi = linear_structure(XY, [[[], [(0, 1), (0, -1)]], [[], []]], 1)
+    assert pi.table == [[{}, {}], [{}, {}]] and pi.is_zero()
 
 
 def test_linear_structure_merges_and_reduces():
@@ -520,6 +528,29 @@ class TestCertify:
     def test_rank_below_expected_raises(self, sl4_pi0):
         with pytest.raises(CountShortfall, match="independent count 1"):
             certify([p6("z1"), p6("z1")], sl4_pi0, Z6, 2)
+
+    def test_selected_low_missing_from_the_pool_raises(self):
+        # {u12, u21} = u22 - u11 under gl(2)*: a pool that leaves them out
+        # certifies nothing about them
+        vs = dualgl.u_varset(2)
+        u = {nm: Poly.var(vs, nm) for nm in vs.names}
+        with pytest.raises(NotInvolutive, match="selected low 0 is not in the commuting pool"):
+            certify([u["u12"], u["u21"]], dualgl.kks_gl(2), vs, 2,
+                    commuting=[u["u11"] + u["u22"]])
+        with pytest.raises(NotInvolutive, match="selected low 1 "):
+            certify([u["u11"], u["u22"]], dualgl.kks_gl(2), vs, 2,
+                    commuting=[u["u11"], u["u11"] + u["u22"]])
+        with pytest.raises(NotInvolutive, match="not in involution"):
+            certify([u["u12"], u["u21"]], dualgl.kks_gl(2), vs, 2)
+
+    def test_labels_of_another_length_raise(self):
+        # u11 and u22 commute under gl(2)* and are independent
+        vs = dualgl.u_varset(2)
+        lows = [Poly.var(vs, "u11"), Poly.var(vs, "u22")]
+        with pytest.raises(DimensionMismatch, match="1 labels for 2 functions"):
+            certify(lows, dualgl.kks_gl(2), vs, 2, labels=["only-one"])
+        report = certify(lows, dualgl.kks_gl(2), vs, 2, labels=["a", "b"], commuting=lows)
+        assert report.selected_indices == ["a", "b"]
 
 
 class TestPfaffian:
