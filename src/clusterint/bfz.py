@@ -26,7 +26,7 @@ from .polyring import (
     PolyMatrix,
     RatFun,
     VarSet,
-    _pivot_columns,
+    _int_pivots,
     _sign_canonical,
     det,
     dot,
@@ -36,7 +36,7 @@ from .polyring import (
     minors,
     truncated_exp,
 )
-from .rationals import QQ0, QQ1, _sign
+from .rationals import _sign
 from .schubert import build_cell
 from .typea import (
     ReducedWord,
@@ -419,10 +419,12 @@ def modified_mu_low_degree(n: int) -> int:
 
 @dataclass
 class CascadeData:
+    """Kostant's cascade in type A_n: strongly orthogonal roots
+    eps_a - eps_b, and e_+ + e_- the point of sl(n+1) that is 1 at (a, b)
+    and (b, a) for each cascade root (a, b), 0 elsewhere."""
+
     n: int
     roots: list  # pairs (a, b) meaning eps_a - eps_b
-    e_plus: list  # rational matrix
-    e_minus: list
 
     def strongly_orthogonal(self) -> bool:
         roots = set(self.roots)
@@ -447,64 +449,29 @@ def kostant_cascade(n: int) -> CascadeData:
     orthogonal subsystem recursively."""
     if n < 1:
         raise SizeOutOfRange(f"the Kostant cascade needs n >= 1, got {n}")
-    m = n + 1
     roots = []
-    a, b = 1, m
+    a, b = 1, n + 1
     while a < b:
         roots.append((a, b))
         a, b = a + 1, b - 1
-    e_plus = [[QQ0] * m for _ in range(m)]
-    e_minus = [[QQ0] * m for _ in range(m)]
-    for (i, j) in roots:
-        e_plus[i - 1][j - 1] = QQ1
-        e_minus[j - 1][i - 1] = QQ1
-    data = CascadeData(n, roots, e_plus, e_minus)
+    data = CascadeData(n, roots)
     assert data.strongly_orthogonal(), "cascade failed strong orthogonality"
     return data
 
 
-def _commutator(a, b):
-    """ab - ba of two square matrices of rationals."""
-    m = range(len(a))
-    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in m) for j in m] for i in m]
-
-
 def stabilizer_dimension(n: int) -> int:
-    """Dimension of the stabilizer of e_+ + e_- in the dual Lie algebra: the
-    solution space of the three membership conditions, expected to equal n."""
-    m = n + 1
-    cascade = kostant_cascade(n)
-    ep, em = cascade.e_plus, cascade.e_minus
-
-    # unknowns: h (m diagonal entries, trace pinned to 0 by an extra row),
-    # n_+ entries (i<j), n_- entries (i>j)
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    unknowns = ([("h", t, t) for t in range(m)] + [("p", i, j) for i, j in pairs if i < j]
-                + [("m", i, j) for i, j in pairs if i > j])
-
-    def basis_matrix(i, j):
-        e = [[QQ0] * m for _ in range(m)]
-        e[i][j] = QQ1
-        return e
-
-    columns = []
-    for kind, i, j in unknowns:
-        e = basis_matrix(i, j)
-        zero = [[QQ0] * m for _ in range(m)]
-        h = e if kind == "h" else zero
-        np_ = e if kind == "p" else zero
-        nm_ = e if kind == "m" else zero
-        c1 = _commutator([[h[a][b] + np_[a][b] for b in range(m)] for a in range(m)], em)
-        c2 = [[x + y for x, y in zip(ra, rb)]
-              for ra, rb in zip(_commutator(np_, em), _commutator(nm_, ep))]
-        c3 = _commutator([[h[a][b] - nm_[a][b] for b in range(m)] for a in range(m)], ep)
-        # the strictly lower entries of c1, the diagonal of c2, the strictly
-        # upper entries of c3 and the trace of h must vanish
-        columns.append([c1[a][b] for a, b in pairs if a > b] + [c2[a][a] for a in range(m)]
-                       + [c3[a][b] for a, b in pairs if a < b] + [sum(h[a][a] for a in range(m))])
-
-    # the rank of the system is the rank of its transpose, one row per unknown
-    return len(unknowns) - len(_pivot_columns(columns))
+    """Dimension of the stabilizer of e_+ + e_- in the dual Lie algebra,
+    which is the kernel of pi0 = ``sl_dual_linear_structure(n)`` there: the
+    corank of pi0's int table at the cascade point (``CascadeData``), by
+    ``_int_pivots``.  It equals the index, n, so the point witnesses the
+    generic rank n(n+1) of pi0 exactly.  Sizes outside 1..9 raise
+    SizeOutOfRange (``sl_varset``)."""
+    roots = kostant_cascade(n).roots
+    pi0 = sl_dual_linear_structure(n)
+    vars = pi0.vars
+    ones = {vars.pk.unit[vars.index[f"u{a}{b}"]] for r in roots for a, b in (r, r[::-1])}
+    rows = [[sum(c for k, c in t.items() if k in ones) for t in row] for row in pi0.table]
+    return len(rows) - len(_int_pivots(rows))
 
 
 # -- explicit chart on the open part of the group -------------------------------

@@ -58,9 +58,6 @@ def skew_symmetrizer(B):
     """A positive integer diagonal d with d_i B_ij = -d_j B_ji, entries at
     most SYMMETRIZER_BOUND; None when no such diagonal exists."""
     n = len(B)
-    for i in range(n):
-        if B[i][i] != 0:
-            return None
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
@@ -70,19 +67,9 @@ def skew_symmetrizer(B):
         while queue:
             i = queue.pop()
             for j in range(n):
-                if B[i][j] == 0 and B[j][i] == 0:
-                    continue
-                if B[i][j] == 0 or B[j][i] == 0:
-                    return None
-                ratio = Fraction(-B[j][i], B[i][j])  # d_j = d_i * B_ij / (-B_ji)... solve
-                if ratio <= 0:
-                    return None
-                val = d[i] / ratio
-                if d[j] is None:
-                    d[j] = val
+                if d[j] is None and B[i][j] and B[j][i]:
+                    d[j] = d[i] * B[i][j] / -B[j][i]
                     queue.append(j)
-                elif d[j] != val:
-                    return None
     # scale each value to a positive integer
     denom = math.lcm(*(x.denominator for x in d))
     out = [int(x * denom) for x in d]
@@ -90,7 +77,8 @@ def skew_symmetrizer(B):
     out = [x // g for x in out]
     if any(x <= 0 or x > SYMMETRIZER_BOUND for x in out):
         return None
-    # verify
+    # every pair: this refuses a nonzero diagonal, a pair with one zero
+    # entry and ratios that disagree around a cycle
     for i in range(n):
         for j in range(n):
             if out[i] * B[i][j] != -out[j] * B[j][i]:

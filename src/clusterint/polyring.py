@@ -855,14 +855,15 @@ class RatFun:
 
     ``RatFun(num, den)`` reduces any pair by one gcd; ``reduce=False``
     takes a pair that is already canonical.  The field operations keep the
-    form by Henrici's rules (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1),
-    which take gcds of operand parts only, never of the unreduced result:
+    form:
 
-    - a/b + c/d: with g = gcd(b, d), the sum is (a*d + c*b)/(b*d) when g is
-      1 (in particular when b or d is 1); otherwise t = a*(d/g) + c*(b/g),
-      g2 = gcd(t, g) and the sum is (t/g2) / ((b/g)*(d/g2));
-    - (a/b) * (c/d): only gcd(a, d) and gcd(c, b) cancel, and the quotient
-      is the product with the reciprocal d/c;
+    - a/b + c/d is (a*d + c)/d when b is 1 (and the mirror when d is 1);
+      otherwise it is one reduced construction, of (a + c)/b when b = d
+      and of (a*d + c*b)/(b*d) when not;
+    - (a/b) * (c/d) by Henrici's rule (Henrici 1956; Knuth, TAOCP vol. 2,
+      4.5.1), which takes gcds of operand parts only: gcd(a, d) and
+      gcd(c, b) cancel, and the quotient is the product with the
+      reciprocal d/c;
     - (a/b)**k = a**k / b**k, as powers of coprime polynomials are coprime.
 
     A RatFun has no calculus: ``gradient`` differentiates its Poly parts.
@@ -947,15 +948,9 @@ class RatFun:
             return RatFun(a * d + c, d, reduce=False)
         if d.is_constant():
             return RatFun(a + c * b, b, reduce=False)
-        g = b if b == d else poly_gcd(b, d)
-        if g.is_constant():
-            return RatFun(a * d + c * b, b * d, reduce=False)
-        b, d = b.exact_div(g), d.exact_div(g)
-        t = a * d + c * b
-        g2 = poly_gcd(t, g)
-        if not g2.is_constant():
-            t, g = t.exact_div(g2), g.exact_div(g2)
-        return RatFun(t, b * d * g, reduce=False)
+        if b == d:
+            return RatFun(a + c, b)
+        return RatFun(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -1343,12 +1338,6 @@ def jacobian(fs, vars: VarSet) -> PolyMatrix:
     the Jacobian's, and the determinant is scaled by prod D_i^2."""
     cols = [gradient(f, vars)[0] for f in fs]
     return PolyMatrix([[col[a] for col in cols] for a in range(len(vars))])
-
-
-def _pivot_columns(rows) -> list:
-    """``_int_pivots`` of a dense matrix of rationals, each row cleared."""
-    return _int_pivots([[x.numerator * (d // x.denominator) for x in r]
-                        for r in rows for d in [lcm(*[x.denominator for x in r])]])
 
 
 def _int_pivots(m) -> list:

@@ -201,9 +201,15 @@ class TestCascade:
 
 
 class TestStabilizer:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_dimension_equals_rank(self, n):
         assert stabilizer_dimension(n) == n
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cascade_point_witnesses_the_sampled_rank(self, n):
+        # the exact witness and generic_rank's seeded points agree
+        assert (len(sl_varset(n)) - stabilizer_dimension(n)
+                == generic_rank(sl_dual_linear_structure(n)))
 
 
 class TestDualStructure:
@@ -322,6 +328,9 @@ class TestValidation:
             modified_mu_low_degree(0)
         with pytest.raises(SizeOutOfRange):
             kostant_cascade(0)
+        for n in (0, 10):
+            with pytest.raises(SizeOutOfRange):
+                stabilizer_dimension(n)
         assert len(sl_varset(9)) == 99
         # u1_11 and u11_1 would both be named u111
         with pytest.raises(SizeOutOfRange, match="largest supported n is 9"):

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations, product
+from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from clusterint.bfz import bfz_chart
 from clusterint.cluster_engine import (
@@ -11,6 +14,7 @@ from clusterint.cluster_engine import (
     modified_log_volume,
     mutate,
     seed_log_volume,
+    SYMMETRIZER_BOUND,
     skew_symmetrizer,
 )
 from clusterint.errors import BadSeed, DependentSystem, NotCasimir
@@ -94,6 +98,42 @@ class TestMutate:
     def test_symmetrizable_non_symmetric(self):
         # B-type 2x2: d = (1, 2) works
         assert skew_symmetrizer([[0, -1], [2, 0]]) == [2, 1]
+
+
+@st.composite
+def exchange_matrices(draw):
+    """1-3 x 1-3 int matrices: entries in -4..4, or symmetrizable by
+    construction, B_ij = k d_j and B_ji = -k d_i for a drawn d in 1..15
+    (so some need a symmetrizer above the bound)."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    d = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+    B = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        k = draw(st.integers(-2, 2))
+        B[i][j], B[j][i] = k * d[j], -k * d[i]
+    return B
+
+
+@given(exchange_matrices())
+@example([[1]])
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [0, 0]])
+@example([[0, 1], [1, 0]])
+@example([[0, -13], [1, 0]])
+@example([[0, 1, -1], [-1, 0, 2], [1, -1, 0]])
+def test_skew_symmetrizer_agrees_with_brute_force(B):
+    # the examples: a nonzero diagonal, a zero matrix, a one-sided pair, a
+    # same-signed pair, a symmetrizer above the bound, an inconsistent cycle
+    n = range(len(B))
+    found = [d for d in product(range(1, SYMMETRIZER_BOUND + 1), repeat=len(B))
+             if all(d[i] * B[i][j] == -d[j] * B[j][i] for i in n for j in n)]
+    got = skew_symmetrizer(B)
+    assert (got is None) == (not found)
+    if got is not None:
+        assert tuple(got) in found and gcd(*got) == 1
 
 
 def _exchange_seed():

@@ -29,6 +29,7 @@ from clusterint.bfz import (
     build_bfz,
     choose_integrable_system_bfz,
     sl_dual_linear_structure,
+    stabilizer_dimension,
     standard_double_word,
 )
 from clusterint.dualgl import (
@@ -347,7 +348,8 @@ def test_every_poly_built_end_to_end_has_int_keys(monkeypatch):
 
 def test_closed_form_linear_structures_do_no_poly_arithmetic(monkeypatch):
     """``sl_dual_linear_structure`` and ``kks_gl`` build each entry from its
-    int constants on the unit keys: no Poly sum or product."""
+    int constants on the unit keys, and ``stabilizer_dimension`` reads the
+    index from the int table: no Poly sum or product."""
     calls = Counter()
     for name in ("__add__", "__mul__"):
         def counted(self, other, name=name, op=getattr(Poly, name)):
@@ -356,6 +358,7 @@ def test_closed_form_linear_structures_do_no_poly_arithmetic(monkeypatch):
         monkeypatch.setattr(Poly, name, counted)
     sl_dual_linear_structure(3)
     kks_gl(3)
+    stabilizer_dimension(3)
     assert calls == Counter()
 
 

@@ -17,7 +17,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -791,7 +791,10 @@ def ratfun_pairs(draw, max_factors=2):
 
 
 @given(ratfun_pairs(), st.integers(-2, 2))
+@example((RatFun(px("x"), px("x + y")), RatFun(px("y"), px("x + y"))), 1)
+@example((RatFun(px("x"), px("x^2 - y^2")), RatFun(px("y"), px("x^2 - y^2"))), 1)
 def test_ratfun_field_operations_are_canonical(pair, k):
+    # the examples: one denominator, the sum cancelling all of it or a factor
     r, s = pair
     a, b, c, d = r.num, r.den, s.num, s.den
     assert_canonical(r + s, a * d + c * b, b * d)
@@ -1042,9 +1045,16 @@ def test_parse_inverts_str(p):
 # -- the fraction-free rank and the closed-form linear structures -------------
 
 
+def int_pivots(rows):
+    """``polyring._int_pivots`` of a dense matrix of rationals, each row
+    cleared over one int."""
+    return polyring._int_pivots([[x.numerator * (d // x.denominator) for x in r]
+                                 for r in rows for d in [lcm(*[x.denominator for x in r])]])
+
+
 def fraction_pivot_columns(rows):
     """Gaussian elimination on Fractions, the pivot rule of
-    ``polyring._pivot_columns``: the first row at or below the rank with a
+    ``polyring._int_pivots``: the first row at or below the rank with a
     nonzero entry in the column."""
     m = [[Fraction(x) for x in r] for r in rows]
     pivots = []
@@ -1109,7 +1119,7 @@ def as_fractions(rows):
 def test_fraction_free_pivots_agree_with_sympy_rref(rows):
     # the examples: zero, 1 x k, k x 1, rank-deficient, zero-column, tall
     # and wide matrices
-    got = polyring._pivot_columns(rows)
+    got = int_pivots(rows)
     assert got == sympy_pivots(rows) == fraction_pivot_columns(rows)
 
 
@@ -1132,7 +1142,7 @@ def test_fraction_free_pivots_on_the_family_jacobians():
         for _ in range(5):
             point = RationalPoint([random_rational(rng) for _ in vars.names], vars)
             rows = [[x.evaluate(point) for x in row] for row in m.entries]
-            assert polyring._pivot_columns(rows) == fraction_pivot_columns(rows)
+            assert int_pivots(rows) == fraction_pivot_columns(rows)
 
 
 def reference_sl_dual(n):
@@ -1232,14 +1242,13 @@ def test_table_certificate_on_coordinate_pairs(linear_structures):
 
 
 def evaluated_pivots(m, rng, retries):
-    """``numeric_pivots`` as ``_pivot_columns`` of the ``Poly.evaluate``
+    """``numeric_pivots`` as ``int_pivots`` of the ``Poly.evaluate``
     values, at the same seeded points."""
     full, best = min(m.rows, m.cols), []
     for _ in range(retries if full else 0):
         vars = m.entries[0][0].vars
         point = RationalPoint([random_rational(rng) for _ in vars.names], vars)
-        pivots = polyring._pivot_columns([[x.evaluate(point) for x in row]
-                                          for row in m.entries])
+        pivots = int_pivots([[x.evaluate(point) for x in row] for row in m.entries])
         if len(pivots) > len(best):
             best = pivots
         if len(best) == full:
