@@ -18,6 +18,7 @@ from .poisson_core import (
     IntegrableSystemReport,
     LinearPoissonStructure,
     PoissonStructure,
+    SeedLows,
     certify,
     linear_structure,
 )
@@ -354,10 +355,10 @@ def choose_integrable_system_bfz(
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
 ) -> IntegrableSystemReport:
-    """Degree-jump selection over the combined word on the row side, the
-    admissible last-occurrence rule on the column side, plus the modified
-    difference functions; certified involutive and independent of the
-    expected cardinality l0 + r."""
+    """The cluster's ``SeedLows``, certified: degree-jump selection over the
+    combined word on the row side, the admissible last-occurrence rule on
+    the column side, plus the modified difference functions; no others,
+    pi0 = ``sl_dual_linear_structure(n)`` and the magic number l0 + n."""
     n = cluster.n
     # position p of the combined word (n, ..., 1) + neg holds f_(n+1-p) for
     # p <= n, phi_(p-n) after; its first n letters are distinct, so every
@@ -380,9 +381,8 @@ def choose_integrable_system_bfz(
     lows += [cluster.psi_lows[k - 1][0] for k in cols] + [cluster.gprime_lows[i][0] for i in cluster.I2]
     labels += [f"col{k}" for k in cols] + [f"diff{i}" for i in cluster.I2]
     word = ",".join(map(str, cluster.dword.neg.letters))
-    return certify(lows, sl_dual_linear_structure(n), cluster.vars,
-                   cluster.l0 + n, seed, samples,
-                   f"bfz n={n} word={word} labels={';'.join(labels)}", labels)
+    return certify(SeedLows(sl_dual_linear_structure(n), lows, labels, [], cluster.l0 + n,
+                            f"bfz n={n} word={word} labels={';'.join(labels)}"), seed, samples)
 
 
 # -- modified log-volume degree via jets ---------------------------------------

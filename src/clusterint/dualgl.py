@@ -20,6 +20,7 @@ from .poisson_core import (
     IntegrableSystemReport,
     LinearPoissonStructure,
     PoissonStructure,
+    SeedLows,
     certify,
     linear_structure,
     log_volume,
@@ -471,9 +472,9 @@ def choose_integrable_system_dualgl(
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
 ) -> IntegrableSystemReport:
-    """The lowest terms of the staircase minors with row index at most p+1,
-    together with all deformed Casimir lowest terms; certified involutive
-    under the coalgebra structure and of the expected cardinality."""
+    """GL(n)*'s ``SeedLows``, certified: the lowest terms of the staircase
+    minors with row index at most p+1 and all deformed Casimir lowest terms;
+    no others, pi0 = ``kks_gl(n)`` and the magic number (n^2 + n)/2."""
     if s is None:
         s = build_staircase(n)
     if jets is None:
@@ -491,8 +492,8 @@ def choose_integrable_system_dualgl(
     for i in range(0, n):
         selected.append(jets.cbar_lows[i][0])
         labels.append(f"cbar{i}")
-    return certify(selected, kks_gl(n), jets.u_vars, (n * n + n) // 2,
-                   seed, samples, f"dualgl n={n}", labels)
+    return certify(SeedLows(kks_gl(n), selected, labels, [], (n * n + n) // 2, f"dualgl n={n}"),
+                   seed, samples)
 
 
 def log_volume_identity_check(n: int, s: StaircaseSystem = None) -> bool:

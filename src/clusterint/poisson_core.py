@@ -18,17 +18,17 @@ one Jacobian determinant.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
-``extract_integrable_system`` hand it their selected lowest terms, and it
-checks the count, involutivity under pi0 and independence: the rank of
-the Jacobian, its entries read as ints at up to ``samples`` seeded random
-points until the rank is full, a lower bound on the generic rank, equal
-to it with high probability."""
+``extract_integrable_system`` hand it one ``SeedLows`` record, and it
+checks the count, involutivity under pi0 of the lows and the others, and
+independence: the rank of the Jacobian, its entries read as ints at up to
+``samples`` seeded random points until the rank is full, a lower bound on
+the generic rank, equal to it with high probability."""
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import combinations
 from math import lcm
@@ -403,7 +403,7 @@ class IntegrableSystemReport:
     magic_number: int
     seed: int
     construction: str
-    selected_indices: list = field(default_factory=list)
+    selected_indices: list
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -430,60 +430,56 @@ def involutivity_certificate(pi0: PoissonStructure, functions) -> bool:
                           grad, {}) for (grad, _), (_, field) in combinations(parts, 2))
 
 
-def certify(
-    lows,
-    pi0: PoissonStructure,
-    vars: VarSet,
-    expected: int,
-    seed: int = DEFAULT_SEED,
-    samples: int = DEFAULT_SAMPLES,
-    construction: str = "lowest-terms",
-    labels=(),
-    commuting=None,
-) -> IntegrableSystemReport:
-    """Certify the selected lowest terms as a polynomial integrable system
-    of ``expected`` functions: exactly that many are selected, they are in
-    involution under pi0 (checked over ``commuting``, a larger pool that
-    contains them, when given), and their Jacobian reaches rank
-    ``expected`` at one of up to ``samples`` seeded random points, read
-    until the rank is full (``jacobian_pivots``): a lower bound on the
-    generic rank.  Raises CountShortfall, NotInvolutive (also naming a
-    selected low missing from ``commuting``) or, for ``labels`` of another
-    length than the lows, DimensionMismatch instead of reporting a failure."""
-    if len(lows) != expected:
-        raise CountShortfall(f"selected {len(lows)} functions, expected {expected}")
-    if labels and len(labels) != len(lows):
-        raise DimensionMismatch(f"{len(labels)} labels for {len(lows)} functions")
-    missing = [] if commuting is None else [i for i, f in enumerate(lows) if f not in commuting]
-    if missing:
-        raise NotInvolutive(f"selected low {missing[0]} is not in the commuting pool")
-    if not involutivity_certificate(pi0, lows if commuting is None else commuting):
+@dataclass
+class SeedLows:
+    """One seed as ``certify`` takes it: the selected ``lows`` with one
+    label each, the ``others`` that must commute with them, the ``magic``
+    number, and the linearization ``pi0``, whose variables name the report."""
+
+    pi0: PoissonStructure
+    lows: list
+    labels: list
+    others: list
+    magic: int
+    construction: str
+
+
+def certify(s: SeedLows, seed: int = DEFAULT_SEED,
+            samples: int = DEFAULT_SAMPLES) -> IntegrableSystemReport:
+    """Certify ``s.lows`` as a polynomial integrable system: there are
+    ``s.magic`` of them, one label each; with ``s.others`` they are in
+    involution under ``s.pi0``; and their Jacobian reaches rank ``s.magic``
+    at one of up to ``samples`` seeded random points, read until the rank
+    is full (``jacobian_pivots``): a lower bound on the generic rank.
+    Raises CountShortfall, DimensionMismatch, NotInvolutive or, for lows
+    over other variables than pi0's, MixedVariables, instead of reporting
+    a failure."""
+    if len(s.lows) != s.magic:
+        raise CountShortfall(f"selected {len(s.lows)} functions, expected {s.magic}")
+    if len(s.labels) != len(s.lows):
+        raise DimensionMismatch(f"{len(s.labels)} labels for {len(s.lows)} functions")
+    if not involutivity_certificate(s.pi0, s.lows + s.others):
         raise NotInvolutive("lowest terms are not in involution under pi0")
-    rank = len(jacobian_pivots(lows, vars, random.Random(seed), samples))
-    if rank != expected:
-        raise CountShortfall(f"independent count {rank} below {expected}")
+    rank = len(jacobian_pivots(s.lows, s.pi0.vars, random.Random(seed), samples))
+    if rank != s.magic:
+        raise CountShortfall(f"independent count {rank} below {s.magic}")
     return IntegrableSystemReport(
-        variables=list(vars.names),
-        functions=[str(f) for f in lows],
-        involutive=True,
-        independent_count=rank,
-        magic_number=expected,
-        seed=seed,
-        construction=construction,
-        selected_indices=list(labels),
-    )
+        variables=list(s.pi0.vars.names), functions=[str(f) for f in s.lows], involutive=True,
+        independent_count=rank, magic_number=s.magic, seed=seed, construction=s.construction,
+        selected_indices=list(s.labels))
 
 
 def extract_integrable_system(
     sys: LogCanonicalSystem, pi0: LinearPoissonStructure
 ) -> IntegrableSystemReport:
-    """Lowest terms of a log-canonical system, certified involutive under
-    pi0, with the pivot columns of their Jacobian at seeded random points
-    (each independent of the lowest terms before it) as the selected
-    subset of the magic-number size."""
+    """Lowest terms of a log-canonical system as a ``SeedLows``: the pivot
+    columns of their Jacobian at seeded random points (each independent of
+    the lowest terms before it) are the selection, of the magic number read
+    from ``generic_rank(pi0)``, and the rest the others, so all of them are
+    certified involutive under pi0."""
     n = len(sys.vars)
     lows = [lowest_term(f)[0] for f in sys.functions]
     magic = n - generic_rank(pi0) // 2
     kept = jacobian_pivots(lows, sys.vars, random.Random(DEFAULT_SEED), DEFAULT_SAMPLES)
-    return certify([lows[i] for i in kept], pi0, sys.vars, magic, labels=kept,
-                   commuting=lows)
+    return certify(SeedLows(pi0, [lows[i] for i in kept], kept,
+                            [f for i, f in enumerate(lows) if i not in kept], magic, "lowest-terms"))

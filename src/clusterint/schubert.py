@@ -23,6 +23,7 @@ from .poisson_core import (
     LinearPoissonStructure,
     LogCanonicalSystem,
     PoissonStructure,
+    SeedLows,
     certify,
     generic_rank,
     linearize,
@@ -197,15 +198,15 @@ def build_cell(m: int, word) -> SchubertCell:
 def choose_integrable_system(
     cell: SchubertCell, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> IntegrableSystemReport:
-    """Keep the lowest terms whose degree jumps over the predecessor's;
-    certify symbolic involutivity and the magic-number cardinality."""
+    """The cell's ``SeedLows``, certified: the lowest terms whose degree
+    jumps over the predecessor's, labelled by k, the other lows as
+    ``others``, and the frozen lows' degrees as the magic number."""
     lows = cell.lows()
     selected = degree_jumps(cell.low_degrees(), cell.kminus)
     word = ",".join(map(str, cell.word.letters))
-    # involution is certified over all lowest terms, not only the chosen ones
-    return certify([lows[k - 1] for k in selected], cell.pi0, cell.vars,
-                   magic_number(cell), seed, samples,
-                   f"schubert m={cell.m} word={word}", selected, commuting=lows)
+    return certify(SeedLows(cell.pi0, [lows[k - 1] for k in selected], selected,
+                            [f for k, f in enumerate(lows, 1) if k not in selected],
+                            magic_number(cell), f"schubert m={cell.m} word={word}"), seed, samples)
 
 
 def magic_number(cell: SchubertCell) -> int:

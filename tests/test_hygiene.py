@@ -5,7 +5,8 @@ used somewhere, no function assigns a local it never reads, no nested
 function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
-place, and every console script that
+place, every report comes from one ``certify`` of one ``SeedLows`` record
+a route, and every console script that
 ``pyproject.toml`` declares imports and is callable.  Seven checks run the
 code: every Poly the families build is keyed by packed monomials, and they
 build no Jet; choosing on a built Schubert cell or BFZ cluster reads no
@@ -41,6 +42,7 @@ from clusterint.dualgl import (
 from clusterint import bfz, poisson_core, polyring, schubert
 from clusterint.poisson_core import (
     PoissonStructure,
+    SeedLows,
     certify,
     involutivity_certificate,
     linearize,
@@ -478,12 +480,38 @@ def test_linear_layer_does_no_poly_arithmetic_or_evaluation(monkeypatch):
     assert involutivity_certificate(plain, lows)
     assert involutivity_certificate(cell.pi0, quotients + lows)
     linearize(cell.pi_z)
-    report = certify([lows[i] for i in (0, 1, 2, 4)], cell.pi0, cell.vars, 4, commuting=lows)
+    report = certify(SeedLows(cell.pi0, [lows[i] for i in (0, 1, 2, 4)], [1, 2, 3, 5],
+                              [lows[3], lows[5]], 4, "lowest-terms"))
     assert report.independent_count == 4
     assert jacobian_pivots(quotients + lows, cell.vars, random.Random(1)) == pivots
     assert calls == Counter()
     assert len(numeric_pivots(m, random.Random(1))) == 4
     assert calls == Counter()
+
+
+def test_every_report_comes_from_one_certify_of_a_seed():
+    """Only ``certify`` constructs an ``IntegrableSystemReport``, and it
+    takes a seed and its sampling only; the three family choosers and
+    ``extract_integrable_system`` are the only callers of ``certify``, each
+    calling it once with a ``SeedLows`` record built in place."""
+    builders, certified, signature = [], {}, None
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name == "certify":
+                signature = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+            calls = [c for c in ast.walk(fn) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)]
+            builders += [fn.name for c in calls if c.func.id == "IntegrableSystemReport"]
+            seeds = [ast.unparse(c.args[0].func) if c.args and isinstance(c.args[0], ast.Call)
+                     else None for c in calls if c.func.id == "certify"]
+            if seeds:
+                certified[fn.name] = seeds
+    assert builders == ["certify"]
+    assert signature == ["s", "seed", "samples"]
+    assert certified == {name: ["SeedLows"] for name in (
+        "choose_integrable_system", "choose_integrable_system_bfz",
+        "choose_integrable_system_dualgl", "extract_integrable_system")}
 
 
 def test_every_console_script_is_callable():

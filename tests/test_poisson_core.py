@@ -9,6 +9,7 @@ from clusterint.errors import (
     DependentSystem,
     DimensionMismatch,
     InequalityViolated,
+    MixedVariables,
     NotDivisible,
     NotInvolutive,
     NotLogCanonical,
@@ -23,6 +24,7 @@ from clusterint.poisson_core import (
     LinearPoissonStructure,
     LogCanonicalSystem,
     PoissonStructure,
+    SeedLows,
     certify,
     extract_integrable_system,
     generic_rank,
@@ -34,11 +36,11 @@ from clusterint.poisson_core import (
     pfaffian_coefficient,
     property_I_check,
 )
-from clusterint import dualgl
-from clusterint.bfz import sl_dual_linear_structure
+from clusterint import dualgl, poisson_core
+from clusterint.bfz import build_bfz, choose_integrable_system_bfz, sl_dual_linear_structure
 from clusterint.polyring import Poly, RationalPoint, RatFun, VarSet, lowest_term, parse_poly
 from clusterint.rationals import QQ
-from clusterint.schubert import build_cell
+from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import WeylElt, longest_word
 
 from conftest import Z6, p6, random_poly, structure_from_table
@@ -510,47 +512,92 @@ class TestExtract:
         assert rep.independent_count == rep.magic_number == 2
 
 
+def seed_lows(pi0, lows, magic, others=(), labels=None):
+    """A ``SeedLows`` labelled 0, 1, ... unless ``labels`` are given."""
+    labels = list(range(len(lows))) if labels is None else labels
+    return SeedLows(pi0, lows, labels, list(others), magic, "test")
+
+
 class TestCertify:
     def test_non_commuting_lows_raise(self, sl4_pi0):
         # {z1, z4} = -2*z2 under the SL(4) cell's pi0
         with pytest.raises(NotInvolutive):
-            certify([p6("z1"), p6("z4")], sl4_pi0, Z6, 2)
+            certify(seed_lows(sl4_pi0, [p6("z1"), p6("z4")], 2))
 
     def test_wrong_selected_count_raises(self, sl4_pi0):
         with pytest.raises(CountShortfall, match="selected 1 functions"):
-            certify([p6("z1")], sl4_pi0, Z6, 2)
+            certify(seed_lows(sl4_pi0, [p6("z1")], 2))
 
     def test_non_linear_pi0_raises(self, sl4_pi):
         # the quadratic SL(4) structure has no table of structure constants
         with pytest.raises(NotPoisson, match="linear"):
-            certify([p6("z1"), p6("z2")], sl4_pi, Z6, 2)
+            certify(seed_lows(sl4_pi, [p6("z1"), p6("z2")], 2))
 
     def test_rank_below_expected_raises(self, sl4_pi0):
         with pytest.raises(CountShortfall, match="independent count 1"):
-            certify([p6("z1"), p6("z1")], sl4_pi0, Z6, 2)
+            certify(seed_lows(sl4_pi0, [p6("z1"), p6("z1")], 2))
 
-    def test_selected_low_missing_from_the_pool_raises(self):
-        # {u12, u21} = u22 - u11 under gl(2)*: a pool that leaves them out
-        # certifies nothing about them
+    def test_other_that_does_not_commute_raises(self):
+        # u11 and u22 commute under gl(2)*, but {u11, u12} = -u12; the
+        # trace u11 + u22 is a Casimir
         vs = dualgl.u_varset(2)
         u = {nm: Poly.var(vs, nm) for nm in vs.names}
-        with pytest.raises(NotInvolutive, match="selected low 0 is not in the commuting pool"):
-            certify([u["u12"], u["u21"]], dualgl.kks_gl(2), vs, 2,
-                    commuting=[u["u11"] + u["u22"]])
-        with pytest.raises(NotInvolutive, match="selected low 1 "):
-            certify([u["u11"], u["u22"]], dualgl.kks_gl(2), vs, 2,
-                    commuting=[u["u11"], u["u11"] + u["u22"]])
+        lows = [u["u11"], u["u22"]]
         with pytest.raises(NotInvolutive, match="not in involution"):
-            certify([u["u12"], u["u21"]], dualgl.kks_gl(2), vs, 2)
+            certify(seed_lows(dualgl.kks_gl(2), lows, 2, others=[u["u12"]]))
+        report = certify(seed_lows(dualgl.kks_gl(2), lows, 2, others=[u["u11"] + u["u22"]]))
+        assert report.functions == ["u11", "u22"] and report.independent_count == 2
 
     def test_labels_of_another_length_raise(self):
         # u11 and u22 commute under gl(2)* and are independent
         vs = dualgl.u_varset(2)
         lows = [Poly.var(vs, "u11"), Poly.var(vs, "u22")]
         with pytest.raises(DimensionMismatch, match="1 labels for 2 functions"):
-            certify(lows, dualgl.kks_gl(2), vs, 2, labels=["only-one"])
-        report = certify(lows, dualgl.kks_gl(2), vs, 2, labels=["a", "b"], commuting=lows)
+            certify(seed_lows(dualgl.kks_gl(2), lows, 2, labels=["only-one"]))
+        report = certify(seed_lows(dualgl.kks_gl(2), lows, 2, labels=["a", "b"]))
         assert report.selected_indices == ["a", "b"]
+
+    def test_pi0_over_other_variables_raises(self):
+        # the record has no variables of its own: lows over a11..a22 cannot
+        # be reported under the names u11..u22 of pi0
+        vs = VarSet(["a11", "a12", "a21", "a22"])
+        lows = [Poly.var(vs, "a11"), Poly.var(vs, "a22")]
+        with pytest.raises(MixedVariables, match="mixed variable sets"):
+            certify(seed_lows(dualgl.kks_gl(2), lows, 2))
+
+
+class TestEveryRouteCertifiesItsPool:
+    """What each route hands ``involutivity_certificate``: the Schubert
+    chooser and ``extract_integrable_system`` all the lows of the cell, the
+    BFZ and dual GL choosers their selection only."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        seen, real = [], poisson_core.involutivity_certificate
+
+        def recording(pi0, functions):
+            seen.append(sorted(map(str, functions)))
+            return real(pi0, functions)
+        monkeypatch.setattr(poisson_core, "involutivity_certificate", recording)
+        return seen
+
+    def test_schubert_certifies_every_low(self, pools):
+        cell = build_cell(4, longest_word(4))
+        assert len(choose_integrable_system(cell).functions) == 4
+        assert pools == [sorted(map(str, cell.lows()))] and len(pools[0]) == 6
+
+    def test_extract_certifies_every_low(self, pools):
+        cell = build_cell(4, longest_word(4))
+        extract_integrable_system(LogCanonicalSystem.build(cell.pi_z, cell.phis), cell.pi0)
+        assert pools == [sorted(map(str, cell.lows()))] and len(pools[0]) == 6
+
+    def test_bfz_certifies_its_selection(self, pools):
+        report = choose_integrable_system_bfz(build_bfz(3))
+        assert pools == [sorted(report.functions)] and len(pools[0]) == 9
+
+    def test_dualgl_certifies_its_selection(self, pools):
+        report = dualgl.choose_integrable_system_dualgl(3)
+        assert pools == [sorted(report.functions)] and len(pools[0]) == 6
 
 
 class TestPfaffian:
