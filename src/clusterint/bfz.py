@@ -148,7 +148,6 @@ class BFZCluster:
     phi_lows: list  # the same, by position beside phis
     psi_lows: list  # the same, by position beside psis
     gprime_lows: dict  # i in I2 -> the same of gprimes[i], read at caps[i]
-    I0: list
     I1: list
     I2: list
 
@@ -257,7 +256,7 @@ def _build_at_order(n, dword, D):
     vars = sl_varset(n)
     X = truncated_exp(sl_u_matrix(n, vars), D)
     fs, phis, psis, g_index = cluster_minors(minors(X, D), n, dword)
-    I0, I1, I2 = _istar_sets(n)
+    _, I1, I2 = _istar_sets(n)
     caps = {i: D + n + 1 - i for i in I2}
     # f_i g_i - f_{i*} g_{i*} with i* = n + 1 - i, by one capped product
     gprimes = {i: dot(vars, [(fs[i - 1], psis[g_index[i] - 1]),
@@ -265,7 +264,7 @@ def _build_at_order(n, dword, D):
     f_lows, phi_lows, psi_lows = ([lowest_term(f, D) for f in fam] for fam in (fs, phis, psis))
     gprime_lows = {i: lowest_term(gprimes[i], caps[i]) for i in I2}
     return BFZCluster(n, dword, vars, D, fs, phis, psis, g_index, gprimes, caps,
-                      f_lows, phi_lows, psi_lows, gprime_lows, I0, I1, I2)
+                      f_lows, phi_lows, psi_lows, gprime_lows, I1, I2)
 
 
 # -- closed forms at the standard word ----------------------------------------
@@ -318,10 +317,9 @@ def _up_to_sign(a: Poly, b: Poly) -> bool:
     return a == b or a == -b
 
 
-def gexp_check(n: int, cluster: BFZCluster = None) -> bool:
+def gexp_check(cluster: BFZCluster) -> bool:
     """Verify the closed-form lowest terms at the standard double word."""
-    if cluster is None:
-        cluster = build_bfz(n)
+    n = cluster.n
     std = standard_double_word(n)
     if (cluster.dword.neg.letters, cluster.dword.pos.letters) != (std.neg.letters, std.pos.letters):
         raise WrongWord("closed forms hold for the standard double word only")
@@ -417,56 +415,26 @@ def modified_mu_low_degree(n: int) -> int:
 # -- Kostant cascade and the index ----------------------------------------------
 
 
-@dataclass
-class CascadeData:
-    """Kostant's cascade in type A_n: strongly orthogonal roots
-    eps_a - eps_b, and e_+ + e_- the point of sl(n+1) that is 1 at (a, b)
-    and (b, a) for each cascade root (a, b), 0 elsewhere."""
-
-    n: int
-    roots: list  # pairs (a, b) meaning eps_a - eps_b
-
-    def strongly_orthogonal(self) -> bool:
-        roots = set(self.roots)
-        for (a, b) in roots:
-            for (c, d) in roots:
-                if (a, b) >= (c, d):
-                    continue
-                for s in (1, -1):
-                    coords = [0] * (self.n + 1)
-                    coords[a - 1] += 1
-                    coords[b - 1] -= 1
-                    coords[c - 1] += s
-                    coords[d - 1] -= s
-                    nonzero = sorted(x for x in coords if x)
-                    if nonzero == [-1, 1]:
-                        return False
-        return True
-
-
-def kostant_cascade(n: int) -> CascadeData:
-    """Greedy construction on type-A intervals: take the highest root of each
-    orthogonal subsystem recursively."""
+def kostant_cascade(n: int) -> list:
+    """Kostant's cascade in type A_n as index pairs (a, b), each the root
+    eps_a - eps_b: the highest root of each nested interval, (a, n + 2 - a)
+    for a = 1..(n+1)//2.  Two type-A roots are strongly orthogonal exactly
+    when their index pairs are disjoint (sharing one index makes their sum
+    or difference a root), and these pairs are disjoint."""
     if n < 1:
         raise SizeOutOfRange(f"the Kostant cascade needs n >= 1, got {n}")
-    roots = []
-    a, b = 1, n + 1
-    while a < b:
-        roots.append((a, b))
-        a, b = a + 1, b - 1
-    data = CascadeData(n, roots)
-    assert data.strongly_orthogonal(), "cascade failed strong orthogonality"
-    return data
+    return [(a, n + 2 - a) for a in range(1, (n + 1) // 2 + 1)]
 
 
 def stabilizer_dimension(n: int) -> int:
     """Dimension of the stabilizer of e_+ + e_- in the dual Lie algebra,
     which is the kernel of pi0 = ``sl_dual_linear_structure(n)`` there: the
-    corank of pi0's int table at the cascade point (``CascadeData``), by
+    corank of pi0's int table at the cascade point, 1 at (a, b) and (b, a)
+    for each pair of ``kostant_cascade(n)`` and 0 elsewhere, by
     ``_int_pivots``.  It equals the index, n, so the point witnesses the
     generic rank n(n+1) of pi0 exactly.  Sizes outside 1..9 raise
     SizeOutOfRange (``sl_varset``)."""
-    roots = kostant_cascade(n).roots
+    roots = kostant_cascade(n)
     pi0 = sl_dual_linear_structure(n)
     vars = pi0.vars
     ones = {vars.pk.unit[vars.index[f"u{a}{b}"]] for r in roots for a, b in (r, r[::-1])}
@@ -576,14 +544,12 @@ def bfz_chart(n: int) -> BFZChart:
         for j in range(n):
             c = pairing(wbeta, omegas[j])
             if c:
-                etaj = Poly.const(vars, 1) + Poly.var(vars, f"e{j + 1}")
-                set_entry(k, 2 * l0 + j, bk * etaj * c)
+                set_entry(k, 2 * l0 + j, bk * etas[j + 1] * c)
     for k in range(l0):
         ak = Poly.var(vars, f"a{k + 1}")
         for j in range(n):
             c = -pairing(betas[k], omegas[j])
             if c:
-                etaj = Poly.const(vars, 1) + Poly.var(vars, f"e{j + 1}")
-                set_entry(l0 + k, 2 * l0 + j, ak * etaj * c)
+                set_entry(l0 + k, 2 * l0 + j, ak * etas[j + 1] * c)
 
     return BFZChart(n, vars, PoissonStructure(vars, P), fs, phis, psis, g_index)

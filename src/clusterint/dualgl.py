@@ -74,28 +74,12 @@ def u_varset(n: int) -> VarSet:
     return VarSet([f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
 
 
-def x_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    return PolyMatrix(
-        [
-            [
-                Poly.var(vars, f"x{i}{j}") if i <= j else Poly.zero(vars)
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    )
-
-
-def y_matrix(n: int, vars: VarSet) -> PolyMatrix:
-    return PolyMatrix(
-        [
-            [
-                Poly.var(vars, f"y{i}{j}") if i >= j else Poly.zero(vars)
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    )
+def entry_matrix(n: int, vars: VarSet, kind: str) -> PolyMatrix:
+    """X (kind "x") or Y (kind "y") over ``vars``: the variable at each
+    entry (kind, i, j) that ``entry_index(n)`` has, zero elsewhere."""
+    names = {key: nm for nm, key in entry_index(n).items()}
+    return PolyMatrix([[Poly.var(vars, names[kind, i, j]) if (kind, i, j) in names
+                        else Poly.zero(vars) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 # -- the Poisson structure on the free chart ------------------------------------
@@ -264,8 +248,8 @@ def build_staircase(n: int) -> StaircaseSystem:
     if n < 2:
         raise SizeOutOfRange(f"the staircase needs n >= 2, got {n}")
     vars = bb_varset(n)
-    X = x_matrix(n, vars)
-    Y = y_matrix(n, vars)
+    X = entry_matrix(n, vars, "x")
+    Y = entry_matrix(n, vars, "y")
     lam_matrix = full_staircase_matrix(X, Y)
     lead = range((n - 1) ** 2)
     phis = trailing_minors(lam_matrix.submatrix(lead, lead))
@@ -340,10 +324,8 @@ def u_poly_matrix(n: int) -> PolyMatrix:
 
 
 def krylov_columns(u_rows, count: int):
-    """Columns u e_1, u^2 e_1, ..., u^count e_1 of a square matrix given by
-    its rows, over any ring."""
-    if count == 0:
-        return []
+    """Columns u e_1, u^2 e_1, ..., u^count e_1, count >= 1, of a square
+    matrix given by its rows, over any ring."""
     col = [row[0] for row in u_rows]
     cols = [col]
     for _ in range(count - 1):
@@ -355,12 +337,16 @@ def krylov_columns(u_rows, count: int):
     return cols
 
 
+def _check_staircase_index(n: int, p: int, i: int) -> None:
+    if not (1 <= i <= n - 1 and 0 <= p <= n - 2):
+        raise SizeOutOfRange(f"index (p, i) = ({p}, {i}) out of range for n={n}")
+
+
 def lows_closed_form(n: int, p: int, i: int) -> Poly:
     """Lowest term (up to sign) of the staircase minor indexed by
     k = p(n-1)+i, as a determinant mixing standard basis columns and Krylov
     columns of u."""
-    if not (1 <= i <= n - 1 and 0 <= p <= n - 2):
-        raise SizeOutOfRange(f"index (p, i) = ({p}, {i}) out of range for n={n}")
+    _check_staircase_index(n, p, i)
     uv = u_varset(n)
     u = u_poly_matrix(n).entries
 
@@ -384,11 +370,10 @@ def lows_closed_form(n: int, p: int, i: int) -> Poly:
 def lows_minor_sum(n: int, p: int, i: int) -> Poly:
     """The same lowest term written as the Krylov-matrix minor of part two of
     the selection theorem (valid for i <= p+1)."""
+    _check_staircase_index(n, p, i)
     if not i <= p + 1:
         raise SizeOutOfRange(f"the Krylov-minor form requires i <= p+1, got p={p}, i={i}")
     count = n - p - 1
-    if count == 0:
-        return Poly.const(u_varset(n), 1)
     cols = krylov_columns(u_poly_matrix(n).entries, count)
     rows = list(range(i + 1, n - p + i))
     return det(
@@ -399,12 +384,11 @@ def lows_minor_sum(n: int, p: int, i: int) -> Poly:
 def minor_product_expansion(n: int, p: int, i: int) -> Poly:
     """Sum over nested column sets of products of minors of u; equals the
     Krylov-matrix minor by iterated Binet-Cauchy."""
+    _check_staircase_index(n, p, i)
     if i <= p + 1:
         I1 = list(range(i + 1, n - p + i))
     else:
         I1 = list(range(2, i - p)) + list(range(i + 1, n + 1))
-    if not I1:
-        return Poly.const(u_varset(n), 1)
     return _nested_minor_sum(minors(u_poly_matrix(n)), n, I1)
 
 
@@ -455,7 +439,7 @@ def casimir_binomial_check(n: int) -> bool:
     are over det(Y), so the check compares numerators."""
     s = build_staircase(n)
     vars = s.bb_vars
-    pencil = pencil_coefficients(y_matrix(n, vars), x_matrix(n, vars))
+    pencil = pencil_coefficients(entry_matrix(n, vars, "y"), entry_matrix(n, vars, "x"))
     for i in range(0, n + 1):
         rhs = Poly.zero(vars)
         for j in range(i, n + 1):
@@ -533,8 +517,8 @@ def trailing_minor_closed_form_check(n: int, s: StaircaseSystem = None) -> bool:
     if s is None:
         s = build_staircase(n)
     vars = s.bb_vars
-    X = x_matrix(n, vars)
-    Y = y_matrix(n, vars)
+    X = entry_matrix(n, vars, "x")
+    Y = entry_matrix(n, vars, "y")
     adj, detY = adjugate(Y)
     blocks = trailing_minors(Y)
     V = X * adj

@@ -5,9 +5,9 @@ Pfaffian coefficients.
 
 Bracket-matrix entries are Polys where polynomial and RatFuns elsewhere.
 A structure clears its matrix once to Poly rows over one Poly denominator;
-``PoissonStructure._field`` is the one loop over them (the fields of N
-and D, h = N/D, by the quotient rule), and the bracket dots the cleared
-``polyring.gradient`` of f with the field of g.  A linear structure also
+``PoissonStructure._field`` is the one loop over them, each row dotted
+with the cleared ``polyring.gradient`` of h, and the bracket dots the
+cleared gradient of f with the field of g.  A linear structure also
 carries one table of int structure constants, built from closed-form
 constants (``linear_structure``, which ``linearize`` calls) or read from
 linear Polys; its Jacobi check and ``involutivity_certificate`` run on it
@@ -121,17 +121,10 @@ class PoissonStructure:
     # -- brackets -----------------------------------------------------------
 
     def _field(self, h, rows):
-        """(X, C) with {v_a, h} = X[i] / C for a = rows[i] (C None for 1),
-        by the quotient rule (D {v_a, N} - N {v_a, D}) / D^2, h = N/D."""
-        vars, P = self.vars, self._rows
-        num, den = num_den(h)
-        dn = gradient(num, vars)[0]
-        if den is None:
-            return [dot(vars, zip(P[a], dn)) for a in rows], self._den
-        dd = gradient(den, vars)[0]
-        neg = -num
-        return [dot(vars, ((den, dot(vars, zip(P[a], dn))), (neg, dot(vars, zip(P[a], dd)))))
-                for a in rows], _times(den * den, self._den)
+        """(X, C) with {v_a, h} = X[i] / C for a = rows[i] (C None for 1):
+        each row dotted with the cleared ``gradient`` of h."""
+        grad, den = gradient(h, self.vars)
+        return [dot(self.vars, zip(self._rows[a], grad)) for a in rows], _times(den, self._den)
 
     def _bracket_parts(self, f, g):
         """(B, C) with {f, g} = B / C (C None for 1): the cleared gradient
@@ -330,8 +323,8 @@ class LogVolumeForm:
 
     def low_degree(self) -> int:
         """Degree of the lowest term of the form (coefficient degree + n)."""
-        _, d = lowest_term(self.coefficient)
-        return d + len(self.coefficient.vars)
+        num, den = self.coefficient.num, self.coefficient.den
+        return num.min_degree() - den.min_degree() + len(num.vars)
 
 
 def _cleared_jacobian(functions, vars: VarSet):

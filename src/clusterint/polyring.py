@@ -37,9 +37,9 @@ determinant algorithm: ``det`` is the full minor of a fresh table,
 None takes a RatFun entry, nor does ``numeric_pivots`` (``generic_rank``),
 which reads each entry at a point as ints, as ``evaluate`` does.  Jacobian
 ranks go through ``jacobian_pivots``, which reads the Jacobian of Polys
-and RatFuns at a point from its terms' values.  The canonical text
-(``str``, read back by ``parse_poly``) lists terms in descending graded-lex
-order, e.g. ``z1*z4 - z2``.
+and RatFuns from its terms' values at a point with no zero coordinate.
+The canonical text (``str``, read back by ``parse_poly``) lists terms in
+descending graded-lex order, e.g. ``z1*z4 - z2``.
 """
 
 from __future__ import annotations
@@ -918,9 +918,6 @@ class RatFun:
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
-
     def is_polynomial(self):
         return self.den.is_constant()
 
@@ -1415,31 +1412,29 @@ def numeric_rank(m: PolyMatrix, rng, retries: int = 8) -> int:
 
 def jacobian_pivots(fs, vars: VarSet, rng, retries: int = 8) -> list:
     """The draws and pivots of ``numeric_pivots`` on ``jacobian(fs, vars)``,
-    read from each term's value v at a point (``_scaled_terms``): row a is
-    scaled by x_a where x_a != 0, so x_a d(t)/dx_a = e_a t adds e_a v; at
-    x_a = 0 only the terms with e_a = 1 and no other zero coordinate count.
-    The column of N/D is D dN - N dD over one int; nonzero row and column
-    scales keep the pivot columns."""
+    read from each term's value v at a point (``_scaled_terms``), whose
+    coordinates are nonzero (``random_rational``): row a is scaled by x_a,
+    so x_a d(t)/dx_a = e_a t adds e_a v.  The column of N/D is D dN - N dD
+    over one int; nonzero row and column scales keep the pivot columns."""
     parts, n = [num_den(f) for f in fs], len(vars)
     if any(num.vars is not vars and num.vars != vars for num, _ in parts):
         raise MixedVariables("mixed variable sets")
 
-    def values(p, nums, dens, zero):
+    def values(p, nums, dens):
         value, row = 0, [0] * n
         for v, e in _scaled_terms(p, nums, dens)[1]:
-            z = [i for i in zero if e[i]]
-            value += 0 if z else v
+            value += v
             for i, k in enumerate(e):
-                if k and (not z or z == [i] and k == 1):
+                if k:
                     row[i] += k * v
         return value, row
 
     def rows_at(nums, dens):
-        zero, nums, cols = [i for i, x in enumerate(nums) if not x], [x or 1 for x in nums], []
+        cols = []
         for num, den in parts:
-            v, dn = values(num, nums, dens, zero)
+            v, dn = values(num, nums, dens)
             if den is not None:
-                w, dd = values(den, nums, dens, zero)
+                w, dd = values(den, nums, dens)
                 dn = [w * x - v * y for x, y in zip(dn, dd)]
             cols.append(dn)
         return [list(row) for row in zip(*cols)]

@@ -27,8 +27,12 @@ def qq_str(x) -> str:
 
 
 def random_rational(rng) -> "QQ":
-    """Random rational with |numerator| <= 1000 and 1 <= denominator <= 1000."""
-    num = rng.randint(-1000, 1000)
+    """Random nonzero rational with |numerator| <= 1000 and 1 <= denominator
+    <= 1000: a zero numerator is drawn again, so sample points lie off the
+    coordinate hyperplanes."""
+    num = 0
+    while not num:
+        num = rng.randint(-1000, 1000)
     den = rng.randint(1, 1000)
     return QQ(num, den)
 

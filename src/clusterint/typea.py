@@ -29,15 +29,6 @@ class Weight:
         self._check(other)
         return Weight([a - b for a, b in zip(self.coords, other.coords)])
 
-    def __neg__(self):
-        return Weight([-a for a in self.coords])
-
-    def __eq__(self, other):
-        return isinstance(other, Weight) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
     def __repr__(self):
         return f"Weight{self.coords}"
 
@@ -46,17 +37,20 @@ class Weight:
             raise DimensionMismatch("weights of different sizes")
 
 
+def _check_simple_index(i: int, m: int) -> None:
+    if not 1 <= i <= m - 1:
+        raise SizeOutOfRange(f"simple index {i} out of range for m={m}")
+
+
 def fundamental_weight(i: int, m: int) -> Weight:
     """omega_i = eps_1 + ... + eps_i."""
-    if not 1 <= i <= m - 1:
-        raise SizeOutOfRange(f"fundamental index {i} out of range for m={m}")
+    _check_simple_index(i, m)
     return Weight([1] * i + [0] * (m - i))
 
 
 def simple_root(i: int, m: int) -> Weight:
     """alpha_i = eps_i - eps_{i+1}."""
-    if not 1 <= i <= m - 1:
-        raise SizeOutOfRange(f"simple index {i} out of range for m={m}")
+    _check_simple_index(i, m)
     c = [0] * m
     c[i - 1], c[i] = 1, -1
     return Weight(c)
@@ -86,6 +80,7 @@ class WeylElt:
 
     @staticmethod
     def simple(i: int, m: int) -> "WeylElt":
+        _check_simple_index(i, m)
         p = list(range(1, m + 1))
         p[i - 1], p[i] = p[i], p[i - 1]
         return WeylElt(p)
@@ -93,9 +88,6 @@ class WeylElt:
     @staticmethod
     def longest(m: int) -> "WeylElt":
         return WeylElt(range(m, 0, -1))
-
-    def __len__(self):
-        return len(self.perm)
 
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
@@ -210,6 +202,7 @@ def degree_jumps(degs, neighbour) -> list:
 def weyl_rep(i: int, m: int, vars: VarSet) -> PolyMatrix:
     """Representative of s_i: identity with the block [[0,-1],[1,0]] at
     rows/columns (i, i+1)."""
+    _check_simple_index(i, m)
     ent = PolyMatrix.identity(vars, m).entries
     ent[i - 1][i - 1] = Poly.zero(vars)
     ent[i][i] = Poly.zero(vars)
@@ -220,6 +213,7 @@ def weyl_rep(i: int, m: int, vars: VarSet) -> PolyMatrix:
 
 def elementary(i: int, m: int, z: Poly) -> PolyMatrix:
     """Unipotent e_i(z): identity plus z in entry (i, i+1)."""
+    _check_simple_index(i, m)
     ent = PolyMatrix.identity(z.vars, m).entries
     ent[i - 1][i] = z
     return PolyMatrix(ent)

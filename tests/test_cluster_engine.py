@@ -165,6 +165,12 @@ def _random_skew(rng, n):
 
 
 class TestLogVolumeInvariance:
+    def test_cluster_of_another_size_raises(self):
+        vs = VarSet(["z1", "z2", "z3"])
+        s = Seed(vs, [Poly.var(vs, "z1"), Poly.var(vs, "z2")], [1], [[0], [1]])
+        with pytest.raises(DependentSystem, match="requires"):
+            seed_log_volume(s)
+
     def test_empty_path(self):
         s = coordinate_seed(2, [1], [[0], [1]])
         assert log_volume_invariance(s, [])

@@ -13,6 +13,7 @@ from clusterint.dualgl import (
     casimir_binomial_check,
     choose_integrable_system_dualgl,
     chart_varset,
+    entry_matrix,
     kks_gl,
     log_volume_identity_check,
     lows_closed_form,
@@ -23,8 +24,6 @@ from clusterint.dualgl import (
     trailing_minor_closed_form_check,
     u_poly_matrix,
     u_varset,
-    x_matrix,
-    y_matrix,
 )
 from clusterint.errors import DimensionMismatch, SingularLocus, SizeOutOfRange
 from clusterint.poisson_core import generic_rank, is_log_canonical
@@ -73,6 +72,21 @@ class TestChart:
         chart = DualGroupChart(10, chart_varset(10), None)
         got = restrict_to_chart(Poly.var(bb_varset(10), "y1010"), chart)
         assert got == 1 / RatFun.var(chart.vars, "x1010")
+
+    def test_entry_matrices(self):
+        # X upper and Y lower triangular, each entry its variable, read by
+        # the entry's index also at two digits (x110 is x_{1,10})
+        vars = bb_varset(3)
+        for kind, inside in (("x", lambda i, j: i <= j), ("y", lambda i, j: i >= j)):
+            m = entry_matrix(3, vars, kind)
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    assert m[i - 1, j - 1] == (Poly.var(vars, f"{kind}{i}{j}") if inside(i, j)
+                                               else Poly.zero(vars))
+        vars = bb_varset(10)
+        X, Y = entry_matrix(10, vars, "x"), entry_matrix(10, vars, "y")
+        assert X[0, 9] == Poly.var(vars, "x110") and X[9, 0].is_zero()
+        assert Y[9, 0] == Poly.var(vars, "y101") and Y[0, 9].is_zero()
 
     def test_self_bracket(self, chart2):
         a = chart2.vars.index["x11"]
@@ -204,6 +218,15 @@ class TestClosedForms:
                 assert up_to_sign(jl, minor_product_expansion(n, p, i))
                 if i <= p + 1:
                     assert up_to_sign(jl, lows_minor_sum(n, p, i))
+
+    @pytest.mark.parametrize("p, i", [(2, 1), (-1, 0), (0, 0), (0, 5), (5, 1)])
+    def test_indices_out_of_range(self, p, i):
+        # at n = 3 these were read as 1 at (2, 1) and as other minors at
+        # (-1, 0) and (0, 0), and raised IndexError or NonSquare at (0, 5)
+        # and (5, 1)
+        for form in (lows_closed_form, lows_minor_sum, minor_product_expansion):
+            with pytest.raises(SizeOutOfRange, match=r"index \(p, i\)"):
+                form(3, p, i)
 
     def test_n4_routes_agree(self, jets4):
         for p in range(0, 3):

@@ -1,8 +1,8 @@
 """Static checks of the package source with the stdlib ``ast`` module: no
 module imports a name it never uses, no top-level function is defined in
 two modules, every top-level function, class and method of the package is
-used somewhere, no function assigns a local it never reads, no nested
-function calls itself, no function imports,
+used somewhere, every dataclass field is read, no function assigns a local
+it never reads, no nested function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, every report comes from one ``certify`` of one ``SeedLows`` record
@@ -121,6 +121,27 @@ def test_every_method_is_used():
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("__") and node.name not in used]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a package dataclass is read as an attribute, or named
+    by a string constant (``asdict`` keys, report field lists), somewhere
+    in the package, the tests or the benchmark."""
+    read = set()
+    for path in [*MODULES, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                unread += [f"{path.name}:{cls.name}.{node.target.id}" for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+    assert unread == []
 
 
 def referenced_names(tree):

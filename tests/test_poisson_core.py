@@ -142,6 +142,12 @@ class TestLogCanonical:
     def test_not_log_canonical(self, sl4_pi):
         assert is_log_canonical(sl4_pi, p6("z1"), p6("z4")) is None
 
+    def test_zero_function_raises(self, sl4_pi):
+        with pytest.raises(ZeroInput, match="nonzero functions"):
+            is_log_canonical(sl4_pi, p6("z1"), Poly.zero(Z6))
+        with pytest.raises(ZeroInput, match="nonzero functions"):
+            is_log_canonical(sl4_pi, RatFun(Poly.zero(Z6), p6("z2")), p6("z1"))
+
     def test_system_rejects_a_pair(self, sl4_pi):
         coords = [p6(f"z{i}") for i in range(1, 7)]
         with pytest.raises(NotLogCanonical, match=r"pair \(1, 4\)"):

@@ -117,6 +117,8 @@ class TestDet:
     def test_nonsquare(self):
         with pytest.raises(NonSquare):
             det(PolyMatrix([[p6("z1"), p6("z2")]]))
+        with pytest.raises(NonSquare, match="1x0 minor"):
+            minors(PolyMatrix([[]]))
 
     def test_mixed_variable_sets_are_refused(self):
         # the table packs every entry up front, so it refuses before any minor
@@ -285,6 +287,10 @@ class TestRank:
 
 
 class TestTruncatedExp:
+    def test_nonsquare(self):
+        with pytest.raises(NonSquare, match="non-square"):
+            truncated_exp(PolyMatrix([[p6("z1"), p6("z2")]]), 2)
+
     def test_zero(self):
         x = PolyMatrix([[Poly.zero(Z6)] * 2 for _ in range(2)])
         e = truncated_exp(x, 3)

@@ -204,6 +204,10 @@ class TestChoose:
     def test_stored_lows_are_the_lowest_terms(self, sl4_cell):
         assert sl4_cell.phi_lows == [lowest_term(p) for p in sl4_cell.phis]
 
+    def test_empty_word(self):
+        with pytest.raises(WrongWord, match="empty word"):
+            build_cell(3, [])
+
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_word_of_another_size(self, m):
         # was a bare IndexError at m=2 and a weight-size mismatch at m=4, 5

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clusterint.errors import DimensionMismatch, NotReduced
+from clusterint.errors import DimensionMismatch, NotReduced, SizeOutOfRange
 from clusterint.polyring import Poly, PolyMatrix, VarSet, parse_poly
 from clusterint.rationals import QQ
 from clusterint.typea import (
@@ -36,6 +36,8 @@ class TestPairing:
     def test_sizes_must_match(self):
         with pytest.raises(DimensionMismatch):
             pairing(simple_root(1, 3), simple_root(1, 4))
+        with pytest.raises(DimensionMismatch):
+            fundamental_weight(1, 3) + fundamental_weight(1, 4)
 
     def test_duality_with_fundamentals(self):
         for m in (3, 4, 5):
@@ -66,6 +68,14 @@ class TestWeylElt:
     def test_not_reduced(self):
         with pytest.raises(NotReduced):
             ReducedWord([1, 1], 4)
+        with pytest.raises(NotReduced, match="letter 0 out of range"):
+            ReducedWord([0], 3)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_simple_reflection_index_out_of_range(self, i):
+        # s_0 would be the transposition (1 3), s_3 an IndexError
+        with pytest.raises(SizeOutOfRange, match=f"simple index {i} out of range for m=3"):
+            WeylElt.simple(i, 3)
 
     def test_longest_word_pattern(self):
         w = longest_word(4)
@@ -113,6 +123,18 @@ class TestWeylRep:
         assert m.entries[0][1] == Poly.const(vs, -1)
         assert m.entries[1][0] == Poly.const(vs, 1)
         assert m.entries[1][1].is_zero()
+
+    @pytest.mark.parametrize("build", [
+        lambda i, vs: weyl_rep(i, 3, vs), lambda i, vs: weyl_matrix([i], 3, vs),
+        lambda i, vs: elementary(i, 3, Poly.var(vs, "z1")),
+        lambda i, vs: fundamental_weight(i, 3), lambda i, vs: simple_root(i, 3)],
+        ids=["weyl_rep", "weyl_matrix", "elementary", "fundamental_weight", "simple_root"])
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_index_out_of_range(self, build, i):
+        # index 0 would be read as m (the block at rows 3 and 1), index m as
+        # an IndexError
+        with pytest.raises(SizeOutOfRange, match=f"simple index {i} out of range for m=3"):
+            build(i, VarSet(["z1"]))
 
     def test_braid_relation(self):
         vs = VarSet(["z1"])
