@@ -9,6 +9,7 @@ reads them and keeps the positions of ``degree_jumps``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .errors import CountShortfall, SizeOutOfRange, WrongWord
@@ -101,11 +102,13 @@ def sl_u_matrix(n: int, vars: VarSet = None) -> PolyMatrix:
     return PolyMatrix(u)
 
 
+@cache
 def sl_dual_linear_structure(n: int) -> LinearPoissonStructure:
     """Linearization at the identity of the multiplicative structure on
     SL(n+1): the degree-1 part of (sign(p-i)+sign(q-j))/2 * x_iq * x_pj in
     exponential coordinates, restricted to traceless matrices, from its int
-    constants over 2 (``linear_structure``); u_mm = -(u_11 + ... + u_nn)."""
+    constants over 2 (``linear_structure``); u_mm = -(u_11 + ... + u_nn).
+    Built once per n and shared by every caller, who must not mutate it."""
     m = n + 1
     pairs = [(i, j) for i in range(m) for j in range(m) if (i, j) != (n, n)]
     u = {ij: [(d, 1)] for d, ij in enumerate(pairs)}

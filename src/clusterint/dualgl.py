@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 
 from .errors import DimensionMismatch, SingularLocus, SizeOutOfRange
@@ -146,9 +146,11 @@ def _double_bracket(chart: DualGroupChart, a_kind, i, j, b_kind, p, q) -> Poly |
     return -_double_bracket(chart, "y", p, q, "x", i, j)
 
 
+@cache
 def kks_gl(n: int) -> LinearPoissonStructure:
     """Linear structure of the matrix coalgebra on entry coordinates, from
-    its int constants: {u_pq, u_rs} = delta_ps u_rq - delta_rq u_ps."""
+    its int constants: {u_pq, u_rs} = delta_ps u_rq - delta_rq u_ps.
+    Built once per n and shared by every caller, who must not mutate it."""
     order = [(i, j) for i in range(n) for j in range(n)]
     return linear_structure(u_varset(n), [[
         ([(r * n + q, 1)] if p == s else []) + ([(p * n + s, -1)] if r == q else [])

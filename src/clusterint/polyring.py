@@ -1355,7 +1355,10 @@ def _int_pivots(m) -> list:
         top, pv = m[rank], m[rank][col]
         for i in range(rank + 1, nr):
             c = m[i][col]
-            m[i] = [(pv * a - c * b) // prev for a, b in zip(m[i], top)]
+            if c:
+                m[i] = [(pv * a - c * b) // prev for a, b in zip(m[i], top)]
+            elif pv != prev:
+                m[i] = [pv * a // prev for a in m[i]]
         prev = pv
         pivots.append(col)
         if len(pivots) == nr:

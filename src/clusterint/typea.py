@@ -139,8 +139,7 @@ class ReducedWord:
         self.letters = tuple(int(i) for i in letters)
         self.m = m
         for i in self.letters:
-            if not 1 <= i <= m - 1:
-                raise NotReduced(f"letter {i} out of range for m={m}")
+            _check_simple_index(i, m)
         if self.element().length() != len(self.letters):
             raise NotReduced(f"word {self.letters} is not reduced")
 

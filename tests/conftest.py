@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -18,6 +19,12 @@ settings.load_profile("clusterint")
 
 def p6(s: str) -> Poly:
     return parse_poly(s, Z6)
+
+
+def linear_snapshot(pi0):
+    """A copy of what a shared linear structure holds: its int table and
+    den, and the string of every bracket_matrix entry."""
+    return copy.deepcopy(pi0.table), pi0.den, [[str(x) for x in row] for row in pi0.bracket_matrix]
 
 
 # Poisson brackets of the Bott-Samelson coordinates on the big cell of the

@@ -30,6 +30,8 @@ from clusterint.polyring import Poly, RatFun, lowest_term, minors, parse_poly
 from clusterint.rationals import QQ
 from clusterint.typea import ReducedWord, longest_word
 
+from conftest import linear_snapshot
+
 
 @pytest.fixture(scope="module")
 def c2():
@@ -234,6 +236,28 @@ class TestDualStructure:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_jacobi(self, n):
         sl_dual_linear_structure(n).check_jacobi()
+
+
+class TestSharedDualStructure:
+    # pi0 depends only on n: one object per size, which no reader changes
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_object_per_size_left_unchanged(self, n):
+        pi0 = sl_dual_linear_structure(n)
+        assert sl_dual_linear_structure(n) is pi0
+        before = linear_snapshot(pi0)
+        cluster = build_bfz(n)
+        assert choose_integrable_system_bfz(cluster).independent_count == cluster.l0 + n
+        assert stabilizer_dimension(n) == n
+        pi0.check_jacobi()
+        assert generic_rank(pi0) == n * (n + 1)
+        assert sl_dual_linear_structure(n) is pi0 and linear_snapshot(pi0) == before
+
+    def test_a_size_out_of_range_is_not_cached(self):
+        size = sl_dual_linear_structure.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(SizeOutOfRange):
+                sl_dual_linear_structure(10)
+        assert sl_dual_linear_structure.cache_info().currsize == size
 
 
 class TestDegreeIdentities:

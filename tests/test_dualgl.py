@@ -30,6 +30,8 @@ from clusterint.poisson_core import generic_rank, is_log_canonical
 from clusterint.polyring import Poly, PolyMatrix, RatFun, det, parse_poly
 from clusterint.rationals import QQ, QQ0, QQ1
 
+from conftest import linear_snapshot
+
 
 @pytest.fixture(scope="module")
 def s3():
@@ -299,6 +301,19 @@ class TestKKS:
         phi4low = jets3.phi_lows[3][0]
         for other in ("u11 + u22", "u22 + u33"):
             assert not pi0.bracket_poly(phi4low, parse_poly(other, uv)).is_zero()
+
+
+class TestSharedKKS:
+    # pi0 depends only on n: one object per size, which no reader changes
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_object_per_size_left_unchanged(self, n):
+        pi0 = kks_gl(n)
+        assert kks_gl(n) is pi0
+        before = linear_snapshot(pi0)
+        assert choose_integrable_system_dualgl(n).independent_count == (n * n + n) // 2
+        pi0.check_jacobi()
+        assert generic_rank(pi0) == n * n - n
+        assert kks_gl(n) is pi0 and linear_snapshot(pi0) == before
 
 
 class TestChoose:

@@ -6,7 +6,8 @@ it never reads, no nested function calls itself, no function imports,
 every package error is raised in the package and named in a test,
 every random generator is seeded, ``polyring`` packs monomials in one
 place, every report comes from one ``certify`` of one ``SeedLows`` record
-a route, and every console script that
+a route, only the two per-size linear structures are cached, and every
+console script that
 ``pyproject.toml`` declares imports and is callable.  Seven checks run the
 code: every Poly the families build is keyed by packed monomials, and they
 build no Jet; choosing on a built Schubert cell or BFZ cluster reads no
@@ -239,6 +240,37 @@ def test_no_import_inside_a_function():
     assert sorted(found) == []
 
 
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def memoizer(node):
+    """The name of the ``functools`` memoizer that a decorator or a
+    referenced name is (``cache``, ``functools.cache``, ``lru_cache(...)``),
+    else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return name if name in MEMOIZERS else None
+
+
+def test_only_the_per_size_linear_structures_are_cached():
+    """pi0 depends only on the size, so ``sl_dual_linear_structure`` and
+    ``kks_gl`` are built once per n.  Nothing else is memoized, by a
+    decorator or by a call: a per-seed build (``build_bfz``,
+    ``build_cell``, ``minors``, ``truncated_exp``) is the work that the
+    benchmark times, and at BFZ n=8 its tables alone reach 1.7 GB."""
+    cached, uses = set(), 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cached |= {f"{path.stem}.{fn.name}" for d in fn.decorator_list if memoizer(d)}
+        uses += sum(1 for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute)) and memoizer(node))
+    assert cached == {"bfz.sl_dual_linear_structure", "dualgl.kks_gl"}
+    assert uses == len(cached)  # no memoizer applied other than as a decorator
+
+
 def _passes(call, position, name):
     """Whether a call passes the parameter ``name`` (at ``position`` among
     the positional parameters, None if keyword-only); a call that unpacks
@@ -379,10 +411,13 @@ def test_closed_form_linear_structures_do_no_poly_arithmetic(monkeypatch):
             calls[name] += 1
             return op(self, other)
         monkeypatch.setattr(Poly, name, counted)
+    for built in (sl_dual_linear_structure, kks_gl):
+        built.cache_clear()  # so that both builders run, not a cache hit
     sl_dual_linear_structure(3)
     kks_gl(3)
     stabilizer_dimension(3)
     assert calls == Counter()
+    assert [built.cache_info().misses for built in (sl_dual_linear_structure, kks_gl)] == [1, 1]
 
 
 def test_schubert_build_subtracts_no_poly_and_divides_on_ints(monkeypatch):

@@ -521,6 +521,27 @@ class TestRatFunArithmetic:
             "1/2*x*y + 1", "y")
 
 
+class TestRatFunValues:
+    X3 = VarSet(["x", "y", "z"])
+
+    def f(self):
+        return RatFun(parse_poly("x*y*z", self.X3), parse_poly("1 + x", self.X3))
+
+    def test_evaluate(self):
+        assert self.f().evaluate([1, 2, 3]) == 3
+        assert self.f().evaluate([QQ(1, 2), 2, 3]) == 2
+
+    def test_evaluate_is_the_quotient_of_the_values(self):
+        rng = random.Random(2024)
+        point = [QQ(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(3)]
+        f = self.f()
+        assert f.evaluate(point) == f.num.evaluate(point) / f.den.evaluate(point)
+
+    def test_str_over_one_is_the_numerator(self):
+        f = RatFun.from_poly(parse_poly("x*y - 2*z", self.X3))
+        assert f.den.is_constant() and str(f) == str(f.num) == "x*y - 2*z"
+
+
 class TestJet:
     def test_truncating_product(self):
         j = Jet(p6("z1 + z2 + z3^3"), 2)

@@ -68,7 +68,8 @@ class TestWeylElt:
     def test_not_reduced(self):
         with pytest.raises(NotReduced):
             ReducedWord([1, 1], 4)
-        with pytest.raises(NotReduced, match="letter 0 out of range"):
+        # a letter outside 1..m-1 breaks the one simple-index rule
+        with pytest.raises(SizeOutOfRange, match="simple index 0 out of range for m=3"):
             ReducedWord([0], 3)
 
     @pytest.mark.parametrize("i", [0, 3])
