@@ -14,7 +14,7 @@ linear Polys; its Jacobi check and ``involutivity_certificate`` run on it
 through ``polyring._mul_terms``, with no Poly arithmetic.  ``bracket_poly``
 stays a method because the benchmark's layer tracer
 (``bench/layertrace.py``) wraps it by name.  ``_cleared_jacobian`` is the
-one Jacobian determinant.
+one Jacobian determinant, each row cleared by an lcm of primitive parts.
 
 ``certify`` is the single certification path: every family (Schubert
 cells, the BFZ cluster, the dual group of GL(n)) and the generic
@@ -54,10 +54,10 @@ from .polyring import (
     VarSet,
     _gradient_terms,
     _mul_terms,
+    _poly_content_and_primitive,
     det,
     dot,
     gradient,
-    jacobian,
     jacobian_pivots,
     lowest_term,
     num_den,
@@ -89,6 +89,11 @@ def _times(p, q):
     return q if p is None else p if q is None else p * q
 
 
+def _lcm(polys):
+    """The lcm of a list of Polys, up to a constant; None (for 1) if empty."""
+    return reduce(lambda a, p: a * p.exact_div(poly_gcd(a, p)), polys) if polys else None
+
+
 class PoissonStructure:
     """A variable list plus the skew matrix of brackets {v_a, v_b}; an entry
     given as a number, Poly or RatFun is stored as a Poly unless its
@@ -105,7 +110,7 @@ class PoissonStructure:
         self.bracket_matrix, self._rows, self._den = m, m, None
         dens = list(dict.fromkeys(x.den for row in m for x in row if isinstance(x, RatFun)))
         if dens:
-            den = reduce(lambda a, d: a * d.exact_div(poly_gcd(a, d)), dens)
+            den = _lcm(dens)
             cofactor = {d: den.exact_div(d) for d in dens}
             self._rows = [[x.num * cofactor[x.den] if isinstance(x, RatFun) else x * den
                            for x in row] for row in m]
@@ -328,19 +333,37 @@ class LogVolumeForm:
 
 
 def _cleared_jacobian(functions, vars: VarSet):
-    """(det M, the parts N_i and non-unit D_i of f_i = N_i/D_i), M the Poly
-    ``jacobian``, so mu = det(M) / prod(N_i D_i).  Raises DependentSystem
-    when det(M) vanishes identically."""
-    d = det(jacobian(functions, vars))
+    """(det E, factors), mu = det(E) / prod(factors), E the Jacobian of
+    f_i = N_i/D_i cleared by rows: for P_ia = D_i over its content in v_a
+    (so d_a log D_i = d_a log P_ia) and r_a the lcm of the P_ia (1 if none),
+    E[a][i] = r_a d_a N_i - N_i (r_a / P_ia) d_a P_ia = N_i r_a d_a log f_i;
+    the factors are the N_i and non-unit r_a (Polys: the plain Jacobian).
+    Raises DependentSystem when det(E) vanishes identically."""
+    parts, prims = [num_den(f) for f in functions], [{} for _ in vars.names]
+    for D in dict.fromkeys(D for _, D in parts if D is not None):
+        grad = gradient(D, vars)[0]
+        involved = [a for a, g in enumerate(grad) if g]
+        for a in involved:
+            c = _poly_content_and_primitive(D, a)[0] if len(involved) > 1 else None
+            prims[a][D] = (D, grad[a]) if c is None else (D.exact_div(c), grad[a].exact_div(c))
+    grads, rows, factors = [gradient(N, vars)[0] for N, _ in parts], [], [N for N, _ in parts]
+    for a, prim in enumerate(prims):
+        r = _lcm(list(dict.fromkeys(P for P, _ in prim.values())))
+        dlog = {D: _times(None if P == r else r.exact_div(P), dP) for D, (P, dP) in prim.items()}
+        rows.append([_times(r, g[a]) - N * dlog[D] if D in dlog else _times(r, g[a])
+                     for (N, D), g in zip(parts, grads)])
+        if r is not None:
+            factors.append(r)
+    d = det(PolyMatrix(rows))
     if d.is_zero():
         raise DependentSystem("Jacobian determinant vanishes identically")
-    return d, [p for f in functions for p in num_den(f) if p is not None]
+    return d, factors
 
 
 def log_volume(functions, vars: VarSet) -> LogVolumeForm:
-    """mu = det(M) / prod(N_i D_i) (``_cleared_jacobian``): each factor,
-    those of most terms first, divides the numerator exactly or joins the
-    denominator, and one reduced RatFun is formed at the end."""
+    """mu = det(E) / prod(factors) (``_cleared_jacobian``, cleared by rows):
+    each factor, those of most terms first, divides the numerator exactly
+    or joins the denominator, and one reduced RatFun is formed at the end."""
     num, factors = _cleared_jacobian(functions, vars)
     den = Poly.const(vars, 1)
     for p in sorted(factors, key=lambda p: -len(p.terms)):
@@ -372,7 +395,7 @@ def property_I_check(
 ) -> PropertyIReport:
     """deg(mu^low) versus rk(pi0)/2; the inequality deg >= rk/2 must hold for
     every log-canonical system, so its failure raises."""
-    # lowest degrees add over the products and quotient of det(M) / prod(N_i D_i)
+    # lowest degrees add over the products and quotient of det(E) / prod(factors)
     d, factors = _cleared_jacobian(sys.functions, sys.vars)
     deg_mu_low = d.min_degree() + len(sys.vars) - sum(p.min_degree() for p in factors)
     if pi0 is None:

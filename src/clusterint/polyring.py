@@ -1221,8 +1221,8 @@ def minors(m: PolyMatrix, cap=None):
     on the stored keys (``_packed_minor``).  With ``cap``, each product of
     the table, a 1 x 1 minor's (its entry times 1) too, keeps its terms of
     total degree <= cap; a negative cap raises BadTruncation.  A RatFun
-    entry raises NotDivisible (a RatFun Jacobian is cleared to Polys by
-    ``jacobian``), and any other entry TypeError.  Each row is cleared to
+    entry raises NotDivisible (a RatFun Jacobian is cleared to Polys by its
+    caller), and any other entry TypeError.  Each row is cleared to
     the lcm of its denominators.  No minor has a degree above the sum over
     the rows of their top degrees, so the exponents of the minors are
     checked only when that sum, and the cap, reach an exponent's range."""
@@ -1332,7 +1332,8 @@ def gradient(h, vars: VarSet):
 def jacobian(fs, vars: VarSet) -> PolyMatrix:
     """Rows indexed by the variables, column i the ``gradient`` numerator
     D_i^2 d f_i / d v_a of f_i = N_i/D_i (D_i = 1 for a Poly): the rank is
-    the Jacobian's, and the determinant is scaled by prod D_i^2."""
+    the Jacobian's, and the determinant is scaled by prod D_i^2.  Its callers
+    are ``bfz.modified_mu_low_degree`` and the tests."""
     cols = [gradient(f, vars)[0] for f in fs]
     return PolyMatrix([[col[a] for col in cols] for a in range(len(vars))])
 

@@ -393,7 +393,6 @@ class TestLogVolume:
     def test_identity_n2(self):
         assert log_volume_identity_check(2)
 
-    @pytest.mark.slow
     def test_identity_n3(self, s3):
         assert log_volume_identity_check(3, s3)
 

@@ -918,17 +918,32 @@ def test_bracket_agrees_with_sympy(entries, f, g):
     assert to_sympy(br) == expect
 
 
+LOG_VOLUME_KINDS = ["polys", "shared-denominator", "crossed-factor", "product-denominator",
+                    "bivariate-denominator"]
+
+
 def log_volume_functions(rng, kind):
     """Three functions over x, y, z with seeded multilinear parts: Polys;
     RatFuns whose denominators are powers of one shared factor, such as
-    x + 1; or RatFuns where one function's numerator holds a factor of
-    another function's denominator."""
+    x + 1; RatFuns where one function's numerator holds a factor of
+    another function's denominator; (x + a)(y + b) under one function and
+    x + a under another, a denominator with content in each of its
+    variables, as (1 + e1)(1 + e2) in the SL(3) chart; or the irreducible
+    x*y + c squared under one function and to the first power under
+    another, with the third a Poly in the last two kinds."""
     nums = [random_multilinear(rng) + Poly.var(X3, v) for v in rng.sample(X3.names, 3)]
     if kind == "polys":
         return nums
     if kind == "shared-denominator":
         shared = Poly.var(X3, rng.choice(X3.names)) + 1
         return [RatFun(p, shared ** rng.randint(1, 2)) for p in nums]
+    if kind == "product-denominator":
+        x, y = (Poly.var(X3, v) + rng.randint(1, 3) for v in rng.sample(X3.names, 2))
+        return [RatFun(nums[0], x * y), RatFun(nums[1], x), nums[2]]
+    if kind == "bivariate-denominator":
+        x, y = (Poly.var(X3, v) for v in rng.sample(X3.names, 2))
+        den = x * y + rng.randint(1, 3)
+        return [RatFun(nums[0], den ** 2), RatFun(nums[1], den), nums[2]]
     g = random_multilinear(rng) + Poly.var(X3, rng.choice(X3.names))
     dens = [Poly.var(X3, v) + rng.randint(1, 3) for v in rng.sample(X3.names, 3)]
     return [RatFun(nums[0] * g, dens[0]), RatFun(nums[1], dens[1] * g),
@@ -956,7 +971,7 @@ def assert_reduced_form(r, expected):
     assert to_sympy(den) == q.quo_ground(lc)
 
 
-@pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
+@pytest.mark.parametrize("kind", LOG_VOLUME_KINDS)
 @pytest.mark.parametrize("seed", range(6))
 def test_log_volume_agrees_with_sympy(kind, seed):
     # det(J) / prod(f) in sympy's field, with the 3 x 3 determinant by
@@ -973,7 +988,7 @@ def test_log_volume_agrees_with_sympy(kind, seed):
     assert_reduced_form(log_volume(fs, X3).coefficient, expected)
 
 
-@pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
+@pytest.mark.parametrize("kind", LOG_VOLUME_KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_jacobian_column_is_the_squared_denominator_times_the_gradient(kind, seed):
     fs = log_volume_functions(random.Random(seed), kind)
@@ -998,7 +1013,7 @@ def rational_structure():
     return PoissonStructure(X3, P), [[to_field(x) for x in row] for row in P]
 
 
-@pytest.mark.parametrize("kind", ["polys", "shared-denominator", "crossed-factor"])
+@pytest.mark.parametrize("kind", LOG_VOLUME_KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_rational_bracket_agrees_with_sympy(kind, seed):
     # {f, g} = sum_ab df/dx_a P_ab dg/dx_b and the field sum_b P_ab dg/dx_b

@@ -1,6 +1,10 @@
 import json
 import random
+import sys
 from dataclasses import fields
+from functools import cache
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -36,14 +40,33 @@ from clusterint.poisson_core import (
     pfaffian_coefficient,
     property_I_check,
 )
+import clusterint.cluster_engine
 from clusterint import dualgl, poisson_core
-from clusterint.bfz import build_bfz, choose_integrable_system_bfz, sl_dual_linear_structure
-from clusterint.polyring import Poly, RationalPoint, RatFun, VarSet, lowest_term, parse_poly
+from clusterint.bfz import (
+    bfz_chart,
+    build_bfz,
+    choose_integrable_system_bfz,
+    sl_dual_linear_structure,
+)
+from clusterint.polyring import (
+    Poly,
+    RationalPoint,
+    RatFun,
+    VarSet,
+    det,
+    jacobian,
+    lowest_term,
+    num_den,
+    parse_poly,
+)
 from clusterint.rationals import QQ
 from clusterint.schubert import build_cell, choose_integrable_system
 from clusterint.typea import WeylElt, longest_word
 
 from conftest import Z6, p6, random_poly, structure_from_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from harness import chart_modification  # noqa: E402
 
 
 def sign(x):
@@ -449,6 +472,65 @@ class TestLogVolume:
         z1 = Poly.var(vs, "z1")
         with pytest.raises(DependentSystem):
             log_volume([z1, z1 * z1], vs)
+
+
+@cache
+def cleared_jacobian_input(name):
+    """(functions, vars) of four systems with and without denominators:
+    the SL(3) chart's cluster and its frozen modification (as the
+    chart-modvol-n2 benchmark builds it), which has the denominators
+    1 + e1, 1 + e2 and (1 + e1)(1 + e2); the dual GL(3) restricted system,
+    over x22*x33 and x33; and the Schubert cell of the longest word at m=4,
+    all Polys."""
+    if name == "dualgl-n3":
+        chart = dualgl.build_dual_chart(3)
+        return dualgl.build_staircase(3).restricted_system(chart), chart.vars
+    if name == "schubert-m4":
+        cell = build_cell(4, longest_word(4))
+        return cell.phis, cell.vars
+    chart = bfz_chart(2)
+    if name == "bfz-chart":
+        return chart.all_functions(), chart.vars
+    seed, mod = chart_modification(clusterint, chart)
+    return clusterint.cluster_engine.modified_cluster(seed, mod), chart.vars
+
+
+def column_cleared(fs, vars):
+    """The reference clearing: det of ``polyring.jacobian``, whose column i
+    is D_i^2 grad f_i, and its factors N_i and D_i, with
+    mu = det / prod(N_i D_i)."""
+    return det(jacobian(fs, vars)), [p for f in fs for p in num_den(f) if p is not None]
+
+
+CLEARED_JACOBIAN_INPUTS = ["bfz-chart", "chart-modification", "dualgl-n3", "schubert-m4"]
+
+
+class TestClearedJacobian:
+    @pytest.mark.parametrize("name", CLEARED_JACOBIAN_INPUTS)
+    def test_rows_give_the_column_cleared_form(self, name):
+        fs, vars = cleared_jacobian_input(name)
+        d, factors = column_cleared(fs, vars)
+        assert log_volume(fs, vars).coefficient == RatFun(d, prod(factors[1:], start=factors[0]))
+
+    @pytest.mark.parametrize("name", CLEARED_JACOBIAN_INPUTS)
+    def test_rows_give_the_column_cleared_lowest_degree(self, name):
+        # the degree that property_I_check reads: det degree + n - the
+        # factors' degrees
+        fs, vars = cleared_jacobian_input(name)
+        lows = [d.min_degree() + len(vars) - sum(p.min_degree() for p in factors)
+                for d, factors in (poisson_core._cleared_jacobian(fs, vars),
+                                   column_cleared(fs, vars))]
+        assert lows[0] == lows[1]
+
+    def test_rows_shrink_the_chart_modification_determinant(self):
+        # the column-cleared determinant carries a spare factor 1 + e1 or
+        # 1 + e2 on rows whose variable a denominator does not involve;
+        # clearing rows by the denominators themselves, not their primitive
+        # parts, would give 750 terms
+        fs, vars = cleared_jacobian_input("chart-modification")
+        rows, _ = poisson_core._cleared_jacobian(fs, vars)
+        cols, _ = column_cleared(fs, vars)
+        assert (len(rows.terms), len(cols.terms)) == (400, 1750)
 
 
 class TestPropertyI:
